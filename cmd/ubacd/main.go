@@ -47,6 +47,22 @@ import (
 	"ubac/internal/wire"
 )
 
+// recoverState replays the data directory into ctrl and reports what
+// came back to the sink: the replay counts, and the flows now active —
+// no Decision event will ever announce those, so the active-flows
+// gauge starts from them.
+func recoverState(ctrl *admission.Controller, sink *telemetry.RegistrySink, dir string) (*wal.RecoveryInfo, error) {
+	rec, err := wal.Recover(dir, ctrl.Fingerprint(), ctrl)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctrl.FinishRecovery(); err != nil {
+		return nil, err
+	}
+	sink.WALRecovered(rec.ReplayedAdmits, rec.ReplayedTeardowns, ctrl.Stats().Active)
+	return rec, nil
+}
+
 func main() {
 	cfgPath := flag.String("config", "", "JSON configuration file (flags set explicitly on the command line override it)")
 	topo := flag.String("topology", "mci", "topology: mci | nsfnet | line:N | ... | @file.json")
@@ -204,14 +220,10 @@ func main() {
 	var walLog *wal.Log
 	if *dataDir != "" && clusterCfg == nil {
 		fp := ctrl.Fingerprint()
-		rec, err := wal.Recover(*dataDir, fp, ctrl)
+		rec, err := recoverState(ctrl, sink, *dataDir)
 		if err != nil {
 			log.Fatalf("ubacd: recover %s: %v", *dataDir, err)
 		}
-		if err := ctrl.FinishRecovery(); err != nil {
-			log.Fatalf("ubacd: recover %s: %v", *dataDir, err)
-		}
-		sink.WALRecovered(rec.ReplayedAdmits, rec.ReplayedTeardowns)
 		mode := wal.ModeAsync
 		if *fsync == "sync" {
 			mode = wal.ModeSync

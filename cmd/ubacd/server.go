@@ -57,6 +57,11 @@ type server struct {
 	fpMu                       sync.Mutex
 	fpLast                     admission.FastPathStats
 	fpHit, fpStale, fpFallback *telemetry.Counter
+
+	// regSlots is the flow registry's footprint, read off the controller
+	// on each scrape: slots ÷ ubac_active_flows is how much of it is
+	// idle, and it should track the peak of active flows, not admits.
+	regSlots *telemetry.Gauge
 }
 
 func newServer(net *topology.Network, ctrl *admission.Controller,
@@ -66,6 +71,7 @@ func newServer(net *topology.Network, ctrl *admission.Controller,
 	s.fpHit = reg.Counter("ubac_admit_fastpath_total", fpHelp, telemetry.Label{Key: "outcome", Value: "hit"})
 	s.fpStale = reg.Counter("ubac_admit_fastpath_total", fpHelp, telemetry.Label{Key: "outcome", Value: "stale"})
 	s.fpFallback = reg.Counter("ubac_admit_fastpath_total", fpHelp, telemetry.Label{Key: "outcome", Value: "fallback"})
+	s.regSlots = reg.Gauge("ubac_registry_slots", "Flow registry slots allocated, live or free.")
 	return s
 }
 
@@ -182,6 +188,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.syncFastPath()
+	s.regSlots.Set(s.ctrl.Stats().RegistrySlots)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WritePrometheus(w)
 }

@@ -18,6 +18,7 @@ import (
 	"ubac/internal/telemetry"
 	"ubac/internal/topology"
 	"ubac/internal/traffic"
+	"ubac/internal/wal"
 )
 
 func testDaemon(t *testing.T) (*httptest.Server, *topology.Network) {
@@ -29,6 +30,17 @@ func testDaemon(t *testing.T) (*httptest.Server, *topology.Network) {
 // sink attached to both the delay model (configuration step) and the
 // run-time controller.
 func testDaemonFull(t *testing.T) (*httptest.Server, *topology.Network, *telemetry.RegistrySink) {
+	t.Helper()
+	ts, net, _, sink := testDaemonOn(t, "")
+	return ts, net, sink
+}
+
+// testDaemonOn is testDaemonFull with the controller handed back and,
+// when dataDir is set, main.go's durability wiring: recover the
+// directory, then journal to it in sync mode. The log stays open until
+// the test ends: a daemon booted on the directory before that finds it
+// as a killed one leaves it.
+func testDaemonOn(t *testing.T, dataDir string) (*httptest.Server, *topology.Network, *admission.Controller, *telemetry.RegistrySink) {
 	t.Helper()
 	net := topology.NSFNet(topology.DefaultCapacity)
 	classes, err := traffic.NewClassSet(traffic.Voice(), traffic.BestEffort(1))
@@ -52,9 +64,22 @@ func testDaemonFull(t *testing.T) (*httptest.Server, *topology.Network, *telemet
 		t.Fatal(err)
 	}
 	ctrl.SetSink(sink)
+	if dataDir != "" {
+		rec, err := recoverState(ctrl, sink, dataDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log, err := wal.Open(wal.Options{Dir: dataDir, Mode: wal.ModeSync,
+			Fingerprint: ctrl.Fingerprint(), Epoch: rec.Epoch + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrl.SetJournal(log)
+		t.Cleanup(func() { log.Close() })
+	}
 	ts := httptest.NewServer(newServer(net, ctrl, reg, ring).routes())
 	t.Cleanup(ts.Close)
-	return ts, net, sink
+	return ts, net, ctrl, sink
 }
 
 func post(t *testing.T, ts *httptest.Server, path string, body any) (*http.Response, map[string]any) {
@@ -631,5 +656,103 @@ func TestRoutesEndpointAndCacheMetrics(t *testing.T) {
 		if v, err := strconv.ParseFloat(rest, 64); err != nil || v < 1 {
 			t.Fatalf("%s = %q, want >= 1", series, rest)
 		}
+	}
+}
+
+// scrape fetches /metrics.
+func scrape(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestRegistrySlotsExported: the registry's footprint is on /metrics
+// and /v1/stats, and churn does not move it — a thousand admits through
+// a handful of live flows leave it where the first few put it.
+func TestRegistrySlotsExported(t *testing.T) {
+	ts, _ := testDaemon(t)
+	slots := func() float64 {
+		_, st := get(t, ts, "/v1/stats")
+		n, ok := st["registry_slots"].(float64)
+		if !ok {
+			t.Fatalf("/v1/stats has no registry_slots: %v", st)
+		}
+		if line := fmt.Sprintf("ubac_registry_slots %d\n", int(n)); !strings.Contains(scrape(t, ts), line) {
+			t.Errorf("/metrics does not say %q", line)
+		}
+		return n
+	}
+	if n := slots(); n != 0 {
+		t.Errorf("%g slots before any admit", n)
+	}
+	churn := func(rounds int) {
+		for i := 0; i < rounds; i++ {
+			resp, body := post(t, ts, "/v1/flows", flowRequest{Class: "voice", Src: "Seattle", Dst: "Princeton"})
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("admit: %d %v", resp.StatusCode, body)
+			}
+			if resp := del(t, ts, fmt.Sprintf("/v1/flows/%d", uint64(body["id"].(float64)))); resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("teardown: %d", resp.StatusCode)
+			}
+		}
+	}
+	churn(200)
+	warm := slots()
+	if warm == 0 || warm > 64 {
+		t.Errorf("%g slots after 200 admit/teardown pairs, want 1..64 (one per shard visited)", warm)
+	}
+	churn(1000)
+	if n := slots(); n != warm {
+		t.Errorf("registry grew from %g to %g slots under churn with one live flow", warm, n)
+	}
+}
+
+// TestActiveFlowsGaugeSurvivesRecovery kills a durable daemon holding
+// flows, boots another on its directory and tears them all down: the
+// gauge starts at the recovered count and ends at 0 (it used to start
+// at 0 and end at minus the count).
+func TestActiveFlowsGaugeSurvivesRecovery(t *testing.T) {
+	dir := t.TempDir()
+	ts, _, _, _ := testDaemonOn(t, dir)
+	var ids []uint64
+	for i := 0; i < 25; i++ {
+		resp, body := post(t, ts, "/v1/flows", flowRequest{Class: "voice", Src: "Seattle", Dst: "Princeton"})
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("admit: %d %v", resp.StatusCode, body)
+		}
+		ids = append(ids, uint64(body["id"].(float64)))
+	}
+	if resp := del(t, ts, fmt.Sprintf("/v1/flows/%d", ids[0])); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("teardown: %d", resp.StatusCode)
+	}
+	ids = ids[1:]
+	// The first daemon is now abandoned mid-flight: sync mode has every
+	// record on disk, nothing is closed or snapshotted.
+
+	ts2, _, ctrl2, _ := testDaemonOn(t, dir)
+	if st := ctrl2.Stats(); st.Active != int64(len(ids)) {
+		t.Fatalf("recovered %d active flows, want %d", st.Active, len(ids))
+	}
+	if want := fmt.Sprintf("ubac_active_flows %d\n", len(ids)); !strings.Contains(scrape(t, ts2), want) {
+		t.Errorf("after recovery /metrics does not say %q", want)
+	}
+	for _, id := range ids {
+		if resp := del(t, ts2, fmt.Sprintf("/v1/flows/%d", id)); resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("teardown of recovered flow %d: %d", id, resp.StatusCode)
+		}
+	}
+	if out := scrape(t, ts2); !strings.Contains(out, "ubac_active_flows 0\n") {
+		t.Errorf("after tearing down every recovered flow, /metrics has no \"ubac_active_flows 0\"")
+	}
+	if _, st := get(t, ts2, "/v1/stats"); st["Active"].(float64) != 0 {
+		t.Errorf("/v1/stats Active = %v after drain", st["Active"])
 	}
 }

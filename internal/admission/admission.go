@@ -11,9 +11,11 @@
 // lock-free compare-and-swap ledger. Both admit concurrently from many
 // goroutines; BenchmarkAdmissionContention compares them at 1/4/16
 // goroutines on shared and disjoint routes. Flow identity lives in a
-// sharded slot registry (see registry.go): the admit/teardown fast
-// path takes only per-shard and per-server locks, allocates nothing in
-// steady state, and AdmitBatch/TeardownBatch amortize counter and
+// sharded slot registry (see registry.go) that recycles slots through
+// per-shard free lists, so it stays as large as the peak number of
+// concurrent flows: the admit/teardown fast path takes no lock beyond
+// the locked ledger's per-server ones, allocates nothing in steady
+// state, and AdmitBatch/TeardownBatch amortize registry, counter and
 // telemetry traffic over whole batches.
 package admission
 
@@ -194,6 +196,9 @@ type Stats struct {
 	NoRoute        uint64
 	Active         int64
 	MaxActive      int64
+	// RegistrySlots is the flow registry's footprint: slots allocated,
+	// live or free. It follows the peak of Active, never Admitted.
+	RegistrySlots int64 `json:"registry_slots"`
 }
 
 // Controller is the run-time admission control module. All methods are
@@ -250,13 +255,12 @@ type Controller struct {
 
 	// Two counters are derived instead of maintained, removing three
 	// atomic adds from the admit/teardown cycle: Admitted is the
-	// admission cursor minus admitGaps (cursor ticks that never became
-	// an admit: registry exhaustion, journal unwinds, failed batch
-	// registration — all cold paths), and Active is admitted − tornDown
-	// (every unwind path increments neither). Both are exact whenever
-	// the controller is quiescent and within the in-flight window
-	// otherwise.
-	admitGaps                   atomic.Uint64
+	// admission cursor minus the registry's gap counter (cursor ticks
+	// that never became an admit: registry exhaustion, journal unwinds,
+	// failed batch registration, sequences skipped for their zero low
+	// word — all cold paths), and Active is admitted − tornDown (every
+	// unwind path increments neither). Both are exact whenever the
+	// controller is quiescent and within the in-flight window otherwise.
 	rejected, tornDown, noRoute atomic.Uint64
 	policyRejected              atomic.Uint64
 	maxActive                   atomic.Int64
@@ -653,9 +657,8 @@ func (c *Controller) AdmitWithTenant(class, tenant string, src, dst int) (FlowID
 // telemetry sink, no admission policy. Both fields are set before the
 // controller serves traffic (see SetSink/SetPolicy), so the dispatch
 // in Admit is stable. The body is the full admit minus every
-// telemetry/policy branch, with the put/claim fast path folded inline:
-// at ~10^7 admits/s the call frames, the time.Time zeroing, and the
-// wide class-struct load are all measurable.
+// telemetry/policy branch: at ~10^7 admits/s the time.Time zeroing and
+// the wide class-struct load are measurable.
 func (c *Controller) admitLean(class string, src, dst int) (FlowID, error) {
 	// classIndex's hint hit folded inline (the call misses the inline
 	// budget by the cost of its own slow-path call). eqName beats the
@@ -680,55 +683,30 @@ func (c *Controller) admitLean(class string, src, dst int) (FlowID, error) {
 			return 0, ErrCapacity
 		}
 	}
-	// reg.put folded inline, first probe of claim included.
-	reg := c.reg
-	seq := reg.cursor.Add(1)
-	shard := seq & flowShardMask
-	sh := &reg.shards[shard]
-	var slot *regSlot
-	var idx, gen uint32
-	ok := false
-	if n := sh.length.Load(); n > 0 {
-		start := probeStart(seq, n)
-		s := sh.slotAt(start)
-		if st := s.state.Load(); st&(slotActiveBit|slotBusyBit) == 0 {
-			g := uint32(st>>32) + 1
-			if g == 0 {
-				g = 1
-			}
-			if s.state.CompareAndSwap(st, uint64(g)<<32|slotBusyBit) {
-				slot, idx, gen, ok = s, start, g, true
-			}
-		}
-	}
+	id, seq, ok := c.reg.put(int32(ci), ri)
 	if !ok {
-		slot, idx, gen, ok = sh.claimSlow(seq)
-	}
-	if !ok {
-		c.admitGaps.Add(1)
+		c.reg.gaps.Add(1)
 		c.release(ci, ri)
 		c.rejected.Add(1)
 		return 0, ErrTooManyFlows
 	}
-	id := activate(slot, idx, gen, int32(ci), ri, seq, shard)
 	if c.journal != nil {
 		if err := c.journal.AppendAdmit(uint64(id), seq, int32(ci), ri); err != nil {
 			// Journal closed (drain) or failed: unwind so the admit
 			// never happened — nothing durable acknowledged, nothing
 			// reserved.
-			c.admitGaps.Add(1)
+			c.reg.gaps.Add(1)
 			c.reg.take(id)
 			c.release(ci, ri)
 			return 0, ErrShuttingDown
 		}
 	}
-	c.noteActive(int64(seq - c.admitGaps.Load() - c.tornDown.Load()))
+	c.noteActive(int64(seq - c.reg.gaps.Load() - c.tornDown.Load()))
 	return id, nil
 }
 
 // admit is the full path: telemetry timestamps and decision events,
-// and the policy consult. Reserve/registry work is delegated to the
-// same helpers the lean path folds inline.
+// and the policy consult.
 func (c *Controller) admit(class, tenant string, src, dst int) (FlowID, error) {
 	var start time.Time
 	if c.telemetered {
@@ -778,7 +756,7 @@ func (c *Controller) admit(class, tenant string, src, dst int) (FlowID, error) {
 	}
 	id, seq, ok := c.reg.put(int32(ci), ri)
 	if !ok {
-		c.admitGaps.Add(1)
+		c.reg.gaps.Add(1)
 		c.release(ci, ri)
 		c.rejected.Add(1)
 		if c.telemetered {
@@ -790,7 +768,7 @@ func (c *Controller) admit(class, tenant string, src, dst int) (FlowID, error) {
 		if err := c.journal.AppendAdmit(uint64(id), seq, int32(ci), ri); err != nil {
 			// Journal closed (drain) or failed: unwind so the admit never
 			// happened — nothing durable acknowledged, nothing reserved.
-			c.admitGaps.Add(1)
+			c.reg.gaps.Add(1)
 			c.reg.take(id)
 			c.release(ci, ri)
 			if c.telemetered {
@@ -799,7 +777,7 @@ func (c *Controller) admit(class, tenant string, src, dst int) (FlowID, error) {
 			return 0, ErrShuttingDown
 		}
 	}
-	c.noteActive(int64(seq - c.admitGaps.Load() - c.tornDown.Load()))
+	c.noteActive(int64(seq - c.reg.gaps.Load() - c.tornDown.Load()))
 	if c.telemetered {
 		c.emit(id, class, tenant, src, dst, rateBPS, telemetry.Admitted, -1, start)
 	}
@@ -853,20 +831,13 @@ func (c *Controller) Teardown(id FlowID) error {
 	if c.telemetered {
 		start = c.now()
 	}
-	// reg.take folded inline, same reasoning as the put fold in admit.
-	sh := &c.reg.shards[uint64(id)&flowShardMask]
-	si := uint32(uint64(id) >> flowShardBits & flowSlotMask)
-	gen := uint64(id) >> 32
-	if si >= sh.length.Load() {
+	var freed freeChain
+	class, route, ok := c.reg.takeInto(id, &freed)
+	if !ok {
 		return ErrUnknownFlow
 	}
-	s := sh.slotAt(si)
-	st := s.state.Load()
-	if st>>32 != gen || st&slotActiveBit == 0 || !s.state.CompareAndSwap(st, gen<<32) {
-		return ErrUnknownFlow
-	}
-	ci := int(st >> slotClassShift & slotClassMask)
-	route := int32(st >> slotRouteShift & slotRouteMask)
+	freed.flush()
+	ci := int(class)
 	if !c.budgetPut(ci, route) {
 		c.releaseFlowSlow(ci, route)
 	}
@@ -947,7 +918,7 @@ func eqName(a, b string) bool {
 }
 
 func (c *Controller) admittedCount() uint64 {
-	return c.reg.cursor.Load() - c.admitGaps.Load()
+	return c.reg.cursor.Load() - c.reg.gaps.Load()
 }
 
 // Stats returns a snapshot of the cumulative counters. Admitted and
@@ -964,6 +935,7 @@ func (c *Controller) Stats() Stats {
 		NoRoute:        c.noRoute.Load(),
 		Active:         int64(adm - torn),
 		MaxActive:      c.maxActive.Load(),
+		RegistrySlots:  int64(c.reg.slots()),
 	}
 }
 

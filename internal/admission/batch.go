@@ -105,7 +105,7 @@ func (c *Controller) returnClaims(sc *batchScratch) {
 }
 
 // AdmitBatch runs the utilization test for every item and registers
-// all admitted flows under a single registry shard lock. Each
+// all admitted flows with one registry claim. Each
 // reservation is still an individual atomic utilization test — a batch
 // buys no admission leniency, it only amortizes flow registration,
 // counter updates and telemetry timestamps across items. results is
@@ -183,7 +183,7 @@ func (c *Controller) AdmitBatch(items []BatchItem, results []BatchResult) []Batc
 		// Registry shard exhausted: nothing was registered, so return
 		// every reservation this batch took and fail its successes. The
 		// batch's cursor block never became admits.
-		c.admitGaps.Add(uint64(admitted))
+		c.reg.gaps.Add(uint64(admitted))
 		for k := range sc.pos {
 			c.release(int(sc.classes[k]), sc.routes[k])
 			results[sc.pos[k]].Err = ErrTooManyFlows
@@ -202,7 +202,7 @@ func (c *Controller) AdmitBatch(items []BatchItem, results []BatchResult) []Batc
 		if err := c.journal.AppendAdmitBatch(sc.u64, baseSeq, sc.classes, sc.routes); err != nil {
 			// Journal closed or failed: unwind the whole batch's
 			// registrations and reservations; the successes never happened.
-			c.admitGaps.Add(uint64(admitted))
+			c.reg.gaps.Add(uint64(admitted))
 			for k := 0; k < admitted; k++ {
 				c.reg.take(sc.ids[k])
 				c.release(int(sc.classes[k]), sc.routes[k])
@@ -289,8 +289,12 @@ func (c *Controller) TeardownBatch(ids []FlowID, errs []error) []error {
 	sc.classes = sc.classes[:0]
 	sc.routes = sc.routes[:0]
 	var torn int64
+	// Freed slots ride one chain per run of same-shard IDs — a batch
+	// admitted together comes back as one — and rejoin their free list
+	// with one CAS per run.
+	var freed freeChain
 	for _, id := range ids {
-		class, route, ok := c.reg.take(id)
+		class, route, ok := c.reg.takeInto(id, &freed)
 		if !ok {
 			errs = append(errs, ErrUnknownFlow)
 			continue
@@ -327,6 +331,7 @@ func (c *Controller) TeardownBatch(ids []FlowID, errs []error) []error {
 			sc.routes = append(sc.routes, route)
 		}
 	}
+	freed.flush()
 	if c.telemetered && len(sc.ids) > 0 {
 		end := c.now()
 		for k, id := range sc.ids {

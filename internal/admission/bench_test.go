@@ -23,9 +23,15 @@ const contentionRing = 16
 // concurrent voice flows fit per server, so admit/teardown pairs from
 // ≤16 workers never reject and the benchmark measures pure bookkeeping
 // throughput.
-func contentionController(b *testing.B, kind LedgerKind) *Controller {
+func contentionController(b testing.TB, kind LedgerKind) *Controller {
+	return ringController(b, kind, 100e6)
+}
+
+// ringController is contentionController at a chosen link capacity
+// (churn tests and benchmarks hold far more than 1562 flows).
+func ringController(b testing.TB, kind LedgerKind, capacity float64) *Controller {
 	b.Helper()
-	net, err := topology.Ring(contentionRing, 100e6)
+	net, err := topology.Ring(contentionRing, capacity)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -136,6 +142,45 @@ func BenchmarkAdmitBatch(b *testing.B) {
 			}
 		})
 	}
+	// churn is the shape a wire server sees, and the one the hold-0 rows
+	// above cannot: 8 owners take turns, each admitting a 64-op batch and
+	// releasing its oldest once it holds 4, so every claim has to find
+	// slots some other batch freed. slots/live is the registry's
+	// footprint over its live flows at the end (bounded; the seed's grew
+	// with b.N), registry-B/op the footprint in bytes per flow admitted.
+	b.Run("churn/size=64", func(b *testing.B) {
+		const owners, hold, size = 8, 4, 64
+		ctrl := ringController(b, AtomicLedger, 1e12)
+		items := make([]BatchItem, size)
+		for j := range items {
+			items[j] = BatchItem{Class: "voice", Src: j % contentionRing, Dst: (j + 1) % contentionRing}
+		}
+		var held [owners][hold][]FlowID
+		var results []BatchResult
+		var errs []error
+		turn := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += size {
+			h := &held[turn%owners][turn/owners%hold]
+			turn++
+			if len(*h) > 0 {
+				errs = ctrl.TeardownBatch(*h, errs)
+			}
+			results = ctrl.AdmitBatch(items, results)
+			*h = (*h)[:0]
+			for _, r := range results {
+				if r.Err != nil {
+					b.Fatal(r.Err)
+				}
+				*h = append(*h, r.ID)
+			}
+		}
+		b.StopTimer()
+		st := ctrl.Stats()
+		b.ReportMetric(float64(st.RegistrySlots)/float64(st.Active), "slots/live")
+		b.ReportMetric(float64(st.RegistrySlots)*16/float64(b.N), "registry-B/op")
+	})
 }
 
 // BenchmarkAdmissionContention is the package-doc comparison: both

@@ -449,3 +449,55 @@ func TestRecoveryRefusesReconfiguredController(t *testing.T) {
 		t.Fatalf("recover under different alpha: %v, want ErrFingerprintMismatch", err)
 	}
 }
+
+// TestReplayReuseJournaledAheadOfTeardown replays the record order two
+// connections and group commit can produce: flow X is torn down and its
+// slot retaken by Y in memory, but Y's admit reaches the log before X's
+// teardown does. The teardown then matches nothing (the slot carries
+// Y's generation) and is never counted, so counters summed from
+// applied records said two flows were active. Active is anchored to the
+// flows actually found; the ledger, rebuilt from them, was always right.
+func TestReplayReuseJournaledAheadOfTeardown(t *testing.T) {
+	c, net := testController(t, 0.3, AtomicLedger)
+	ri := c.routeIndex(0, 0, 2)
+	x := makeFlowID(7, 3, 5)
+	y := makeFlowID(9, 3, 5) // same shard and slot, later generation
+	if err := c.ReplayAdmit(uint64(x), 7, 0, ri); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReplayAdmit(uint64(y), 9, 0, ri); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReplayTeardown(uint64(x)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FinishRecovery(); err != nil {
+		t.Fatal(err)
+	}
+
+	twin, _ := testController(t, 0.3, AtomicLedger)
+	if _, err := twin.Admit("voice", 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := utilizations(t, c, net), utilizations(t, twin, net); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered ledger %v, want one flow's worth %v", got, want)
+	}
+	st := c.Stats()
+	if st.Active != 1 || st.Admitted != 2 || st.TornDown != 1 {
+		t.Errorf("recovered stats %+v, want Admitted 2, TornDown 1, Active 1", st)
+	}
+	if err := c.Teardown(x); err != ErrUnknownFlow {
+		t.Errorf("teardown of the replaced flow: %v, want ErrUnknownFlow", err)
+	}
+	if err := c.Teardown(y); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Active != 0 {
+		t.Errorf("%d active after the one recovered flow is torn down", st.Active)
+	}
+	for s, u := range utilizations(t, c, net)["voice"] {
+		if u != 0 {
+			t.Errorf("server %d still %g utilized after drain", s, u)
+		}
+	}
+}

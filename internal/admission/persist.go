@@ -33,7 +33,9 @@ var ErrRestore = errors.New("admission: restore failed")
 //	                              u32 route | u64 seq) )
 //
 // Free slots are serialized too — their generations are what keep a
-// stale FlowID failing with ErrUnknownFlow across a restart. The used
+// stale FlowID failing with ErrUnknownFlow across a restart — with
+// class and route zero; free-list order is not stored, FinishRecovery
+// relinks the lists. The used
 // array is a debug cross-check: the ledger is rebuilt authoritatively
 // from the live flows, and the stored values are only compared when
 // replay applied nothing on top of the snapshot.
@@ -106,7 +108,7 @@ func (c *Controller) MarshalRegistry() (seq uint64, payload []byte) {
 	buf = append(buf, regMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, c.Fingerprint())
 	buf = binary.LittleEndian.AppendUint64(buf, cursor)
-	buf = binary.LittleEndian.AppendUint64(buf, cursor-c.admitGaps.Load())
+	buf = binary.LittleEndian.AppendUint64(buf, cursor-r.gaps.Load())
 	buf = binary.LittleEndian.AppendUint64(buf, c.rejected.Load())
 	buf = binary.LittleEndian.AppendUint64(buf, c.tornDown.Load())
 	buf = binary.LittleEndian.AppendUint64(buf, c.noRoute.Load())
@@ -131,11 +133,11 @@ func (c *Controller) MarshalRegistry() (seq uint64, payload []byte) {
 		for j := uint32(0); j < n; j++ {
 			st, seq := sh.loadSlot(j)
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(st>>32))
-			if st&slotActiveBit != 0 {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
+			if st&slotActiveBit == 0 {
+				// The low word of a free slot is its free-list link.
+				st = 0
 			}
+			buf = append(buf, byte(st&slotActiveBit))
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(st>>slotClassShift&slotClassMask))
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(st>>slotRouteShift&slotRouteMask))
 			buf = binary.LittleEndian.AppendUint64(buf, seq)
@@ -248,12 +250,10 @@ func (c *Controller) RestoreSnapshot(payload []byte) error {
 					return fmt.Errorf("%w (shard %d slot %d)", err, i, j)
 				}
 			}
-			s := sh.slotAt(j)
-			s.seq.Store(seq)
 			if active {
-				s.state.Store(packSlotState(gen, class, route))
+				sh.slotAt(j).set(packSlotState(gen, class, route), seq)
 			} else {
-				s.state.Store(uint64(gen) << 32)
+				sh.slotAt(j).set(freeState(gen, 0), seq)
 			}
 		}
 	}
@@ -301,11 +301,10 @@ func (c *Controller) ReplayAdmit(id, seq uint64, class, route int32) error {
 	sh := &c.reg.shards[shard]
 	sh.ensureLen(slot + 1)
 	s := sh.slotAt(slot)
-	if seq <= s.seq.Load() {
+	if seq <= s.seq() {
 		return nil // subsumed by the snapshot (or a newer occupant)
 	}
-	s.seq.Store(seq)
-	s.state.Store(packSlotState(gen, class, route))
+	s.set(packSlotState(gen, class, route), seq)
 	rs.appliedAdmits++
 	return nil
 }
@@ -328,21 +327,18 @@ func (c *Controller) ReplayTeardown(id uint64) error {
 	if st&slotActiveBit == 0 || uint32(st>>32) != gen {
 		return nil
 	}
-	ng := gen + 1
-	if ng == 0 {
-		ng = 1
-	}
-	s.state.Store(uint64(ng) << 32)
+	s.set(freeState(nextGen(gen), 0), s.seq())
 	rs.appliedTeardowns++
 	return nil
 }
 
 // FinishRecovery materializes the replayed registry: every live flow
-// re-reserves its route on the (empty) ledger, counters and the
-// admission cursor are installed, and slots replay extended past but
-// never touched get their virgin generation. A live flow that no
-// longer fits means durable state and configuration disagree despite
-// the fingerprint — that is corruption, not an admission decision, and
+// re-reserves its route on the (empty) ledger, every other slot goes
+// on its shard's free list (slots replay extended past but never
+// touched get their virgin generation first), and counters and the
+// admission cursor are installed. A live flow that no longer fits
+// means durable state and configuration disagree despite the
+// fingerprint — that is corruption, not an admission decision, and
 // recovery fails rather than silently dropping an acked SLA. Safe to
 // call when nothing was recovered.
 func (c *Controller) FinishRecovery() error {
@@ -351,20 +347,24 @@ func (c *Controller) FinishRecovery() error {
 		return nil
 	}
 	c.restoring = nil
-	var live int64
+	var live uint64
 	for i := range c.reg.shards {
 		sh := &c.reg.shards[i]
-		n := sh.length.Load()
-		for j := uint32(0); j < n; j++ {
-			s := sh.slotAt(j)
+		// Downward, so the list hands out the lowest slots first and the
+		// live set stays dense at the front of the shard.
+		var link uint32
+		for j := sh.length.Load(); j > 0; j-- {
+			s := sh.slotAt(j - 1)
 			st := s.state.Load()
-			if st>>32 == 0 {
-				// Slot materialized by extension in ReplayAdmit but never
-				// admitted into: give it the virgin generation.
-				s.state.Store(1 << 32)
-				continue
-			}
 			if st&slotActiveBit == 0 {
+				gen := uint32(st >> 32)
+				if gen == 0 {
+					// Materialized by extension in ReplayAdmit but never
+					// admitted into.
+					gen = 1
+				}
+				s.set(freeState(gen, link), s.seq())
+				link = j
 				continue
 			}
 			live++
@@ -372,9 +372,10 @@ func (c *Controller) FinishRecovery() error {
 			route := int32(st >> slotRouteShift & slotRouteMask)
 			if bn, ok := c.reserve(int(class), route); !ok {
 				return fmt.Errorf("%w: recovered flow (class %d route %d seq %d) exceeds capacity at server %d",
-					ErrRestore, class, route, s.seq.Load(), bn)
+					ErrRestore, class, route, s.seq(), bn)
 			}
 		}
+		sh.free.Store(headWord(0, link))
 	}
 	if rs.sawSnapshot && rs.appliedAdmits == 0 && rs.appliedTeardowns == 0 {
 		// Nothing layered on top of the snapshot: the rebuilt ledger must
@@ -391,20 +392,31 @@ func (c *Controller) FinishRecovery() error {
 		cursor = rs.maxSeq
 	}
 	c.reg.cursor.Store(cursor)
-	// Admitted is derived as cursor − admitGaps; anchor the derivation
-	// to the recovered counter by absorbing the pre-crash difference
-	// (rejected cursor ticks, and any cursor advance from maxSeq) into
-	// the gap counter.
-	c.admitGaps.Store(cursor - (rs.admitted + rs.appliedAdmits))
+	// The walk's live count is the one exact figure here: the counters
+	// of a snapshot taken under churn are approximate, and a replayed
+	// teardown whose slot a later admit had already retaken (its reuse
+	// was journaled first) matched nothing and was never counted. So the
+	// recovered admitted figure is kept — within [live, cursor] — and
+	// tornDown is whatever makes Active equal live. Admitted is derived
+	// as cursor − gaps; the gap counter absorbs the difference
+	// (rejected cursor ticks, and any cursor advance from maxSeq).
+	admitted := rs.admitted + rs.appliedAdmits
+	if admitted < live {
+		admitted = live
+	}
+	if admitted > cursor {
+		admitted = cursor
+	}
+	c.reg.gaps.Store(cursor - admitted)
+	c.tornDown.Store(admitted - live)
 	// Replayed admits predate the fast-path counters: exclude them from
 	// the derived hit figure (see FastPathStats).
-	c.recoveredAdmits = rs.admitted + rs.appliedAdmits
+	c.recoveredAdmits = admitted
 	c.rejected.Store(rs.rejected)
-	c.tornDown.Store(rs.tornDown + rs.appliedTeardowns)
 	c.noRoute.Store(rs.noRoute)
 	max := rs.maxActive
-	if live > max {
-		max = live
+	if int64(live) > max {
+		max = int64(live)
 	}
 	c.maxActive.Store(max)
 	return nil

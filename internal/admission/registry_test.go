@@ -65,30 +65,34 @@ func TestRegistryUnknownIDs(t *testing.T) {
 	}
 }
 
-// TestRegistryGenerationReuse drives one shard's slot through reuse and
-// checks the stale ID from the previous occupant no longer resolves.
+// TestRegistryGenerationReuse drives a slot through reuse and checks
+// the stale ID from the previous occupant no longer resolves.
 func TestRegistryGenerationReuse(t *testing.T) {
 	r := newFlowRegistry()
 	stale, _, _ := r.put(0, 7)
 	if _, _, ok := r.take(stale); !ok {
 		t.Fatal("take of live flow failed")
 	}
-	// The cursor round-robins shards, so after flowShards more puts the
-	// same shard's freelist hands the slot to a new flow.
+	// Homes are a hash of the sequence, so within a few shard-counts of
+	// puts one lands on the stale flow's shard again and is handed the
+	// slot it freed.
 	var reused FlowID
-	for i := 0; i < flowShards; i++ {
+	for i := 0; i < 8*flowShards && reused == 0; i++ {
 		id, _, _ := r.put(0, 99)
-		if id&flowShardMask == stale&flowShardMask {
+		if shard, slot, _ := splitFlowID(id); shard == uint32(stale&flowShardMask) {
+			if _, staleSlot, _ := splitFlowID(stale); slot != staleSlot {
+				t.Fatalf("shard %d grew to slot %d with slot %d free", shard, slot, staleSlot)
+			}
 			reused = id
 		} else {
 			r.take(id)
 		}
 	}
 	if reused == 0 {
-		t.Fatal("slot was not reused after a full shard cycle")
+		t.Fatal("slot was not reused")
 	}
 	if reused == stale {
-		t.Fatal("reused slot got the same ID (generation not bumped)")
+		t.Fatal("reused slot got the same ID (generation not advanced)")
 	}
 	if _, _, ok := r.take(stale); ok {
 		t.Fatal("stale ID resolved to the slot's new occupant")
@@ -96,6 +100,104 @@ func TestRegistryGenerationReuse(t *testing.T) {
 	if class, route, ok := r.take(reused); !ok || class != 0 || route != 99 {
 		t.Fatalf("new occupant: (%d,%d,%v)", class, route, ok)
 	}
+}
+
+// TestRegistrySequenceRollover runs puts and batches across a 2^32
+// boundary of the admission sequence: no flow gets generation 0, the
+// skipped sequences land in the gap counter, and snapshot still reads
+// every flow's full sequence back (its slot's base was rewritten).
+func TestRegistrySequenceRollover(t *testing.T) {
+	r := newFlowRegistry()
+	// Slots used before the boundary, so that the flows after it reuse
+	// slots whose base belongs to the old epoch.
+	var warm []FlowID
+	for i := 0; i < 4*flowShards; i++ {
+		id, _, _ := r.put(0, 1)
+		warm = append(warm, id)
+	}
+	for _, id := range warm {
+		r.take(id)
+	}
+	r.cursor.Store(1<<32 - 4)
+	want := map[uint64]bool{}
+	note := func(id FlowID, seq uint64) {
+		if _, _, gen := splitFlowID(id); gen == 0 || gen != uint32(seq) {
+			t.Errorf("seq %#x issued as ID %#x", seq, uint64(id))
+		}
+		want[seq] = true
+	}
+	for i := 0; i < 2; i++ {
+		id, seq, ok := r.put(0, 1)
+		if !ok {
+			t.Fatal("put failed")
+		}
+		note(id, seq)
+	}
+	ids := make([]FlowID, 8)
+	classes, routes := make([]int32, 8), make([]int32, 8)
+	base, ok := r.putBatch(classes, routes, ids) // 2^32-1 .. 2^32+6 would hold a zero generation
+	if !ok {
+		t.Fatal("putBatch failed")
+	}
+	if base <= 1<<32 {
+		t.Errorf("batch of 8 placed at %#x, across the boundary", base)
+	}
+	for i, id := range ids {
+		note(id, base+uint64(i))
+	}
+	if got, skipped := r.gaps.Load(), base-(1<<32-1); got != skipped {
+		t.Errorf("gap counter %d, want the %d sequences skipped", got, skipped)
+	}
+	snaps := r.snapshot()
+	if len(snaps) != len(want) {
+		t.Fatalf("%d live flows, want %d", len(snaps), len(want))
+	}
+	for _, sn := range snaps {
+		if !want[sn.seq] {
+			t.Errorf("snapshot reports sequence %#x, never issued", sn.seq)
+		}
+	}
+}
+
+// place strips an ID to its (shard, slot): the form claim hands out.
+func place(id FlowID) FlowID {
+	shard, slot, _ := splitFlowID(id)
+	return makeFlowID(0, slot, shard)
+}
+
+// TestRegistryOutrunPut is the stalled put: it draws a sequence, then a
+// later admission takes, uses and frees the slot the stalled put goes
+// on to pop. The put must not publish its flow under the older
+// sequence — a slot's occupants carry ascending sequences, which the
+// WAL replay gate relies on — so it trades it for a fresh one.
+func TestRegistryOutrunPut(t *testing.T) {
+	r := newFlowRegistry()
+	stalled := r.seqs(1)
+	quick, quickSeq, _ := r.put(0, 1)
+	r.take(quick)
+	at := []FlowID{place(quick)}
+	if !r.outrun(at, stalled) {
+		t.Fatalf("slot last used at seq %d not seen as outrunning seq %d", quickSeq, stalled)
+	}
+	if r.outrun(at, quickSeq+1) {
+		t.Errorf("slot last used at seq %d seen as outrunning seq %d", quickSeq, quickSeq+1)
+	}
+	// Through put itself: rewind the cursor below the freed slot's
+	// sequence, as if every put since had been drawn before it.
+	r.cursor.Store(0)
+	for i := 0; i < 8*flowShards; i++ {
+		id, seq, ok := r.put(0, 2)
+		if !ok {
+			t.Fatal("put failed")
+		}
+		if place(id) == place(quick) {
+			if seq <= quickSeq {
+				t.Fatalf("slot reused at seq %d after an occupant at seq %d", seq, quickSeq)
+			}
+			return
+		}
+	}
+	t.Fatal("freed slot never reused")
 }
 
 // TestRegistryConcurrentChurn hammers the raw registry from many
@@ -216,5 +318,30 @@ func TestAdmitFastPathZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("ledger kind %v: %g allocs/op on the fast path, want 0", kind, allocs)
 		}
+	}
+}
+
+// TestRegistryGrowthAllocatesPerChunk: growing a shard slot by slot
+// allocates when a chunk is added (the chunk and a directory header),
+// not per slot, and the directory's backing array is reused while its
+// capacity lasts.
+func TestRegistryGrowthAllocatesPerChunk(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc gate runs uninstrumented")
+	}
+	sh := &newFlowRegistry().shards[0]
+	sh.grow(1)
+	if allocs := testing.AllocsPerRun(chunkSize-2, func() { sh.grow(1) }); allocs != 0 {
+		t.Errorf("%g allocations per slot grown inside a chunk, want 0", allocs)
+	}
+	sh.ensureLen(5 * chunkSize)
+	before := *sh.dir.Load()
+	sh.grow(2 * chunkSize) // 7 chunks: fits the capacity append left at 5
+	after := *sh.dir.Load()
+	if cap(before) < 7 || &before[0] != &after[0] {
+		t.Errorf("directory of cap %d was copied to add chunks 6 and 7", cap(before))
+	}
+	if len(before) != 5 || len(after) != 7 {
+		t.Errorf("directory lengths %d then %d, want 5 then 7", len(before), len(after))
 	}
 }

@@ -20,20 +20,19 @@ type Event struct {
 	LatencyNS    int64   `json:"latency_ns"`
 }
 
-// ringChunkEvents is the chunk granularity: one allocation covers this
-// many appends, so the per-event malloc the old pointer-per-slot layout
-// paid (measurably the largest line in the decision path at wire-
-// transport rates) amortizes to 1/64th.
+// ringChunkEvents is the chunk granularity: one chunk install covers
+// this many appends.
 const ringChunkEvents = 64
 
-// eventChunk is a write-once block of consecutive tickets. Slot i of
-// the chunk with id k holds ticket k*csize+i+1, written exactly once by
-// that ticket's owner: the event is plain-written, then the slot's
+// eventChunk is a block of consecutive tickets. While it is installed
+// as chunk id k, slot i holds ticket k*csize+i+1, written exactly once
+// by that ticket's owner: the event is plain-written, then the slot's
 // stamp is release-stored. A reader that observes stamps[i] == t
-// therefore sees evs[i] fully written, and — because no slot is ever
-// rewritten in place — can never see it torn.
+// therefore sees evs[i] fully written, and — because no slot is
+// rewritten while anyone can still be looking at it (see retire) — can
+// never see it torn.
 type eventChunk struct {
-	id     uint64
+	id     atomic.Uint64
 	stamps [ringChunkEvents]atomic.Uint64
 	evs    [ringChunkEvents]Event
 }
@@ -52,6 +51,14 @@ type Ring struct {
 	// window — a single new append never invalidates a whole block of
 	// still-current events at the window edge.
 	chunks []atomic.Pointer[eventChunk]
+	// spare is a displaced chunk nobody can still be looking at, kept
+	// for the next install: a ring at steady state turns its chunks over
+	// instead of allocating 136 bytes per event for the collector (at
+	// wire rates that was the daemon's entire allocation volume, and the
+	// collections it forced set the tail latency). readers counts
+	// Snapshots in progress; a chunk displaced under one is not reused.
+	spare   atomic.Pointer[eventChunk]
+	readers atomic.Int32
 }
 
 // NewRing returns a ring holding at least capacity events (rounded up
@@ -83,25 +90,54 @@ func (r *Ring) Append(ev Event) uint64 {
 	cidx := (t - 1) / r.csize
 	slot := &r.chunks[cidx%uint64(len(r.chunks))]
 	ch := slot.Load()
-	for ch == nil || ch.id != cidx {
-		if ch != nil && ch.id > cidx {
+	for ch == nil || ch.id.Load() != cidx {
+		if ch != nil && ch.id.Load() > cidx {
 			// Lapped: head has advanced ≥ 2*cap tickets past t while this
 			// writer stalled, so t is far outside the Snapshot window and
 			// the event would never be returned anyway. Drop the write
 			// rather than clobber the live chunk.
 			return t
 		}
-		fresh := &eventChunk{id: cidx}
+		fresh := r.spare.Swap(nil)
+		if fresh == nil {
+			fresh = new(eventChunk)
+		}
+		fresh.id.Store(cidx)
 		if slot.CompareAndSwap(ch, fresh) {
+			r.retire(ch)
 			ch = fresh
 			break
 		}
+		r.spare.CompareAndSwap(nil, fresh)
 		ch = slot.Load()
 	}
 	i := (t - 1) % r.csize
 	ch.evs[i] = ev
 	ch.stamps[i].Store(t)
 	return t
+}
+
+// retire offers a chunk just displaced from its slot as the spare. It
+// qualifies when nobody can still touch it: every one of its tickets
+// has been written (a writer stalled between loading the chunk and
+// stamping its slot leaves a stamp missing, and would later write into
+// whatever the chunk had become), and no Snapshot is in progress (one
+// that loaded the chunk before it was displaced is still counted; one
+// that starts now cannot find it). The stale stamps it keeps are
+// harmless: tickets only grow, so none can match a later occupant's.
+func (r *Ring) retire(ch *eventChunk) {
+	if ch == nil {
+		return
+	}
+	first := ch.id.Load()*r.csize + 1
+	for i := uint64(0); i < r.csize; i++ {
+		if ch.stamps[i].Load() != first+i {
+			return
+		}
+	}
+	if r.readers.Load() == 0 {
+		r.spare.CompareAndSwap(nil, ch)
+	}
 }
 
 // Snapshot returns up to limit of the most recent events, newest first.
@@ -112,6 +148,8 @@ func (r *Ring) Snapshot(limit int) []Event {
 	if limit <= 0 || limit > n {
 		limit = n
 	}
+	r.readers.Add(1)
+	defer r.readers.Add(-1)
 	head := r.next.Load()
 	out := make([]Event, 0, limit)
 	nchunks := uint64(len(r.chunks))
@@ -124,7 +162,7 @@ func (r *Ring) Snapshot(limit int) []Event {
 		// The slot may hold an older or newer lap's chunk (this ticket's
 		// install or displacement in flight); id tells. Within the right
 		// chunk, the stamp tells whether the event write has landed.
-		if ch == nil || ch.id != cidx {
+		if ch == nil || ch.id.Load() != cidx {
 			continue
 		}
 		i := (t - 1) % r.csize

@@ -312,10 +312,14 @@ func (s *RegistrySink) ClusterRoleChange() { s.ClusterRoleTransitions.Inc() }
 // ClusterHeartbeatMiss satisfies the cluster Observer interface.
 func (s *RegistrySink) ClusterHeartbeatMiss() { s.ClusterHeartbeatMisses.Inc() }
 
-// WALRecovered records a boot-time recovery's replay counts.
-func (s *RegistrySink) WALRecovered(admits, teardowns uint64) {
+// WALRecovered records a boot-time recovery: its replay counts, and
+// the flows it left active, which the active-flows gauge takes as its
+// starting point (recovered flows produce no Admitted decision, and
+// their teardowns would otherwise drive the gauge negative).
+func (s *RegistrySink) WALRecovered(admits, teardowns uint64, active int64) {
 	s.WALRecoveryAdmits.Add(admits)
 	s.WALRecoveryTeardowns.Add(teardowns)
+	s.ActiveFlows.Set(active)
 }
 
 // Ring returns the sink's event ring (nil when the audit trail is off).

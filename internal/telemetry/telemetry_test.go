@@ -221,6 +221,46 @@ func TestRingPartialFill(t *testing.T) {
 	}
 }
 
+// TestRingRecyclesChunks: once the ring has been around, appends reuse
+// the chunks they displace (no allocation), a Snapshot still returns
+// exactly the newest events, and a Snapshot in progress — which may
+// hold a displaced chunk — only costs the reuse, not the result.
+func TestRingRecyclesChunks(t *testing.T) {
+	r := NewRing(256)
+	n := uint64(0)
+	lap := func() {
+		for i := 0; i < 2*256; i++ {
+			n++
+			r.Append(Event{FlowID: n, Verdict: "admit"})
+		}
+	}
+	check := func() {
+		t.Helper()
+		evs := r.Snapshot(0)
+		if len(evs) != 256 {
+			t.Fatalf("snapshot len = %d, want 256", len(evs))
+		}
+		for i, ev := range evs {
+			if want := n - uint64(i); ev.Seq != want || ev.FlowID != want || ev.Verdict != "admit" {
+				t.Fatalf("evs[%d] = %+v, want seq and flow %d", i, ev, want)
+			}
+		}
+	}
+	lap()
+	lap()
+	check()
+	if allocs := testing.AllocsPerRun(10, lap); allocs != 0 {
+		t.Errorf("%g allocations per 512 appends on a warm ring, want 0", allocs)
+	}
+	check()
+	r.readers.Add(1) // a Snapshot that never seems to end
+	lap()
+	r.readers.Add(-1)
+	check()
+	lap()
+	check()
+}
+
 // TestRingConcurrent is the -race test for lock-free append/snapshot.
 func TestRingConcurrent(t *testing.T) {
 	r := NewRing(64)
