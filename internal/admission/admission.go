@@ -609,15 +609,7 @@ func (c *Controller) MaxUtilization() float64 {
 // so the no-op configuration pays nothing.
 func (c *Controller) emit(id FlowID, class, tenant string, src, dst int, rate float64,
 	v telemetry.Verdict, bottleneck int, start time.Time) {
-	c.emitAt(id, class, tenant, src, dst, rate, v, bottleneck, start, c.now())
-}
-
-// emitAt is emit with the clock already read. The batch paths read it
-// once per batch and fan it out here: members of one batch share start
-// and end anyway, and at coalesced wire-transport rates the per-member
-// clock call was the single largest line in the decision path.
-func (c *Controller) emitAt(id FlowID, class, tenant string, src, dst int, rate float64,
-	v telemetry.Verdict, bottleneck int, start, end time.Time) {
+	end := c.now()
 	c.sink.Decision(telemetry.Decision{
 		FlowID:     uint64(id),
 		Class:      class,

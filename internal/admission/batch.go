@@ -34,6 +34,11 @@ type batchScratch struct {
 	bns     []int32 // per-item bottleneck server, -1 unless capacity-rejected
 	ids     []FlowID
 	u64     []uint64 // journal view of ids (wal speaks uint64, not FlowID)
+	cis     []int32  // per-item class index, -1 when the class is unknown
+
+	// run is the batch's decisions, filled once the batch is decided and
+	// handed to the sink in one call (telemetry attached only).
+	run []telemetry.Decision
 
 	// Per-batch headroom claims: the first item on a (class, route)
 	// claims a chunk of the route's budget in one CAS and later items
@@ -42,6 +47,16 @@ type batchScratch struct {
 	claimCi []int32
 	claimRi []int32
 	claimN  []int32
+}
+
+// runFor returns n decisions of scratch. They hold an earlier batch's
+// values — filling one in place is half the price of appending a
+// composite literal — so the caller assigns every field.
+func (sc *batchScratch) runFor(n int) []telemetry.Decision {
+	if cap(sc.run) < n {
+		sc.run = make([]telemetry.Decision, n)
+	}
+	return sc.run[:n]
 }
 
 // maxClaimRoutes bounds the linear claim table; batches touching more
@@ -92,6 +107,16 @@ func (c *Controller) batchReserve(sc *batchScratch, ci int, ri int32, remaining 
 	return c.admitReserve(ci, ri)
 }
 
+// holdsClaims reports whether the batch holds any unspent claim.
+func (sc *batchScratch) holdsClaims() bool {
+	for _, n := range sc.claimN {
+		if n > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // returnClaims credits unspent claim slots back to their routes.
 func (c *Controller) returnClaims(sc *batchScratch) {
 	for k := range sc.claimCi {
@@ -110,9 +135,9 @@ func (c *Controller) returnClaims(sc *batchScratch) {
 // buys no admission leniency, it only amortizes flow registration,
 // counter updates and telemetry timestamps across items. results is
 // reused when its capacity allows and returned with one BatchResult
-// per item, in order. When telemetry is attached, per-decision latency
-// is the batch's wall time (decisions within a batch are not timed
-// individually).
+// per item, in order. When telemetry is attached the batch is reported
+// to the sink as one run, and per-decision latency is the batch's wall
+// time (decisions within a batch are not timed individually).
 func (c *Controller) AdmitBatch(items []BatchItem, results []BatchResult) []BatchResult {
 	var start time.Time
 	if c.telemetered {
@@ -124,6 +149,7 @@ func (c *Controller) AdmitBatch(items []BatchItem, results []BatchResult) []Batc
 	sc.routes = sc.routes[:0]
 	sc.pos = sc.pos[:0]
 	sc.bns = sc.bns[:0]
+	sc.cis = sc.cis[:0]
 	sc.claimCi = sc.claimCi[:0]
 	sc.claimRi = sc.claimRi[:0]
 	sc.claimN = sc.claimN[:0]
@@ -133,9 +159,11 @@ func (c *Controller) AdmitBatch(items []BatchItem, results []BatchResult) []Batc
 		sc.bns = append(sc.bns, -1)
 		ci, ok := c.classIndex(it.Class)
 		if !ok {
+			sc.cis = append(sc.cis, -1)
 			results = append(results, BatchResult{Err: ErrUnknownClass})
 			continue
 		}
+		sc.cis = append(sc.cis, int32(ci))
 		ri := c.routeIndex(ci, it.Src, it.Dst)
 		if ri < 0 {
 			noRoute++
@@ -160,7 +188,17 @@ func (c *Controller) AdmitBatch(items []BatchItem, results []BatchResult) []Batc
 				continue
 			}
 		}
-		if bn, ok := c.batchReserve(sc, ci, ri, len(items)-i); !ok {
+		bn, ok := c.batchReserve(sc, ci, ri, len(items)-i)
+		if !ok && sc.holdsClaims() {
+			// A claimed slot is backed capacity the plane no longer sees,
+			// so the reclaiming walk of a sibling route cannot drain it.
+			// Before the reject stands, the batch's unspent claims go back
+			// to their routes' budgets and the walk runs once more: a batch
+			// is refused only what the exact test would refuse it.
+			c.returnClaims(sc)
+			bn, ok = c.admitReserveSlow(ci, ri)
+		}
+		if !ok {
 			rejected++
 			sc.bns[i] = int32(bn)
 			results = append(results, BatchResult{Err: ErrCapacity})
@@ -228,43 +266,61 @@ func (c *Controller) AdmitBatch(items []BatchItem, results []BatchResult) []Batc
 		c.noRoute.Add(noRoute)
 	}
 	if c.telemetered {
-		// One clock read serves the whole batch: every member shares
-		// start, so sharing end keeps their latencies consistent and
-		// drops the dominant per-member cost at coalesced rates.
+		// One clock read and one sink call serve the whole batch: every
+		// member shares start, so sharing end keeps their latencies
+		// consistent, and the sink publishes a run's counters once.
 		end := c.now()
-		for i, it := range items {
-			switch r := results[i]; {
-			case r.Err == nil:
-				c.emitAt(r.ID, it.Class, it.Tenant, it.Src, it.Dst, c.rateOf(it.Class), telemetry.Admitted, -1, start, end)
-			case r.Err == ErrNoRoute:
-				c.emitAt(0, it.Class, it.Tenant, it.Src, it.Dst, c.rateOf(it.Class), telemetry.RejectedNoRoute, -1, start, end)
-			case r.Err == ErrUnknownClass:
-				c.emitAt(0, it.Class, it.Tenant, it.Src, it.Dst, 0, telemetry.RejectedUnknownClass, -1, start, end)
-			case r.Err == ErrPolicyRate:
-				c.emitAt(0, it.Class, it.Tenant, it.Src, it.Dst, c.rateOf(it.Class), telemetry.RejectedPolicyRate, -1, start, end)
-			case r.Err == ErrPolicyShed:
-				c.emitAt(0, it.Class, it.Tenant, it.Src, it.Dst, c.rateOf(it.Class), telemetry.RejectedPolicyShed, -1, start, end)
-			case r.Err == ErrPolicyReserve:
-				c.emitAt(0, it.Class, it.Tenant, it.Src, it.Dst, c.rateOf(it.Class), telemetry.RejectedPolicyReserve, -1, start, end)
-			case r.Err == ErrShuttingDown:
-				// Not an admission verdict — the journal refused, nothing
-				// was admitted or rejected on capacity grounds.
-			default:
-				c.emitAt(0, it.Class, it.Tenant, it.Src, it.Dst, c.rateOf(it.Class), telemetry.RejectedCapacity, int(sc.bns[i]), start, end)
+		latency := end.Sub(start)
+		run := sc.runFor(len(items))
+		n := 0
+		for i := range items {
+			v, ok := batchVerdict(results[i].Err)
+			if !ok {
+				continue
 			}
+			it, d := &items[i], &run[n]
+			n++
+			d.FlowID = uint64(results[i].ID)
+			d.Class, d.Tenant = it.Class, it.Tenant
+			d.Src, d.Dst = it.Src, it.Dst
+			d.Rate = 0
+			if ci := sc.cis[i]; ci >= 0 {
+				d.Rate = c.classes[ci].Class.Bucket.Rate
+			}
+			d.Verdict = v
+			d.Bottleneck = int(sc.bns[i])
+			d.Latency, d.When = latency, end
+		}
+		if n > 0 {
+			c.sink.DecisionRun(run[:n])
 		}
 	}
 	scratchPool.Put(sc)
 	return results
 }
 
-// rateOf returns the configured rate of a class in bits/s, 0 when
-// unknown (telemetry labeling only; the hot path uses c.rates).
-func (c *Controller) rateOf(class string) float64 {
-	if ci, ok := c.byName[class]; ok {
-		return c.classes[ci].Class.Bucket.Rate
+// batchVerdict maps a batch item's outcome to the verdict reported for
+// it. ErrShuttingDown reports nothing: the journal refused, so nothing
+// was admitted or rejected on capacity grounds.
+func batchVerdict(err error) (telemetry.Verdict, bool) {
+	switch err {
+	case nil:
+		return telemetry.Admitted, true
+	case ErrNoRoute:
+		return telemetry.RejectedNoRoute, true
+	case ErrUnknownClass:
+		return telemetry.RejectedUnknownClass, true
+	case ErrPolicyRate:
+		return telemetry.RejectedPolicyRate, true
+	case ErrPolicyShed:
+		return telemetry.RejectedPolicyShed, true
+	case ErrPolicyReserve:
+		return telemetry.RejectedPolicyReserve, true
+	case ErrShuttingDown:
+		return 0, false
+	default:
+		return telemetry.RejectedCapacity, true
 	}
-	return 0
 }
 
 // TeardownBatch releases a batch of admitted flows. errs is reused
@@ -282,12 +338,13 @@ func (c *Controller) TeardownBatch(ids []FlowID, errs []error) []error {
 	sc.claimCi = sc.claimCi[:0]
 	sc.claimRi = sc.claimRi[:0]
 	sc.claimN = sc.claimN[:0]
-	// Torn-down flows are recorded here and emitted after the loop so
-	// the whole batch shares one end-of-batch clock read (the AdmitBatch
-	// pattern); ids/classes/routes are AdmitBatch scratch, idle here.
-	sc.ids = sc.ids[:0]
-	sc.classes = sc.classes[:0]
-	sc.routes = sc.routes[:0]
+	// Torn-down flows are written into the run as they are released and
+	// reported after the loop, all sharing one end-of-batch clock read
+	// (the AdmitBatch pattern).
+	var run []telemetry.Decision
+	if c.telemetered {
+		run = sc.runFor(len(ids))
+	}
 	var torn int64
 	// Freed slots ride one chain per run of same-shard IDs — a batch
 	// admitted together comes back as one — and rejoin their free list
@@ -326,20 +383,26 @@ func (c *Controller) TeardownBatch(ids []FlowID, errs []error) []error {
 			sc.u64 = append(sc.u64, uint64(id))
 		}
 		if c.telemetered {
-			sc.ids = append(sc.ids, id)
-			sc.classes = append(sc.classes, int32(ci))
-			sc.routes = append(sc.routes, route)
+			cc := &c.classes[ci]
+			rt := cc.Routes.Route(int(route))
+			d := &run[torn-1]
+			d.FlowID = uint64(id)
+			d.Class, d.Tenant = cc.Class.Name, ""
+			d.Src, d.Dst = rt.Src, rt.Dst
+			d.Rate = cc.Class.Bucket.Rate
+			d.Verdict = telemetry.TornDown
+			d.Bottleneck = -1
 		}
 	}
 	freed.flush()
-	if c.telemetered && len(sc.ids) > 0 {
+	if c.telemetered && torn > 0 {
 		end := c.now()
-		for k, id := range sc.ids {
-			ci := int(sc.classes[k])
-			rt := c.classes[ci].Routes.Route(int(sc.routes[k]))
-			c.emitAt(id, c.classes[ci].Class.Name, "", rt.Src, rt.Dst,
-				c.classes[ci].Class.Bucket.Rate, telemetry.TornDown, -1, start, end)
+		latency := end.Sub(start)
+		run = run[:torn]
+		for k := range run {
+			run[k].Latency, run[k].When = latency, end
 		}
+		c.sink.DecisionRun(run)
 	}
 	for k := range sc.claimCi {
 		ci, ri, n := int(sc.claimCi[k]), sc.claimRi[k], int64(sc.claimN[k])

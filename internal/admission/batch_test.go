@@ -1,9 +1,12 @@
 package admission
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
 	"ubac/internal/telemetry"
+	"ubac/internal/traffic"
 )
 
 // TestAdmitBatchMatchesSequential feeds the same request mix through
@@ -177,14 +180,143 @@ func TestBatchTelemetry(t *testing.T) {
 	}
 }
 
-// TestBatchSteadyStateZeroAlloc pins the untelemetered batch path at
-// zero allocations once the caller reuses its result slices and the
-// pool's scratch has grown to the batch size.
-func TestBatchSteadyStateZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; alloc gate runs uninstrumented")
+// TestBatchOwnClaimsDoNotCauseReject pins the reclaim blind spot a
+// batch used to have for itself. Link 0→1 is filled, then eight flows
+// of route A = (0,1) leave, so A's budget holds the link's only eight
+// free slots. A batch of seven A items and one item of B = (0,2), which
+// shares that link, claims all eight for A in one chunk and spends
+// seven; the eighth sits in the batch's scratch where B's reclaiming
+// walk cannot see it. The exact-walk twin has no plane and admits all
+// eight items, and so must the fast side.
+func TestBatchOwnClaimsDoNotCauseReject(t *testing.T) {
+	fast, exact := newTwin(t, true), newTwin(t, false)
+	for {
+		idA, errA := fast.ctrl.Admit("voice", 0, 1)
+		idB, errB := exact.ctrl.Admit("voice", 0, 1)
+		if errA != errB || idA != idB {
+			t.Fatalf("fill diverges: fast=(%v, %v) exact=(%v, %v)", idA, errA, idB, errB)
+		}
+		if errA != nil {
+			break
+		}
+		fast.live = append(fast.live, idA)
+		exact.live = append(exact.live, idB)
 	}
+	const freed = 8
+	for _, tw := range []*twin{fast, exact} {
+		for _, err := range tw.ctrl.TeardownBatch(tw.live[:freed], nil) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		tw.live = tw.live[freed:]
+	}
+	items := make([]BatchItem, freed)
+	for i := range items {
+		items[i] = BatchItem{Class: "voice", Src: 0, Dst: 1}
+	}
+	items[freed-1].Dst = 2
+	resFast := fast.ctrl.AdmitBatch(items, nil)
+	resExact := exact.ctrl.AdmitBatch(items, nil)
+	for i := range items {
+		if resExact[i].Err != nil {
+			t.Fatalf("item %d: exact twin refused: %v", i, resExact[i].Err)
+		}
+		if resFast[i].Err != nil {
+			t.Errorf("item %d: fast path refused what the exact test admits: %v", i, resFast[i].Err)
+		}
+		if resFast[i].ID != resExact[i].ID {
+			t.Errorf("item %d: IDs diverge: fast=%v exact=%v", i, resFast[i].ID, resExact[i].ID)
+		}
+	}
+	compareDecisions(t, fast, exact)
+	compareUtil(t, fast.ctrl, exact.ctrl, 0)
+	// The link is full again, and both sides say so.
+	_, errA := fast.ctrl.Admit("voice", 0, 2)
+	_, errB := exact.ctrl.Admit("voice", 0, 2)
+	if errA != ErrCapacity || errB != ErrCapacity {
+		t.Fatalf("link should be full: fast=%v exact=%v", errA, errB)
+	}
+}
+
+// TestBatchRunOverwritesScratch guards the in-place fill of the run a
+// batch hands to the sink: the scratch still holds an earlier batch's
+// decisions, so a field the fill forgot would be reported with someone
+// else's value. The pooled scratch is primed with decisions whose every
+// field is set (by reflection, so a field added to Decision later is
+// covered), and each decision reported must be exactly what the batch
+// decided, under a clock that makes Latency and When exact.
+func TestBatchRunOverwritesScratch(t *testing.T) {
 	c, _ := testController(t, 0.3, AtomicLedger)
+	sink := &captureSink{}
+	c.SetSink(sink)
+	tick := time.Unix(100, 0)
+	c.SetClock(func() time.Time {
+		tick = tick.Add(time.Millisecond)
+		return tick
+	})
+
+	stale := telemetry.Decision{When: time.Unix(1, 1)}
+	sv := reflect.ValueOf(&stale).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		switch f := sv.Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString("stale")
+		case reflect.Int, reflect.Int64:
+			f.SetInt(77)
+		case reflect.Uint8, reflect.Uint64:
+			f.SetUint(7)
+		case reflect.Float64:
+			f.SetFloat(77)
+		case reflect.Struct: // When, set above
+		default:
+			t.Fatalf("Decision.%s: unhandled kind %v", sv.Type().Field(i).Name, f.Kind())
+		}
+	}
+	prime := func() {
+		sc := scratchPool.Get().(*batchScratch)
+		for i, run := 0, sc.runFor(8); i < len(run); i++ {
+			run[i] = stale
+		}
+		scratchPool.Put(sc)
+	}
+
+	prime()
+	items := []BatchItem{
+		{Class: "voice", Tenant: "t1", Src: 0, Dst: 2},
+		{Class: "nope", Src: 0, Dst: 2},
+		{Class: "voice", Src: 1, Dst: 1},
+	}
+	res := c.AdmitBatch(items, nil)
+	if res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+	rate := traffic.Voice().Bucket.Rate
+	when, lat := time.Unix(100, 0).Add(2*time.Millisecond), time.Millisecond
+	want := []telemetry.Decision{
+		{FlowID: uint64(res[0].ID), Class: "voice", Tenant: "t1", Src: 0, Dst: 2, Rate: rate,
+			Verdict: telemetry.Admitted, Bottleneck: -1, Latency: lat, When: when},
+		{Class: "nope", Src: 0, Dst: 2, Verdict: telemetry.RejectedUnknownClass, Bottleneck: -1, Latency: lat, When: when},
+		{Class: "voice", Src: 1, Dst: 1, Rate: rate, Verdict: telemetry.RejectedNoRoute, Bottleneck: -1, Latency: lat, When: when},
+	}
+	if got := sink.take(); !reflect.DeepEqual(got, want) {
+		t.Errorf("admit batch reported\n%+v\nwant\n%+v", got, want)
+	}
+
+	prime()
+	if errs := c.TeardownBatch([]FlowID{res[0].ID}, nil); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	want = []telemetry.Decision{{FlowID: uint64(res[0].ID), Class: "voice", Src: 0, Dst: 2, Rate: rate,
+		Verdict: telemetry.TornDown, Bottleneck: -1, Latency: lat, When: when.Add(2 * time.Millisecond)}}
+	if got := sink.take(); !reflect.DeepEqual(got, want) {
+		t.Errorf("teardown batch reported\n%+v\nwant\n%+v", got, want)
+	}
+}
+
+// batchCycle returns one AdmitBatch+TeardownBatch round of 64 flows
+// that reuses its result slices, the unit the zero-alloc gates count.
+func batchCycle(t *testing.T, c *Controller) func() {
 	items := make([]BatchItem, 64)
 	for i := range items {
 		items[i] = BatchItem{Class: "voice", Src: 0, Dst: 2}
@@ -192,7 +324,7 @@ func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 	var results []BatchResult
 	var ids []FlowID
 	var errs []error
-	cycle := func() {
+	return func() {
 		results = c.AdmitBatch(items, results)
 		ids = ids[:0]
 		for _, r := range results {
@@ -208,6 +340,17 @@ func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBatchSteadyStateZeroAlloc pins the untelemetered batch path at
+// zero allocations once the caller reuses its result slices and the
+// pool's scratch has grown to the batch size.
+func TestBatchSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc gate runs uninstrumented")
+	}
+	c, _ := testController(t, 0.3, AtomicLedger)
+	cycle := batchCycle(t, c)
 	// Warm the scratch pool, the result capacity and every shard a batch
 	// can be homed on (each grows its first slots once).
 	for i := 0; i < 4*flowShards; i++ {
@@ -215,5 +358,29 @@ func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Errorf("%g allocs per batch cycle, want 0", allocs)
+	}
+}
+
+// TestBatchTelemetryZeroAlloc is the same gate with the shipped sink
+// attached: the run handed to the sink is pooled scratch, and the ring
+// turns its chunks over, so observing a batch allocates nothing either.
+func TestBatchTelemetryZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc gate runs uninstrumented")
+	}
+	c, _ := testController(t, 0.3, AtomicLedger)
+	sink := telemetry.NewRegistrySink(telemetry.NewRegistry(), telemetry.NewRing(4096))
+	c.SetSink(sink)
+	cycle := batchCycle(t, c)
+	// As above, and far enough that the ring has wrapped and recycles.
+	for i := 0; i < 4*flowShards; i++ {
+		cycle()
+	}
+	before := sink.Admit.Value()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("%g allocs per telemetered batch cycle, want 0", allocs)
+	}
+	if got := sink.Admit.Value() - before; got != 101*64 {
+		t.Errorf("sink saw %d admits over 101 cycles of 64", got)
 	}
 }

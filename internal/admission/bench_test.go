@@ -8,6 +8,7 @@ import (
 
 	"ubac/internal/policy"
 	"ubac/internal/routes"
+	"ubac/internal/telemetry"
 	"ubac/internal/topology"
 	"ubac/internal/traffic"
 )
@@ -149,38 +150,62 @@ func BenchmarkAdmitBatch(b *testing.B) {
 	// footprint over its live flows at the end (bounded; the seed's grew
 	// with b.N), registry-B/op the footprint in bytes per flow admitted.
 	b.Run("churn/size=64", func(b *testing.B) {
-		const owners, hold, size = 8, 4, 64
 		ctrl := ringController(b, AtomicLedger, 1e12)
-		items := make([]BatchItem, size)
-		for j := range items {
-			items[j] = BatchItem{Class: "voice", Src: j % contentionRing, Dst: (j + 1) % contentionRing}
-		}
-		var held [owners][hold][]FlowID
-		var results []BatchResult
-		var errs []error
-		turn := 0
 		b.ReportAllocs()
 		b.ResetTimer()
-		for i := 0; i < b.N; i += size {
-			h := &held[turn%owners][turn/owners%hold]
-			turn++
-			if len(*h) > 0 {
-				errs = ctrl.TeardownBatch(*h, errs)
-			}
-			results = ctrl.AdmitBatch(items, results)
-			*h = (*h)[:0]
-			for _, r := range results {
-				if r.Err != nil {
-					b.Fatal(r.Err)
-				}
-				*h = append(*h, r.ID)
-			}
-		}
+		churn64(b, ctrl, b.N)
 		b.StopTimer()
 		st := ctrl.Stats()
 		b.ReportMetric(float64(st.RegistrySlots)/float64(st.Active), "slots/live")
 		b.ReportMetric(float64(st.RegistrySlots)*16/float64(b.N), "registry-B/op")
 	})
+	// telemetry is churn with the shipped sink attached (registry and a
+	// 4096-event ring, as ubacd runs it). sink-ns/op is what observing
+	// one decision adds: this run's time less the same b.N flows through
+	// a sinkless twin, over the 2·b.N decisions (each flow is admitted
+	// and torn down).
+	b.Run("telemetry/size=64", func(b *testing.B) {
+		off := churn64(b, ringController(b, AtomicLedger, 1e12), b.N)
+		ctrl := ringController(b, AtomicLedger, 1e12)
+		ctrl.SetSink(telemetry.NewRegistrySink(telemetry.NewRegistry(), telemetry.NewRing(4096)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		on := churn64(b, ctrl, b.N)
+		b.StopTimer()
+		b.ReportMetric(float64(on-off)/float64(2*b.N), "sink-ns/op")
+	})
+}
+
+// churn64 admits n flows through ctrl in the churn pattern — 8 owners
+// in turn, 64-op batches, each owner releasing its oldest batch once it
+// holds 4 — and returns how long that took.
+func churn64(b *testing.B, ctrl *Controller, n int) time.Duration {
+	const owners, hold, size = 8, 4, 64
+	items := make([]BatchItem, size)
+	for j := range items {
+		items[j] = BatchItem{Class: "voice", Src: j % contentionRing, Dst: (j + 1) % contentionRing}
+	}
+	var held [owners][hold][]FlowID
+	var results []BatchResult
+	var errs []error
+	turn := 0
+	start := time.Now()
+	for i := 0; i < n; i += size {
+		h := &held[turn%owners][turn/owners%hold]
+		turn++
+		if len(*h) > 0 {
+			errs = ctrl.TeardownBatch(*h, errs)
+		}
+		results = ctrl.AdmitBatch(items, results)
+		*h = (*h)[:0]
+		for _, r := range results {
+			if r.Err != nil {
+				b.Fatal(r.Err)
+			}
+			*h = append(*h, r.ID)
+		}
+	}
+	return time.Since(start)
 }
 
 // BenchmarkAdmissionContention is the package-doc comparison: both

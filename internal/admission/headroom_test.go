@@ -23,6 +23,12 @@ func (s *captureSink) Decision(d telemetry.Decision) {
 	s.mu.Unlock()
 }
 
+func (s *captureSink) DecisionRun(run []telemetry.Decision) {
+	s.mu.Lock()
+	s.decisions = append(s.decisions, run...)
+	s.mu.Unlock()
+}
+
 func (s *captureSink) FixedPoint(telemetry.FixedPoint)   {}
 func (s *captureSink) RouteSelect(telemetry.RouteSelect) {}
 func (s *captureSink) RouteCache(telemetry.RouteCache)   {}

@@ -14,12 +14,14 @@ import (
 const histBuckets = 40
 
 // Histogram counts duration observations in fixed power-of-two
-// nanosecond buckets. Observe is a few atomic adds — safe for the
-// admission hot path — and never allocates. The exposition maps bucket
-// k to the Prometheus upper bound le = 2^k ns (in seconds).
+// nanosecond buckets. An observation is two atomic adds (its bucket and
+// the sum) and a load of the maximum — safe for the admission hot path
+// — and never allocates. The observation count is not kept: it is the
+// sum of the buckets, which is what the exposition reports as _count.
+// The exposition maps bucket k to the Prometheus upper bound le = 2^k
+// ns (in seconds).
 type Histogram struct {
 	buckets [histBuckets]atomic.Uint64
-	count   atomic.Uint64
 	sumNS   atomic.Int64
 	maxNS   atomic.Int64
 }
@@ -37,14 +39,20 @@ func bucketOf(ns int64) int {
 }
 
 // Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
+func (h *Histogram) Observe(d time.Duration) { h.ObserveN(d, 1) }
+
+// ObserveN records n observations of the same duration — what n calls
+// of Observe(d) would leave behind, for the price of one.
+func (h *Histogram) ObserveN(d time.Duration, n uint64) {
+	if n == 0 {
+		return
+	}
 	ns := d.Nanoseconds()
 	if ns < 0 {
 		ns = 0
 	}
-	h.buckets[bucketOf(ns)].Add(1)
-	h.count.Add(1)
-	h.sumNS.Add(ns)
+	h.buckets[bucketOf(ns)].Add(n)
+	h.sumNS.Add(ns * int64(n))
 	for {
 		cur := h.maxNS.Load()
 		if ns <= cur || h.maxNS.CompareAndSwap(cur, ns) {
@@ -54,7 +62,13 @@ func (h *Histogram) Observe(d time.Duration) {
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for b := range h.buckets {
+		n += h.buckets[b].Load()
+	}
+	return n
+}
 
 // Sum returns the total observed time.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNS.Load()) }
@@ -64,7 +78,7 @@ func (h *Histogram) Max() time.Duration { return time.Duration(h.maxNS.Load()) }
 
 // Mean returns the average observation (0 when empty).
 func (h *Histogram) Mean() time.Duration {
-	n := h.count.Load()
+	n := h.Count()
 	if n == 0 {
 		return 0
 	}
@@ -76,7 +90,7 @@ func (h *Histogram) Mean() time.Duration {
 // target rank (within 2x of the true value), clamped to Max. Zero when
 // empty.
 func (h *Histogram) Quantile(p float64) time.Duration {
-	n := h.count.Load()
+	n := h.Count()
 	if n == 0 {
 		return 0
 	}

@@ -69,6 +69,7 @@ func (k metricKind) String() string {
 type series struct {
 	labels string // rendered {k="v",...} or ""
 	c      *Counter
+	fn     func() uint64 // CounterFunc: the value is read at scrape
 	g      *Gauge
 	h      *Histogram
 }
@@ -153,6 +154,16 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return r.lookup(name, help, kindCounter, labels).c
 }
 
+// CounterFunc registers a counter whose value is read from fn at every
+// scrape, for totals some other structure already keeps (fn must be
+// monotone and safe for concurrent use). Nothing is recorded per event.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
+	s := r.lookup(name, help, kindCounter, labels)
+	r.mu.Lock()
+	s.fn = fn
+	r.mu.Unlock()
+}
+
 // Gauge registers (or finds) a gauge.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return r.lookup(name, help, kindGauge, labels).g
@@ -173,21 +184,26 @@ func formatFloat(v float64) string {
 // order. Values are read atomically but the scrape as a whole is not a
 // consistent snapshot — standard for Prometheus instrumentation.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	var b strings.Builder
+	// Rendered under the registration lock: a class seen for the first
+	// time registers its series while the daemon is being scraped.
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.families))
 	for _, f := range r.families {
 		fams = append(fams, f)
 	}
-	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-	var b strings.Builder
 	for _, f := range fams {
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
 		for _, s := range f.series {
 			switch f.kind {
 			case kindCounter:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.c.Value())
+				v := s.c.Value()
+				if s.fn != nil {
+					v = s.fn()
+				}
+				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, v)
 			case kindGauge:
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.g.Value())
 			case kindHistogram:
@@ -195,6 +211,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 		}
 	}
+	r.mu.Unlock()
 	_, err := io.WriteString(w, b.String())
 	return err
 }

@@ -1,6 +1,9 @@
 package telemetry
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // Event is one recorded admission decision, as kept in the ring and
 // served by the daemon's /v1/events endpoint. Src, Dst, and Bottleneck
@@ -37,19 +40,22 @@ type eventChunk struct {
 	evs    [ringChunkEvents]Event
 }
 
-// Ring is a bounded ring buffer of Events. Append is lock-free (one
-// atomic ticket fetch, an amortized chunk install, one atomic stamp
-// store; the oldest events are overwritten when full) and Snapshot is a
-// lock-free read — it never blocks writers and never sees a torn event.
+// Ring is a bounded ring buffer of Events. Appending is lock-free (one
+// atomic ticket fetch per run, an amortized chunk install, one atomic
+// stamp store per event; the oldest events are overwritten when full)
+// and Snapshot is a lock-free read — it never blocks writers and never
+// sees a torn event.
 type Ring struct {
-	cap   uint64        // capacity in events (power of two)
-	csize uint64        // events per chunk: min(ringChunkEvents, cap)
-	next  atomic.Uint64 // tickets issued; ticket t has chunk index (t-1)/csize
-	// chunks maps chunk index cidx to slot cidx % len(chunks). It holds
-	// 2x the chunks the capacity needs, so a chunk is only displaced
-	// once every ticket it holds is already outside the Snapshot
-	// window — a single new append never invalidates a whole block of
-	// still-current events at the window edge.
+	cap    uint64        // capacity in events (power of two)
+	csize  uint64        // events per chunk: min(ringChunkEvents, cap), a power of two
+	cshift uint          // log2(csize): ticket t has chunk index (t-1)>>cshift
+	next   atomic.Uint64 // tickets issued
+	// chunks maps chunk index cidx to slot cidx % len(chunks) (a power
+	// of two, so a mask). It holds 2x the chunks the capacity needs, so
+	// a chunk is only displaced once every ticket it holds is already
+	// outside the Snapshot window — a single new append never
+	// invalidates a whole block of still-current events at the window
+	// edge.
 	chunks []atomic.Pointer[eventChunk]
 	// spare is a displaced chunk nobody can still be looking at, kept
 	// for the next install: a ring at steady state turns its chunks over
@@ -72,7 +78,12 @@ func NewRing(capacity int) *Ring {
 	if csize > n {
 		csize = n
 	}
-	return &Ring{cap: n, csize: csize, chunks: make([]atomic.Pointer[eventChunk], 2*n/csize)}
+	return &Ring{
+		cap:    n,
+		csize:  csize,
+		cshift: uint(bits.TrailingZeros64(csize)),
+		chunks: make([]atomic.Pointer[eventChunk], 2*n/csize),
+	}
 }
 
 // Cap returns the ring capacity.
@@ -85,18 +96,57 @@ func (r *Ring) Total() uint64 { return r.next.Load() }
 // Append records ev, stamping its Seq (1-based, monotonically
 // increasing), and returns that sequence number.
 func (r *Ring) Append(ev Event) uint64 {
-	t := r.next.Add(1)
-	ev.Seq = t
-	cidx := (t - 1) / r.csize
-	slot := &r.chunks[cidx%uint64(len(r.chunks))]
+	return r.AppendRun(1, func(_ int, slot *Event) { *slot = ev })
+}
+
+// AppendRun records n events under n consecutive sequence numbers drawn
+// with one ticket fetch, and returns the first. fill(i, slot) writes
+// event i of the run straight into its ring slot; the slot still holds
+// whatever event last lived there, so fill assigns the whole Event
+// (Seq is stamped afterwards). The ring ends up exactly as after n
+// single Appends — a chunk is installed, and its predecessor retired,
+// once per chunk the run crosses, not once per event — and a run longer
+// than the ring simply overwrites its own head.
+func (r *Ring) AppendRun(n int, fill func(i int, slot *Event)) uint64 {
+	if n <= 0 {
+		return 0
+	}
+	last := r.next.Add(uint64(n))
+	first := last - uint64(n) + 1
+	for t := first; t <= last; {
+		cidx := (t - 1) >> r.cshift
+		end := (cidx + 1) << r.cshift // last ticket of this chunk
+		if end > last {
+			end = last
+		}
+		ch := r.chunk(cidx)
+		if ch == nil {
+			t = end + 1
+			continue
+		}
+		for ; t <= end; t++ {
+			i := (t - 1) & (r.csize - 1)
+			slot := &ch.evs[i]
+			fill(int(t-first), slot)
+			slot.Seq = t
+			ch.stamps[i].Store(t)
+		}
+	}
+	return first
+}
+
+// chunk returns the chunk holding index cidx's tickets, installing it
+// if this is the first of them to arrive. It returns nil when the
+// writer has been lapped: head has advanced ≥ 2*cap tickets past cidx
+// while it stalled, so its tickets are far outside the Snapshot window
+// and would never be returned anyway; they are dropped rather than
+// written over the live chunk.
+func (r *Ring) chunk(cidx uint64) *eventChunk {
+	slot := &r.chunks[cidx&uint64(len(r.chunks)-1)]
 	ch := slot.Load()
 	for ch == nil || ch.id.Load() != cidx {
 		if ch != nil && ch.id.Load() > cidx {
-			// Lapped: head has advanced ≥ 2*cap tickets past t while this
-			// writer stalled, so t is far outside the Snapshot window and
-			// the event would never be returned anyway. Drop the write
-			// rather than clobber the live chunk.
-			return t
+			return nil
 		}
 		fresh := r.spare.Swap(nil)
 		if fresh == nil {
@@ -105,16 +155,12 @@ func (r *Ring) Append(ev Event) uint64 {
 		fresh.id.Store(cidx)
 		if slot.CompareAndSwap(ch, fresh) {
 			r.retire(ch)
-			ch = fresh
-			break
+			return fresh
 		}
 		r.spare.CompareAndSwap(nil, fresh)
 		ch = slot.Load()
 	}
-	i := (t - 1) % r.csize
-	ch.evs[i] = ev
-	ch.stamps[i].Store(t)
-	return t
+	return ch
 }
 
 // retire offers a chunk just displaced from its slot as the spare. It
@@ -152,20 +198,20 @@ func (r *Ring) Snapshot(limit int) []Event {
 	defer r.readers.Add(-1)
 	head := r.next.Load()
 	out := make([]Event, 0, limit)
-	nchunks := uint64(len(r.chunks))
+	slotMask := uint64(len(r.chunks) - 1)
 	for t := head; t > 0 && len(out) < limit; t-- {
 		if head-t >= r.cap {
 			break // older tickets are overwritten
 		}
-		cidx := (t - 1) / r.csize
-		ch := r.chunks[cidx%nchunks].Load()
+		cidx := (t - 1) >> r.cshift
+		ch := r.chunks[cidx&slotMask].Load()
 		// The slot may hold an older or newer lap's chunk (this ticket's
 		// install or displacement in flight); id tells. Within the right
 		// chunk, the stamp tells whether the event write has landed.
 		if ch == nil || ch.id.Load() != cidx {
 			continue
 		}
-		i := (t - 1) % r.csize
+		i := (t - 1) & (r.csize - 1)
 		if ch.stamps[i].Load() == t {
 			out = append(out, ch.evs[i])
 		}

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -25,6 +26,36 @@ func BenchmarkSinkDecision(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d.FlowID = uint64(i)
 		s.Decision(d)
+	}
+}
+
+// BenchmarkSinkDecisionRun is the same decision reported the way the
+// batch paths report it: n at a time. ns/op is per decision, so n=1
+// prices the run entry against BenchmarkSinkDecision and n=64 is what a
+// coalesced wire batch pays.
+func BenchmarkSinkDecisionRun(b *testing.B) {
+	for _, n := range []int{1, 64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			s := NewRegistrySink(NewRegistry(), NewRing(4096))
+			now := time.Now()
+			run := make([]Decision, n)
+			for i := range run {
+				run[i] = Decision{
+					FlowID:  uint64(i + 1),
+					Class:   "voice",
+					Src:     3,
+					Dst:     7,
+					Rate:    64_000,
+					Verdict: Admitted,
+					Latency: 250 * time.Nanosecond,
+					When:    now,
+				}
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i += n {
+				s.DecisionRun(run)
+			}
+		})
 	}
 }
 

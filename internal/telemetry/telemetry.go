@@ -7,10 +7,15 @@
 //
 // The paper's pitch is that run-time admission is O(path length) with no
 // per-flow state in the core; this package exists to make that property
-// observable in production without giving it up. Every recording
-// operation on the hot path is a handful of atomic adds — no locks, no
-// allocation in the registry, one small allocation per ring event — and
-// the default Nop sink keeps the zero-telemetry paths exactly as cheap
+// observable in production without giving it up. Recording takes no
+// lock and allocates nothing, in the registry or in the ring (which
+// turns its event chunks over), and decisions are recorded by the run:
+// a coalesced batch reaches the sink as one DecisionRun call, whose
+// shared words — verdict and class counters, the active-flow gauge, the
+// latency histogram, the ring's ticket counter — are each written once
+// for the whole run, leaving one atomic store per event (its ring
+// stamp). A single Decision is a run of one through the same recorder.
+// The default Nop sink keeps the zero-telemetry paths exactly as cheap
 // as before (emitters skip timestamping entirely when Active reports
 // false).
 package telemetry
@@ -40,6 +45,8 @@ const (
 	// RejectedPolicyReserve means admitting would eat into a capacity
 	// reserve held for protected traffic.
 	RejectedPolicyReserve
+
+	numVerdicts
 )
 
 // String returns the verdict for event output ("admit", "reject",
@@ -170,6 +177,10 @@ type SimRun struct {
 // and an event Ring, and Nop discards everything.
 type Sink interface {
 	Decision(Decision)
+	// DecisionRun reports the decisions of one coalesced batch, in
+	// order. They share one When and one Latency (the batch's), and the
+	// slice is the caller's to reuse once the call returns.
+	DecisionRun([]Decision)
 	FixedPoint(FixedPoint)
 	RouteSelect(RouteSelect)
 	RouteCache(RouteCache)
@@ -182,6 +193,9 @@ type Nop struct{}
 
 // Decision implements Sink.
 func (Nop) Decision(Decision) {}
+
+// DecisionRun implements Sink.
+func (Nop) DecisionRun([]Decision) {}
 
 // FixedPoint implements Sink.
 func (Nop) FixedPoint(FixedPoint) {}

@@ -222,9 +222,10 @@ func TestRingPartialFill(t *testing.T) {
 }
 
 // TestRingRecyclesChunks: once the ring has been around, appends reuse
-// the chunks they displace (no allocation), a Snapshot still returns
-// exactly the newest events, and a Snapshot in progress — which may
-// hold a displaced chunk — only costs the reuse, not the result.
+// the chunks they displace (no allocation) — single appends and runs
+// that straddle chunks alike — a Snapshot still returns exactly the
+// newest events, and a Snapshot in progress — which may hold a
+// displaced chunk — only costs the reuse, not the result.
 func TestRingRecyclesChunks(t *testing.T) {
 	r := NewRing(256)
 	n := uint64(0)
@@ -232,6 +233,15 @@ func TestRingRecyclesChunks(t *testing.T) {
 		for i := 0; i < 2*256; i++ {
 			n++
 			r.Append(Event{FlowID: n, Verdict: "admit"})
+		}
+	}
+	runLap := func() {
+		for done := 0; done < 2*256; done += 100 {
+			first := n + 1
+			r.AppendRun(100, func(i int, slot *Event) {
+				*slot = Event{FlowID: first + uint64(i), Verdict: "admit"}
+			})
+			n += 100
 		}
 	}
 	check := func() {
@@ -253,11 +263,18 @@ func TestRingRecyclesChunks(t *testing.T) {
 		t.Errorf("%g allocations per 512 appends on a warm ring, want 0", allocs)
 	}
 	check()
+	if allocs := testing.AllocsPerRun(10, runLap); allocs != 0 {
+		t.Errorf("%g allocations per 600 appends in runs of 100 on a warm ring, want 0", allocs)
+	}
+	check()
 	r.readers.Add(1) // a Snapshot that never seems to end
 	lap()
+	runLap()
 	r.readers.Add(-1)
 	check()
 	lap()
+	check()
+	runLap()
 	check()
 }
 
@@ -339,6 +356,13 @@ func TestRegistrySinkDecisions(t *testing.T) {
 	evs := ring.Snapshot(0)
 	if len(evs) != 5 {
 		t.Fatalf("events = %d", len(evs))
+	}
+	var scrape strings.Builder
+	if err := reg.WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(scrape.String(), "\nubac_events_total 5\n") {
+		t.Error("scrape does not count the ring's 5 events")
 	}
 	if evs[0].Verdict != "teardown" || evs[4].Verdict != "admit" {
 		t.Errorf("event order wrong: %+v", evs)
