@@ -14,6 +14,7 @@
 //	GET    /v1/utilization?class=&link=Seattle-Chicago
 //	GET    /metrics                   Prometheus text exposition
 //	GET    /healthz
+//	GET    /debug/pprof/              runtime profiles (net/http/pprof)
 //
 // The daemon refuses to start if the configuration does not verify: a
 // running ubacd is the proof that every admitted flow meets its
@@ -196,6 +197,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("ubacd: %v", err)
 	}
+	// Class names in HTTP bodies must not mint metric series: only the
+	// deployment's own classes get one.
+	sink.SetClasses(ctrl.Classes())
 	ctrl.SetSink(sink)
 
 	// Admission policy: built against the live controller's utilization

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -30,6 +31,7 @@ const maxFlowBody = 64 << 10
 //	GET    /v1/utilization?class=&link=A-B
 //	GET    /metrics                 Prometheus text exposition
 //	GET    /healthz
+//	GET    /debug/pprof/            runtime profiles (net/http/pprof)
 //
 // Router names are used in the API; the daemon resolves them against the
 // configured topology. Rejection bodies carry a machine-readable
@@ -117,6 +119,14 @@ func (s *server) routes() *http.ServeMux {
 	mux.HandleFunc("/v1/headroom", s.handleHeadroom)
 	mux.HandleFunc("/v1/utilization", s.handleUtilization)
 	mux.HandleFunc("/v1/routes", s.handleRoutes)
+	// The runtime's profiles, on this mux rather than the default one the
+	// pprof package registers itself on. A CPU profile must fit inside
+	// the HTTP server's WriteTimeout (?seconds=9 or less).
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

@@ -63,6 +63,7 @@ func testDaemonOn(t *testing.T, dataDir string) (*httptest.Server, *topology.Net
 	if err != nil {
 		t.Fatal(err)
 	}
+	sink.SetClasses(ctrl.Classes())
 	ctrl.SetSink(sink)
 	if dataDir != "" {
 		rec, err := recoverState(ctrl, sink, dataDir)
@@ -129,6 +130,19 @@ func TestHealthz(t *testing.T) {
 	resp, body := get(t, ts, "/healthz")
 	if resp.StatusCode != http.StatusOK || body["status"] != "ok" {
 		t.Errorf("healthz: %d %v", resp.StatusCode, body)
+	}
+}
+
+// TestPprofServed: the runtime's profiles are on the daemon's own mux.
+func TestPprofServed(t *testing.T) {
+	ts, _ := testDaemon(t)
+	resp, err := http.Get(ts.URL + "/debug/pprof/cmdline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/pprof/cmdline: %d", resp.StatusCode)
 	}
 }
 
@@ -672,6 +686,53 @@ func scrape(t *testing.T, ts *httptest.Server) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// seriesCount is the number of sample lines in a /metrics body.
+func seriesCount(metrics string) int {
+	n := 0
+	for _, line := range strings.Split(metrics, "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestUnknownClassFloodIsOneSeries: class names come from request
+// bodies, so names the deployment does not configure must not each
+// mint a series — they share class="unknown".
+func TestUnknownClassFloodIsOneSeries(t *testing.T) {
+	ts, _ := testDaemon(t)
+	if resp, body := post(t, ts, "/v1/flows", flowRequest{Class: "voice", Src: "Seattle", Dst: "Seattle"}); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("no-route reject: %d %v", resp.StatusCode, body)
+	}
+	before := seriesCount(scrape(t, ts))
+
+	const flood = 10000
+	for i := 0; i < flood; i++ {
+		body := fmt.Sprintf(`{"class":"bogus-%d","src":"Seattle","dst":"Princeton"}`, i)
+		resp, err := http.Post(ts.URL+"/v1/flows", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body) // drained so the connection is reused
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("bogus class %d: status %d", i, resp.StatusCode)
+		}
+	}
+
+	out := scrape(t, ts)
+	if after := seriesCount(out); after != before+1 {
+		t.Errorf("%d bogus class names took /metrics from %d to %d series, want one more", flood, before, after)
+	}
+	if want := fmt.Sprintf(`ubac_class_reject_total{class="unknown"} %d`, flood); !strings.Contains(out, want) {
+		t.Errorf("/metrics does not say %q", want)
+	}
+	if !strings.Contains(out, `ubac_class_reject_total{class="voice"} 1`) {
+		t.Error("the configured class lost its own series")
+	}
 }
 
 // TestRegistrySlotsExported: the registry's footprint is on /metrics

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
@@ -352,4 +353,43 @@ func TestClusterRejectsUnroutable(t *testing.T) {
 	if _, err := cl.Teardown([]uint64{999}, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFetchAheadOfAuthorityPauses: a fetch for a position the authority
+// does not hold comes back as a typed wire status, and that status —
+// not the message text — is what pauses a follower whose mirror has run
+// ahead.
+func TestFetchAheadOfAuthorityPauses(t *testing.T) {
+	nodes := startCluster(t, 2)
+	auth := authorityOf(nodes)
+	follower := nodes[0]
+	if follower == auth {
+		follower = nodes[1]
+	}
+
+	cl := dialNode(t, auth)
+	_, err := cl.ClusterCall(wire.FrameFetch, 0, appendFetchReq(nil, 1<<20, 0, fetchMax), 0)
+	if !errors.Is(err, wire.ErrFetchOutOfRange) {
+		t.Fatalf("fetch of a segment the authority does not have: %v, want ErrFetchOutOfRange", err)
+	}
+	_, err = cl.ClusterCall(wire.FrameFetch, 0, appendFetchReq(nil, 0, 1<<40, fetchMax), 0)
+	if !errors.Is(err, wire.ErrFetchOutOfRange) {
+		t.Fatalf("fetch past the durable tail: %v, want ErrFetchOutOfRange", err)
+	}
+	if follower.node.pauseIfAhead(auth.id, errors.New("wire: round-trip timeout")) {
+		t.Fatal("an unrelated fetch error paused replication")
+	}
+
+	isPaused := func() bool {
+		follower.node.mu.Lock()
+		defer follower.node.mu.Unlock()
+		return follower.node.paused
+	}
+	if isPaused() {
+		t.Fatal("follower paused before its mirror ran ahead")
+	}
+	follower.node.mu.Lock()
+	follower.node.cursorSeg = 1 << 20
+	follower.node.mu.Unlock()
+	waitFor(t, 5*time.Second, "the follower to pause replication", isPaused)
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -379,8 +380,7 @@ func (n *Node) fetchFrom(aid uint32) {
 // pauseIfAhead detects the mirror-ahead-of-authority fetch error and
 // pauses replication until the authority changes again.
 func (n *Node) pauseIfAhead(aid uint32, err error) bool {
-	s := err.Error()
-	if !contains(s, "beyond durable tail") && !contains(s, "outside available range") {
+	if !errors.Is(err, wire.ErrFetchOutOfRange) {
 		return false
 	}
 	n.mu.Lock()
@@ -391,15 +391,6 @@ func (n *Node) pauseIfAhead(aid uint32, err error) bool {
 		n.logf("cluster: local mirror ahead of authority %d (%v); replication paused — restart this node with a clean data dir to resume", aid, err)
 	}
 	return true
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // mirrorWrite appends verbatim fetched bytes to the local copy of a
@@ -667,6 +658,9 @@ func (n *Node) ClusterFrame(typ byte, count uint16, body []byte) (uint16, []byte
 			return 0, nil, wire.StatusInternal, err.Error()
 		}
 		tailSeg, tailOff, eos, data, err := a.handleFetch(seg, off, max)
+		if errors.Is(err, wal.ErrOutOfRange) {
+			return 0, nil, wire.StatusFetchOutOfRange, err.Error()
+		}
 		if err != nil {
 			return 0, nil, wire.StatusInternal, err.Error()
 		}

@@ -111,10 +111,28 @@ type RegistrySink struct {
 	// only known at decision time. Each map is copy-on-write behind an
 	// atomic pointer, so the steady state (class already registered) is
 	// one load and one lookup; classMu serializes the rare registration.
+	// Once SetClasses has named the deployment's classes, any other name
+	// is counted under UnknownClass and registers nothing.
 	reg        *Registry
+	classes    map[string]struct{}
 	classMu    sync.Mutex
 	classAdmit atomic.Pointer[map[string]*Counter]
 	classRej   atomic.Pointer[map[string]*Counter]
+}
+
+// UnknownClass is the class label that counts decisions whose class
+// name is not one of the deployment's (see SetClasses).
+const UnknownClass = "unknown"
+
+// SetClasses bounds the per-class label space to the deployment's
+// class table: decisions naming any other class — names arrive in
+// request bodies — share the one UnknownClass series. Call it once,
+// before the sink sees decisions; without it every name gets a series.
+func (s *RegistrySink) SetClasses(names []string) {
+	s.classes = make(map[string]struct{}, len(names))
+	for _, n := range names {
+		s.classes[n] = struct{}{}
+	}
 }
 
 // NewRegistrySink registers the standard ubac_* metrics on reg (eagerly,
@@ -231,6 +249,14 @@ func NewRegistrySink(reg *Registry, ring *Ring) *RegistrySink {
 func (s *RegistrySink) classCounter(cache *atomic.Pointer[map[string]*Counter], metric, help, class string) *Counter {
 	if c := (*cache.Load())[class]; c != nil {
 		return c
+	}
+	if s.classes != nil {
+		if _, known := s.classes[class]; !known {
+			class = UnknownClass
+			if c := (*cache.Load())[class]; c != nil {
+				return c
+			}
+		}
 	}
 	s.classMu.Lock()
 	defer s.classMu.Unlock()

@@ -40,7 +40,7 @@ func (l *Log) FirstSegment() uint64 {
 // eos means the reader should advance to segment seg+1 at offset 0.
 // Reading at the durable tail of the current segment returns (0, false,
 // nil): there is simply nothing new yet. Offsets beyond a segment's end
-// or segments outside [FirstSegment, current] are errors.
+// or segments outside [FirstSegment, current] are ErrOutOfRange.
 func (l *Log) ReadSegmentAt(seg uint64, off int64, buf []byte) (n int, eos bool, err error) {
 	if off < 0 {
 		return 0, false, fmt.Errorf("wal: negative segment offset %d", off)
@@ -51,11 +51,11 @@ func (l *Log) ReadSegmentAt(seg uint64, off int64, buf []byte) (n int, eos bool,
 		return 0, false, ErrClosed
 	}
 	if seg > l.segIdx || seg < l.firstSeg {
-		return 0, false, fmt.Errorf("wal: segment %d outside available range %d..%d", seg, l.firstSeg, l.segIdx)
+		return 0, false, fmt.Errorf("%w: segment %d outside available range %d..%d", ErrOutOfRange, seg, l.firstSeg, l.segIdx)
 	}
 	if seg == l.segIdx {
 		if off > l.segOff {
-			return 0, false, fmt.Errorf("wal: offset %d beyond durable tail %d of segment %d", off, l.segOff, seg)
+			return 0, false, fmt.Errorf("%w: offset %d beyond durable tail %d of segment %d", ErrOutOfRange, off, l.segOff, seg)
 		}
 		if off == l.segOff {
 			return 0, false, nil
@@ -89,7 +89,7 @@ func (l *Log) ReadSegmentAt(seg uint64, off int64, buf []byte) (n int, eos bool,
 		end = st.Size()
 	}
 	if off > end {
-		return 0, false, fmt.Errorf("wal: offset %d beyond end %d of segment %d", off, end, seg)
+		return 0, false, fmt.Errorf("%w: offset %d beyond end %d of segment %d", ErrOutOfRange, off, end, seg)
 	}
 	if off == end {
 		return 0, true, nil

@@ -26,6 +26,11 @@ var (
 	// alphas or routes changed); replaying it would reserve the wrong
 	// resources, so recovery refuses.
 	ErrFingerprintMismatch = errors.New("wal: configuration fingerprint mismatch")
+	// ErrOutOfRange means ReadSegmentAt was asked for a position this
+	// log does not hold: a segment outside [FirstSegment, current] or an
+	// offset past a segment's durable end. A follower that sees it has a
+	// mirror running ahead of the log it is fetching from.
+	ErrOutOfRange = errors.New("wal: position outside the log")
 )
 
 // Mode selects when an append returns.

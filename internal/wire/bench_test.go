@@ -57,16 +57,27 @@ func BenchmarkDecodeFrameSingleton(b *testing.B) {
 }
 
 // BenchmarkWireLoopback measures end-to-end admits/s over a real TCP
-// loopback: pipelined client goroutines against a served controller,
-// admit+teardown per op so capacity never fills. Informational — the
-// committed baseline gates only the CPU-bound encode/decode benches,
-// because socket throughput on shared CI runners is weather.
+// loopback: client goroutines against a served controller, admit +
+// teardown per op so capacity never fills. The batch rows pipeline 32
+// workers over 4 connections; singleton/conns=1 is one worker on one
+// connection sending one op per frame — a lone frame per read pass, the
+// shape that prices the per-frame socket path. writes/op is the
+// server's socket writes per operation. Informational — the committed
+// baseline gates only the CPU-bound encode/decode benches, because
+// socket throughput on shared CI runners is weather.
 func BenchmarkWireLoopback(b *testing.B) {
-	for _, batch := range []int{1, 32} {
-		b.Run(map[int]string{1: "batch=1", 32: "batch=32"}[batch], func(b *testing.B) {
+	for _, bc := range []struct {
+		name                  string
+		batch, conns, workers int
+	}{
+		{"batch=1", 1, 4, 32},
+		{"batch=32", 32, 4, 32},
+		{"singleton/conns=1", 1, 1, 1},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
 			ctrl := newTestController(b)
-			_, addr := startServer(b, ctrl, Options{})
-			c, err := Dial(ClientOptions{Addr: addr, Conns: 4, Pipeline: 64})
+			_, addr, st := startCountedServer(b, ctrl, Options{})
+			c, err := Dial(ClientOptions{Addr: addr, Conns: bc.conns, Pipeline: 64})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -77,22 +88,23 @@ func BenchmarkWireLoopback(b *testing.B) {
 				b.Fatalf("routes: %v", err)
 			}
 			var ops atomic.Int64
+			writes := st.writes.Load()
 			b.ResetTimer()
 			var wg sync.WaitGroup
-			workers := 32
-			for w := 0; w < workers; w++ {
+			for w := 0; w < bc.workers; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					reqs := make([]AdmitReq, batch)
+					reqs := make([]AdmitReq, bc.batch)
 					var res []AdmitResult
 					var ids []uint64
 					var sts []uint32
+					var err error
 					rt := routes[w%len(routes)]
 					for i := range reqs {
 						reqs[i] = AdmitReq{Class: voice, Src: rt.Src, Dst: rt.Dst}
 					}
-					for ops.Add(int64(batch)) <= int64(b.N) {
+					for ops.Add(int64(bc.batch)) <= int64(b.N) {
 						res, err = c.Admit(reqs, res[:0])
 						if err != nil {
 							b.Error(err)
@@ -114,6 +126,8 @@ func BenchmarkWireLoopback(b *testing.B) {
 				}(w)
 			}
 			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(st.writes.Load()-writes)/float64(b.N), "writes/op")
 		})
 	}
 }

@@ -131,7 +131,8 @@ const (
 	HeartbeatRespLen = 13 // u8 role, u32 authority, u64 epoch
 )
 
-// Per-operation status codes carried in response units.
+// Status codes: per-operation outcomes carried in response units, and
+// the leading u32 of a protocol-error frame's body.
 const (
 	StatusOK            = 0
 	StatusCapacity      = 1
@@ -144,7 +145,14 @@ const (
 	StatusPolicyReserve = 8
 	StatusTooManyFlows  = 9
 	StatusInternal      = 10
+	// StatusFetchOutOfRange answers a cluster fetch for a log position
+	// the authority does not hold (error frames only).
+	StatusFetchOutOfRange = 11
 )
+
+// ErrFetchOutOfRange is what StatusFetchOutOfRange decodes to: the
+// fetching follower's mirror is ahead of the authority's log.
+var ErrFetchOutOfRange = errors.New("wire: fetch position outside the authority's log")
 
 // castagnoli is the same CRC32C table the WAL frames with.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -245,6 +253,8 @@ func statusOf(err error) uint32 {
 		return StatusPolicyReserve
 	case errors.Is(err, admission.ErrTooManyFlows):
 		return StatusTooManyFlows
+	case errors.Is(err, ErrFetchOutOfRange):
+		return StatusFetchOutOfRange
 	default:
 		return StatusInternal
 	}
@@ -275,6 +285,8 @@ func StatusErr(status uint32) error {
 		return admission.ErrPolicyReserve
 	case StatusTooManyFlows:
 		return admission.ErrTooManyFlows
+	case StatusFetchOutOfRange:
+		return ErrFetchOutOfRange
 	default:
 		return fmt.Errorf("wire: status %d", status)
 	}

@@ -80,6 +80,7 @@ func TestStatusMappingBijective(t *testing.T) {
 		nil, admission.ErrCapacity, admission.ErrNoRoute, admission.ErrUnknownClass,
 		admission.ErrUnknownFlow, admission.ErrShuttingDown, admission.ErrPolicyRate,
 		admission.ErrPolicyShed, admission.ErrPolicyReserve, admission.ErrTooManyFlows,
+		ErrFetchOutOfRange,
 	}
 	seen := map[uint32]bool{}
 	for _, sent := range sentinels {

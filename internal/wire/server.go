@@ -57,16 +57,11 @@ type Observer interface {
 type Options struct {
 	// Observer receives transport telemetry (nil = none).
 	Observer Observer
-	// MaxWriteBuffer bounds one connection's pending response bytes.
-	// A client that stops reading while continuing to send would grow
-	// this without limit; past the bound the connection is dropped
-	// instead (default 4 MiB, min 64 KiB).
-	MaxWriteBuffer int
 	// ReadBuffer is the initial per-connection read buffer (default
 	// 64 KiB; grows up to a full frame when one exceeds it).
 	ReadBuffer int
-	// WriteTimeout bounds one socket write; a peer that stops draining
-	// its receive window is disconnected (default 10s).
+	// WriteTimeout bounds one flush of staged responses; a peer that
+	// stops draining its receive window is disconnected (default 10s).
 	WriteTimeout time.Duration
 	// DrainGrace is how long Shutdown keeps reading already-sent bytes
 	// so in-flight frames complete and get answered (default 100ms).
@@ -80,12 +75,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxWriteBuffer <= 0 {
-		o.MaxWriteBuffer = 4 << 20
-	}
-	if o.MaxWriteBuffer < 64<<10 {
-		o.MaxWriteBuffer = 64 << 10
-	}
 	if o.ReadBuffer <= 0 {
 		o.ReadBuffer = 64 << 10
 	}
@@ -102,10 +91,10 @@ func (o Options) withDefaults() Options {
 }
 
 // Server serves admission decisions over the binary wire protocol:
-// one goroutine pair (reader, writer) per connection, pooled frame
-// buffers, and adaptive admit coalescing — every complete frame a read
-// pass delivers is drained into as few Controller batch calls as
-// operation ordering allows before any response is written.
+// one goroutine per connection, reused frame buffers, and adaptive
+// admit coalescing — every complete frame a read pass delivers is
+// drained into as few Controller batch calls as operation ordering
+// allows, and the pass's responses leave in one write.
 type Server struct {
 	ctrl    Backend
 	classes []string
@@ -210,25 +199,18 @@ func (s *Server) ConnCount() int {
 	return len(s.conns)
 }
 
-// serverConn is one accepted connection: the reader goroutine decodes
-// and coalesces frames, the writer goroutine flushes the bounded
-// response buffer.
+// serverConn is one accepted connection, run by one goroutine: it
+// reads, decodes and coalesces frames, stages their responses and
+// writes them itself.
 type serverConn struct {
 	srv *Server
 	nc  net.Conn
 
-	// Writer state: responses accumulate in wbuf under wmu; the writer
-	// swaps in the spare half and writes, so a fast producer never
-	// waits on the socket — until the bound, where the connection is
-	// declared slow and dropped.
-	wmu        sync.Mutex
-	wcond      *sync.Cond
-	wbuf       []byte
-	wspare     []byte
-	wframes    int // frames staged in wbuf, for the observer
-	wClosing   bool
-	wErr       bool
-	writerDone chan struct{}
+	// Responses staged since the last flush. Only the connection's own
+	// goroutine touches these, so there is no lock.
+	wbuf    []byte
+	wframes int  // frames staged in wbuf, for the observer
+	wErr    bool // a flush failed; the connection is finished
 
 	draining atomic.Bool
 
@@ -245,20 +227,12 @@ type serverConn struct {
 }
 
 func (s *Server) newConn(nc net.Conn) *serverConn {
-	c := &serverConn{
-		srv:        s,
-		nc:         nc,
-		wbuf:       make([]byte, 0, 16<<10),
-		wspare:     make([]byte, 0, 16<<10),
-		writerDone: make(chan struct{}),
-	}
-	c.wcond = sync.NewCond(&c.wmu)
-	return c
+	return &serverConn{srv: s, nc: nc, wbuf: make([]byte, 0, 16<<10)}
 }
 
 // beginDrain stops the connection accepting new work soon: reads keep
 // landing for DrainGrace (so frames already on the wire complete and
-// get answered), then the reader sees the deadline, flushes and closes.
+// get answered), then the read loop sees the deadline and returns.
 func (c *serverConn) beginDrain() {
 	c.draining.Store(true)
 	c.nc.SetReadDeadline(time.Now().Add(c.srv.opts.DrainGrace))
@@ -270,11 +244,11 @@ func (c *serverConn) serve() {
 	if obs != nil {
 		obs.WireConnOpened()
 	}
-	go c.writeLoop()
 	c.readLoop()
-	// Reader is done (error, EOF or drain): let the writer flush what
-	// is queued, then tear the socket down and unregister.
-	c.closeWriter()
+	// The read loop is done (error, EOF or drain). A pass that ended in
+	// a protocol error left its error frame staged: send it, best
+	// effort, then tear the socket down and unregister.
+	c.flush()
 	c.nc.Close()
 	c.srv.mu.Lock()
 	delete(c.srv.conns, c)
@@ -286,7 +260,10 @@ func (c *serverConn) serve() {
 }
 
 // readLoop validates the preamble then decodes, coalesces and answers
-// frames until the connection ends.
+// frames until the connection ends. Each read pass ends with one flush
+// of everything it staged: an idle connection answers a lone frame
+// without a hand-off to another goroutine, and a saturated one still
+// sends the whole pass in one syscall.
 func (c *serverConn) readLoop() {
 	c.nc.SetReadDeadline(time.Now().Add(c.srv.opts.HandshakeTimeout))
 	var magic [8]byte
@@ -313,7 +290,7 @@ func (c *serverConn) readLoop() {
 		pending = pending[:len(pending)+n]
 		if n > 0 {
 			consumed, ok := c.process(pending, &helloed)
-			if !ok {
+			if !ok || !c.flush() {
 				return
 			}
 			if consumed > 0 {
@@ -633,80 +610,46 @@ func indexOf(v uint32) int {
 	return int(v)
 }
 
-// enqueueFrame stages an encoded response for the writer. It returns
-// false — after dropping the connection — when the write queue bound
-// is exceeded: a reader that stops draining responses does not get to
-// grow server memory without limit.
+// writeHighWater is the staged-response size at which enqueueFrame
+// flushes without waiting for the end of the read pass. It is what
+// bounds a connection's response memory (to this plus one coalesced
+// run's or one cluster frame's response): a pass of pipelined routes
+// requests stages a full dump per request.
+const writeHighWater = 64 << 10
+
+// enqueueFrame stages an encoded response, flushing mid-pass once the
+// staged bytes reach writeHighWater. It returns false when the
+// connection is finished (a flush failed).
 func (c *serverConn) enqueueFrame(encoded []byte, frames int) bool {
-	c.wmu.Lock()
-	if c.wErr {
-		c.wmu.Unlock()
-		return false
-	}
-	if len(c.wbuf)+len(encoded) > c.srv.opts.MaxWriteBuffer {
-		c.wErr = true
-		c.wcond.Signal()
-		c.wmu.Unlock()
-		c.nc.Close() // unblocks a writer mid-Write as well
-		return false
-	}
 	c.wbuf = append(c.wbuf, encoded...)
 	c.wframes += frames
-	c.wcond.Signal()
-	c.wmu.Unlock()
+	if len(c.wbuf) >= writeHighWater {
+		return c.flush()
+	}
 	return true
 }
 
-// closeWriter asks the writer to flush remaining responses and exit,
-// then waits for it.
-func (c *serverConn) closeWriter() {
-	c.wmu.Lock()
-	c.wClosing = true
-	c.wcond.Signal()
-	c.wmu.Unlock()
-	<-c.writerDone
-}
-
-// writeLoop flushes the response buffer: double-buffered like the
-// WAL's syncer, so producers append into warm capacity while a write
-// is in flight and the whole read pass's responses leave in one
-// syscall.
-func (c *serverConn) writeLoop() {
-	defer close(c.writerDone)
-	obs := c.srv.opts.Observer
-	for {
-		c.wmu.Lock()
-		for len(c.wbuf) == 0 && !c.wClosing && !c.wErr {
-			c.wcond.Wait()
-		}
-		if c.wErr || (len(c.wbuf) == 0 && c.wClosing) {
-			c.wmu.Unlock()
-			return
-		}
-		buf := c.wbuf
-		frames := c.wframes
-		c.wbuf = c.wspare[:0]
-		c.wspare = nil
-		c.wframes = 0
-		c.wmu.Unlock()
-
-		c.nc.SetWriteDeadline(time.Now().Add(c.srv.opts.WriteTimeout))
-		_, err := c.nc.Write(buf)
-		if err == nil && obs != nil {
-			obs.WireWrite(frames, len(buf))
-		}
-
-		c.wmu.Lock()
-		c.wspare = buf[:0]
-		if err != nil {
-			c.wErr = true
-		}
-		c.wmu.Unlock()
-		if err != nil {
-			c.nc.Close()
-			return
-		}
+// flush writes the staged responses in one Write bounded by
+// WriteTimeout: a peer that has stopped reading fills its receive
+// window, the write stalls past the deadline and the connection is
+// dropped. It returns false when the connection is finished.
+func (c *serverConn) flush() bool {
+	if c.wErr {
+		return false
 	}
+	if len(c.wbuf) == 0 {
+		return true
+	}
+	// Counted before the write: a peer that has read a response finds it
+	// in the counters.
+	if obs := c.srv.opts.Observer; obs != nil {
+		obs.WireWrite(c.wframes, len(c.wbuf))
+	}
+	c.nc.SetWriteDeadline(time.Now().Add(c.srv.opts.WriteTimeout))
+	_, err := c.nc.Write(c.wbuf)
+	c.wbuf, c.wframes = c.wbuf[:0], 0
+	c.wErr = err != nil
+	return !c.wErr
 }
 
 // readFull is io.ReadFull without the io import dance for short reads

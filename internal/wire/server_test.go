@@ -4,9 +4,12 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,14 +48,63 @@ func newTestController(t testing.TB) *admission.Controller {
 	return ctrl
 }
 
+// writeStats counts what the server hands to its sockets: Write calls
+// and the largest single one, summed over a listener's connections.
+type writeStats struct {
+	writes   atomic.Int64
+	maxWrite atomic.Int64
+}
+
+// countingListener wraps every accepted conn so its Writes land in st.
+type countingListener struct {
+	net.Listener
+	st *writeStats
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{nc, l.st}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	st *writeStats
+}
+
+// Write counts before writing, so a peer that has read a response has
+// also seen its write counted.
+func (c countingConn) Write(b []byte) (int, error) {
+	c.st.writes.Add(1)
+	for {
+		max := c.st.maxWrite.Load()
+		if int64(len(b)) <= max || c.st.maxWrite.CompareAndSwap(max, int64(len(b))) {
+			break
+		}
+	}
+	return c.Conn.Write(b)
+}
+
 // startServer serves a controller on a loopback listener and tears it
 // down with the test.
 func startServer(t testing.TB, ctrl *admission.Controller, opts Options) (*Server, string) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	srv, addr, _ := startCountedServer(t, ctrl, opts)
+	return srv, addr
+}
+
+// startCountedServer is startServer with the server-side write counts
+// handed back.
+func startCountedServer(t testing.TB, ctrl *admission.Controller, opts Options) (*Server, string, *writeStats) {
+	t.Helper()
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := &writeStats{}
+	ln := countingListener{tcp, st}
 	srv := NewServer(ctrl, opts)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
@@ -64,7 +116,7 @@ func startServer(t testing.TB, ctrl *admission.Controller, opts Options) (*Serve
 			t.Errorf("serve: %v", err)
 		}
 	})
-	return srv, ln.Addr().String()
+	return srv, ln.Addr().String(), st
 }
 
 func TestClientEndToEnd(t *testing.T) {
@@ -403,15 +455,75 @@ func TestTornFrameDisconnect(t *testing.T) {
 	}
 }
 
+// admitFrame encodes one singleton admit of class index 0 (voice).
+func admitFrame(seq uint64, src, dst int) []byte {
+	body := make([]byte, 0, admitReqUnitLen)
+	body = binary.LittleEndian.AppendUint32(body, 0)
+	body = binary.LittleEndian.AppendUint32(body, uint32(src))
+	body = binary.LittleEndian.AppendUint32(body, uint32(dst))
+	return AppendFrame(nil, FrameAdmit, 0, 1, seq, body)
+}
+
+// TestOneWritePerReadPass: the connection's goroutine flushes what a
+// read pass staged in one Write — a burst that arrives together is
+// answered together, a lone frame is answered alone.
+func TestOneWritePerReadPass(t *testing.T) {
+	ctrl := newTestController(t)
+	set, err := ctrl.ClassRoutes("voice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := set.Route(0)
+	_, addr, st := startCountedServer(t, ctrl, Options{})
+	rc := rawDial(t, addr)
+
+	base := st.writes.Load()
+	var burst []byte
+	for i := 0; i < 8; i++ {
+		burst = append(burst, admitFrame(uint64(10+i), rt.Src, rt.Dst)...)
+	}
+	if _, err := rc.nc.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if f := rc.readFrame(); f.Seq != uint64(10+i) || f.Flags&FlagError != 0 {
+			t.Fatalf("burst frame %d: %+v", i, f)
+		}
+	}
+	if got := st.writes.Load() - base; got != 1 {
+		t.Fatalf("burst of 8 frames in one client write answered by %d server writes, want 1", got)
+	}
+
+	base = st.writes.Load()
+	for i := 0; i < 3; i++ {
+		if _, err := rc.nc.Write(admitFrame(uint64(20+i), rt.Src, rt.Dst)); err != nil {
+			t.Fatal(err)
+		}
+		if f := rc.readFrame(); f.Seq != uint64(20+i) || f.Flags&FlagError != 0 {
+			t.Fatalf("lone frame %d: %+v", i, f)
+		}
+	}
+	if got := st.writes.Load() - base; got != 3 {
+		t.Fatalf("3 frames sent one at a time answered by %d server writes, want 3", got)
+	}
+}
+
+// liveHeap is the heap in use after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
 // TestSlowReaderBackpressure: a peer that pipelines requests but never
-// reads responses is disconnected at the write-queue bound instead of
-// growing server memory without limit.
+// reads responses stalls the connection's flush; the server then stops
+// reading (so what the peer keeps sending queues in the kernel, not on
+// the server's heap) and drops the peer when the flush outlives
+// WriteTimeout.
 func TestSlowReaderBackpressure(t *testing.T) {
 	ctrl := newTestController(t)
-	srv, addr := startServer(t, ctrl, Options{
-		MaxWriteBuffer: 1, // clamps to the 64 KiB floor
-		WriteTimeout:   500 * time.Millisecond,
-	})
+	srv, addr := startServer(t, ctrl, Options{WriteTimeout: 2 * time.Second})
 	rc := rawDial(t, addr)
 
 	// Full-size admit frames of unknown-class units: each 48 KiB request
@@ -423,31 +535,96 @@ func TestSlowReaderBackpressure(t *testing.T) {
 		body = binary.LittleEndian.AppendUint32(body, 1)
 	}
 	frame := AppendFrame(nil, FrameAdmit, 0, MaxFrameOps, 5, body)
-	rc.nc.SetWriteDeadline(time.Now().Add(10 * time.Second))
-	disconnected := false
-	for i := 0; i < 512; i++ { // ≤ 24 MiB of un-read responses if unbounded
-		if _, err := rc.nc.Write(frame); err != nil {
-			disconnected = true
+
+	// Send until a write stalls: both directions' socket buffers are
+	// full, so the server is parked in its flush.
+	before := liveHeap()
+	sent := 0
+	for i := 0; i < 2048; i++ { // ≤ 96 MiB
+		rc.nc.SetWriteDeadline(time.Now().Add(300 * time.Millisecond))
+		n, err := rc.nc.Write(frame)
+		sent += n
+		if err != nil {
 			break
 		}
 	}
-	if !disconnected {
-		// The writes all landed in kernel buffers; the disconnect still
-		// must surface as EOF/reset on a read.
-		rc.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-		buf := make([]byte, 1)
-		for {
-			if _, err := rc.nc.Read(buf); err != nil {
-				break
-			}
-		}
+	if sent == 2048*len(frame) {
+		t.Fatalf("sent %d bytes without reading a response and never stalled", sent)
 	}
+	// One response run, one read buffer and the batch scratch are all a
+	// connection holds; 2 MiB is several times that and a fraction of
+	// what was sent.
+	if grew := liveHeap() - before; grew > 2<<20 {
+		t.Fatalf("server heap grew %d bytes while a stalled peer sent %d", grew, sent)
+	}
+	t.Logf("peer sent %d bytes before stalling", sent)
+
 	deadline := time.Now().Add(10 * time.Second)
 	for srv.ConnCount() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("slow reader not disconnected: %d live", srv.ConnCount())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestProtocolErrorFrameIsFlushed: the error frame a corrupt frame
+// provokes is staged by a pass that ends the connection; it must still
+// reach the peer before the close.
+func TestProtocolErrorFrameIsFlushed(t *testing.T) {
+	ctrl := newTestController(t)
+	_, addr := startServer(t, ctrl, Options{})
+	rc := rawDial(t, addr)
+
+	bad := admitFrame(7, 0, 1)
+	bad[4] ^= 0xff // CRC
+	if _, err := rc.nc.Write(bad); err != nil {
+		t.Fatal(err)
+	}
+	f := rc.readFrame()
+	if f.Flags&FlagError == 0 || f.Flags&FlagResp == 0 || len(f.Body) < 4 ||
+		binary.LittleEndian.Uint32(f.Body) != StatusInternal {
+		t.Fatalf("want an error frame, got %+v", f)
+	}
+	rc.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := rc.nc.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("after the error frame: read %d bytes, err %v; want EOF", n, err)
+	}
+}
+
+// TestRoutesDumpFlushesMidPass: one read pass of 1000 routes requests
+// stages megabytes of responses; they are flushed as they pass the
+// high-water mark, not held until the pass ends.
+func TestRoutesDumpFlushesMidPass(t *testing.T) {
+	ctrl := newTestController(t)
+	set, err := ctrl.ClassRoutes("voice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr, st := startCountedServer(t, ctrl, Options{})
+	rc := rawDial(t, addr)
+
+	const requests = 1000
+	var burst []byte
+	for i := 0; i < requests; i++ {
+		burst = AppendFrame(burst, FrameRoutes, 0, 0, uint64(100+i), binary.LittleEndian.AppendUint32(nil, 0))
+	}
+	if _, err := rc.nc.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	respLen := 0
+	for i := 0; i < requests; i++ {
+		f := rc.readFrame()
+		if f.Type != FrameRoutes || f.Seq != uint64(100+i) || f.Flags != FlagResp || int(f.Count) != set.Len() {
+			t.Fatalf("request %d: %+v (want %d routes)", i, f, set.Len())
+		}
+		respLen = frameHeaderLen + payloadHeaderLen + len(f.Body)
+	}
+	if total := requests * respLen; total < 8*writeHighWater {
+		t.Fatalf("responses total %d bytes: too few to cross the high-water mark", total)
+	}
+	if max := st.maxWrite.Load(); max >= int64(writeHighWater+respLen) {
+		t.Fatalf("largest server write %d bytes, want under high-water %d + one response %d", max, writeHighWater, respLen)
 	}
 }
 
