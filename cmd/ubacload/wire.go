@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ubac/internal/admission"
 	"ubac/internal/wire"
 )
 
@@ -101,14 +102,14 @@ func (d *wireDriver) teardown(ids []uint64) error {
 // multiDriver drives several cluster nodes at once (-targets): admits
 // round-robin across one wire driver per node; teardowns go back to
 // the node that admitted the flow, which cluster flow IDs carry in
-// their high byte (the edge that admitted a flow holds its lease slot,
-// so only that edge can release it).
+// their node bits (admission.FlowID.Node; the edge that admitted a flow
+// holds its lease slot, so only that edge can release it).
 type multiDriver struct {
 	addrs   []string
 	drivers []*wireDriver
 	next    atomic.Uint64
 	admits  []atomic.Uint64 // per-target admitted-flow counts
-	// owner maps a flow-ID node byte to the driver index that saw it
+	// owner maps a flow ID's node to the driver index that saw it
 	// admitted; -1 until a node's first admit comes back.
 	owner [256]atomic.Int32
 }
@@ -151,7 +152,7 @@ func (m *multiDriver) admit(pairs []pairSpec, ids []uint64) ([]uint64, int, erro
 	before := len(ids)
 	ids, rejected, err := m.drivers[i].admit(pairs, ids)
 	for _, id := range ids[before:] {
-		m.owner[id>>56].Store(int32(i))
+		m.owner[admission.FlowID(id).Node()].Store(int32(i))
 	}
 	m.admits[i].Add(uint64(len(ids) - before))
 	return ids, rejected, err
@@ -162,9 +163,10 @@ func (m *multiDriver) teardown(ids []uint64) error {
 	// run of IDs from one node, so group with a small map.
 	groups := make(map[int32][]uint64, len(m.drivers))
 	for _, id := range ids {
-		idx := m.owner[id>>56].Load()
+		node := admission.FlowID(id).Node()
+		idx := m.owner[node].Load()
 		if idx < 0 {
-			return fmt.Errorf("wire teardown of %d: flow from unknown node %d", id, id>>56)
+			return fmt.Errorf("wire teardown of %d: flow from unknown node %d", id, node)
 		}
 		groups[idx] = append(groups[idx], id)
 	}

@@ -48,8 +48,8 @@ var (
 	// ErrNoDelayBounds means no verified delay vector has been installed
 	// for the class (SetDelayBounds was never called).
 	ErrNoDelayBounds = errors.New("admission: no delay bounds installed")
-	// ErrTooManyFlows means a registry shard ran out of slot space
-	// (2^26 concurrent flows per shard); nothing was reserved.
+	// ErrTooManyFlows means the registry ran out of slot space (2^18
+	// concurrent flows per shard, 2^24 in all); nothing was reserved.
 	ErrTooManyFlows = errors.New("admission: too many active flows")
 	// ErrShuttingDown means the durability journal has been closed (the
 	// daemon is draining): an Admit returning it reserved nothing; a

@@ -8,7 +8,10 @@ package admission
 // none — so capacity an edge holds is always already backed on the
 // authority's ledger and the utilization bound holds cluster-wide by
 // construction: no interleaving of edge admits can exceed what was
-// reserved here first.
+// reserved here first. The flows an edge admits against its leases are
+// kept in this controller's flow registry (RegisterLeased and
+// ReleaseLeased), so a cluster member has one flow table, and its
+// Stats are its edge's.
 
 // ClassCount returns the number of configured classes; indices below
 // it are valid ci arguments everywhere in this file.
@@ -93,4 +96,53 @@ func (c *Controller) RouteServers(ci int, ri int32) []int {
 		return nil
 	}
 	return c.paths[ci][ri]
+}
+
+// RegisterLeased enters flows whose capacity the caller already holds
+// by lease — a cluster edge's admits — into the flow registry: one
+// claim for the run, as AdmitBatch makes. Nothing is reserved on the
+// ledger (the authority accounts the lease wholesale) and nothing is
+// journaled. classes, routes and ids are parallel; ids receives the
+// flows' IDs with node in their node bits. It returns false, with
+// nothing registered, when the registry is out of slots.
+func (c *Controller) RegisterLeased(node uint32, classes, routes []int32, ids []FlowID) bool {
+	if _, ok := c.reg.putBatch(classes, routes, ids); !ok {
+		c.reg.gaps.Add(uint64(len(ids)))
+		return false
+	}
+	if node != 0 {
+		for i := range ids {
+			ids[i] = ids[i].WithNode(node)
+		}
+	}
+	c.noteActive(int64(c.admittedCount() - c.tornDown.Load()))
+	return true
+}
+
+// ReleaseLeased resolves and frees a run of flows RegisterLeased
+// issued under node, the freed slots going back to their lists one
+// chain per shard run as in TeardownBatch. classes[i] and routes[i]
+// receive flow i's cell; classes[i] is -1 for an ID that is not live
+// or carries another node's bits, which is refused before the registry
+// is touched. It returns the number released.
+func (c *Controller) ReleaseLeased(node uint32, ids []FlowID, classes, routes []int32) int {
+	var freed freeChain
+	n := 0
+	for i, id := range ids {
+		classes[i] = -1
+		if id.Node() != node {
+			continue
+		}
+		class, route, ok := c.reg.takeInto(id.WithNode(0), &freed)
+		if !ok {
+			continue
+		}
+		classes[i], routes[i] = class, route
+		n++
+	}
+	freed.flush()
+	if n > 0 {
+		c.tornDown.Add(uint64(n))
+	}
+	return n
 }

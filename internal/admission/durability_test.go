@@ -2,11 +2,13 @@ package admission
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ubac/internal/delay"
@@ -499,5 +501,34 @@ func TestReplayReuseJournaledAheadOfTeardown(t *testing.T) {
 		if u != 0 {
 			t.Errorf("server %d still %g utilized after drain", s, u)
 		}
+	}
+}
+
+// TestRecoveryRefusesSlotsPastTheCap: durable state that names a slot
+// the 18-bit slot field cannot address — a registry that once held
+// more than 2^18 flows in a shard under the 26-bit layout, or a record
+// whose ID carries a cluster node — is refused, and the message says
+// that the node bits are why.
+func TestRecoveryRefusesSlotsPastTheCap(t *testing.T) {
+	c, _ := testController(t, 0.3, AtomicLedger)
+	_, payload := c.MarshalRegistry()
+	// An empty registry's payload ends in 64 zero slot counts; shard 0's
+	// is the first of them.
+	at := len(payload) - 4*flowShards
+	binary.LittleEndian.PutUint32(payload[at:], flowSlotMask+2)
+	fresh, _ := testController(t, 0.3, AtomicLedger)
+	err := fresh.RestoreSnapshot(payload)
+	if !errors.Is(err, ErrRestore) || !strings.Contains(err.Error(), "cluster node") {
+		t.Fatalf("snapshot with %d slots in a shard: %v, want ErrRestore naming the node bits", flowSlotMask+2, err)
+	}
+
+	replay, _ := testController(t, 0.3, AtomicLedger)
+	ri := replay.routeIndex(0, 0, 2)
+	err = replay.ReplayAdmit(uint64(makeFlowID(7, 3, 5).WithNode(1)), 7, 0, ri)
+	if !errors.Is(err, ErrRestore) || !strings.Contains(err.Error(), "cluster node") {
+		t.Fatalf("admit record carrying node 1: %v, want ErrRestore naming the node bits", err)
+	}
+	if err := replay.ReplayAdmit(uint64(makeFlowID(7, flowSlotMask, 5)), 7, 0, ri); err != nil {
+		t.Fatalf("admit record at the last addressable slot: %v", err)
 	}
 }

@@ -228,7 +228,8 @@ func (c *Controller) RestoreSnapshot(payload []byte) error {
 		nslots := binary.LittleEndian.Uint32(payload[off:])
 		off += 4
 		if nslots > flowSlotMask+1 {
-			return fmt.Errorf("%w: shard %d claims %d slots", ErrRestore, i, nslots)
+			return fmt.Errorf("%w: shard %d claims %d slots, a flow ID addresses %d per shard (bits %d..31 carry the cluster node)",
+				ErrRestore, i, nslots, flowSlotMask+1, flowNodeShift)
 		}
 		if len(payload) < off+regSlotLen*int(nslots) {
 			return fmt.Errorf("%w: payload truncated in shard %d slots", ErrRestore, i)
@@ -293,7 +294,8 @@ func (c *Controller) ReplayAdmit(id, seq uint64, class, route int32) error {
 		return fmt.Errorf("%w: admit record id %#x seq %d malformed", ErrRestore, id, seq)
 	}
 	if slot > flowSlotMask {
-		return fmt.Errorf("%w: admit record slot %d out of range", ErrRestore, slot)
+		return fmt.Errorf("%w: admit record id %#x names slot %d, a flow ID addresses %d per shard (bits %d..31 carry the cluster node)",
+			ErrRestore, id, slot, flowSlotMask+1, flowNodeShift)
 	}
 	if seq > rs.maxSeq {
 		rs.maxSeq = seq

@@ -8,13 +8,20 @@ import (
 // Flow registry sharding parameters. FlowID bit layout, low to high:
 //
 //	bits  0..5   shard index (64 shards)
-//	bits  6..31  slot index within the shard
+//	bits  6..23  slot index within the shard (2^18 slots)
+//	bits 24..31  cluster node that issued the ID (0 on a single node)
 //	bits 32..63  slot generation (never zero for a live ID)
 //
 // The shard index is encoded in the ID itself, so Teardown decodes its
 // slot in two instructions and never probes; the generation makes a
 // stale ID — same slot, since reused by another flow — fail with
-// ErrUnknownFlow instead of tearing down someone else's flow. A flow's
+// ErrUnknownFlow instead of tearing down someone else's flow. The
+// registry itself only ever issues and resolves node 0: it reads bits
+// 6..31 as one slot number, no shard grows past 2^18 slots, and so an
+// ID carrying another node's bits names a slot beyond any shard's end
+// and resolves to nothing. A cluster edge stamps its node into the IDs
+// it hands out and strips it again before a teardown reaches here
+// (FlowID.WithNode). A flow's
 // generation is the low 32 bits of its admission sequence: successive
 // occupants of a slot differ in it (until the sequence has advanced by
 // an exact multiple of 2^32), and publishing a flow is then a single
@@ -23,9 +30,21 @@ const (
 	flowShardBits = 6
 	flowShards    = 1 << flowShardBits
 	flowShardMask = flowShards - 1
-	flowSlotBits  = 26
+	flowSlotBits  = 18
 	flowSlotMask  = (1 << flowSlotBits) - 1
+	flowNodeShift = flowShardBits + flowSlotBits
+	flowNodeMask  = 0xff
 )
+
+// Node returns the cluster node that issued the ID, 0 for a single
+// node's.
+func (id FlowID) Node() uint32 { return uint32(id>>flowNodeShift) & flowNodeMask }
+
+// WithNode returns the ID with its node bits set to node (of which the
+// low 8 bits count).
+func (id FlowID) WithNode(node uint32) FlowID {
+	return id&^(flowNodeMask<<flowNodeShift) | FlowID(node&flowNodeMask)<<flowNodeShift
+}
 
 // Slot state word layout, low to high:
 //
@@ -285,8 +304,10 @@ func (sh *flowShard) extend(n uint32) {
 // (shard, slot) of len(ids) slots the caller now owns, generation zero.
 // Free slots come first — home's list, then, once home has reached
 // shardFloor, every other shard's — and home grows only by what no
-// list could supply. ok is false when home cannot grow (2^26 slots)
-// and nothing is free anywhere; the slots gathered go back.
+// list could supply; a home already at 2^18 slots passes the growth to
+// the next shard that has the room. ok is false when no shard has
+// (2^24 slots in all) and nothing is free anywhere; the slots gathered
+// go back.
 func (r *flowRegistry) claim(home uint32, ids []FlowID) bool {
 	n := r.shards[home].pop(home, ids)
 	return n == len(ids) || r.claimRest(home, ids, n)
@@ -309,18 +330,20 @@ func (r *flowRegistry) claimRest(home uint32, ids []FlowID, n int) bool {
 	if n == len(ids) {
 		return true
 	}
-	base, ok := sh.grow(uint32(len(ids) - n))
-	if !ok {
-		for _, id := range ids[:n] {
-			shard, slot, _ := splitFlowID(id)
-			r.shards[shard].push(slot+1, r.shards[shard].slotAt(slot))
+	for k := uint32(0); k < flowShards; k++ {
+		o := (home + k) & flowShardMask
+		if base, ok := r.shards[o].grow(uint32(len(ids) - n)); ok {
+			for i := range ids[n:] {
+				ids[n+i] = makeFlowID(0, base+uint32(i), o)
+			}
+			return true
 		}
-		return false
 	}
-	for i := range ids[n:] {
-		ids[n+i] = makeFlowID(0, base+uint32(i), home)
+	for _, id := range ids[:n] {
+		shard, slot, _ := splitFlowID(id)
+		r.shards[shard].push(slot+1, r.shards[shard].slotAt(slot))
 	}
-	return true
+	return false
 }
 
 // seqs reserves n consecutive admission sequences, none with a zero
@@ -414,11 +437,13 @@ func (r *flowRegistry) putBatch(classes, routeIdx []int32, ids []FlowID) (base u
 }
 
 // splitFlowID decodes an ID into its shard, slot and generation
-// fields (the inverse of makeFlowID).
+// fields (the inverse of makeFlowID). The slot is read together with
+// the node bits above it, so that a foreign node's ID is out of range
+// in every shard.
 func splitFlowID(id FlowID) (shard, slot, gen uint32) {
-	return uint32(uint64(id) & flowShardMask),
-		uint32(uint64(id) >> flowShardBits & flowSlotMask),
-		uint32(uint64(id) >> 32)
+	return uint32(id) & flowShardMask,
+		uint32(id) >> flowShardBits,
+		uint32(id >> 32)
 }
 
 // freeChain gathers the slots a teardown frees so that a run of them

@@ -345,3 +345,181 @@ func TestRegistryGrowthAllocatesPerChunk(t *testing.T) {
 		t.Errorf("directory lengths %d then %d, want 5 then 7", len(before), len(after))
 	}
 }
+
+// goldenAdmitSequence drives a fixed single-goroutine script —
+// singletons, batches, a batch teardown that frees every third flow,
+// more batches over the recycled slots — and returns every ID issued.
+func goldenAdmitSequence(t *testing.T) []FlowID {
+	t.Helper()
+	c, _ := testController(t, 0.3, AtomicLedger)
+	pairs := [][2]int{{0, 2}, {2, 0}, {0, 1}, {1, 2}}
+	var all []FlowID
+	for i := 0; i < 100; i++ {
+		p := pairs[i%len(pairs)]
+		id, err := c.Admit("voice", p[0], p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, id)
+	}
+	batch := func(n int) {
+		items := make([]BatchItem, n)
+		for i := range items {
+			p := pairs[(i*7+n)%len(pairs)]
+			items[i] = BatchItem{Class: "voice", Src: p[0], Dst: p[1]}
+		}
+		for _, r := range c.AdmitBatch(items, nil) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			all = append(all, r.ID)
+		}
+	}
+	batch(200)
+	var third []FlowID
+	for i := 0; i < len(all); i += 3 {
+		third = append(third, all[i])
+	}
+	for _, err := range c.TeardownBatch(third, nil) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch(150)
+	batch(64)
+	for i := 0; i < 10; i++ {
+		id, err := c.Admit("voice", 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, id)
+	}
+	return all
+}
+
+// What the parent commit's build (26-bit slot field, no node field)
+// issued for goldenAdmitSequence.
+const (
+	goldenFirst       FlowID = 0x100000027
+	goldenSingleton99 FlowID = 0x64000000b3
+	goldenBatch0      FlowID = 0x650000009a
+	goldenBatch199    FlowID = 0x12c0000325a
+	goldenRecycled0   FlowID = 0x12d00000002
+	goldenLast        FlowID = 0x20c00000076
+	goldenHash        uint64 = 0x16e948f762321c6e
+)
+
+// TestNodeZeroIDsMatchParentLayout: a single node issues the IDs it
+// issued before bits 24..31 became the node field — WAL records and
+// snapshots written by the 26-bit-slot build name the same flows. The
+// golden values were produced by that build running this script.
+func TestNodeZeroIDsMatchParentLayout(t *testing.T) {
+	all := goldenAdmitSequence(t)
+	h := uint64(14695981039346656037)
+	for _, id := range all {
+		if id.Node() != 0 {
+			t.Fatalf("single-node ID %#x carries node %d", uint64(id), id.Node())
+		}
+		for b := 0; b < 8; b++ {
+			h = (h ^ uint64(id)>>(8*b)&0xff) * 1099511628211
+		}
+	}
+	want := []struct {
+		at int
+		id FlowID
+	}{
+		{0, goldenFirst}, {99, goldenSingleton99}, {100, goldenBatch0}, {299, goldenBatch199},
+		{300, goldenRecycled0}, {len(all) - 1, goldenLast},
+	}
+	if len(all) != 524 {
+		t.Fatalf("script issued %d IDs, want 524", len(all))
+	}
+	for _, w := range want {
+		if all[w.at] != w.id {
+			t.Errorf("ID %d is %#x, the parent layout issued %#x", w.at, uint64(all[w.at]), uint64(w.id))
+		}
+	}
+	if h != goldenHash {
+		t.Errorf("FNV-1a over the %d IDs is %#x, the parent layout's is %#x", len(all), h, goldenHash)
+	}
+}
+
+// TestFlowIDNodeBits: the node field round-trips, leaves the
+// registry's own fields alone, and an ID carrying a node resolves to
+// nothing in a registry (which only issues node 0).
+func TestFlowIDNodeBits(t *testing.T) {
+	r := newFlowRegistry()
+	id, _, _ := r.put(1, 2)
+	for _, node := range []uint32{1, 7, 255} {
+		stamped := id.WithNode(node)
+		if stamped.Node() != node || stamped.WithNode(0) != id {
+			t.Fatalf("node %d does not round-trip through %#x", node, uint64(stamped))
+		}
+		shard, _, gen := splitFlowID(stamped)
+		if s0, _, g0 := splitFlowID(id); shard != s0 || gen != g0 {
+			t.Fatalf("node %d disturbed shard or generation of %#x", node, uint64(id))
+		}
+		if _, _, ok := r.take(stamped); ok {
+			t.Fatalf("ID %#x of node %d resolved in a node-0 registry", uint64(stamped), node)
+		}
+	}
+	if id.WithNode(256+3).Node() != 3 {
+		t.Error("WithNode keeps more than 8 bits")
+	}
+	if _, _, ok := r.take(id); !ok {
+		t.Fatal("live ID refused after foreign-node probes")
+	}
+}
+
+// TestRegistrySlotCap: a shard holds 2^18 slots. A claim its full home
+// shard cannot meet spills into the next shard's growth, and once no
+// shard has room the controller refuses with ErrTooManyFlows and
+// reserves nothing. Only one shard is filled for real (4 MiB); the
+// others are marked full by their length alone — with empty free lists
+// nothing reads their slots.
+func TestRegistrySlotCap(t *testing.T) {
+	c, _ := testController(t, 0.3, AtomicLedger)
+	r := c.reg
+	const home = 5
+	ids := make([]FlowID, 4096)
+	for filled := 0; filled < flowSlotMask+1; filled += len(ids) {
+		if !r.claim(home, ids) {
+			t.Fatalf("claim failed at %d slots", filled)
+		}
+		for _, id := range ids {
+			if shard, _, _ := splitFlowID(id); shard != home {
+				t.Fatalf("claim at %d slots left home for shard %d", filled, shard)
+			}
+		}
+	}
+	if got := r.shards[home].length.Load(); got != flowSlotMask+1 {
+		t.Fatalf("home shard has %d slots, want %d", got, flowSlotMask+1)
+	}
+	if !r.claim(home, ids[:100]) {
+		t.Fatal("claim past a full home shard failed although other shards are empty")
+	}
+	for _, id := range ids[:100] {
+		if shard, slot, _ := splitFlowID(id); shard != home+1 || id.Node() != 0 {
+			t.Fatalf("spilled claim landed in shard %d slot %d (node %d), want shard %d", shard, slot, id.Node(), home+1)
+		}
+	}
+	for i := range r.shards {
+		r.shards[i].length.Store(flowSlotMask + 1)
+	}
+	if r.claim(home, ids[:1]) {
+		t.Fatal("claim succeeded with every shard at its cap")
+	}
+	before, _ := c.Headroom("voice", 0, 2)
+	if _, err := c.Admit("voice", 0, 2); err != ErrTooManyFlows {
+		t.Fatalf("Admit with a full registry: %v, want ErrTooManyFlows", err)
+	}
+	if res := c.AdmitBatch([]BatchItem{{Class: "voice", Src: 0, Dst: 2}}, nil); res[0].Err != ErrTooManyFlows {
+		t.Fatalf("AdmitBatch with a full registry: %v, want ErrTooManyFlows", res[0].Err)
+	}
+	if c.RegisterLeased(1, []int32{0}, []int32{0}, make([]FlowID, 1)) {
+		t.Fatal("RegisterLeased succeeded with a full registry")
+	}
+	if after, _ := c.Headroom("voice", 0, 2); after != before || c.Stats().Active != 0 {
+		t.Fatalf("refused admits left state behind: headroom %d then %d, %+v", before, after, c.Stats())
+	}
+}

@@ -7,6 +7,7 @@ import (
 
 	"ubac/internal/admission"
 	"ubac/internal/wal"
+	"ubac/internal/wire"
 )
 
 // The authority owns the cluster's real utilization ledger. Every unit
@@ -195,19 +196,35 @@ func (a *authority) handleRevoke(node uint32, items []revokeItem, now time.Time)
 	return statuses, nil
 }
 
+// fetchBufs holds the read buffers of handleFetch; a fetch response is
+// encoded out of one before it goes back.
+var fetchBufs = sync.Pool{New: func() any { return new([fetchMax]byte) }}
+
 // handleFetch serves verbatim durable segment bytes plus the current
-// tail position (the follower's lag gauge).
-func (a *authority) handleFetch(seg uint64, off int64, max uint32) (tailSeg uint64, tailOff int64, eos bool, data []byte, err error) {
+// tail position (the follower's lag gauge), as an encoded fetch
+// response. The read is sized by what lies between the follower and
+// the durable tail: a follower that has caught up — every follower, on
+// nearly every heartbeat — reads nothing and takes no buffer.
+func (a *authority) handleFetch(seg uint64, off int64, max uint32) ([]byte, error) {
 	if max > fetchMax {
 		max = fetchMax
 	}
-	buf := make([]byte, max)
-	n, eos, err := a.log.ReadSegmentAt(seg, off, buf)
-	if err != nil {
-		return 0, 0, false, nil, err
+	tailSeg, tailOff := a.log.TailPos()
+	if left := tailOff - off; seg == tailSeg && left >= 0 && left < int64(max) {
+		max = uint32(left)
 	}
-	tailSeg, tailOff = a.log.TailPos()
-	return tailSeg, tailOff, eos, buf[:n], nil
+	var data []byte
+	if max > 0 {
+		buf := fetchBufs.Get().(*[fetchMax]byte)
+		defer fetchBufs.Put(buf)
+		data = buf[:max]
+	}
+	n, eos, err := a.log.ReadSegmentAt(seg, off, data)
+	if err != nil {
+		return nil, err
+	}
+	resp := make([]byte, 0, wire.FetchRespHeadLen+n)
+	return appendFetchResp(resp, tailSeg, tailOff, eos, data[:n]), nil
 }
 
 // reap reclaims the backing of edges silent past the suspicion

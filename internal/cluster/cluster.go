@@ -77,8 +77,9 @@ func (r Role) String() string {
 const NoAuthority = ^uint32(0)
 
 // Member is one static cluster member. IDs must be unique and below
-// 256: the high byte of every edge-issued flow ID is the node ID, so
-// teardowns route back to the admitting node.
+// 256: every edge-issued flow ID carries the node ID in its eight node
+// bits (admission.FlowID.Node), so teardowns route back to the
+// admitting node.
 type Member struct {
 	ID   uint32
 	Addr string
@@ -110,9 +111,9 @@ type Config struct {
 	// must stop spending a lease before the authority may reclaim it
 	// (default 1s).
 	LeaseTTL time.Duration
-	// LeaseBlock caps a (class, route) cell's standing budget and
-	// sizes the wholesale sync-path grant; the renewer holds each cell
-	// to a demand-proportional target below it (default 64).
+	// LeaseBlock is the most a (class, route) cell asks for in one
+	// lease call, and what a cold cell asks for on the sync path; the
+	// renewer holds each cell to its measured working set (default 64).
 	LeaseBlock int64
 }
 
@@ -144,7 +145,7 @@ func (c Config) Validate() error {
 	self := false
 	for _, m := range c.Members {
 		if m.ID > 255 {
-			return fmt.Errorf("cluster: member ID %d exceeds 255 (IDs ride the flow-ID high byte)", m.ID)
+			return fmt.Errorf("cluster: member ID %d exceeds 255 (IDs ride the flow ID's eight node bits)", m.ID)
 		}
 		if seen[m.ID] {
 			return fmt.Errorf("cluster: duplicate member ID %d", m.ID)
@@ -211,6 +212,14 @@ type Observer interface {
 	ClusterAdmitSync(n int)
 	// ClusterGrant records one grant call and its wall time.
 	ClusterGrant(d time.Duration)
+	// ClusterLeaseReject counts admits the edge refused on the state of
+	// its lease: cause "dry" when a grant round trip came back empty (or
+	// within the backoff after one), "down" when the authority could not
+	// be reached.
+	ClusterLeaseReject(cause string, n int)
+	// ClusterReclaim counts the times a dry cell took back the untouched
+	// budget of the cells it shares servers with before asking again.
+	ClusterReclaim()
 	// ClusterLag reports the follower's replication lag in bytes.
 	ClusterLag(bytes int64)
 	// ClusterRoleChange counts role transitions on this node.
@@ -221,9 +230,11 @@ type Observer interface {
 
 type nopObserver struct{}
 
-func (nopObserver) ClusterAdmitLocal(int)      {}
-func (nopObserver) ClusterAdmitSync(int)       {}
-func (nopObserver) ClusterGrant(time.Duration) {}
-func (nopObserver) ClusterLag(int64)           {}
-func (nopObserver) ClusterRoleChange()         {}
-func (nopObserver) ClusterHeartbeatMiss()      {}
+func (nopObserver) ClusterAdmitLocal(int)          {}
+func (nopObserver) ClusterAdmitSync(int)           {}
+func (nopObserver) ClusterGrant(time.Duration)     {}
+func (nopObserver) ClusterLeaseReject(string, int) {}
+func (nopObserver) ClusterReclaim()                {}
+func (nopObserver) ClusterLag(int64)               {}
+func (nopObserver) ClusterRoleChange()             {}
+func (nopObserver) ClusterHeartbeatMiss()          {}

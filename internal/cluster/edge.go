@@ -21,6 +21,11 @@ import (
 // edge is always at least the cell sum: the utilization bound cannot
 // be overdrawn from here.
 //
+// The flows themselves live in the controller's own registry, the one
+// table a single node keeps them in: a coalesced run of admits is one
+// claim there, a run of teardowns one chain of freed slots, and the
+// controller's Active and registry_slots figures are the edge's.
+//
 // A cell's budget is spendable only while its lease TTL holds. When
 // the TTL lapses (the authority is unreachable or rejected the cell's
 // renewal), admits fall to the sync path, which performs a grant round
@@ -31,21 +36,34 @@ import (
 const (
 	budgetMask = (uint64(1) << 32) - 1
 	activeUnit = uint64(1) << 32
+	// unitBack, added to a cell's word, moves one unit from active back
+	// to budget (active−1, budget+1; the sum is preserved).
+	unitBack = ^(activeUnit - 1) + 1
 
-	// flowShards shards the edge flow table.
-	flowShards = 32
-	// idMask keeps the flow counter below the node-ID byte.
-	idMask = (uint64(1) << 56) - 1
 	// maxLeaseItems bounds one lease call (well under wire.MaxFrameOps
 	// and MaxPayload).
 	maxLeaseItems = 2048
+
+	// lowUntouched is a cell's low-water mark while no admit has spent
+	// from it since the last renewal.
+	lowUntouched = ^uint32(0)
+
+	// Lease-reject causes reported to the observer.
+	causeDry  = "dry"
+	causeDown = "down"
 )
 
 // cell is one (class, route) lease cell.
 type cell struct {
 	v          atomic.Uint64 // active<<32 | budget
 	validUntil atomic.Int64  // unix nanos; budget spendable while now < validUntil
-	hot        atomic.Uint32 // admits since the last renewal: the demand signal
+
+	// low is the lowest budget an admit has left behind since the last
+	// renewal (lowUntouched when none has): with start, the cell's
+	// working set. What lies below it was never reached, so it is what
+	// the renewer may trim and a starved sibling may take back. A reject
+	// for want of budget writes 0, so a dry cell still counts as in use.
+	low atomic.Uint32
 
 	// dryUntil backs off the sync path after a grant round trip came
 	// back empty-handed: until it passes, budgetless admits reject
@@ -57,21 +75,93 @@ type cell struct {
 	// rejections while the cluster is saturated.
 	dryUntil atomic.Int64
 
+	// The rest is guarded by the plane's leaseMu.
+
+	// start is the budget the renewal window opened with plus every
+	// grant since; start − low is how deep the window's admits dipped
+	// into it, and prevDip is that figure for the window before.
+	start   uint64
+	prevDip uint64
+
 	// lastAcked is the sum the authority last acknowledged for this
-	// cell (its backing). Guarded by the plane's leaseMu. A cell is
-	// reported while its sum or lastAcked is nonzero, so the authority
-	// always hears about a cell going idle exactly once.
+	// cell (its backing). A cell is reported while its sum or lastAcked
+	// is nonzero, so the authority always hears about a cell going idle
+	// exactly once.
 	lastAcked uint64
 }
 
-type flowRef struct {
-	ci int32
-	ri int32
+// noteLow folds the budget an admit left behind into the low-water
+// mark.
+func (c *cell) noteLow(bud uint32) {
+	for {
+		l := c.low.Load()
+		if bud >= l || c.low.CompareAndSwap(l, bud) {
+			return
+		}
+	}
 }
 
-type flowShard struct {
-	mu sync.Mutex
-	m  map[uint64]flowRef
+// shiftLow moves a set low-water mark with a budget change the lease
+// side made (a grant adds, a reclaim takes), so that it keeps measuring
+// what admits did.
+func (c *cell) shiftLow(by int64) {
+	for {
+		l := c.low.Load()
+		if l == lowUntouched {
+			return
+		}
+		nl := int64(l) + by
+		if nl < 0 {
+			nl = 0
+		}
+		if c.low.CompareAndSwap(l, uint32(nl)) {
+			return
+		}
+	}
+}
+
+// dip is how far below its opening level the window's admits have
+// taken the budget so far. Caller holds leaseMu.
+func (c *cell) dip() uint64 {
+	if low := uint64(c.low.Load()); low < c.start {
+		return c.start - low
+	}
+	return 0
+}
+
+// keep is the standing budget the cell's working set calls for: one
+// unit plus twice the deeper of this window's and the last window's
+// dip, nothing when no admit has touched the cell this window. Churn
+// is self-financing — a teardown returns its unit to the same cell —
+// so standing budget only rides the gap between admits arriving and
+// capacity returning, and the dip is that gap as measured. Whatever a
+// cell holds beyond it is a hoard: a granted block never comes back
+// while its cell stays warm, and a hub server's ledger fills with
+// blocks parked on routes that are not using them. Caller holds
+// leaseMu.
+func (c *cell) keep() uint64 {
+	if c.low.Load() == lowUntouched {
+		return 0
+	}
+	return 1 + 2*max(c.dip(), c.prevDip)
+}
+
+// takeUntouched removes from the cell's budget the part no admit has
+// reached since the last renewal — min(low, budget) — and returns how
+// much that was. Caller holds leaseMu.
+func (c *cell) takeUntouched() uint64 {
+	for {
+		v := c.v.Load()
+		t := min(uint64(c.low.Load()), v&budgetMask)
+		if t == 0 {
+			return 0
+		}
+		if c.v.CompareAndSwap(v, v-t) {
+			c.start -= min(t, c.start)
+			c.shiftLow(-int64(t))
+			return t
+		}
+	}
 }
 
 // grantFunc performs one lease call: grants are aligned with items
@@ -87,16 +177,21 @@ type edgePlane struct {
 	obs      Observer
 	classIdx map[string]int
 	cells    [][]cell // [class][route]
-	idBase   uint64
-	nextID   atomic.Uint64
-	shards   [flowShards]flowShard
+	// through[class][server] lists the class's routes crossing the
+	// server: the cells that compete for one ledger entry.
+	through [][][]int32
 
 	// leaseMu serializes every sum-changing operation: renewals, sync
-	// grants, trims and detach. Admits and teardowns never take it.
+	// grants, trims, reclaims and detach. Admits and teardowns never
+	// take it.
 	leaseMu    sync.Mutex
 	grant      grantFunc
 	lastRenew  time.Time
 	fullReport bool // next renewal reports every cell (reattach)
+	// seen[route] == stamp marks a route already gathered by the reclaim
+	// in progress.
+	seen  []uint32
+	stamp uint32
 
 	// downUntil is set when a grant call fails outright (authority
 	// unreachable or mid-failover): until it passes, sync admits reject
@@ -114,17 +209,24 @@ func newEdgePlane(ctrl *admission.Controller, cfg Config, obs Observer, grant gr
 		cfg:      cfg,
 		obs:      obs,
 		grant:    grant,
-		idBase:   uint64(cfg.NodeID) << 56,
 		classIdx: make(map[string]int),
 	}
 	names := ctrl.Classes()
 	e.cells = make([][]cell, len(names))
+	e.through = make([][][]int32, len(names))
 	for ci, name := range names {
 		e.classIdx[name] = ci
 		e.cells[ci] = make([]cell, ctrl.RouteCount(ci))
-	}
-	for i := range e.shards {
-		e.shards[i].m = make(map[uint64]flowRef)
+		e.through[ci] = make([][]int32, ctrl.ServerCount())
+		for ri := range e.cells[ci] {
+			e.cells[ci][ri].low.Store(lowUntouched)
+			for _, s := range ctrl.RouteServers(ci, int32(ri)) {
+				e.through[ci][s] = append(e.through[ci][s], int32(ri))
+			}
+		}
+		if n := len(e.cells[ci]); n > len(e.seen) {
+			e.seen = make([]uint32, n)
+		}
 	}
 	e.fullReport = true // first renewal after start is a reattach
 	return e
@@ -148,6 +250,9 @@ func (e *edgePlane) tryLocal(c *cell, now int64) bool {
 			return false
 		}
 		if c.v.CompareAndSwap(v, v+activeUnit-1) {
+			if left := uint32(v) - 1; left < c.low.Load() {
+				c.noteLow(left)
+			}
 			return true
 		}
 	}
@@ -164,27 +269,99 @@ func (e *edgePlane) syncAdmit(ci int, ri int32, c *cell, now int64) error {
 	}
 	if time.Now().UnixNano() < c.dryUntil.Load() {
 		// The call we queued behind already learned the cell is dry.
-		c.hot.Add(1)
-		return admission.ErrCapacity
+		return e.leaseReject(c, causeDry)
 	}
 	if time.Now().UnixNano() < e.downUntil.Load() {
 		// The authority is unreachable: fail safe locally rather than
 		// pay (and make everyone behind us pay) an RPC timeout each.
-		c.hot.Add(1)
-		return admission.ErrCapacity
+		return e.leaseReject(c, causeDown)
 	}
-	want := uint64(e.cfg.LeaseBlock)
+	// A cold cell asks for a block; a warm one knows what it uses.
+	want := e.askFor(c, uint64(e.cfg.LeaseBlock))
 	if err := e.renewLocked([]leaseItem{e.itemFor(ci, ri, c, want)}, []*cell{c}); err != nil {
+		e.leaseReject(c, causeDown)
 		return err
 	}
 	if e.tryLocal(c, time.Now().UnixNano()) {
 		return nil
 	}
-	// The authority had nothing to grant: go dry for one renewal period
-	// so saturated cells reject at local speed, not one RPC per attempt.
-	c.hot.Add(1)
+	// The authority had nothing to grant. Before that stands, whatever
+	// this edge itself has parked, untouched, on the route's servers goes
+	// back and the cell asks again.
+	if err := e.reclaimLocked(ci, ri, c); err != nil {
+		e.leaseReject(c, causeDown)
+		return err
+	}
+	if e.tryLocal(c, time.Now().UnixNano()) {
+		return nil
+	}
+	// Still nothing: go dry for one renewal period so saturated cells
+	// reject at local speed, not one RPC per attempt.
 	c.dryUntil.Store(time.Now().Add(e.cfg.LeaseTTL / 3).UnixNano())
+	return e.leaseReject(c, causeDry)
+}
+
+// askFor sizes a sync-path ask: the cell's working set, at most a
+// block, and cold for a cell no admit has touched this window, which
+// has none to go by. Caller holds leaseMu.
+func (e *edgePlane) askFor(c *cell, cold uint64) uint64 {
+	if k := c.keep(); k > 0 {
+		return min(k, uint64(e.cfg.LeaseBlock))
+	}
+	return cold
+}
+
+// leaseReject records one admit refused on the cell's lease state and
+// returns the error the admit carries.
+func (e *edgePlane) leaseReject(c *cell, cause string) error {
+	c.low.Store(0)
+	e.obs.ClusterLeaseReject(cause, 1)
 	return admission.ErrCapacity
+}
+
+// reclaimLocked is the edge's "drain siblings before any reject
+// stands": every cell of the class that shares a server with route ri
+// gives up the part of its budget no admit has reached this window,
+// and those smaller sums travel in the same lease call as the cell's
+// renewed ask, its item last — the authority walks a call's items in
+// order, so the capacity is back on the ledger when the ask is tried.
+// Siblings keep what they are using, and the ask is the cell's working
+// set, not a block: taking more, from them or for it, only moves the
+// shortage to the next cell to run dry and every admit onto this path.
+// Caller holds leaseMu.
+func (e *edgePlane) reclaimLocked(ci int, ri int32, c *cell) error {
+	var items []leaseItem
+	var cells []*cell
+	reclaimed := false
+	e.stamp++
+	e.seen[ri] = e.stamp
+	for _, s := range e.ctrl.RouteServers(ci, ri) {
+		for _, sr := range e.through[ci][s] {
+			if e.seen[sr] == e.stamp {
+				continue
+			}
+			e.seen[sr] = e.stamp
+			sc := &e.cells[ci][sr]
+			if sc.takeUntouched() == 0 {
+				continue
+			}
+			reclaimed = true
+			items = append(items, e.itemFor(ci, sr, sc, 0))
+			cells = append(cells, sc)
+			if len(items) == maxLeaseItems {
+				if err := e.renewLocked(items, cells); err != nil {
+					return err
+				}
+				items, cells = items[:0], cells[:0]
+			}
+		}
+	}
+	if !reclaimed {
+		return nil // nothing parked here: the reject is the authority's
+	}
+	e.obs.ClusterReclaim()
+	want := e.askFor(c, 1)
+	return e.renewLocked(append(items, e.itemFor(ci, ri, c, want)), append(cells, c))
 }
 
 // itemFor snapshots a cell into a lease item. The sum it reads is
@@ -215,37 +392,18 @@ func (e *edgePlane) renewLocked(items []leaseItem, cells []*cell) error {
 			continue
 		}
 		if g > 0 {
-			c.v.Add(g) // budget rides the low bits
+			// Budget rides the low bits. The window's marks rise with it:
+			// a grant is not something admits left untouched by choice,
+			// and a cell that looked spent must not look spent on what it
+			// was just given.
+			c.v.Add(g)
+			c.start += g
+			c.shiftLow(int64(g))
 		}
 		c.lastAcked = items[i].act + items[i].bud + g
 		c.validUntil.Store(deadline)
 	}
 	return nil
-}
-
-// budgetTarget is the standing budget a cell may keep across a
-// renewal: nothing when idle, otherwise one plus half its in-flight
-// count plus half the admits it saw in the last renewal window, capped
-// at one block. Churn is self-financing — a teardown returns its unit
-// to the same cell — so standing budget only rides the gap between an
-// admit arriving and capacity returning; the demand term sizes that
-// buffer to the cell's actual arrival rate (pipelined clients land
-// bursts of admits before the matching teardowns return), while
-// keeping every claim proportional to demonstrated demand. A route
-// admitting hundreds of flows a window keeps a block of slack, a route
-// admitting two keeps a couple of units, and nobody parks capacity it
-// is not using — the hoard that would otherwise starve sibling routes
-// (and other nodes) for good, since a granted block never came back
-// while its cell stayed warm. Bursts beyond the target are absorbed by
-// the sync path, which still asks for a full block.
-func (e *edgePlane) budgetTarget(act, hot uint64) uint64 {
-	if hot == 0 {
-		return 0
-	}
-	if t := 1 + act/2 + hot/2; t < uint64(e.cfg.LeaseBlock) {
-		return t
-	}
-	return uint64(e.cfg.LeaseBlock)
 }
 
 // maybeRenew runs a renewal pass when a third of the lease TTL has
@@ -283,6 +441,11 @@ func (e *edgePlane) markReattach() {
 	e.downUntil.Store(0)
 }
 
+// renewAllLocked closes every cell's renewal window: budget beyond the
+// cell's working set rides back to the authority in the report's
+// (smaller) sum, so capacity no route is using pools there instead of
+// idling here; a cell short of its working set asks for the shortfall,
+// at most a block at a time; and the window's marks start over.
 func (e *edgePlane) renewAllLocked(now time.Time) {
 	e.lastRenew = now
 	full := e.fullReport
@@ -299,31 +462,26 @@ func (e *edgePlane) renewAllLocked(now time.Time) {
 	for ci := range e.cells {
 		for ri := range e.cells[ci] {
 			c := &e.cells[ci][ri]
-			hot := uint64(c.hot.Swap(0))
-			target := e.budgetTarget(c.v.Load()>>32, hot)
-			// Trim: budget beyond the target rides back to the authority
-			// in this report's (smaller) sum, so capacity no route is
-			// using pools there instead of idling here.
+			keep, dip := c.keep(), c.dip()
 			for {
 				v := c.v.Load()
 				bud := v & budgetMask
-				if bud <= target {
-					break
-				}
-				if c.v.CompareAndSwap(v, v-(bud-target)) {
+				if bud <= keep || c.v.CompareAndSwap(v, v-(bud-keep)) {
 					break
 				}
 			}
+			c.low.Store(lowUntouched)
 			v := c.v.Load()
-			sum := (v >> 32) + (v & budgetMask)
+			act, bud := v>>32, v&budgetMask
+			c.start, c.prevDip = bud, dip
 			var want uint64
-			if bud := v & budgetMask; hot > 0 && bud < target {
-				want = target - bud
+			if bud < keep {
+				want = min(keep-bud, uint64(e.cfg.LeaseBlock))
 			}
-			if !full && sum == 0 && c.lastAcked == 0 && want == 0 {
+			if !full && act+bud == 0 && c.lastAcked == 0 && want == 0 {
 				continue
 			}
-			items = append(items, leaseItem{ci: int32(ci), ri: int32(ri), act: v >> 32, bud: v & budgetMask, want: want})
+			items = append(items, leaseItem{ci: int32(ci), ri: int32(ri), act: act, bud: bud, want: want})
 			cells = append(cells, c)
 			if len(items) == maxLeaseItems {
 				if flush() != nil {
@@ -364,15 +522,25 @@ func (e *edgePlane) cellSum(ci int, ri int32) uint64 {
 	return (v >> 32) + (v & budgetMask)
 }
 
-func (e *edgePlane) shardOf(id uint64) *flowShard { return &e.shards[id%flowShards] }
+// edgeScratch holds the working slices of one AdmitBatch or
+// TeardownBatch call; they keep their grown capacity across calls.
+type edgeScratch struct {
+	classes, routes, pos []int32
+	ids                  []admission.FlowID
+}
+
+var edgeScratchPool = sync.Pool{New: func() any { return new(edgeScratch) }}
 
 // AdmitBatch implements wire.Backend: each item is one local CAS in
-// the common case; misses take one grant round trip.
+// the common case; misses take one grant round trip. The admitted
+// flows are then registered in one claim.
 func (e *edgePlane) AdmitBatch(items []admission.BatchItem, results []admission.BatchResult) []admission.BatchResult {
 	results = results[:0]
 	now := time.Now().UnixNano()
-	var local, synced int
-	for _, it := range items {
+	sc := edgeScratchPool.Get().(*edgeScratch)
+	sc.classes, sc.routes, sc.pos = sc.classes[:0], sc.routes[:0], sc.pos[:0]
+	var local, dry int
+	for i, it := range items {
 		ci, ok := e.classIdx[it.Class]
 		if !ok {
 			results = append(results, admission.BatchResult{Err: admission.ErrUnknownClass})
@@ -389,55 +557,75 @@ func (e *edgePlane) AdmitBatch(items []admission.BatchItem, results []admission.
 		} else if now < c.dryUntil.Load() {
 			// A recent grant round trip found no headroom; reject locally
 			// until the backoff passes instead of hammering the authority.
-			// Still a demand signal: keep the cell hot so the renewer asks
-			// for budget the moment capacity frees up.
-			c.hot.Add(1)
+			// Still a demand signal: the low mark at 0 keeps the cell in
+			// use, so the renewer asks for budget the moment capacity
+			// frees up.
+			c.low.Store(0)
+			dry++
 			results = append(results, admission.BatchResult{Err: admission.ErrCapacity})
 			continue
-		} else {
-			if err := e.syncAdmit(ci, ri, c, now); err != nil {
-				results = append(results, admission.BatchResult{Err: err})
-				continue
-			}
-			synced++
+		} else if err := e.syncAdmit(ci, ri, c, now); err != nil {
+			results = append(results, admission.BatchResult{Err: err})
+			continue
 		}
-		c.hot.Add(1)
-		id := e.idBase | (e.nextID.Add(1) & idMask)
-		sh := e.shardOf(id)
-		sh.mu.Lock()
-		sh.m[id] = flowRef{ci: int32(ci), ri: ri}
-		sh.mu.Unlock()
-		results = append(results, admission.BatchResult{ID: admission.FlowID(id)})
+		results = append(results, admission.BatchResult{})
+		sc.classes = append(sc.classes, int32(ci))
+		sc.routes = append(sc.routes, ri)
+		sc.pos = append(sc.pos, int32(i))
+	}
+	admitted := len(sc.pos)
+	if cap(sc.ids) < admitted {
+		sc.ids = make([]admission.FlowID, admitted)
+	}
+	ids := sc.ids[:admitted]
+	if e.ctrl.RegisterLeased(e.cfg.NodeID, sc.classes, sc.routes, ids) {
+		for k, p := range sc.pos {
+			results[p].ID = ids[k]
+		}
+	} else {
+		// Registry out of slots: the units go back to their cells and the
+		// run's successes fail, as the controller's own batch would.
+		for k, p := range sc.pos {
+			e.cells[sc.classes[k]][sc.routes[k]].v.Add(unitBack)
+			results[p].Err = admission.ErrTooManyFlows
+		}
+		local, admitted = 0, 0
 	}
 	if local > 0 {
 		e.obs.ClusterAdmitLocal(local)
 	}
-	if synced > 0 {
+	if synced := admitted - local; synced > 0 {
 		e.obs.ClusterAdmitSync(synced)
 	}
+	if dry > 0 {
+		e.obs.ClusterLeaseReject(causeDry, dry)
+	}
+	edgeScratchPool.Put(sc)
 	return results
 }
 
 // TeardownBatch implements wire.Backend: the flow's unit moves back
-// from active to budget, staying leased to this edge for reuse.
+// from active to budget, staying leased to this edge for reuse. An ID
+// another node issued is unknown here.
 func (e *edgePlane) TeardownBatch(ids []admission.FlowID, errs []error) []error {
 	errs = errs[:0]
-	for _, fid := range ids {
-		id := uint64(fid)
-		sh := e.shardOf(id)
-		sh.mu.Lock()
-		ref, ok := sh.m[id]
-		if ok {
-			delete(sh.m, id)
-		}
-		sh.mu.Unlock()
-		if !ok {
+	sc := edgeScratchPool.Get().(*edgeScratch)
+	if cap(sc.classes) < len(ids) {
+		sc.classes = make([]int32, len(ids))
+	}
+	if cap(sc.routes) < len(ids) {
+		sc.routes = make([]int32, len(ids))
+	}
+	classes, routes := sc.classes[:len(ids)], sc.routes[:len(ids)]
+	e.ctrl.ReleaseLeased(e.cfg.NodeID, ids, classes, routes)
+	for i, ci := range classes {
+		if ci < 0 {
 			errs = append(errs, admission.ErrUnknownFlow)
 			continue
 		}
-		c := &e.cells[ref.ci][ref.ri]
-		c.v.Add(1 + ^(activeUnit - 1)) // active-1, budget+1; sum preserved
+		e.cells[ci][routes[i]].v.Add(unitBack)
 		errs = append(errs, nil)
 	}
+	edgeScratchPool.Put(sc)
 	return errs
 }

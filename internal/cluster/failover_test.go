@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ubac/internal/admission"
 	"ubac/internal/wire"
 )
 
@@ -14,9 +15,17 @@ import (
 // promotes from its WAL mirror, settles against the surviving edges'
 // reattach reports, and the promoted ledger ends exactly equal to what
 // the edges actually hold — with the utilization bound intact at every
-// step and admits flowing again afterwards.
+// step and admits flowing again afterwards. On the hub topology the
+// two followers' blocks do not fit the core link side by side, so the
+// failover happens with reclaims in flight.
 func TestFailoverPromotion(t *testing.T) {
-	nodes := startCluster(t, 3)
+	for _, topo := range clusterTopologies {
+		t.Run(topo.name, func(t *testing.T) { failoverPromotion(t, topo.build) })
+	}
+}
+
+func failoverPromotion(t *testing.T, build func(testing.TB) *admission.Controller) {
+	nodes := startClusterOn(t, 3, build)
 	auth := authorityOf(nodes)
 	if auth == nil {
 		t.Fatal("no authority")

@@ -12,6 +12,7 @@ import (
 
 	"ubac/internal/admission"
 	"ubac/internal/core"
+	"ubac/internal/routes"
 	"ubac/internal/telemetry"
 	"ubac/internal/topology"
 	"ubac/internal/traffic"
@@ -47,18 +48,85 @@ func newTestController(t testing.TB) *admission.Controller {
 	return ctrl
 }
 
+// hubController builds a dumbbell by hand — k sources, a two-router
+// core, k sinks, one voice route per (source, sink) pair — so that all
+// k² routes cross the one core link, whose limit is coreFlows voice
+// flows (the access links hold a hundred times that). With
+// k² × LeaseBlock above coreFlows the edges cannot each park a block on
+// every route: the hub contention of the default topologies, at a size
+// where the reclaim path is reached within milliseconds. Like
+// newTestController, every call yields an identical twin.
+func hubController(t testing.TB, k int, coreFlows int) *admission.Controller {
+	t.Helper()
+	const alpha = 0.5
+	voice := traffic.Voice()
+	coreCap := float64(coreFlows) * voice.Bucket.Rate / alpha
+	b := topology.NewBuilder(fmt.Sprintf("hub-%dx%d", k, k))
+	left, right := b.Router("L", topology.Core), b.Router("R", topology.Core)
+	b.Link(left, right, coreCap)
+	srcs, dsts := make([]int, k), make([]int, k)
+	for i := 0; i < k; i++ {
+		srcs[i] = b.Router(fmt.Sprintf("s%d", i), topology.Edge)
+		dsts[i] = b.Router(fmt.Sprintf("d%d", i), topology.Edge)
+		b.Link(srcs[i], left, 100*coreCap)
+		b.Link(right, dsts[i], 100*coreCap)
+	}
+	net, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := routes.NewSet(net)
+	for _, src := range srcs {
+		for _, dst := range dsts {
+			r, err := routes.FromRouterPath(net, voice.Name, []int{src, left, right, dst})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := set.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ctrl, err := admission.NewController(net, []admission.ClassConfig{{Class: voice, Alpha: alpha, Routes: set}}, admission.AtomicLedger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctrl
+}
+
+// clusterTopologies are what the load-bearing cluster tests run on:
+// the MCI backbone, and a hub whose core holds fewer flows than the
+// blocks its 16 routes would park on it (testTimings: 16 × 32), so the
+// sibling reclaim is part of every run.
+var clusterTopologies = []struct {
+	name  string
+	build func(testing.TB) *admission.Controller
+}{
+	{"mci", newTestController},
+	{"hub", func(t testing.TB) *admission.Controller { return hubController(t, 4, 150) }},
+}
+
 // countObs counts cluster telemetry with atomics (the registry sink is
 // exercised separately; tests want exact per-node numbers).
 type countObs struct {
 	local, synced, grants, misses, roles atomic.Int64
+	dry, down, reclaims                  atomic.Int64
 }
 
 func (o *countObs) ClusterAdmitLocal(n int)    { o.local.Add(int64(n)) }
 func (o *countObs) ClusterAdmitSync(n int)     { o.synced.Add(int64(n)) }
 func (o *countObs) ClusterGrant(time.Duration) { o.grants.Add(1) }
 func (o *countObs) ClusterLag(int64)           {}
-func (o *countObs) ClusterRoleChange()         { o.roles.Add(1) }
-func (o *countObs) ClusterHeartbeatMiss()      { o.misses.Add(1) }
+func (o *countObs) ClusterReclaim()            { o.reclaims.Add(1) }
+func (o *countObs) ClusterLeaseReject(cause string, n int) {
+	if cause == causeDown {
+		o.down.Add(int64(n))
+	} else {
+		o.dry.Add(int64(n))
+	}
+}
+func (o *countObs) ClusterRoleChange()    { o.roles.Add(1) }
+func (o *countObs) ClusterHeartbeatMiss() { o.misses.Add(1) }
 
 // testNode is one harness member: real controller, real node, real
 // wire server on a real loopback listener.
@@ -88,9 +156,16 @@ func testTimings() Config {
 	}
 }
 
-// startCluster boots an n-node in-process cluster over loopback TCP
-// and waits until it has elected an authority.
+// startCluster boots an n-node in-process cluster of MCI controllers.
 func startCluster(t *testing.T, n int) []*testNode {
+	t.Helper()
+	return startClusterOn(t, n, newTestController)
+}
+
+// startClusterOn boots an n-node in-process cluster over loopback TCP,
+// every member on its own twin from build, and waits until it has
+// elected an authority.
+func startClusterOn(t *testing.T, n int, build func(testing.TB) *admission.Controller) []*testNode {
 	t.Helper()
 	nodes := make([]*testNode, n)
 	members := make([]Member, n)
@@ -104,7 +179,7 @@ func startCluster(t *testing.T, n int) []*testNode {
 	}
 	base := t.TempDir()
 	for i, tn := range nodes {
-		tn.ctrl = newTestController(t)
+		tn.ctrl = build(t)
 		tn.obs = &countObs{}
 		cfg := testTimings()
 		cfg.NodeID = tn.id
@@ -300,7 +375,7 @@ func TestClusterElectsAndAdmits(t *testing.T) {
 		t.Fatalf("warmup admitted nothing: statuses %v", statusesOf(res))
 	}
 	for _, id := range ids {
-		if id>>56 != uint64(follower.id) {
+		if admission.FlowID(id).Node() != follower.id {
 			t.Fatalf("flow ID %x does not carry node ID %d", id, follower.id)
 		}
 	}
@@ -336,6 +411,71 @@ func TestClusterElectsAndAdmits(t *testing.T) {
 		}
 	}
 	assertBound(t, auth)
+}
+
+// TestClusterNodeStatsActive: a cluster member's controller counts the
+// flows its edge admitted — what /v1/stats and the registry_slots
+// gauge report on a -cluster node. The edge's flows are in the
+// controller's own registry, so Active is exact: N after N admits over
+// the wire at a follower, 0 after their teardown, and nothing on the
+// members that admitted none.
+func TestClusterNodeStatsActive(t *testing.T) {
+	nodes := startCluster(t, 3)
+	follower := nodes[1]
+	cl := dialNode(t, follower)
+	pairs := routePairsOf(t, cl)
+	const n = 200
+	reqs := make([]wire.AdmitReq, n)
+	for i := range reqs {
+		p := pairs[i%len(pairs)]
+		reqs[i] = wire.AdmitReq{Class: p.Class, Src: p.Src, Dst: p.Dst}
+	}
+	res, err := cl.Admit(reqs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]uint64, 0, n)
+	for _, r := range res {
+		if r.Status != wire.StatusOK {
+			t.Fatalf("admit on an empty cluster: statuses %v", statusesOf(res))
+		}
+		ids = append(ids, r.ID)
+	}
+	st := follower.ctrl.Stats()
+	if st.Active != n || st.MaxActive != n || st.Admitted != n || st.RegistrySlots < n {
+		t.Fatalf("follower stats after %d admits: %+v", n, st)
+	}
+	for _, tn := range nodes {
+		if tn != follower && tn.ctrl.Stats().Admitted != 0 {
+			t.Errorf("node %d counts %d admits it never served", tn.id, tn.ctrl.Stats().Admitted)
+		}
+	}
+	statuses, err := cl.Teardown(ids, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, status := range statuses {
+		if status != wire.StatusOK {
+			t.Fatalf("teardown %d: status %d", i, status)
+		}
+	}
+	st = follower.ctrl.Stats()
+	if st.Active != 0 || st.TornDown != n || st.MaxActive != n {
+		t.Fatalf("follower stats after the drain: %+v", st)
+	}
+	// A second teardown of the same IDs finds nothing and moves nothing.
+	statuses, err = cl.Teardown(ids[:8], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, status := range statuses {
+		if status != wire.StatusUnknownFlow {
+			t.Errorf("repeated teardown %d: status %d, want unknown flow", i, status)
+		}
+	}
+	if got := follower.ctrl.Stats().Active; got != 0 {
+		t.Errorf("Active %d after repeated teardowns, want 0", got)
+	}
 }
 
 // TestClusterRejectsUnroutable: wire error semantics pass through the

@@ -657,14 +657,14 @@ func (n *Node) ClusterFrame(typ byte, count uint16, body []byte) (uint16, []byte
 		if err != nil {
 			return 0, nil, wire.StatusInternal, err.Error()
 		}
-		tailSeg, tailOff, eos, data, err := a.handleFetch(seg, off, max)
+		resp, err := a.handleFetch(seg, off, max)
 		if errors.Is(err, wal.ErrOutOfRange) {
 			return 0, nil, wire.StatusFetchOutOfRange, err.Error()
 		}
 		if err != nil {
 			return 0, nil, wire.StatusInternal, err.Error()
 		}
-		return 0, appendFetchResp(nil, tailSeg, tailOff, eos, data), wire.StatusOK, ""
+		return 0, resp, wire.StatusOK, ""
 
 	case wire.FrameRevoke:
 		a, ok := n.authorityState()

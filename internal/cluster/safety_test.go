@@ -15,9 +15,17 @@ import (
 // mid-run, the authority's ledger — which holds every admitted flow
 // AND every outstanding lease budget as reservations — never exceeds
 // the exact per-(class, server) utilization limit, and no edge cell
-// ever holds more than the ledger backs for it.
+// ever holds more than the ledger backs for it. On the hub topology the
+// workers want more than the core link holds, so the property also
+// spans saturation, dry cells and the sibling reclaim.
 func TestLeaseSafetyProperty(t *testing.T) {
-	nodes := startCluster(t, 3)
+	for _, topo := range clusterTopologies {
+		t.Run(topo.name, func(t *testing.T) { leaseSafetyProperty(t, topo.build) })
+	}
+}
+
+func leaseSafetyProperty(t *testing.T, build func(testing.TB) *admission.Controller) {
+	nodes := startClusterOn(t, 3, build)
 
 	var stop atomic.Bool
 	var violations atomic.Int64

@@ -39,7 +39,7 @@ type ClusterConfig struct {
 //
 // id and members are required; members is a ';'-separated list of
 // ID@host:port entries and must include id. Unknown keys, duplicate
-// IDs, IDs above 255 (they ride the flow-ID high byte) and timing
+// IDs, IDs above 255 (they ride the flow ID's eight node bits) and timing
 // inversions (lease_ttl_ms > suspicion_ms) are errors.
 func ParseClusterSpec(spec string) (*ClusterConfig, error) {
 	if spec == "" {
@@ -108,7 +108,7 @@ func ParseClusterSpec(spec string) (*ClusterConfig, error) {
 	self := false
 	for _, m := range cc.Members {
 		if m.ID > 255 {
-			return nil, fmt.Errorf("config: cluster: member ID %d exceeds 255 (IDs ride the flow-ID high byte)", m.ID)
+			return nil, fmt.Errorf("config: cluster: member ID %d exceeds 255 (IDs ride the flow ID's eight node bits)", m.ID)
 		}
 		if seen[m.ID] {
 			return nil, fmt.Errorf("config: cluster: duplicate member ID %d", m.ID)

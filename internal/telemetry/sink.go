@@ -41,6 +41,8 @@ const (
 	MetricClusterAdmitsTotal     = "ubac_cluster_lease_admits_total" // labeled {path=local|sync}
 	MetricClusterGrantsTotal     = "ubac_cluster_grants_total"
 	MetricClusterGrantSeconds    = "ubac_cluster_grant_seconds"
+	MetricClusterLeaseRejects    = "ubac_cluster_lease_rejects_total" // labeled {cause=dry|down}
+	MetricClusterReclaims        = "ubac_cluster_reclaims_total"
 	MetricClusterReplicationLag  = "ubac_cluster_replication_lag_bytes"
 	MetricClusterRoleTransitions = "ubac_cluster_role_transitions_total"
 	MetricClusterHeartbeatMisses = "ubac_cluster_heartbeat_misses_total"
@@ -98,6 +100,9 @@ type RegistrySink struct {
 	ClusterSyncAdmits      *Counter
 	ClusterGrants          *Counter
 	ClusterGrantDuration   *Histogram
+	ClusterRejectsDry      *Counter
+	ClusterRejectsDown     *Counter
+	ClusterReclaims        *Counter
 	ClusterReplicationLag  *Gauge
 	ClusterRoleTransitions *Counter
 	ClusterHeartbeatMisses *Counter
@@ -213,6 +218,14 @@ func NewRegistrySink(reg *Registry, ring *Ring) *RegistrySink {
 			"Lease grants issued by the authority (local and remote edges)."),
 		ClusterGrantDuration: reg.Histogram(MetricClusterGrantSeconds,
 			"Lease grant round-trip wall time observed by the requesting edge."),
+		ClusterRejectsDry: reg.Counter(MetricClusterLeaseRejects,
+			"Cluster edge admits refused on lease state, by cause (dry = the authority had nothing to grant, down = the authority was unreachable).",
+			Label{"cause", "dry"}),
+		ClusterRejectsDown: reg.Counter(MetricClusterLeaseRejects,
+			"Cluster edge admits refused on lease state, by cause (dry = the authority had nothing to grant, down = the authority was unreachable).",
+			Label{"cause", "down"}),
+		ClusterReclaims: reg.Counter(MetricClusterReclaims,
+			"Times a dry lease cell took back the untouched budget of the cells sharing its servers before asking again."),
 		ClusterReplicationLag: reg.Gauge(MetricClusterReplicationLag,
 			"Bytes of durable authority WAL not yet fetched by this follower."),
 		ClusterRoleTransitions: reg.Counter(MetricClusterRoleTransitions,
@@ -363,6 +376,20 @@ func (s *RegistrySink) ClusterGrant(d time.Duration) {
 	s.ClusterGrants.Inc()
 	s.ClusterGrantDuration.Observe(d)
 }
+
+// ClusterLeaseReject satisfies the cluster Observer interface: n
+// admits refused on lease state; any cause but "down" counts as dry.
+func (s *RegistrySink) ClusterLeaseReject(cause string, n int) {
+	if cause == "down" {
+		s.ClusterRejectsDown.Add(uint64(n))
+		return
+	}
+	s.ClusterRejectsDry.Add(uint64(n))
+}
+
+// ClusterReclaim satisfies the cluster Observer interface: one sibling
+// reclaim by a dry cell.
+func (s *RegistrySink) ClusterReclaim() { s.ClusterReclaims.Inc() }
 
 // ClusterLag satisfies the cluster Observer interface: this follower's
 // current replication lag in bytes.
