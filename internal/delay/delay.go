@@ -58,7 +58,7 @@ type Model struct {
 	// deadline requirements (Section 3). Default 0.
 	FixedPerHop float64
 	// Workers sets the size of the worker pool used to parallelize each
-	// sweep of the two-class fixed-point iteration (route-sharded Y
+	// sweep of the two-class fixed-point iteration (tree-sharded Y
 	// accumulation, server-sharded delay updates). 0 or 1 runs the
 	// sequential solver; either way the result is bit-identical — the
 	// parallel sweep reduces with elementwise max, which is
@@ -263,9 +263,10 @@ func (m *Model) SolveTwoClassExtra(in ClassInput, extra *routes.Route, d0 []floa
 func (m *Model) iterateSequential(in ClassInput, extra *routes.Route, res *Result, gain []float64, burst, rho float64) {
 	nsrv := len(res.D)
 	next := make([]float64, nsrv)
+	var buf []float64
 	for iter := 1; iter <= m.MaxIter; iter++ {
 		res.Iterations = iter
-		in.Routes.ComputeYExtra(res.D, res.Y, extra)
+		in.Routes.ComputeYExtra(res.D, res.Y, extra, &buf)
 		worstChange := 0.0
 		worstD := 0.0
 		for s := 0; s < nsrv; s++ {
@@ -284,7 +285,7 @@ func (m *Model) iterateSequential(in ClassInput, extra *routes.Route, res *Resul
 		}
 		if worstChange <= m.Tol*math.Max(1, worstD) {
 			res.Converged = true
-			in.Routes.ComputeYExtra(res.D, res.Y, extra)
+			in.Routes.ComputeYExtra(res.D, res.Y, extra, &buf)
 			return
 		}
 	}
@@ -338,12 +339,13 @@ func (m *Model) SolveMultiClass(inputs []ClassInput) ([]*Result, error) {
 		}()
 	}
 	next := make([]float64, nsrv)
+	var buf []float64
 	for iter := 1; iter <= m.MaxIter; iter++ {
 		worstChange, worstD := 0.0, 0.0
 		for i, in := range inputs {
 			res := results[i]
 			res.Iterations = iter
-			in.Routes.ComputeY(res.D, res.Y)
+			in.Routes.ComputeYExtra(res.D, res.Y, nil, &buf)
 			for s := 0; s < nsrv; s++ {
 				d, err := m.serverDelayMultiClass(inputs, results, i, s)
 				if err != nil {

@@ -11,9 +11,9 @@ import (
 // This file parallelizes the two-class fixed-point sweep. Each outer
 // iteration of d ← Z(d) decomposes into two data-parallel phases:
 //
-//	A. Y accumulation — Y_k is a max over per-route prefix sums, so the
-//	   route list shards across workers (balanced by total hops), each
-//	   worker accumulating into a private buffer.
+//	A. Y accumulation — Y_k is a max over route prefix sums, so the
+//	   route set's prefix forest shards across workers by tree (balanced
+//	   by prefix count), each worker accumulating into a private buffer.
 //	B. Delay update — d'_k = g_k·(T + ρ·Y_k) is independent per server,
 //	   so the server vector shards across workers; each worker first
 //	   merges the phase-A buffers for its servers with an elementwise
@@ -82,25 +82,25 @@ func (p *sweepPool) stop() {
 // shard is a half-open index range [lo, hi).
 type shard struct{ lo, hi int }
 
-// shardRoutes cuts the route list into n contiguous shards balanced by
-// total hop count (the unit of phase-A work), so one long route cannot
-// serialize a sweep behind a single worker.
-func shardRoutes(set *routes.Set, n int) []shard {
+// shardTrees cuts the route set's nsrv prefix trees (one per first
+// server) into n contiguous shards balanced by prefix count, the unit of
+// phase-A work.
+func shardTrees(set *routes.Set, nsrv, n int) []shard {
 	total := 0
-	for i := 0; i < set.Len(); i++ {
-		total += set.Route(i).Hops()
+	for f := 0; f < nsrv; f++ {
+		total += set.TreeLen(f)
 	}
 	out := make([]shard, n)
 	lo, done := 0, 0
 	for k := 0; k < n; k++ {
 		target := (total * (k + 1)) / n
 		hi := lo
-		for hi < set.Len() && done < target {
-			done += set.Route(hi).Hops()
+		for hi < nsrv && done < target {
+			done += set.TreeLen(hi)
 			hi++
 		}
 		if k == n-1 {
-			hi = set.Len()
+			hi = nsrv
 		}
 		out[k] = shard{lo, hi}
 		lo = hi
@@ -125,13 +125,14 @@ const divergePoll = 1024
 func (m *Model) iterateParallel(in ClassInput, extra *routes.Route, res *Result, gain []float64, burst, rho float64) {
 	nsrv := len(res.D)
 	w := m.Workers
-	rshards := shardRoutes(in.Routes, w)
+	tshards := shardTrees(in.Routes, nsrv, w)
 	sshards := shardServers(nsrv, w)
 
 	partial := make([][]float64, w)
 	for k := range partial {
 		partial[k] = make([]float64, nsrv)
 	}
+	bufs := make([][]float64, w)
 	next := make([]float64, nsrv)
 	shardChange := make([]float64, w)
 	shardMax := make([]float64, w)
@@ -143,7 +144,7 @@ func (m *Model) iterateParallel(in ClassInput, extra *routes.Route, res *Result,
 	for iter := 1; iter <= m.MaxIter; iter++ {
 		res.Iterations = iter
 
-		// Phase A: route-sharded Y accumulation into private buffers.
+		// Phase A: tree-sharded Y accumulation into private buffers.
 		pool.run(func(k int) {
 			p := partial[k]
 			for i := range p {
@@ -153,7 +154,7 @@ func (m *Model) iterateParallel(in ClassInput, extra *routes.Route, res *Result,
 			if k == w-1 {
 				ex = extra // the phantom route rides the last shard
 			}
-			in.Routes.ComputeYPartial(res.D, p, rshards[k].lo, rshards[k].hi, ex)
+			in.Routes.ComputeYPartial(res.D, p, tshards[k].lo, tshards[k].hi, ex, &bufs[k])
 		})
 
 		// Phase B: server-sharded merge + closed-form update.
@@ -207,7 +208,7 @@ func (m *Model) iterateParallel(in ClassInput, extra *routes.Route, res *Result,
 		copy(res.D, next)
 		if worstChange <= m.Tol*math.Max(1, worstD) {
 			res.Converged = true
-			in.Routes.ComputeYExtra(res.D, res.Y, extra)
+			in.Routes.ComputeYExtra(res.D, res.Y, extra, &bufs[0])
 			return
 		}
 	}

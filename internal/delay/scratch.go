@@ -10,7 +10,7 @@ import (
 )
 
 // SolveScratch holds the reusable state of repeated two-class solves:
-// the Result vectors, the sweep buffer, the per-server gain vector
+// the Result vectors, the sweep buffers, the per-server gain vector
 // (cached across calls with the same model/class parameters), and the
 // active-domain bookkeeping. The route-selection engine gives each of
 // its workers one scratch so that steady-state candidate evaluation
@@ -22,6 +22,7 @@ import (
 type SolveScratch struct {
 	res  Result
 	next []float64
+	pre  []float64 // the Y sweep's per-prefix sums (routes.Set.ComputeYPartial)
 
 	gain      []float64
 	gainModel *Model
@@ -161,7 +162,7 @@ func (m *Model) iterateActive(in ClassInput, extra *routes.Route, res *Result, s
 		for _, s := range dom {
 			res.Y[s] = 0
 		}
-		in.Routes.ComputeYPartial(res.D, res.Y, 0, in.Routes.Len(), extra)
+		in.Routes.ComputeYPartial(res.D, res.Y, 0, len(res.D), extra, &sc.pre)
 		worstChange := 0.0
 		worstD := 0.0
 		for _, s := range dom {
@@ -189,7 +190,7 @@ func (m *Model) iterateActive(in ClassInput, extra *routes.Route, res *Result, s
 		}
 		if worstChange <= m.Tol*math.Max(1, worstD) {
 			res.Converged = true
-			in.Routes.ComputeYExtra(res.D, res.Y, extra)
+			in.Routes.ComputeYExtra(res.D, res.Y, extra, &sc.pre)
 			return
 		}
 	}

@@ -104,6 +104,67 @@ func TestSolveScratchMatchesExtra(t *testing.T) {
 	}
 }
 
+// A phantom candidate solved through the scratch path must be
+// bit-identical to physically adding the route and solving, and after
+// RemoveLast the set must solve exactly as it did before the Add — the
+// contract that lets candidate trials never touch the shared set, and
+// the one the set's prefix forest must keep across Add/RemoveLast.
+func TestScratchMatchesAddRemove(t *testing.T) {
+	cls := traffic.Voice()
+	for _, spec := range []string{"ring:8", "grid:4x3", "nsfnet", "mci"} {
+		net, err := topology.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rg := net.RouterGraph()
+		rng := rand.New(rand.NewSource(5))
+		set := routes.NewSet(net)
+		m := NewModel(net)
+		sc := &SolveScratch{}
+		for trial := 0; trial < 20; trial++ {
+			src, dst := rng.Intn(net.NumRouters()), rng.Intn(net.NumRouters())
+			if src == dst {
+				continue
+			}
+			paths, err := rg.KShortestPaths(src, dst, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cand, err := routes.FromRouterPath(net, cls.Name, paths[rng.Intn(len(paths))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := ClassInput{Class: cls, Alpha: 0.30, Routes: set}
+			before, err := m.SolveTwoClass(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			phantom, err := m.SolveTwoClassScratch(in, &cand, nil, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			phantom = &Result{D: append([]float64(nil), phantom.D...), Y: append([]float64(nil), phantom.Y...),
+				Converged: phantom.Converged, Iterations: phantom.Iterations}
+			if err := set.Add(cand); err != nil {
+				t.Fatal(err)
+			}
+			added, err := m.SolveTwoClass(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scratchEqual(t, spec+"/phantom-vs-add", phantom, added)
+			if rng.Intn(3) == 0 { // keep two in three, undo the rest
+				set.RemoveLast()
+				undone, err := m.SolveTwoClassScratch(in, nil, nil, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scratchEqual(t, spec+"/after-remove", undone, before)
+			}
+		}
+	}
+}
+
 // Warm-starting from the converged base of a route subset — exactly what
 // the selection engine does per accepted pair — must reach the same
 // fixed point as a cold solve, in no more iterations.

@@ -1,10 +1,8 @@
 package graph
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // WeightFunc returns the nonnegative cost of the arc u -> v. It is only
@@ -15,19 +13,22 @@ type WeightFunc func(u, v int) float64
 // the weight function (Dijkstra), with deterministic tie-breaking by the
 // vertex sequence. Costs must be nonnegative.
 func (g *Graph) ShortestPathWeighted(src, dst int, w WeightFunc) ([]int, float64, error) {
-	if err := g.check(src); err != nil {
+	paths, err := NewWeightedKSPSolver(g).Paths(src, dst, 1, w)
+	if err != nil {
 		return nil, 0, err
 	}
-	if err := g.check(dst); err != nil {
-		return nil, 0, err
-	}
-	path := g.dijkstraAvoiding(src, dst, w, nil, nil)
-	if path == nil {
-		return nil, 0, ErrNoPath
-	}
-	return path, pathCost(path, w), nil
+	return paths[0], pathCost(paths[0], w), nil
 }
 
+// KShortestPathsWeighted is Yen's algorithm under a weight function: up
+// to k loop-free minimum-cost paths, cheapest first, deterministic (see
+// WeightedKSPSolver.Paths). Callers issuing many queries over the same
+// graph should hold a WeightedKSPSolver to reuse its scratch.
+func (g *Graph) KShortestPathsWeighted(src, dst, k int, w WeightFunc) ([][]int, error) {
+	return NewWeightedKSPSolver(g).Paths(src, dst, k, w)
+}
+
+// pathCost sums the arc costs along path, left to right.
 func pathCost(path []int, w WeightFunc) float64 {
 	c := 0.0
 	for i := 0; i+1 < len(path); i++ {
@@ -36,64 +37,92 @@ func pathCost(path []int, w WeightFunc) float64 {
 	return c
 }
 
-// pqItem is a priority-queue entry for Dijkstra.
-type pqItem struct {
-	v    int
-	dist float64
-	seq  uint64 // insertion order for deterministic ties
+// WeightedKSPSolver is KSPSolver under arc weights: Yen's algorithm with
+// Dijkstra spur searches whose distance, done and heap scratch, blocking
+// state and candidate buffers are reused across calls, so a steady-state
+// query allocates only the paths it returns. The delay-weighted route
+// selector keeps one per selection.
+//
+// A solver is bound to the graph passed to NewWeightedKSPSolver and is
+// not safe for concurrent use; the returned paths are freshly allocated
+// and may be retained by the caller.
+type WeightedKSPSolver struct {
+	g *Graph
+	// Dijkstra scratch.
+	dist []float64
+	done []bool
+	heap distHeap
+	yen
 }
 
-type pq []pqItem
+// NewWeightedKSPSolver returns a solver over g. The graph may keep
+// growing; the scratch resizes on the next call.
+func NewWeightedKSPSolver(g *Graph) *WeightedKSPSolver { return &WeightedKSPSolver{g: g} }
 
-func (q pq) Len() int { return len(q) }
-func (q pq) Less(i, j int) bool {
-	if q[i].dist != q[j].dist {
-		return q[i].dist < q[j].dist
+// Paths returns up to k loop-free minimum-cost paths from src to dst
+// under w, cheapest first, ties broken lexicographically by the vertex
+// sequence. It returns fewer than k paths when the graph does not
+// contain that many simple paths. Costs must be nonnegative.
+func (s *WeightedKSPSolver) Paths(src, dst, k int, w WeightFunc) ([][]int, error) {
+	if k <= 0 {
+		return nil, nil
 	}
-	return q[i].seq < q[j].seq
-}
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
+	if err := s.g.check(src); err != nil {
+		return nil, err
+	}
+	if err := s.g.check(dst); err != nil {
+		return nil, err
+	}
+	n := s.g.Order()
+	s.resize(n)
+	if len(s.dist) != n {
+		s.dist = make([]float64, n)
+		s.done = make([]bool, n)
+	}
+	search := func(src, dst, spur int) bool { return s.dijkstra(src, dst, spur, w) }
+	cost := func(path []int) float64 { return pathCost(path, w) }
+	paths := s.paths(src, dst, k, search, cost)
+	if paths == nil {
+		return nil, ErrNoPath
+	}
+	return paths, nil
 }
 
-// dijkstraAvoiding runs Dijkstra from src to dst skipping blocked nodes
-// and arcs. Returns nil when unreachable.
-func (g *Graph) dijkstraAvoiding(src, dst int, w WeightFunc, blockedNodes map[int]bool, blockedEdges map[[2]int]bool) []int {
-	if blockedNodes[src] || blockedNodes[dst] {
-		return nil
+// dijkstra is WeightedKSPSolver's spur search: Dijkstra from src until
+// dst is settled, skipping blocked vertices and — when spur >= 0 — the
+// blocked arcs out of spur. Equal distances pop in push order: the heap
+// orders by (dist, seq) and seq is unique, so the pop sequence is fixed
+// by the pushes alone.
+func (s *WeightedKSPSolver) dijkstra(src, dst, spur int, w WeightFunc) bool {
+	if s.blockedNode[src] || s.blockedNode[dst] {
+		return false
 	}
 	if src == dst {
-		return []int{src}
+		s.parent[src] = src
+		return true
 	}
-	n := len(g.adj)
-	dist := make([]float64, n)
-	parent := make([]int, n)
-	done := make([]bool, n)
+	dist, parent, done := s.dist, s.parent, s.done
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		parent[i] = -1
+		done[i] = false
 	}
 	dist[src] = 0
 	parent[src] = src
 	var seq uint64
-	q := &pq{{v: src, dist: 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
+	q := append(s.heap[:0], distItem{v: src})
+	reached := false
+	for len(q) > 0 {
+		it := q.pop()
 		if done[it.v] {
 			continue
 		}
 		done[it.v] = true
-		if it.v == dst {
-			return buildPath(parent, src, dst)
+		if reached = it.v == dst; reached {
+			break
 		}
-		for _, u := range g.adj[it.v] {
-			if done[u] || blockedNodes[u] || blockedEdges[[2]int{it.v, u}] {
+		for _, u := range s.g.adj[it.v] {
+			if done[u] || s.blockedNode[u] || (it.v == spur && s.blockedNext[u]) {
 				continue
 			}
 			cost := w(it.v, u)
@@ -104,61 +133,64 @@ func (g *Graph) dijkstraAvoiding(src, dst int, w WeightFunc, blockedNodes map[in
 				dist[u] = nd
 				parent[u] = it.v
 				seq++
-				heap.Push(q, pqItem{v: u, dist: nd, seq: seq})
+				q.push(distItem{v: u, dist: nd, seq: seq})
 			}
 		}
 	}
-	return nil
+	s.heap = q[:0]
+	return reached
 }
 
-// KShortestPathsWeighted is Yen's algorithm under a weight function:
-// up to k loop-free minimum-cost paths, cheapest first, deterministic.
-func (g *Graph) KShortestPathsWeighted(src, dst, k int, w WeightFunc) ([][]int, error) {
-	if k <= 0 {
-		return nil, nil
+// distItem is a Dijkstra queue entry; seq is its push order.
+type distItem struct {
+	dist float64
+	seq  uint64
+	v    int
+}
+
+func (a distItem) less(b distItem) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
 	}
-	first, _, err := g.ShortestPathWeighted(src, dst, w)
-	if err != nil {
-		return nil, err
-	}
-	paths := [][]int{first}
-	var candidates [][]int
-	for len(paths) < k {
-		prev := paths[len(paths)-1]
-		for i := 0; i < len(prev)-1; i++ {
-			spur := prev[i]
-			rootPath := prev[:i+1]
-			blockedEdges := make(map[[2]int]bool)
-			for _, p := range paths {
-				if len(p) > i && equalPrefix(p, rootPath) {
-					blockedEdges[[2]int{p[i], p[i+1]}] = true
-				}
-			}
-			blockedNodes := make(map[int]bool)
-			for _, v := range rootPath[:i] {
-				blockedNodes[v] = true
-			}
-			spurPath := g.dijkstraAvoiding(spur, dst, w, blockedNodes, blockedEdges)
-			if spurPath == nil {
-				continue
-			}
-			full := append(append([]int(nil), rootPath[:i]...), spurPath...)
-			if !containsPath(paths, full) && !containsPath(candidates, full) {
-				candidates = append(candidates, full)
-			}
-		}
-		if len(candidates) == 0 {
+	return a.seq < b.seq
+}
+
+// distHeap is a binary min-heap of distItems.
+type distHeap []distItem
+
+func (h *distHeap) push(it distItem) {
+	q := append(*h, it)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].less(q[p]) {
 			break
 		}
-		sort.Slice(candidates, func(a, b int) bool {
-			ca, cb := pathCost(candidates[a], w), pathCost(candidates[b], w)
-			if ca != cb {
-				return ca < cb
-			}
-			return lessPath(candidates[a], candidates[b])
-		})
-		paths = append(paths, candidates[0])
-		candidates = candidates[1:]
+		q[i], q[p] = q[p], q[i]
+		i = p
 	}
-	return paths, nil
+	*h = q
+}
+
+func (h *distHeap) pop() distItem {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && q[r].less(q[m]) {
+			m = r
+		}
+		if !q[m].less(q[i]) {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
+	return top
 }

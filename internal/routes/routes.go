@@ -69,6 +69,13 @@ type occurrence struct {
 	pos   int // index into Route.Servers
 }
 
+// prefix is one distinct route prefix in a Set's prefix forest: the
+// prefix ending at server srv whose one-shorter prefix sits at position
+// parent of the same tree (-1 for a tree's one-server root).
+type prefix struct {
+	srv, parent int
+}
+
 // Set is a collection of routes over one network with an index from each
 // link server to the routes crossing it. The zero value is not usable;
 // create with NewSet.
@@ -76,6 +83,15 @@ type Set struct {
 	net    *topology.Network
 	routes []Route
 	users  [][]occurrence // per server
+	// trees is the forest of distinct route prefixes that ComputeY*
+	// sweep: trees[f] lists the prefixes of the routes whose first
+	// server is f, in insertion order (so parents precede children).
+	// Routes sharing a prefix share its node, so a sweep visits each
+	// distinct prefix once instead of each route hop. added[i] counts
+	// the nodes route i's Add appended; RemoveLast pops them, and since
+	// removal is last-in first-out they are always their tree's tail.
+	trees [][]prefix
+	added []int
 	// dep is the cached dependency graph over link servers, built lazily
 	// by DependencyGraph and maintained incrementally by Add/RemoveLast
 	// through depCount, the multiplicity of each consecutive-server arc
@@ -86,7 +102,7 @@ type Set struct {
 
 // NewSet returns an empty route set over the network.
 func NewSet(net *topology.Network) *Set {
-	return &Set{net: net, users: make([][]occurrence, net.NumServers())}
+	return &Set{net: net, users: make([][]occurrence, net.NumServers()), trees: make([][]prefix, net.NumServers())}
 }
 
 // Network returns the network the set routes over.
@@ -115,10 +131,35 @@ func (s *Set) Add(r Route) error {
 	for pos, srv := range r.Servers {
 		s.users[srv] = append(s.users[srv], occurrence{route: idx, pos: pos})
 	}
+	s.added = append(s.added, s.addPrefixes(r.Servers))
 	if s.dep != nil {
 		s.depAdd(r)
 	}
 	return nil
+}
+
+// addPrefixes walks the route's prefixes down its tree, appending the
+// ones not yet present, and returns how many it appended.
+func (s *Set) addPrefixes(servers []int) int {
+	t := s.trees[servers[0]]
+	n := len(t)
+	at := -1
+	for _, srv := range servers {
+		next := -1
+		for j := at + 1; j < len(t); j++ { // children follow their parent
+			if t[j].parent == at && t[j].srv == srv {
+				next = j
+				break
+			}
+		}
+		if next < 0 {
+			t = append(t, prefix{srv: srv, parent: at})
+			next = len(t) - 1
+		}
+		at = next
+	}
+	s.trees[servers[0]] = t
+	return len(t) - n
 }
 
 // RemoveLast removes the most recently added route, undoing the matching
@@ -141,6 +182,9 @@ func (s *Set) RemoveLast() {
 	if s.dep != nil {
 		s.depRemove(s.routes[last])
 	}
+	f := s.routes[last].Servers[0]
+	s.trees[f] = s.trees[f][:len(s.trees[f])-s.added[last]]
+	s.added = s.added[:last]
 	s.routes = s.routes[:last]
 }
 
@@ -181,6 +225,10 @@ func (s *Set) Clone() *Set {
 			c.users[srv] = append(c.users[srv], occurrence{route: idx, pos: pos})
 		}
 	}
+	for f, t := range s.trees {
+		c.trees[f] = append([]prefix(nil), t...)
+	}
+	c.added = append([]int(nil), s.added...)
 	return c
 }
 
@@ -204,40 +252,64 @@ func (s *Set) CrossCount(srv int) int { return len(s.users[srv]) }
 // len(d) and len(y) must equal the network's server count. The slices may
 // not alias.
 func (s *Set) ComputeY(d, y []float64) {
-	s.ComputeYExtra(d, y, nil)
+	s.ComputeYExtra(d, y, nil, nil)
 }
 
 // ComputeYExtra is ComputeY over the set plus one phantom route that is
-// not (yet) a member — the zero-allocation way to evaluate a candidate
-// route without mutating the set. extra may be nil.
-func (s *Set) ComputeYExtra(d, y []float64, extra *Route) {
+// not (yet) a member — the way to evaluate a candidate route without
+// mutating the set. extra may be nil. buf is the sweep's scratch (see
+// ComputeYPartial); with a non-nil buf a warm call does not allocate.
+func (s *Set) ComputeYExtra(d, y []float64, extra *Route, buf *[]float64) {
 	if len(d) != s.net.NumServers() || len(y) != s.net.NumServers() {
 		panic("routes: ComputeY slice length mismatch")
 	}
 	for i := range y {
 		y[i] = 0
 	}
-	for i := range s.routes {
-		accumulateY(d, y, s.routes[i].Servers)
-	}
-	if extra != nil {
-		accumulateY(d, y, extra.Servers)
-	}
+	s.ComputeYPartial(d, y, 0, len(s.trees), extra, buf)
 }
 
+// TreeLen returns the number of distinct route prefixes whose first
+// server is f — the work of sweeping tree f.
+func (s *Set) TreeLen(f int) int { return len(s.trees[f]) }
+
 // ComputeYPartial accumulates into y the Y_k contributions of the routes
-// with index in [lo, hi), plus extra if non-nil. Unlike ComputeYExtra it
-// does not zero y first — the caller provides a zeroed (or partially
-// accumulated) buffer. The parallel solver shards the route list across
-// workers this way; merging the per-shard buffers with an elementwise
-// max reproduces ComputeYExtra bit for bit, because Y_k is itself a max
-// over per-route prefix sums and max is order-independent.
-func (s *Set) ComputeYPartial(d, y []float64, lo, hi int, extra *Route) {
-	if hi > len(s.routes) {
-		hi = len(s.routes)
+// whose first server is in [lo, hi), plus extra if non-nil. Unlike
+// ComputeYExtra it does not zero y first — the caller provides a zeroed
+// (or partially accumulated) buffer. The parallel solver shards the
+// trees across workers this way; merging the per-shard buffers with an
+// elementwise max reproduces ComputeYExtra bit for bit, because Y_k is
+// itself a max over prefix sums and max is order-independent.
+//
+// Each prefix's sum is its parent's plus the parent's last server delay
+// — the same float additions, in the same order, as summing each route
+// left to right — so the forest sweep equals per-route accumulation bit
+// for bit while visiting each shared prefix once. buf holds the
+// per-prefix sums of one tree; it grows as needed and is kept for the
+// next call. A nil buf allocates per call. Concurrent sweeps of one Set
+// need distinct bufs.
+func (s *Set) ComputeYPartial(d, y []float64, lo, hi int, extra *Route, buf *[]float64) {
+	if buf == nil {
+		buf = new([]float64)
 	}
-	for i := lo; i < hi; i++ {
-		accumulateY(d, y, s.routes[i].Servers)
+	for f := lo; f < hi; f++ {
+		t := s.trees[f]
+		if len(t) > cap(*buf) {
+			*buf = make([]float64, len(t))
+		}
+		// through[j] is the delay through prefix j, its last server
+		// included: the upstream delay its children see.
+		through := (*buf)[:len(t)]
+		for j, p := range t {
+			up := 0.0
+			if p.parent >= 0 {
+				up = through[p.parent]
+			}
+			if up > y[p.srv] {
+				y[p.srv] = up
+			}
+			through[j] = up + d[p.srv]
+		}
 	}
 	if extra != nil {
 		accumulateY(d, y, extra.Servers)

@@ -383,7 +383,7 @@ func TestPhantomEvaluationEquivalenceProperty(t *testing.T) {
 			d[i] = rng.Float64() * 0.01
 		}
 		yPhantom := make([]float64, net.NumServers())
-		s.ComputeYExtra(d, yPhantom, &cand)
+		s.ComputeYExtra(d, yPhantom, &cand, nil)
 		slackPhantom, _ := s.MinSlackExtra(d, 0.1, 1e-3, &cand)
 		worstPhantom, _ := s.MaxRouteDelayExtra(d, &cand)
 

@@ -78,3 +78,29 @@ func BenchmarkSelectCheap(b *testing.B) {
 func BenchmarkSelectPortfolio(b *testing.B) {
 	benchSelect(b, func(w int) Selector { return Portfolio{Workers: w} }, 0.10, 24)
 }
+
+// benchSelectMCI times one selector over every ordered MCI pair at
+// α 0.40 — the route-selection half of what ubacd runs at boot.
+func benchSelectMCI(b *testing.B, sel Selector) {
+	m := delay.NewModel(topology.MCI())
+	req := Request{Class: traffic.Voice(), Alpha: 0.40}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, rep, err := sel.Select(m, req); err != nil || !rep.Safe {
+			b.Fatalf("rep=%+v err=%v", rep, err)
+		}
+	}
+}
+
+// BenchmarkSelectDelayWeighted is the delay-weighted lookahead member
+// alone: Yen's algorithm over the current delay vector for every pair,
+// then one phantom fixed-point solve per candidate.
+func BenchmarkSelectDelayWeighted(b *testing.B) {
+	benchSelectMCI(b, Heuristic{DelayWeighted: true})
+}
+
+// BenchmarkSelectPortfolioMCI is ubacd's default selector at its default
+// operating point (sequential; the delay-weighted member wins there).
+func BenchmarkSelectPortfolioMCI(b *testing.B) {
+	benchSelectMCI(b, Portfolio{})
+}

@@ -189,6 +189,7 @@ type evalRun struct {
 	deadline float64
 	set      *routes.Set
 	ksp      *graph.KSPSolver
+	wksp     *graph.WeightedKSPSolver
 	scratch  *delay.SolveScratch // inline-evaluation scratch
 	base     []float64           // warm-start delay vector for this batch
 
@@ -211,6 +212,7 @@ func newEvalRun(eng *Engine, m *delay.Model, req Request, set *routes.Set, base 
 		deadline: req.Class.Deadline,
 		set:      set,
 		ksp:      graph.NewKSPSolver(net.RouterGraph()),
+		wksp:     graph.NewWeightedKSPSolver(net.RouterGraph()),
 		scratch:  &delay.SolveScratch{},
 		base:     base,
 	}
@@ -240,17 +242,19 @@ func (r *evalRun) buildCandidates(p [2]int, k, slack int, delayWeighted, checkCy
 			}
 			return r.base[s] + hop
 		}
-		paths, err := r.rg.KShortestPathsWeighted(p[0], p[1], k, weight)
-		if err == nil {
-			// Guarantee the hop-shortest path is among the candidates.
-			if sp, err2 := r.rg.ShortestPath(p[0], p[1]); err2 == nil && !pathIn(paths, sp) {
-				paths = append(paths, sp)
-			}
-		}
+		paths, err := r.wksp.Paths(p[0], p[1], k, weight)
 		if err != nil {
 			return pairErr(p, err)
 		}
-		spLen := r.rg.Distance(p[0], p[1])
+		// Guarantee the hop-shortest path is among the candidates.
+		sp, err := r.rg.ShortestPath(p[0], p[1])
+		if err != nil {
+			return pairErr(p, err)
+		}
+		if !pathIn(paths, sp) {
+			paths = append(paths, sp)
+		}
+		spLen := len(sp) - 1
 		for _, path := range paths {
 			if len(path)-1 > spLen+slack {
 				continue

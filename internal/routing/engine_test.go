@@ -67,12 +67,42 @@ func randomPairs(net *topology.Network, n int, seed int64) [][2]int {
 	return ps
 }
 
+// sameSolve re-solves both selections, the sequential one with the
+// sequential sweep and the parallel one with the tree-sharded parallel
+// sweep (Model.Workers 4), and requires bit-identical D and Y.
+func sameSolve(t *testing.T, label string, net *topology.Network, cls traffic.Class, alpha float64, seqSet, parSet *routes.Set) {
+	t.Helper()
+	want, err := delay.NewModel(net).SolveTwoClass(delay.ClassInput{Class: cls, Alpha: alpha, Routes: seqSet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm := delay.NewModel(net)
+	pm.Workers = 4
+	got, err := pm.SolveTwoClass(delay.ClassInput{Class: cls, Alpha: alpha, Routes: parSet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Converged != want.Converged || got.Iterations != want.Iterations {
+		t.Fatalf("%s: converged=%v after %d, want %v after %d", label, got.Converged, got.Iterations, want.Converged, want.Iterations)
+	}
+	if !want.Converged {
+		return // D and Y are unspecified on divergence
+	}
+	for s := range want.D {
+		if got.D[s] != want.D[s] || got.Y[s] != want.Y[s] {
+			t.Fatalf("%s: server %d D=%.17g Y=%.17g, want D=%.17g Y=%.17g", label, s, got.D[s], got.Y[s], want.D[s], want.Y[s])
+		}
+	}
+}
+
 // TestEngineParallelMatchesSequential is the determinism property of the
 // evaluation engine: for every selector, parallel candidate evaluation
 // (workers=4, plus concurrent portfolio members) must reproduce the
 // sequential selection exactly — same route set, same report down to
-// bit-identical WorstDelay, and the same re-solved delay vector — on
-// random topologies, in both safe and failing regimes.
+// bit-identical WorstDelay, and the same re-solved delay vector under
+// the sequential and the parallel sweep — on random topologies, in both
+// safe and failing regimes, and on a backtracking search that undoes
+// routes (RemoveLast trims the set's prefix forest mid-selection).
 func TestEngineParallelMatchesSequential(t *testing.T) {
 	cls := traffic.Voice()
 	selectors := []struct {
@@ -106,25 +136,31 @@ func TestEngineParallelMatchesSequential(t *testing.T) {
 				}
 				sameReport(t, label, parRep, seqRep)
 				sameRouteSets(t, label, parSet, seqSet)
-				// The re-solved delay vectors must agree bitwise too.
-				in := delay.ClassInput{Class: cls, Alpha: alpha, Routes: seqSet}
-				want, err := m.SolveTwoClass(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				in.Routes = parSet
-				got, err := m.SolveTwoClass(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for s := range want.D {
-					if got.D[s] != want.D[s] {
-						t.Fatalf("%s: D[%d] = %.17g, want %.17g", label, s, got.D[s], want.D[s])
-					}
-				}
+				sameSolve(t, label, net, cls, alpha, seqSet, parSet)
 			}
 		}
 	}
+
+	// The cheap greedy fails on MCI at α 0.43 and backtracking repairs it
+	// (TestBacktrackingRepairsCheapFailure), so this search really undoes
+	// routes.
+	net := topology.MCI()
+	m := delay.NewModel(net)
+	req := Request{Class: cls, Alpha: 0.43}
+	seqSet, seqRep, err := Backtracking{Workers: 1}.Select(m, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parSet, parRep, err := Backtracking{Workers: 4}.Select(m, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seqRep.Backtracks == 0 || !seqRep.Safe {
+		t.Fatalf("mci/backtracking: %d backtracks, safe=%v; the case no longer exercises RemoveLast", seqRep.Backtracks, seqRep.Safe)
+	}
+	sameReport(t, "mci/backtracking", parRep, seqRep)
+	sameRouteSets(t, "mci/backtracking", parSet, seqSet)
+	sameSolve(t, "mci/backtracking", net, cls, 0.43, seqSet, parSet)
 }
 
 // A persistent shared engine — warm memo, long-lived workers — must not

@@ -60,11 +60,11 @@ type Network struct {
 	rg *graph.Graph // router graph (both directions per link)
 
 	// Link-server expansion: server s represents the directed link
-	// srvTail[s] -> srvHead[s]. srvID[a][b] maps a directed router pair
-	// to its server.
+	// srvTail[s] -> srvHead[s]. arcSrv[a][j] is the server of the arc
+	// from a to rg.Neighbors(a)[j].
 	srvTail, srvHead []int
 	srvCap           []float64
-	srvID            map[[2]int]int
+	arcSrv           [][]int
 }
 
 // Builder accumulates routers and links and validates them into a Network.
@@ -168,9 +168,11 @@ func (b *Builder) Build() (*Network, error) {
 	if len(n.routers) > 1 && !n.rg.IsConnected() {
 		return nil, fmt.Errorf("topology: network %q is not connected", b.name)
 	}
-	n.srvID = make(map[[2]int]int, 2*len(n.links))
+	// Both loops walk the links in order, so each router's servers land
+	// in arcSrv in the order its arcs were added to rg.
+	n.arcSrv = make([][]int, len(n.routers))
 	addServer := func(tail, head int, c float64) {
-		n.srvID[[2]int{tail, head}] = len(n.srvTail)
+		n.arcSrv[tail] = append(n.arcSrv[tail], len(n.srvTail))
 		n.srvTail = append(n.srvTail, tail)
 		n.srvHead = append(n.srvHead, head)
 		n.srvCap = append(n.srvCap, c)
@@ -220,10 +222,15 @@ func (n *Network) Server(s int) (tail, head int, capacity float64) {
 func (n *Network) ServerCapacity(s int) float64 { return n.srvCap[s] }
 
 // ServerFor returns the link server carrying traffic from router tail to
-// adjacent router head.
+// adjacent router head, or (-1, false) when they are not adjacent. It
+// scans tail's adjacency list, so it costs O(degree) and no hashing.
 func (n *Network) ServerFor(tail, head int) (int, bool) {
-	s, ok := n.srvID[[2]int{tail, head}]
-	return s, ok
+	for j, v := range n.rg.Neighbors(tail) {
+		if v == head {
+			return n.arcSrv[tail][j], true
+		}
+	}
+	return -1, false
 }
 
 // ServerName renders server s as "A->B" for diagnostics.

@@ -66,6 +66,44 @@ func TestBuildRejectsDisconnected(t *testing.T) {
 	}
 }
 
+// ServerFor finds an arc by its position in the tail's adjacency list;
+// it must agree with the (tail, head) → server map it replaced, built
+// here from Server, for every router pair of topologies built every way
+// (named, generated, parsed, and with a link removed).
+func TestServerForMatchesServerMap(t *testing.T) {
+	mci := MCI()
+	sea, _ := mci.RouterByName("Seattle")
+	chi, _ := mci.RouterByName("Chicago")
+	failed, err := mci.WithoutLink(sea, chi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := []*Network{mci, failed}
+	for _, spec := range []string{"nsfnet", "grid:4x3", "random:20:12:1", "ba:30:2:7", "star:6"} {
+		n, err := Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, n)
+	}
+	for _, n := range nets {
+		srvID := make(map[[2]int]int, n.NumServers())
+		for s := 0; s < n.NumServers(); s++ {
+			tail, head, _ := n.Server(s)
+			srvID[[2]int{tail, head}] = s
+		}
+		for a := 0; a < n.NumRouters(); a++ {
+			for b := 0; b < n.NumRouters(); b++ {
+				want, wantOK := srvID[[2]int{a, b}]
+				got, ok := n.ServerFor(a, b)
+				if ok != wantOK || (ok && got != want) {
+					t.Fatalf("%s: ServerFor(%d, %d) = %d, %v; want %d, %v", n.Name(), a, b, got, ok, want, wantOK)
+				}
+			}
+		}
+	}
+}
+
 func TestServersAndPaths(t *testing.T) {
 	n, err := Line(3, 1e6)
 	if err != nil {
