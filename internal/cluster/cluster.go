@@ -22,23 +22,29 @@
 // The authority journals every lease change to its WAL as an absolute
 // backing record (grants fsynced before the ack, releases async — a
 // lost release replays as a larger, conservative backing) and serves
-// the log to followers as verbatim segment bytes. On authority failure
-// the followers promote by rank: replay the fetched log, re-reserve
-// every replayed backing on a fresh ledger, open a new epoch, and
-// settle — accept reattach reports carrying each edge's exact held
-// capacity, granting nothing new until every static member has
-// reattached or outlived the suspicion timeout. Edges keep admitting
-// against their leased budget through the failover and stop when the
-// lease TTL runs out unrefreshed, so the bound holds even while no
-// authority is reachable.
+// the log to followers as verbatim segment bytes. A cold cluster elects
+// its lowest-ID member as soon as every member answers a heartbeat
+// without knowing an authority. On authority failure, or a cold boot
+// with a member down, the followers promote by rank after the
+// suspicion timeout. Either way a promoter first declares itself a
+// candidate and then probes the membership once more, so two promoters
+// that can reach each other do not both proceed. Promoting means:
+// replay the fetched log, re-reserve every replayed backing on a fresh
+// ledger, open a new epoch, and settle — accept reattach reports
+// carrying each edge's exact held capacity, granting nothing new until
+// every static member has reattached or outlived the suspicion
+// timeout. Edges keep admitting against their leased budget through
+// the failover and stop when the lease TTL runs out unrefreshed, so the
+// bound holds even while no authority is reachable.
 //
 // Known limitations, by design at this scale: membership is static;
-// there is no quorum, so a partitioned minority that exhausts the
-// rank ladder can promote a second authority (deploy odd ladders and
-// fencing at the operational layer); a failed authority must rejoin
-// with a clean data directory; and the cluster log is full-history —
-// snapshots would break verbatim segment shipping, so the log grows
-// for the lifetime of the deployment.
+// there is no quorum, so a partitioned minority that exhausts the rank
+// ladder can promote a second authority, because promoters that cannot
+// reach each other never see each other's candidacy (deploy odd
+// ladders and fencing at the operational layer); a failed authority
+// must rejoin with a clean data directory; and the cluster log is
+// full-history — snapshots would break verbatim segment shipping, so
+// the log grows for the lifetime of the deployment.
 package cluster
 
 import (
@@ -101,10 +107,12 @@ type Config struct {
 	// presumed dead: followers start the promotion ladder, the
 	// authority reclaims a silent edge's backing (default 3s).
 	SuspicionTimeout time.Duration
-	// LadderDelay spaces the promotion ladder: the rank-r live member
-	// waits SuspicionTimeout + r×LadderDelay before promoting, probing
-	// for an earlier promoter first, so exactly one node usually wins
-	// (default 500ms).
+	// LadderDelay spaces the promotion ladder: the rank-r member waits
+	// SuspicionTimeout + r×LadderDelay without authority contact before
+	// it becomes a candidate and probes for an earlier promoter, so
+	// exactly one node usually wins (default 500ms). A cold cluster with
+	// every member up does not wait: its rank-0 member promotes on the
+	// first round in which all the others answer cold.
 	LadderDelay time.Duration
 	// LeaseTTL bounds how long an edge may admit from budget without a
 	// successful renewal. Must not exceed SuspicionTimeout: the edge
@@ -164,6 +172,10 @@ func (c Config) Validate() error {
 	if c.LeaseTTL > c.SuspicionTimeout {
 		return fmt.Errorf("cluster: lease TTL %v exceeds suspicion timeout %v (an edge must stop spending a lease before the authority reclaims it)",
 			c.LeaseTTL, c.SuspicionTimeout)
+	}
+	if c.HeartbeatInterval >= c.LeaseTTL {
+		return fmt.Errorf("cluster: heartbeat interval %v is not below lease TTL %v (leases renew on the heartbeat tick, so every lease would lapse between two renewals)",
+			c.HeartbeatInterval, c.LeaseTTL)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -129,14 +130,15 @@ func (o *countObs) ClusterRoleChange()    { o.roles.Add(1) }
 func (o *countObs) ClusterHeartbeatMiss() { o.misses.Add(1) }
 
 // testNode is one harness member: real controller, real node, real
-// wire server on a real loopback listener.
+// wire server on a real loopback listener. A member is dead until
+// bootNode brings it up, and again once killNode takes it down.
 type testNode struct {
 	id   uint32
 	addr string
+	dir  string
 	ctrl *admission.Controller
 	node *Node
 	srv  *wire.Server
-	ln   net.Listener
 	obs  *countObs
 	done chan error
 	dead bool
@@ -156,6 +158,32 @@ func testTimings() Config {
 	}
 }
 
+// TestConfigValidateTimings: the timer orderings Validate enforces. A
+// heartbeat at or above the lease TTL is refused, because the edge
+// renews only on the heartbeat tick; so is one that only the defaults
+// bring there.
+func TestConfigValidateTimings(t *testing.T) {
+	members := []Member{{ID: 0, Addr: "h:1"}}
+	cases := []struct {
+		hb, ttl, susp time.Duration
+		want          string
+	}{
+		{15 * time.Millisecond, 300 * time.Millisecond, 600 * time.Millisecond, ""},
+		{0, 0, 0, ""},
+		{500 * time.Millisecond, 500 * time.Millisecond, time.Second, "not below lease TTL"},
+		{800 * time.Millisecond, 500 * time.Millisecond, time.Second, "not below lease TTL"},
+		{2 * time.Second, 0, 5 * time.Second, "not below lease TTL"},
+		{0, 2 * time.Second, time.Second, "exceeds suspicion timeout"},
+	}
+	for _, c := range cases {
+		cfg := Config{NodeID: 0, Members: members, HeartbeatInterval: c.hb, LeaseTTL: c.ttl, SuspicionTimeout: c.susp}.withDefaults()
+		err := cfg.Validate()
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("heartbeat %v, lease TTL %v, suspicion %v: error %v, want %q", c.hb, c.ttl, c.susp, err, c.want)
+		}
+	}
+}
+
 // startCluster boots an n-node in-process cluster of MCI controllers.
 func startCluster(t *testing.T, n int) []*testNode {
 	t.Helper()
@@ -167,27 +195,44 @@ func startCluster(t *testing.T, n int) []*testNode {
 // elected an authority.
 func startClusterOn(t *testing.T, n int, build func(testing.TB) *admission.Controller) []*testNode {
 	t.Helper()
+	nodes := newClusterOn(t, n, build, testTimings())
+	for _, tn := range nodes {
+		bootNode(t, tn)
+	}
+	waitAuthority(t, nodes, 5*time.Second)
+	return nodes
+}
+
+// newClusterOn builds an n-node cluster on the given timings whose
+// members are all down: each has its loopback address, data directory
+// and node, and bootNode brings it up.
+func newClusterOn(t *testing.T, n int, build func(testing.TB) *admission.Controller, timings Config) []*testNode {
+	t.Helper()
 	nodes := make([]*testNode, n)
 	members := make([]Member, n)
+	base := t.TempDir()
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[i] = &testNode{id: uint32(i), ln: ln, addr: ln.Addr().String()}
+		nodes[i] = &testNode{id: uint32(i), addr: ln.Addr().String(), dead: true,
+			dir: filepath.Join(base, fmt.Sprintf("node%d", i))}
 		members[i] = Member{ID: uint32(i), Addr: nodes[i].addr}
+		// Closed until boot: a heartbeat to a member that is down is
+		// refused at once rather than left to time out.
+		ln.Close()
 	}
-	base := t.TempDir()
-	for i, tn := range nodes {
+	for _, tn := range nodes {
 		tn.ctrl = build(t)
 		tn.obs = &countObs{}
-		cfg := testTimings()
+		cfg := timings
 		cfg.NodeID = tn.id
 		cfg.Members = members
 		node, err := NewNode(NodeOptions{
 			Config:       cfg,
 			Controller:   tn.ctrl,
-			DataDir:      filepath.Join(base, fmt.Sprintf("node%d", i)),
+			DataDir:      tn.dir,
 			SegmentBytes: 64 << 10,
 			Observer:     tn.obs,
 			Logf:         t.Logf,
@@ -196,23 +241,28 @@ func startClusterOn(t *testing.T, n int, build func(testing.TB) *admission.Contr
 			t.Fatal(err)
 		}
 		tn.node = node
-		tn.srv = wire.NewServer(node.Backend(), wire.Options{Cluster: node})
-		tn.done = make(chan error, 1)
-		go func(tn *testNode) { tn.done <- tn.srv.Serve(tn.ln) }(tn)
-	}
-	for _, tn := range nodes {
-		tn.node.Start()
 	}
 	t.Cleanup(func() {
 		for _, tn := range nodes {
-			if tn.dead {
-				continue
-			}
 			killNode(t, tn)
 		}
 	})
-	waitAuthority(t, nodes, 5*time.Second)
 	return nodes
+}
+
+// bootNode brings a down member up: its wire server listens on the
+// member's address and its control loop starts.
+func bootNode(t *testing.T, tn *testNode) {
+	t.Helper()
+	ln, err := net.Listen("tcp", tn.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn.srv = wire.NewServer(tn.node.Backend(), wire.Options{Cluster: tn.node})
+	tn.done = make(chan error, 1)
+	go func() { tn.done <- tn.srv.Serve(ln) }()
+	tn.node.Start()
+	tn.dead = false
 }
 
 // killNode simulates a crash: the wire server goes away abruptly and

@@ -16,9 +16,9 @@ import (
 
 // Node ties the pieces into one cluster member: the edge plane every
 // admit lands on, the follower loop that heartbeats the authority and
-// mirrors its WAL, the rank-ladder promotion that replays the mirror
-// into a fresh ledger when the authority dies, and the authority state
-// once promoted. It implements wire.ClusterHandler, so a single wire
+// mirrors its WAL, the election (cold start or rank ladder) that
+// replays the mirror into a fresh ledger, and the authority state once
+// promoted. It implements wire.ClusterHandler, so a single wire
 // listener carries both admission traffic (dispatched to the edge
 // plane via Backend) and cluster control frames.
 type Node struct {
@@ -42,6 +42,7 @@ type Node struct {
 	cursorSeg   uint64 // follower replication cursor
 	cursorOff   int64
 	paused      bool // replication paused: local mirror ahead of a new authority
+	failed      bool // a promotion failed in this process: no cold start again
 	clients     map[uint32]*wire.Client
 	mirror      *os.File // open segment file the cursor points into
 	mirrorSeg   uint64
@@ -71,9 +72,11 @@ type NodeOptions struct {
 }
 
 // NewNode builds a node. Every node starts as a follower with no known
-// authority: the first suspicion window elects the lowest-ID live
-// member through the ordinary promotion ladder, so cold boot and
-// failover share one code path.
+// authority. A cold cluster elects its lowest-ID member on the first
+// heartbeat round in which every other member answers that it has heard
+// of no authority; with a member down, or any epoch heard, the election
+// falls back to the promotion ladder that failover uses, after the
+// suspicion timeout.
 func NewNode(opts NodeOptions) (*Node, error) {
 	cfg := opts.Config.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -234,12 +237,13 @@ func (n *Node) tick(now time.Time) {
 		n.mu.Unlock()
 		a.reap(now)
 	case RoleFollower:
+		cold := false
 		if aid != NoAuthority {
 			n.contactAuthority(aid, now)
 		} else {
-			n.probe(now)
+			cold = n.probe(now) == probeCold
 		}
-		n.maybePromote(now)
+		n.maybePromote(now, cold)
 	}
 }
 
@@ -419,94 +423,131 @@ func (n *Node) mirrorWrite(seg uint64, off int64, data []byte) error {
 	return f.Sync()
 }
 
-// probe scans the membership for a live authority. It reports whether
-// it saw a peer mid-promotion (RoleCandidate) instead: replaying a
-// mirror and re-reserving backings takes real time, and a ladder that
-// only recognizes finished authorities would fire into that window and
-// split the cluster.
-func (n *Node) probe(now time.Time) (sawCandidate bool) {
+// probeVerdict is what one heartbeat round over the membership found,
+// ordered so that the round's verdict is the highest any member gave.
+type probeVerdict int
+
+const (
+	// probeCold: every other member answered as a follower that has
+	// heard of no authority at any epoch.
+	probeCold probeVerdict = iota
+	// probeHeadless: no authority or candidate answered, but a member
+	// did not answer, or knows of an authority or an epoch.
+	probeHeadless
+	// probeCandidate: a peer is mid-promotion.
+	probeCandidate
+	// probeFollowing: a member answered as authority; this node now
+	// follows it.
+	probeFollowing
+)
+
+// probe heartbeats every other member, looking for a live authority to
+// follow. Short of one, it reports whether a peer is mid-promotion
+// (RoleCandidate) — replaying a mirror and re-reserving backings takes
+// real time, and a ladder that only recognizes finished authorities
+// would fire into that window and split the cluster — and whether the
+// whole membership answered cold.
+func (n *Node) probe(now time.Time) probeVerdict {
+	v := probeCold
 	for _, id := range n.cfg.sortedIDs() {
 		if id == n.cfg.NodeID {
 			continue
 		}
-		role, _, epoch, err := n.heartbeat(id)
-		if err != nil {
-			continue
+		role, aid, epoch, err := n.heartbeat(id)
+		switch {
+		case err != nil, role == RoleFollower && (aid != NoAuthority || epoch != 0):
+			v = max(v, probeHeadless)
+		case role == RoleCandidate:
+			v = probeCandidate
+		case role == RoleAuthority:
+			n.mu.Lock()
+			n.authorityID = id
+			n.lastContact = now
+			n.paused = false
+			if epoch > n.epoch {
+				n.epoch = epoch
+			}
+			n.mu.Unlock()
+			n.edge.markReattach()
+			n.logf("cluster: following authority %d (epoch %d)", id, epoch)
+			return probeFollowing
 		}
-		if role == RoleCandidate {
-			sawCandidate = true
-			continue
-		}
-		if role != RoleAuthority {
-			continue
-		}
-		n.mu.Lock()
-		n.authorityID = id
-		n.lastContact = now
-		n.paused = false
-		if epoch > n.epoch {
-			n.epoch = epoch
-		}
-		n.mu.Unlock()
-		n.edge.markReattach()
-		n.logf("cluster: following authority %d (epoch %d)", id, epoch)
-		return false
 	}
-	return sawCandidate
+	return v
 }
 
-// maybePromote walks the promotion ladder: after the suspicion timeout
-// plus this node's rank delay with no authority contact, probe once
-// more and, if the cluster is still headless, promote. A peer seen
-// mid-promotion resets the clock instead: defer to it, and if it fails
-// (it demotes itself) a full suspicion cycle restarts the ladder.
-func (n *Node) maybePromote(now time.Time) {
+// coldLocked reports whether this node may promote by cold start: it
+// heads the ladder (the lowest member ID), has heard of no authority at
+// any epoch, and no promotion of its own has failed — a failed one
+// resets only the silence clock, which the cold start does not read.
+func (n *Node) coldLocked() bool {
+	return n.authorityID == NoAuthority && n.epoch == 0 && !n.failed && n.cfg.rank(NoAuthority) == 0
+}
+
+// maybePromote elects this node when it is eligible: by the ladder,
+// after the suspicion timeout plus this node's rank delay with no
+// authority contact; or by cold start, when coldRound says this tick's
+// probe found every other member cold. Eligible, it becomes a candidate
+// before it looks again, so of two promoters that can reach each other
+// at least one sees the other. It promotes only if that second probe
+// finds the cluster headless, no peer mid-promotion, and the ladder
+// wait passed or the membership still cold. A peer seen mid-promotion
+// resets the clock: defer to it, and if it fails (it demotes itself) a
+// full suspicion cycle restarts the ladder.
+func (n *Node) maybePromote(now time.Time, coldRound bool) {
 	n.mu.Lock()
 	if n.role != RoleFollower {
 		n.mu.Unlock()
 		return
 	}
 	silent := now.Sub(n.lastContact)
-	dead := n.authorityID
-	n.mu.Unlock()
-	wait := n.cfg.SuspicionTimeout + time.Duration(n.cfg.rank(dead))*n.cfg.LadderDelay
-	if silent < wait {
-		return
-	}
-	if n.probe(now) {
-		n.mu.Lock()
-		n.lastContact = now
+	wait := n.cfg.SuspicionTimeout + time.Duration(n.cfg.rank(n.authorityID))*n.cfg.LadderDelay
+	cold := coldRound && n.coldLocked()
+	if silent < wait && !cold {
 		n.mu.Unlock()
-		n.logf("cluster: a peer is promoting; deferring")
 		return
 	}
-	n.mu.Lock()
-	headless := n.authorityID == NoAuthority || now.Sub(n.lastContact) >= wait
+	n.role = RoleCandidate
 	n.mu.Unlock()
-	if !headless {
-		return
+	n.obs.ClusterRoleChange()
+
+	switch v := n.probe(now); {
+	case v == probeCold && cold:
+		n.promote(now, fmt.Sprintf("cold start, %d members answered", len(n.cfg.Members)-1))
+	case v <= probeHeadless && silent >= wait:
+		n.promote(now, fmt.Sprintf("no authority for %v", silent))
+	default:
+		n.mu.Lock()
+		n.role = RoleFollower
+		if v == probeCandidate {
+			n.lastContact = now
+		}
+		n.mu.Unlock()
+		n.obs.ClusterRoleChange()
+		if v == probeCandidate {
+			n.logf("cluster: a peer is promoting; deferring")
+		}
 	}
-	n.promote(now, silent)
 }
 
 // promote replays the local mirror into the ledger and takes over as
-// authority at a fresh epoch.
-func (n *Node) promote(now time.Time, silent time.Duration) {
+// authority at a fresh epoch; the caller has made this node a
+// candidate. why names the path that elected it, for the log.
+func (n *Node) promote(now time.Time, why string) {
 	n.mu.Lock()
-	n.role = RoleCandidate
 	if f := n.mirror; f != nil {
 		f.Close()
 		n.mirror = nil
 	}
 	knownEpoch := n.epoch
 	n.mu.Unlock()
-	n.obs.ClusterRoleChange()
-	n.logf("cluster: no authority for %v; promoting from local mirror", silent)
+	n.logf("cluster: %s; promoting from local mirror", why)
 
 	fail := func(err error) {
 		n.logf("cluster: promotion failed: %v", err)
 		n.mu.Lock()
 		n.role = RoleFollower
+		n.failed = true
 		n.lastContact = time.Now() // full suspicion cycle before retrying
 		n.mu.Unlock()
 		n.obs.ClusterRoleChange()

@@ -40,7 +40,9 @@ type ClusterConfig struct {
 // id and members are required; members is a ';'-separated list of
 // ID@host:port entries and must include id. Unknown keys, duplicate
 // IDs, IDs above 255 (they ride the flow ID's eight node bits) and timing
-// inversions (lease_ttl_ms > suspicion_ms) are errors.
+// inversions (lease_ttl_ms > suspicion_ms, heartbeat_ms ≥ lease_ttl_ms)
+// are errors. A key left out takes the cluster package's default, which
+// cluster.Config.Validate checks against the keys given.
 func ParseClusterSpec(spec string) (*ClusterConfig, error) {
 	if spec == "" {
 		return nil, fmt.Errorf("config: cluster: empty spec")
@@ -124,6 +126,10 @@ func ParseClusterSpec(spec string) (*ClusterConfig, error) {
 	if cc.LeaseTTLMS > 0 && cc.SuspicionMS > 0 && cc.LeaseTTLMS > cc.SuspicionMS {
 		return nil, fmt.Errorf("config: cluster: lease_ttl_ms %d exceeds suspicion_ms %d (an edge must stop spending a lease before the authority reclaims it)",
 			cc.LeaseTTLMS, cc.SuspicionMS)
+	}
+	if cc.HeartbeatMS > 0 && cc.LeaseTTLMS > 0 && cc.HeartbeatMS >= cc.LeaseTTLMS {
+		return nil, fmt.Errorf("config: cluster: heartbeat_ms %d is not below lease_ttl_ms %d (leases renew on the heartbeat tick, so every lease would lapse between two renewals)",
+			cc.HeartbeatMS, cc.LeaseTTLMS)
 	}
 	return cc, nil
 }

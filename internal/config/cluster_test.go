@@ -47,6 +47,8 @@ func TestParseClusterSpecErrors(t *testing.T) {
 		{"id=0,members=0@h:99999", "bad port"},
 		{"id=0,members=0@h:1,heartbeat_ms=-5", "positive integer"},
 		{"id=0,members=0@h:1,suspicion_ms=100,lease_ttl_ms=200", "exceeds suspicion_ms"},
+		{"id=0,members=0@h:1,heartbeat_ms=500,lease_ttl_ms=500", "not below lease_ttl_ms"},
+		{"id=0,members=0@h:1,heartbeat_ms=800,lease_ttl_ms=500", "not below lease_ttl_ms"},
 		{"id=x,members=0@h:1", "not an integer"},
 		{"id=0,members=0@h:1,", "malformed argument"},
 	}
