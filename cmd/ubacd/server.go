@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"sync"
@@ -59,11 +60,6 @@ type server struct {
 	fpMu                       sync.Mutex
 	fpLast                     admission.FastPathStats
 	fpHit, fpStale, fpFallback *telemetry.Counter
-
-	// regSlots is the flow registry's footprint, read off the controller
-	// on each scrape: slots ÷ ubac_active_flows is how much of it is
-	// idle, and it should track the peak of active flows, not admits.
-	regSlots *telemetry.Gauge
 }
 
 func newServer(net *topology.Network, ctrl *admission.Controller,
@@ -73,8 +69,27 @@ func newServer(net *topology.Network, ctrl *admission.Controller,
 	s.fpHit = reg.Counter("ubac_admit_fastpath_total", fpHelp, telemetry.Label{Key: "outcome", Value: "hit"})
 	s.fpStale = reg.Counter("ubac_admit_fastpath_total", fpHelp, telemetry.Label{Key: "outcome", Value: "stale"})
 	s.fpFallback = reg.Counter("ubac_admit_fastpath_total", fpHelp, telemetry.Label{Key: "outcome", Value: "fallback"})
-	s.regSlots = reg.Gauge("ubac_registry_slots", "Flow registry slots allocated, live or free.")
+	// The registry's footprint: slots ÷ ubac_active_flows is how much of
+	// it is idle, and it should track the peak of active flows, not admits.
+	reg.GaugeFunc("ubac_registry_slots", "Flow registry slots allocated, live or free.",
+		func() int64 { return ctrl.Stats().RegistrySlots })
+	// The Go runtime's view, read without stopping the world: a warm
+	// daemon's heap holds its ledger and registry, and its GC clock stops.
+	reg.CounterFunc("ubac_go_gc_cycles_total", "Completed Go garbage collection cycles.",
+		runtimeMetric("/gc/cycles/total:gc-cycles"))
+	heapLive := runtimeMetric("/gc/heap/live:bytes")
+	reg.GaugeFunc("ubac_go_heap_live_bytes", "Go heap bytes live as of the last garbage collection.",
+		func() int64 { return int64(heapLive()) })
 	return s
+}
+
+// runtimeMetric returns a reader of one uint64 runtime/metrics sample.
+func runtimeMetric(name string) func() uint64 {
+	return func() uint64 {
+		sample := [1]metrics.Sample{{Name: name}}
+		metrics.Read(sample[:])
+		return sample[0].Value.Uint64()
+	}
 }
 
 // syncFastPath folds the controller's cumulative fast-path counters
@@ -198,7 +213,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.syncFastPath()
-	s.regSlots.Set(s.ctrl.Stats().RegistrySlots)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WritePrometheus(w)
 }

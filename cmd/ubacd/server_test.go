@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -815,5 +816,41 @@ func TestActiveFlowsGaugeSurvivesRecovery(t *testing.T) {
 	}
 	if _, st := get(t, ts2, "/v1/stats"); st["Active"].(float64) != 0 {
 		t.Errorf("/v1/stats Active = %v after drain", st["Active"])
+	}
+}
+
+// TestGoRuntimeSeriesExported: the collector's clock and the live heap
+// are on /metrics, read at scrape — a forced collection moves the one
+// and the other is the heap the daemon keeps.
+func TestGoRuntimeSeriesExported(t *testing.T) {
+	ts, _ := testDaemon(t)
+	value := func(out, series string) uint64 {
+		t.Helper()
+		for _, line := range strings.Split(out, "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				n, err := strconv.ParseUint(v, 10, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("/metrics has no %s", series)
+		return 0
+	}
+	out := scrape(t, ts)
+	for _, typ := range []string{"# TYPE ubac_go_gc_cycles_total counter", "# TYPE ubac_go_heap_live_bytes gauge"} {
+		if !strings.Contains(out, typ+"\n") {
+			t.Errorf("/metrics does not say %q", typ)
+		}
+	}
+	cycles := value(out, "ubac_go_gc_cycles_total")
+	runtime.GC()
+	out = scrape(t, ts)
+	if after := value(out, "ubac_go_gc_cycles_total"); after <= cycles {
+		t.Errorf("ubac_go_gc_cycles_total %d after a forced collection, was %d", after, cycles)
+	}
+	if live := value(out, "ubac_go_heap_live_bytes"); live == 0 {
+		t.Error("ubac_go_heap_live_bytes is 0 after a collection")
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"ubac/internal/admission"
 	"ubac/internal/wal"
-	"ubac/internal/wire"
 )
 
 // The authority owns the cluster's real utilization ledger. Every unit
@@ -40,6 +39,8 @@ type authority struct {
 	logf func(string, ...any)
 
 	mu       sync.Mutex
+	items    []leaseItem // serveLease's scratch, like grants
+	grants   []uint64
 	backing  map[backKey]uint64
 	lastSeen map[uint32]time.Time
 	attached map[uint32]bool
@@ -82,21 +83,45 @@ func (a *authority) noteSeen(node uint32, now time.Time) {
 // handleLease is the grant path: adjust this node's backing to the
 // reported sums, grant wanted budget while headroom holds, journal
 // every change as an absolute record, and fsync before acknowledging
-// any grant.
-func (a *authority) handleLease(node uint32, items []leaseItem, now time.Time) ([]uint64, error) {
+// any grant. The grants, one per item, go to grants[:0].
+func (a *authority) handleLease(node uint32, items []leaseItem, grants []uint64, now time.Time) ([]uint64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	return a.leaseLocked(node, items, grants, now)
+}
+
+// serveLease answers a remote edge's lease frame: the request is
+// decoded into, and granted from, the authority's own scratch, and the
+// response is appended to dst.
+func (a *authority) serveLease(count uint16, body, dst []byte, now time.Time) ([]byte, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	node, items, err := decodeLeaseReq(count, body, a.items)
+	a.items = items
+	if err != nil {
+		return nil, err
+	}
+	grants, err := a.leaseLocked(node, items, a.grants, now)
+	a.grants = grants
+	if err != nil {
+		return nil, err
+	}
+	return appendLeaseResp(dst, a.cfg.LeaseTTL, items, grants), nil
+}
+
+// leaseLocked is handleLease with mu held.
+func (a *authority) leaseLocked(node uint32, items []leaseItem, grants []uint64, now time.Time) ([]uint64, error) {
 	a.lastSeen[node] = now
 	if a.settling && !a.attached[node] {
 		a.attached[node] = true
 		a.checkSettleLocked(now)
 	}
-	grants := make([]uint64, len(items))
+	grants = append(grants[:0], make([]uint64, len(items))...)
 	anyGrant := false
 	for i, it := range items {
 		ci := int(it.ci)
 		if ci < 0 || ci >= a.ctrl.ClassCount() || it.ri < 0 || int(it.ri) >= a.ctrl.RouteCount(ci) {
-			return nil, fmt.Errorf("cluster: lease item (%d,%d) out of range", it.ci, it.ri)
+			return grants, fmt.Errorf("cluster: lease item (%d,%d) out of range", it.ci, it.ri)
 		}
 		key := backKey{node: node, ci: it.ci, ri: it.ri}
 		old := a.backing[key]
@@ -142,7 +167,7 @@ func (a *authority) handleLease(node uint32, items []leaseItem, now time.Time) (
 				if g := grants[i]; g > 0 && g != leaseRejected {
 					a.ctrl.ReleaseBlock(ci, it.ri, int64(g))
 				}
-				return nil, err
+				return grants, err
 			}
 			if cur == 0 {
 				delete(a.backing, key)
@@ -155,7 +180,7 @@ func (a *authority) handleLease(node uint32, items []leaseItem, now time.Time) (
 		// One group commit covers every record this call staged; grants
 		// are durable before the edge hears about them.
 		if err := a.log.Flush(); err != nil {
-			return nil, err
+			return grants, err
 		}
 	}
 	return grants, nil
@@ -201,11 +226,12 @@ func (a *authority) handleRevoke(node uint32, items []revokeItem, now time.Time)
 var fetchBufs = sync.Pool{New: func() any { return new([fetchMax]byte) }}
 
 // handleFetch serves verbatim durable segment bytes plus the current
-// tail position (the follower's lag gauge), as an encoded fetch
-// response. The read is sized by what lies between the follower and
-// the durable tail: a follower that has caught up — every follower, on
-// nearly every heartbeat — reads nothing and takes no buffer.
-func (a *authority) handleFetch(seg uint64, off int64, max uint32) ([]byte, error) {
+// tail position (the follower's lag gauge), as a fetch response
+// appended to dst. The read is sized by what lies between the follower
+// and the durable tail: a follower that has caught up — every
+// follower, on nearly every heartbeat — reads nothing and takes no
+// buffer.
+func (a *authority) handleFetch(seg uint64, off int64, max uint32, dst []byte) ([]byte, error) {
 	if max > fetchMax {
 		max = fetchMax
 	}
@@ -223,8 +249,7 @@ func (a *authority) handleFetch(seg uint64, off int64, max uint32) ([]byte, erro
 	if err != nil {
 		return nil, err
 	}
-	resp := make([]byte, 0, wire.FetchRespHeadLen+n)
-	return appendFetchResp(resp, tailSeg, tailOff, eos, data[:n]), nil
+	return appendFetchResp(dst, tailSeg, tailOff, eos, data[:n]), nil
 }
 
 // reap reclaims the backing of edges silent past the suspicion

@@ -40,22 +40,21 @@ func appendLeaseReq(b []byte, node uint32, items []leaseItem) []byte {
 	return b
 }
 
-func decodeLeaseReq(count uint16, body []byte) (node uint32, items []leaseItem, err error) {
+// decodeLeaseReq decodes a lease request's items into items[:0].
+func decodeLeaseReq(count uint16, body []byte, items []leaseItem) (node uint32, _ []leaseItem, err error) {
 	if len(body) != 4+int(count)*wire.LeaseReqUnitLen {
-		return 0, nil, fmt.Errorf("cluster: lease request body %d bytes, want %d", len(body), 4+int(count)*wire.LeaseReqUnitLen)
+		return 0, items, fmt.Errorf("cluster: lease request body %d bytes, want %d", len(body), 4+int(count)*wire.LeaseReqUnitLen)
 	}
 	node = binary.LittleEndian.Uint32(body)
-	items = make([]leaseItem, count)
-	off := 4
-	for i := range items {
-		items[i] = leaseItem{
+	items = items[:0]
+	for off := 4; off < len(body); off += wire.LeaseReqUnitLen {
+		items = append(items, leaseItem{
 			ci:   int32(binary.LittleEndian.Uint32(body[off:])),
 			ri:   int32(binary.LittleEndian.Uint32(body[off+4:])),
 			act:  binary.LittleEndian.Uint64(body[off+8:]),
 			bud:  binary.LittleEndian.Uint64(body[off+16:]),
 			want: binary.LittleEndian.Uint64(body[off+24:]),
-		}
-		off += wire.LeaseReqUnitLen
+		})
 	}
 	return node, items, nil
 }
@@ -70,30 +69,24 @@ func appendLeaseResp(b []byte, ttl time.Duration, items []leaseItem, grants []ui
 	return b
 }
 
-// leaseGrant is one granted (or rejected) item of a lease response.
-type leaseGrant struct {
-	ci    int32
-	ri    int32
-	grant uint64
-}
-
-func decodeLeaseResp(body []byte) (ttl time.Duration, grants []leaseGrant, err error) {
-	if len(body) < 4 || (len(body)-4)%wire.LeaseRespUnitLen != 0 {
-		return 0, nil, fmt.Errorf("cluster: lease response body %d bytes", len(body))
+// decodeLeaseResp decodes the response to a lease request for items
+// into grants[:0], one per item (or leaseRejected), refusing a response
+// whose items are not the request's.
+func decodeLeaseResp(body []byte, items []leaseItem, grants []uint64) (_ []uint64, ttl time.Duration, err error) {
+	if len(body) != 4+len(items)*wire.LeaseRespUnitLen {
+		return grants, 0, fmt.Errorf("cluster: lease response body %d bytes for %d items", len(body), len(items))
 	}
 	ttl = time.Duration(binary.LittleEndian.Uint32(body)) * time.Millisecond
-	n := (len(body) - 4) / wire.LeaseRespUnitLen
-	grants = make([]leaseGrant, n)
-	off := 4
-	for i := range grants {
-		grants[i] = leaseGrant{
-			ci:    int32(binary.LittleEndian.Uint32(body[off:])),
-			ri:    int32(binary.LittleEndian.Uint32(body[off+4:])),
-			grant: binary.LittleEndian.Uint64(body[off+8:]),
+	grants = grants[:0]
+	for i, it := range items {
+		off := 4 + i*wire.LeaseRespUnitLen
+		ci, ri := int32(binary.LittleEndian.Uint32(body[off:])), int32(binary.LittleEndian.Uint32(body[off+4:]))
+		if ci != it.ci || ri != it.ri {
+			return grants, 0, fmt.Errorf("cluster: lease response item %d is (%d,%d), want (%d,%d)", i, ci, ri, it.ci, it.ri)
 		}
-		off += wire.LeaseRespUnitLen
+		grants = append(grants, binary.LittleEndian.Uint64(body[off+8:]))
 	}
-	return ttl, grants, nil
+	return grants, ttl, nil
 }
 
 func appendHeartbeatReq(b []byte, node uint32) []byte {

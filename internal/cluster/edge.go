@@ -164,11 +164,11 @@ func (c *cell) takeUntouched() uint64 {
 	}
 }
 
-// grantFunc performs one lease call: grants are aligned with items
-// (leaseRejected marks items the authority refused to account), ttl is
-// the renewal deadline for the non-rejected items. Called under
-// leaseMu.
-type grantFunc func(items []leaseItem) (grants []uint64, ttl time.Duration, err error)
+// grantFunc performs one lease call: the grants, aligned with items
+// (leaseRejected marks items the authority refused to account), go to
+// grants[:0]; ttl is the renewal deadline for the non-rejected items.
+// Called under leaseMu.
+type grantFunc func(items []leaseItem, grants []uint64) (_ []uint64, ttl time.Duration, err error)
 
 // edgePlane implements wire.Backend over lease cells. One per node.
 type edgePlane struct {
@@ -188,6 +188,12 @@ type edgePlane struct {
 	grant      grantFunc
 	lastRenew  time.Time
 	fullReport bool // next renewal reports every cell (reattach)
+	// items and itemCells (aligned) gather the next lease call, and
+	// grants takes its answer: scratch every renewal and reclaim reuses.
+	// add and flush keep items empty between calls.
+	items     []leaseItem
+	itemCells []*cell
+	grants    []uint64
 	// seen[route] == stamp marks a route already gathered by the reclaim
 	// in progress.
 	seen  []uint32
@@ -277,8 +283,8 @@ func (e *edgePlane) syncAdmit(ci int, ri int32, c *cell, now int64) error {
 		return e.leaseReject(c, causeDown)
 	}
 	// A cold cell asks for a block; a warm one knows what it uses.
-	want := e.askFor(c, uint64(e.cfg.LeaseBlock))
-	if err := e.renewLocked([]leaseItem{e.itemFor(ci, ri, c, want)}, []*cell{c}); err != nil {
+	e.add(e.itemFor(ci, ri, c, e.askFor(c, uint64(e.cfg.LeaseBlock))), c) // one item: no call yet
+	if err := e.flush(); err != nil {
 		e.leaseReject(c, causeDown)
 		return err
 	}
@@ -330,8 +336,6 @@ func (e *edgePlane) leaseReject(c *cell, cause string) error {
 // shortage to the next cell to run dry and every admit onto this path.
 // Caller holds leaseMu.
 func (e *edgePlane) reclaimLocked(ci int, ri int32, c *cell) error {
-	var items []leaseItem
-	var cells []*cell
 	reclaimed := false
 	e.stamp++
 	e.seen[ri] = e.stamp
@@ -346,13 +350,8 @@ func (e *edgePlane) reclaimLocked(ci int, ri int32, c *cell) error {
 				continue
 			}
 			reclaimed = true
-			items = append(items, e.itemFor(ci, sr, sc, 0))
-			cells = append(cells, sc)
-			if len(items) == maxLeaseItems {
-				if err := e.renewLocked(items, cells); err != nil {
-					return err
-				}
-				items, cells = items[:0], cells[:0]
+			if err := e.add(e.itemFor(ci, sr, sc, 0), sc); err != nil {
+				return err
 			}
 		}
 	}
@@ -360,8 +359,31 @@ func (e *edgePlane) reclaimLocked(ci int, ri int32, c *cell) error {
 		return nil // nothing parked here: the reject is the authority's
 	}
 	e.obs.ClusterReclaim()
-	want := e.askFor(c, 1)
-	return e.renewLocked(append(items, e.itemFor(ci, ri, c, want)), append(cells, c))
+	if err := e.add(e.itemFor(ci, ri, c, e.askFor(c, 1)), c); err != nil {
+		return err
+	}
+	return e.flush()
+}
+
+// add gathers one cell into the next lease call, making the call once
+// it holds maxLeaseItems. Caller holds leaseMu.
+func (e *edgePlane) add(it leaseItem, c *cell) error {
+	e.items, e.itemCells = append(e.items, it), append(e.itemCells, c)
+	if len(e.items) == maxLeaseItems {
+		return e.flush()
+	}
+	return nil
+}
+
+// flush makes the lease call gathered so far, if any. Caller holds
+// leaseMu.
+func (e *edgePlane) flush() error {
+	if len(e.items) == 0 {
+		return nil
+	}
+	err := e.renewLocked(e.items, e.itemCells)
+	e.items, e.itemCells = e.items[:0], e.itemCells[:0]
+	return err
 }
 
 // itemFor snapshots a cell into a lease item. The sum it reads is
@@ -375,7 +397,8 @@ func (e *edgePlane) itemFor(ci int, ri int32, c *cell, want uint64) leaseItem {
 // result. cells is aligned with items. Caller holds leaseMu.
 func (e *edgePlane) renewLocked(items []leaseItem, cells []*cell) error {
 	start := time.Now()
-	grants, ttl, err := e.grant(items)
+	grants, ttl, err := e.grant(items, e.grants)
+	e.grants = grants
 	if err != nil {
 		e.downUntil.Store(time.Now().Add(e.cfg.LeaseTTL / 3).UnixNano())
 		return err
@@ -449,16 +472,6 @@ func (e *edgePlane) markReattach() {
 func (e *edgePlane) renewAllLocked(now time.Time) {
 	e.lastRenew = now
 	full := e.fullReport
-	var items []leaseItem
-	var cells []*cell
-	flush := func() error {
-		if len(items) == 0 {
-			return nil
-		}
-		err := e.renewLocked(items, cells)
-		items, cells = items[:0], cells[:0]
-		return err
-	}
 	for ci := range e.cells {
 		for ri := range e.cells[ci] {
 			c := &e.cells[ci][ri]
@@ -481,16 +494,12 @@ func (e *edgePlane) renewAllLocked(now time.Time) {
 			if !full && act+bud == 0 && c.lastAcked == 0 && want == 0 {
 				continue
 			}
-			items = append(items, leaseItem{ci: int32(ci), ri: int32(ri), act: act, bud: bud, want: want})
-			cells = append(cells, c)
-			if len(items) == maxLeaseItems {
-				if flush() != nil {
-					return // authority unreachable; TTLs will fail safe
-				}
+			if e.add(leaseItem{ci: int32(ci), ri: int32(ri), act: act, bud: bud, want: want}, c) != nil {
+				return // authority unreachable; TTLs will fail safe
 			}
 		}
 	}
-	if flush() == nil {
+	if e.flush() == nil {
 		e.fullReport = false
 	}
 }

@@ -32,6 +32,10 @@ type Node struct {
 	segBytes int64
 	timeout  time.Duration // one cluster RPC
 
+	// leaseReq is dispatchGrant's request buffer. The edge plane makes
+	// its lease calls under its leaseMu, so they never overlap.
+	leaseReq []byte
+
 	mu          sync.Mutex
 	role        Role
 	authorityID uint32 // NoAuthority when unknown
@@ -616,49 +620,32 @@ func (n *Node) promote(now time.Time, why string) {
 
 // dispatchGrant is the edge plane's grant function: in-process when
 // this node is the authority, one wire round trip otherwise.
-func (n *Node) dispatchGrant(items []leaseItem) ([]uint64, time.Duration, error) {
+func (n *Node) dispatchGrant(items []leaseItem, grants []uint64) ([]uint64, time.Duration, error) {
 	n.mu.Lock()
 	role, a, aid := n.role, n.auth, n.authorityID
 	n.mu.Unlock()
 	if role == RoleAuthority {
-		grants, err := a.handleLease(n.cfg.NodeID, items, time.Now())
-		if err != nil {
-			return nil, 0, err
-		}
-		return grants, n.cfg.LeaseTTL, nil
+		grants, err := a.handleLease(n.cfg.NodeID, items, grants, time.Now())
+		return grants, n.cfg.LeaseTTL, err
 	}
 	if aid == NoAuthority {
-		return nil, 0, fmt.Errorf("cluster: no known authority")
+		return grants, 0, fmt.Errorf("cluster: no known authority")
 	}
 	cl, err := n.clientFor(aid)
 	if err != nil {
-		return nil, 0, err
+		return grants, 0, err
 	}
-	body := appendLeaseReq(nil, n.cfg.NodeID, items)
-	resp, err := cl.ClusterCall(wire.FrameLease, uint16(len(items)), body, n.timeout)
+	n.leaseReq = appendLeaseReq(n.leaseReq[:0], n.cfg.NodeID, items)
+	resp, err := cl.ClusterCall(wire.FrameLease, uint16(len(items)), n.leaseReq, n.timeout)
 	if err != nil {
-		return nil, 0, err
+		return grants, 0, err
 	}
-	ttl, gs, err := decodeLeaseResp(resp)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(gs) != len(items) {
-		return nil, 0, fmt.Errorf("cluster: lease response has %d items, want %d", len(gs), len(items))
-	}
-	grants := make([]uint64, len(items))
-	for i, g := range gs {
-		if g.ci != items[i].ci || g.ri != items[i].ri {
-			return nil, 0, fmt.Errorf("cluster: lease response item %d is (%d,%d), want (%d,%d)", i, g.ci, g.ri, items[i].ci, items[i].ri)
-		}
-		grants[i] = g.grant
-	}
-	return grants, ttl, nil
+	return decodeLeaseResp(resp, items, grants)
 }
 
 // ClusterFrame implements wire.ClusterHandler: the server hands every
 // cluster-typed frame here and writes back whatever this returns.
-func (n *Node) ClusterFrame(typ byte, count uint16, body []byte) (uint16, []byte, uint32, string) {
+func (n *Node) ClusterFrame(typ byte, count uint16, body, dst []byte) (uint16, []byte, uint32, string) {
 	switch typ {
 	case wire.FrameHeartbeat:
 		node, err := decodeHeartbeatReq(body)
@@ -672,22 +659,18 @@ func (n *Node) ClusterFrame(typ byte, count uint16, body []byte) (uint16, []byte
 			aid = n.cfg.NodeID
 			a.noteSeen(node, time.Now())
 		}
-		return 0, appendHeartbeatResp(nil, role, aid, epoch), wire.StatusOK, ""
+		return 0, appendHeartbeatResp(dst, role, aid, epoch), wire.StatusOK, ""
 
 	case wire.FrameLease:
 		a, ok := n.authorityState()
 		if !ok {
 			return 0, nil, wire.StatusInternal, "not the authority"
 		}
-		node, items, err := decodeLeaseReq(count, body)
+		resp, err := a.serveLease(count, body, dst, time.Now())
 		if err != nil {
 			return 0, nil, wire.StatusInternal, err.Error()
 		}
-		grants, err := a.handleLease(node, items, time.Now())
-		if err != nil {
-			return 0, nil, wire.StatusInternal, err.Error()
-		}
-		return count, appendLeaseResp(nil, n.cfg.LeaseTTL, items, grants), wire.StatusOK, ""
+		return count, resp, wire.StatusOK, ""
 
 	case wire.FrameFetch:
 		a, ok := n.authorityState()
@@ -698,7 +681,7 @@ func (n *Node) ClusterFrame(typ byte, count uint16, body []byte) (uint16, []byte
 		if err != nil {
 			return 0, nil, wire.StatusInternal, err.Error()
 		}
-		resp, err := a.handleFetch(seg, off, max)
+		resp, err := a.handleFetch(seg, off, max, dst)
 		if errors.Is(err, wal.ErrOutOfRange) {
 			return 0, nil, wire.StatusFetchOutOfRange, err.Error()
 		}
@@ -720,7 +703,7 @@ func (n *Node) ClusterFrame(typ byte, count uint16, body []byte) (uint16, []byte
 		if err != nil {
 			return 0, nil, wire.StatusInternal, err.Error()
 		}
-		return count, statuses, wire.StatusOK, ""
+		return count, append(dst, statuses...), wire.StatusOK, ""
 	}
 	return 0, nil, wire.StatusInternal, fmt.Sprintf("cluster: unhandled frame 0x%02x", typ)
 }

@@ -1,0 +1,7 @@
+//go:build !race
+
+package cluster
+
+// raceEnabled reports whether the race detector is instrumenting this
+// build. Allocation counts only mean something uninstrumented.
+const raceEnabled = false

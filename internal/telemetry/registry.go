@@ -71,6 +71,7 @@ type series struct {
 	c      *Counter
 	fn     func() uint64 // CounterFunc: the value is read at scrape
 	g      *Gauge
+	gfn    func() int64 // GaugeFunc: the value is read at scrape
 	h      *Histogram
 }
 
@@ -169,6 +170,16 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return r.lookup(name, help, kindGauge, labels).g
 }
 
+// GaugeFunc registers a gauge whose value is read from fn at every
+// scrape, for levels some other structure already keeps (fn must be
+// safe for concurrent use).
+func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...Label) {
+	s := r.lookup(name, help, kindGauge, labels)
+	r.mu.Lock()
+	s.gfn = fn
+	r.mu.Unlock()
+}
+
 // Histogram registers (or finds) a histogram.
 func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	return r.lookup(name, help, kindHistogram, labels).h
@@ -205,7 +216,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				}
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, v)
 			case kindGauge:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.g.Value())
+				v := s.g.Value()
+				if s.gfn != nil {
+					v = s.gfn()
+				}
+				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, v)
 			case kindHistogram:
 				s.h.writePrometheus(&b, f.name, s.labels)
 			}

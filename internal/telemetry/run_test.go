@@ -101,27 +101,28 @@ func TestDecisionRunMatchesDecisions(t *testing.T) {
 	}
 }
 
-// stamped returns an event whose every field follows from k, so a
+// stamped returns a record whose every field follows from k, so a
 // reader can tell a torn one apart: a field that came from another
-// event fails consistent.
-func stamped(k uint64) Event {
+// record fails consistent.
+func stamped(k uint64) record {
 	classes := [...]string{"voice", "video", "bulk"}
-	return Event{
-		FlowID:     k,
-		Class:      classes[k%3],
-		Src:        int(k % 1000),
-		Dst:        int(k%1000) ^ 0x155,
-		RateBPS:    float64(k),
-		Verdict:    "admit",
-		Bottleneck: -int(k % 7),
-		LatencyNS:  int64(k) * 3,
+	return record{
+		TimeUnixNano: int64(k) * 5,
+		FlowID:       k,
+		Class:        classes[k%3],
+		Tenant:       classes[k%2],
+		Src:          int32(k % 1000),
+		Dst:          int32(k%1000) ^ 0x155,
+		RateBPS:      float64(k),
+		Verdict:      Verdict(k % uint64(numVerdicts)),
+		Bottleneck:   -int32(k % 7),
+		LatencyNS:    int64(k) * 3,
 	}
 }
 
 func consistent(ev Event) bool {
 	want := stamped(ev.FlowID)
-	want.Seq = ev.Seq
-	return ev == want
+	return ev == want.event(ev.Seq)
 }
 
 // TestRingAppendRunConcurrent is the -race test for the bulk append:
@@ -153,9 +154,9 @@ func TestRingAppendRunConcurrent(t *testing.T) {
 				k0 := base + uint64(done)
 				var first uint64
 				if w == 0 {
-					first = r.Append(stamped(k0))
+					first = r.add(stamped(k0))
 				} else {
-					first = r.AppendRun(n, func(i int, slot *Event) { *slot = stamped(k0 + uint64(i)) })
+					first = r.appendRun(n, func(i int, slot *record) { *slot = stamped(k0 + uint64(i)) })
 				}
 				spans[w] = append(spans[w], span{first, uint64(n)})
 				done += n
@@ -222,7 +223,7 @@ func TestRingAppendRunConcurrent(t *testing.T) {
 	}
 	lap := func() {
 		for i := 0; i < 4; i++ {
-			r.AppendRun(128, func(i int, slot *Event) { *slot = stamped(uint64(i)) })
+			r.appendRun(128, func(i int, slot *record) { *slot = stamped(uint64(i)) })
 		}
 	}
 	lap() // whatever the readers kept from reuse is displaced by now
@@ -254,32 +255,32 @@ func TestHistogramObserveN(t *testing.T) {
 	}
 }
 
-// TestDecisionRunOverwritesRecycledSlot guards the in-place event
-// fill: a recycled slot still holds its last event, so a field the fill
-// forgot would surface as someone else's value. Every field of the old
-// events is set (by reflection, so a field added to Event later is
-// covered), the new decisions are all zero values, and the ring must
+// TestDecisionRunOverwritesRecycledSlot guards the in-place record
+// fill: a recycled slot still holds its last record, so a field the
+// fill forgot would surface as someone else's value. Every field of the
+// old records is set (by reflection, so a field added to record later
+// is covered), the new decisions are all zero values, and the ring must
 // show exactly what the decisions say.
 func TestDecisionRunOverwritesRecycledSlot(t *testing.T) {
 	ring := NewRing(2)
-	var poison Event
+	var poison record
 	pv := reflect.ValueOf(&poison).Elem()
 	for i := 0; i < pv.NumField(); i++ {
 		switch f := pv.Field(i); f.Kind() {
 		case reflect.String:
 			f.SetString("stale")
-		case reflect.Int, reflect.Int64:
+		case reflect.Int32, reflect.Int64:
 			f.SetInt(77)
-		case reflect.Uint64:
-			f.SetUint(77)
+		case reflect.Uint8, reflect.Uint64:
+			f.SetUint(7)
 		case reflect.Float64:
 			f.SetFloat(77)
 		default:
-			t.Fatalf("Event.%s: unhandled kind %v", pv.Type().Field(i).Name, f.Kind())
+			t.Fatalf("record.%s: unhandled kind %v", pv.Type().Field(i).Name, f.Kind())
 		}
 	}
 	for i := 0; i < 16; i++ {
-		ring.Append(poison)
+		ring.add(poison)
 	}
 	s := NewRegistrySink(NewRegistry(), ring)
 	when := time.Unix(0, 12345)

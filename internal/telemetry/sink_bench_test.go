@@ -63,10 +63,10 @@ func BenchmarkSinkDecisionRun(b *testing.B) {
 // path.
 func BenchmarkRingAppend(b *testing.B) {
 	r := NewRing(4096)
-	ev := Event{Class: "voice", Src: 3, Dst: 7, Verdict: "admitted"}
+	rec := record{Class: "voice", Src: 3, Dst: 7}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ev.FlowID = uint64(i)
-		r.Append(ev)
+		rec.FlowID = uint64(i)
+		r.add(rec)
 	}
 }

@@ -9,7 +9,8 @@
 // per-flow state in the core; this package exists to make that property
 // observable in production without giving it up. Recording takes no
 // lock and allocates nothing, in the registry or in the ring (which
-// turns its event chunks over), and decisions are recorded by the run:
+// turns its event chunks over, however many goroutines record into
+// it), and decisions are recorded by the run:
 // a coalesced batch reaches the sink as one DecisionRun call, whose
 // shared words — verdict and class counters, the active-flow gauge, the
 // latency histogram, the ring's ticket counter — are each written once

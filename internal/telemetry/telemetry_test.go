@@ -1,10 +1,14 @@
 package telemetry
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestVerdictStringsAndReasons(t *testing.T) {
@@ -182,13 +186,18 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// add records one event: a run of one.
+func (r *Ring) add(rec record) uint64 {
+	return r.appendRun(1, func(_ int, slot *record) { *slot = rec })
+}
+
 func TestRingWraparound(t *testing.T) {
 	r := NewRing(8)
 	if r.Cap() != 8 {
 		t.Fatalf("cap = %d", r.Cap())
 	}
 	for i := 1; i <= 20; i++ {
-		r.Append(Event{FlowID: uint64(i)})
+		r.add(record{FlowID: uint64(i)})
 	}
 	if r.Total() != 20 {
 		t.Errorf("total = %d", r.Total())
@@ -211,7 +220,7 @@ func TestRingWraparound(t *testing.T) {
 
 func TestRingPartialFill(t *testing.T) {
 	r := NewRing(1024)
-	r.Append(Event{Class: "voice"})
+	r.add(record{Class: "voice"})
 	evs := r.Snapshot(100)
 	if len(evs) != 1 || evs[0].Seq != 1 || evs[0].Class != "voice" {
 		t.Errorf("snapshot = %+v", evs)
@@ -232,14 +241,14 @@ func TestRingRecyclesChunks(t *testing.T) {
 	lap := func() {
 		for i := 0; i < 2*256; i++ {
 			n++
-			r.Append(Event{FlowID: n, Verdict: "admit"})
+			r.add(record{FlowID: n})
 		}
 	}
 	runLap := func() {
 		for done := 0; done < 2*256; done += 100 {
 			first := n + 1
-			r.AppendRun(100, func(i int, slot *Event) {
-				*slot = Event{FlowID: first + uint64(i), Verdict: "admit"}
+			r.appendRun(100, func(i int, slot *record) {
+				*slot = record{FlowID: first + uint64(i)}
 			})
 			n += 100
 		}
@@ -278,6 +287,85 @@ func TestRingRecyclesChunks(t *testing.T) {
 	check()
 }
 
+// TestRingConcurrentWritersAllocateNothing: a warm ring turns its
+// chunks over under concurrent writers too. Writers crossing into a new
+// chunk at once all try to install it; one wins and the others hand
+// their chunk back, and none of that may cost the collector a chunk.
+// Runs of 1 and of 64 (offset by one ticket, so every run straddles two
+// chunks), from 2 and 4 writers. The writers append in phases of one
+// lap in all, so none is ever lapped (a lapped writer skips its tickets,
+// and the chunk they fell in is let go), and meet between phases on
+// atomics, not channels, whose parking allocates now and then.
+func TestRingConcurrentWritersAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	if size := unsafe.Sizeof(record{}); size != 80 {
+		t.Errorf("a ring record is %d bytes, want 80", size)
+	}
+	for _, writers := range []int{2, 4} {
+		for _, run := range []int{1, 64} {
+			t.Run(fmt.Sprintf("writers=%d/run=%d", writers, run), func(t *testing.T) {
+				r := NewRing(4096)
+				r.add(record{})
+				perPhase := r.Cap() / writers
+				var started, finished atomic.Int64
+				var stop atomic.Bool
+				defer stop.Store(true)
+				for w := 0; w < writers; w++ {
+					go func() {
+						for p := int64(1); ; p++ {
+							for started.Load() < p {
+								if stop.Load() {
+									return
+								}
+								runtime.Gosched()
+							}
+							for n := 0; n < perPhase; n += run {
+								r.appendRun(run, func(i int, slot *record) { *slot = record{FlowID: uint64(n + i)} })
+							}
+							finished.Add(1)
+						}
+					}()
+				}
+				phase := func() {
+					p := started.Add(1)
+					for finished.Load() < p*int64(writers) {
+						runtime.Gosched()
+					}
+				}
+				phase() // every chunk slot installed
+				phase()
+				// The free list holds a chunk per install in flight at once;
+				// a long-running ring has seen every writer install together.
+				for w := 0; w < writers; w++ {
+					r.give(new(eventChunk))
+				}
+				phase()
+				// Best of three windows: the runtime itself allocates now and
+				// then, and that can land in any one of them.
+				const phases = 8
+				var mallocs uint64
+				for try := 0; try < 3; try++ {
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					for i := 0; i < phases; i++ {
+						phase()
+					}
+					runtime.ReadMemStats(&after)
+					if mallocs = after.Mallocs - before.Mallocs; mallocs == 0 {
+						break
+					}
+				}
+				if mallocs != 0 {
+					t.Errorf("%d allocations over %d concurrent appends on a warm ring, want 0",
+						mallocs, phases*writers*perPhase)
+				}
+			})
+		}
+	}
+}
+
 // TestRingConcurrent is the -race test for lock-free append/snapshot.
 func TestRingConcurrent(t *testing.T) {
 	r := NewRing(64)
@@ -288,7 +376,7 @@ func TestRingConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 5000; i++ {
-				r.Append(Event{FlowID: uint64(w*5000 + i), Verdict: "admit"})
+				r.add(record{FlowID: uint64(w*5000 + i)})
 			}
 		}(w)
 	}

@@ -142,14 +142,13 @@ func appendLeasePayload(b []byte, node uint32, class, route int32, backing uint6
 	return b
 }
 
-// appendFrame wraps payload in the length+CRC frame and appends it to b.
-// payload must be the final bytes of b (appended by an appendXxxPayload
-// call into a scratch area) or any other slice; the frame is
-// self-contained.
+// appendFrame wraps payload in the length+CRC frame and appends it to
+// b. The CRC is taken over the copy in b: payload, usually a caller's
+// stack array, would otherwise escape through crc32's dispatch and cost
+// an allocation per record.
 func appendFrame(b, payload []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
-	return append(b, payload...)
+	b, base := beginFrame(b)
+	return endFrame(append(b, payload...), base)
 }
 
 // beginFrame reserves a frame header at the end of b so a batch can

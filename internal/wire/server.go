@@ -28,12 +28,15 @@ type Backend interface {
 
 // ClusterHandler answers the cluster frames (lease, heartbeat, fetch,
 // revoke) on behalf of a cluster node. The wire layer hands over the
-// raw decoded frame and encodes whatever comes back; body layouts are
-// the cluster package's business. A non-zero errStatus becomes a
-// protocol-error response frame (the connection stays up — cluster
-// peers ride the same connections as admission traffic).
+// raw decoded frame and a buffer of the connection's to append the
+// response body to (dst, empty; the returned respBody is dst extended,
+// and becomes the connection's buffer), and encodes what comes back;
+// body layouts are the cluster package's business. A non-zero
+// errStatus becomes a protocol-error response frame (the connection
+// stays up — cluster peers ride the same connections as admission
+// traffic).
 type ClusterHandler interface {
-	ClusterFrame(typ byte, count uint16, body []byte) (respCount uint16, respBody []byte, errStatus uint32, errMsg string)
+	ClusterFrame(typ byte, count uint16, body, dst []byte) (respCount uint16, respBody []byte, errStatus uint32, errMsg string)
 }
 
 // Observer receives transport telemetry; the telemetry RegistrySink
@@ -386,12 +389,14 @@ func (c *serverConn) process(pending []byte, helloed *bool) (int, bool) {
 					fmt.Sprintf("cluster frame 0x%02x on a non-cluster server", f.Type)), 1)
 				return consumed, false
 			}
-			count, body, status, msg := h.ClusterFrame(f.Type, f.Count, f.Body)
+			count, body, status, msg := h.ClusterFrame(f.Type, f.Count, f.Body, c.respBody[:0])
 			if status != StatusOK {
-				if !c.enqueueFrame(appendErrorFrame(c.scratch(), f.Type, f.Seq, status, msg), 1) {
-					return consumed, false
-				}
-			} else if !c.enqueueFrame(AppendFrame(c.scratch(), f.Type, FlagResp, count, f.Seq, body), 1) {
+				c.resp = appendErrorFrame(c.scratch(), f.Type, f.Seq, status, msg)
+			} else {
+				c.respBody = body
+				c.resp = AppendFrame(c.scratch(), f.Type, FlagResp, count, f.Seq, body)
+			}
+			if !c.enqueueFrame(c.resp, 1) {
 				return consumed, false
 			}
 			i++
