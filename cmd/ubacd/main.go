@@ -79,6 +79,9 @@ func main() {
 	policySpec := flag.String("policy", "", `admission policy: always_admit | token_bucket:rate=R,burst=B | slo_gated:standard=S,sheddable=H[,name=tier...] | reserve_headroom:fraction=F[,protected=a+b] | @file.json (empty = always_admit)`)
 	clusterSpec := flag.String("cluster", "", "distributed admission plane: id=N,members=0@host:port;1@host:port[,heartbeat_ms=...,suspicion_ms=...,ladder_ms=...,lease_ttl_ms=...,lease_block=...] (requires -wire and -data-dir; empty = single node)")
 	flag.Parse()
+	// Microseconds put a cluster member's boot lines and its election
+	// (listening, promoted, following) on one timeline.
+	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 
 	var policyCfg *config.PolicyConfig
 	if *cfgPath != "" {
@@ -243,15 +246,15 @@ func main() {
 			log.Fatalf("ubacd: open wal: %v", err)
 		}
 		ctrl.SetJournal(walLog)
-		fmt.Printf("ubacd: durable in %s (fsync=%s, epoch %d): recovered %d flows (%d admits, %d teardowns replayed",
+		line := fmt.Sprintf("ubacd: durable in %s (fsync=%s, epoch %d): recovered %d flows (%d admits, %d teardowns replayed",
 			*dataDir, mode, walLog.Epoch(), ctrl.Stats().Active, rec.ReplayedAdmits, rec.ReplayedTeardowns)
 		if rec.SnapshotLoaded {
-			fmt.Printf(" over snapshot seq %d", rec.SnapshotSeq)
+			line += fmt.Sprintf(" over snapshot seq %d", rec.SnapshotSeq)
 		}
 		if rec.TailTruncated {
-			fmt.Printf("; torn tail repaired, %d bytes cut", rec.TruncatedBytes)
+			line += fmt.Sprintf("; torn tail repaired, %d bytes cut", rec.TruncatedBytes)
 		}
-		fmt.Println(")")
+		log.Print(line + ")")
 	}
 
 	// The distributed admission plane: every flow admit on this node
@@ -286,7 +289,7 @@ func main() {
 		clusterNode = node
 		backend = node.Backend()
 		wireOpts.Cluster = node
-		fmt.Printf("ubacd: cluster node %d of %d members (data in %s)\n",
+		log.Printf("ubacd: cluster node %d of %d members (data in %s)",
 			clusterCfg.NodeID, len(members), *dataDir)
 	}
 
@@ -300,7 +303,7 @@ func main() {
 		WriteTimeout:      10 * time.Second,
 		IdleTimeout:       60 * time.Second,
 	}
-	fmt.Printf("ubacd: %s configured at alpha=%.3f (%d routes verified in %s, route-workers=%d), policy %s, listening on %s\n",
+	log.Printf("ubacd: %s configured at alpha=%.3f (%d routes verified in %s, route-workers=%d), policy %s, listening on %s",
 		net.Name(), *alpha, len(dep.Verify.Routes), configElapsed.Round(time.Millisecond), *routeWorkers,
 		policyCfg.Describe(), *listen)
 
@@ -316,7 +319,7 @@ func main() {
 			log.Fatalf("ubacd: wire listen: %v", err)
 		}
 		wireSrv = wire.NewServer(backend, wireOpts)
-		fmt.Printf("ubacd: wire transport listening on %s\n", ln.Addr())
+		log.Printf("ubacd: wire transport listening on %s", ln.Addr())
 		go func() {
 			if err := wireSrv.Serve(ln); err != nil && !errors.Is(err, gonet.ErrClosed) {
 				errCh <- fmt.Errorf("wire: %w", err)

@@ -22,13 +22,18 @@
 // The authority journals every lease change to its WAL as an absolute
 // backing record (grants fsynced before the ack, releases async — a
 // lost release replays as a larger, conservative backing) and serves
-// the log to followers as verbatim segment bytes. A cold cluster elects
-// its lowest-ID member as soon as every member answers a heartbeat
-// without knowing an authority. On authority failure, or a cold boot
-// with a member down, the followers promote by rank after the
-// suspicion timeout. Either way a promoter first declares itself a
-// candidate and then probes the membership once more, so two promoters
-// that can reach each other do not both proceed. Promoting means:
+// the log to followers as verbatim segment bytes. Each node's control
+// loop runs a heartbeat round at start, on every heartbeat tick, and
+// when a heartbeat brings news to a node without a live authority: a
+// member it could not reach has come up, or the member it would elect
+// has contacted it. A cold cluster elects its lowest-ID member as soon
+// as every member answers a heartbeat without knowing an authority. On
+// authority failure, or a cold boot with a member down, the followers
+// promote by rank after the suspicion timeout. Either way a promoter
+// first declares itself a candidate and then probes the membership
+// once more, so two promoters that can reach each other do not both
+// proceed, and once promoted it heartbeats every member at once, so
+// the others follow it within a round trip. Promoting means:
 // replay the fetched log, re-reserve every replayed backing on a fresh
 // ledger, open a new epoch, and settle — accept reattach reports
 // carrying each edge's exact held capacity, granting nothing new until
@@ -101,7 +106,8 @@ type Config struct {
 	// Members is the full static membership, this node included.
 	Members []Member
 	// HeartbeatInterval paces the node's control loop: follower
-	// heartbeat + fetch, authority reaping (default 100ms).
+	// heartbeat + fetch, authority reaping (default 100ms). The loop
+	// also runs a round at start and on heartbeat news.
 	HeartbeatInterval time.Duration
 	// SuspicionTimeout is how long without contact before a peer is
 	// presumed dead: followers start the promotion ladder, the
@@ -112,7 +118,9 @@ type Config struct {
 	// it becomes a candidate and probes for an earlier promoter, so
 	// exactly one node usually wins (default 500ms). A cold cluster with
 	// every member up does not wait: its rank-0 member promotes on the
-	// first round in which all the others answer cold.
+	// first round in which all the others answer cold. The members
+	// ranked after a winner do not wait out their rungs either: its
+	// announcement makes them follow it at once.
 	LadderDelay time.Duration
 	// LeaseTTL bounds how long an edge may admit from budget without a
 	// successful renewal. Must not exceed SuspicionTimeout: the edge

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"os"
 	"sync"
 	"testing"
@@ -30,6 +31,122 @@ func TestColdBootElectsWithinOneRound(t *testing.T) {
 	}
 	if took >= timings.SuspicionTimeout/2 {
 		t.Errorf("cold boot took %v to elect, want under %v", took, timings.SuspicionTimeout/2)
+	}
+}
+
+// TestColdBootWithoutTicks: with an hour's heartbeat the tickers never
+// fire, so only Start and heartbeat news run rounds. Members booted one
+// after another still elect node 0 at epoch 1, and all follow it within
+// 200 ms of the last Start: the last member's first round heartbeats
+// node 0, which had not reached it, and node 0's announcement reaches
+// the others as a heartbeat from the member they would elect.
+func TestColdBootWithoutTicks(t *testing.T) {
+	nodes := newClusterOn(t, 3, newTestController, Config{
+		HeartbeatInterval: time.Hour,
+		LeaseTTL:          2 * time.Hour,
+		SuspicionTimeout:  3 * time.Hour,
+		LeaseBlock:        32,
+	})
+	for _, tn := range nodes {
+		bootNode(t, tn)
+	}
+	last := time.Now()
+	auth := waitAuthority(t, nodes, time.Second)
+	took := time.Since(last)
+	if auth.id != 0 || auth.node.Epoch() != 1 {
+		t.Errorf("node %d elected at epoch %d, want node 0 at epoch 1", auth.id, auth.node.Epoch())
+	}
+	if took > 200*time.Millisecond {
+		t.Errorf("every member followed %v after the last Start, want within 200ms", took)
+	}
+}
+
+// TestFailoverSurvivorsFollowAtOnce: when the authority dies, the
+// rank-0 survivor promotes by the ladder and heartbeats the other,
+// which still names the dead authority. That survivor follows within
+// one heartbeat interval, not when its own ladder wait (LadderDelay
+// later) runs out.
+func TestFailoverSurvivorsFollowAtOnce(t *testing.T) {
+	timings := testTimings()
+	timings.HeartbeatInterval = 100 * time.Millisecond
+	nodes := newClusterOn(t, 3, newTestController, timings)
+	for _, tn := range nodes {
+		bootNode(t, tn)
+	}
+	auth := waitAuthority(t, nodes, 5*time.Second)
+	var survivors []*testNode
+	for _, tn := range nodes {
+		if tn != auth {
+			survivors = append(survivors, tn)
+		}
+	}
+	promoter, other := survivors[0], survivors[1]
+
+	killNode(t, auth)
+	waitFor(t, 5*time.Second, "the rank-0 survivor to promote", func() bool {
+		return promoter.node.Role() == RoleAuthority
+	})
+	promoted := time.Now()
+	waitFor(t, 5*time.Second, "the other survivor to follow", func() bool {
+		return other.node.AuthorityID() == promoter.id
+	})
+	if took := time.Since(promoted); took > timings.HeartbeatInterval {
+		t.Errorf("node %d followed node %d %v after it promoted, want within %v",
+			other.id, promoter.id, took, timings.HeartbeatInterval)
+	}
+}
+
+// TestHeadlessRoundsBounded: with a member down the live members stay
+// headless until the suspicion timeout, and their heartbeats are news
+// to one another. A headless round heartbeats every other member once,
+// and only the lowest live member's rounds set off others', so no
+// member runs more than two rounds per heartbeat interval: at most
+// 2 × (members − 1) heartbeats, and at most two to any one live peer.
+// A rule that took news from any lower ID would compound down the
+// ranks, the rank-r member running 2^r rounds per interval.
+func TestHeadlessRoundsBounded(t *testing.T) {
+	for _, members := range []int{3, 5} {
+		t.Run(fmt.Sprintf("members=%d", members), func(t *testing.T) {
+			timings := testTimings()
+			nodes := newClusterOn(t, members, newTestController, timings)
+			live := nodes[:members-1]
+			for _, tn := range live {
+				bootNode(t, tn)
+			}
+			// Past the boot, whose arrivals are news once each.
+			time.Sleep(3 * timings.HeartbeatInterval)
+			heard := func() (n [][]int64) {
+				for _, r := range live {
+					row := make([]int64, members)
+					for s := range row {
+						row[s] = r.heard[s].Load()
+					}
+					n = append(n, row)
+				}
+				return n
+			}
+			start, before := time.Now(), heard()
+			time.Sleep(timings.SuspicionTimeout / 2)
+			elapsed, after := time.Since(start), heard()
+			if a := authorityOf(nodes); a != nil {
+				t.Fatalf("node %d promoted inside the window, before the suspicion timeout", a.id)
+			}
+			// One more round at each edge of the window than whole
+			// intervals fit in it.
+			limit := 2 * (int64(elapsed/timings.HeartbeatInterval) + 2)
+			for ri, r := range live {
+				for _, s := range live {
+					if s == r {
+						continue
+					}
+					if got := after[ri][s.id] - before[ri][s.id]; got > limit {
+						t.Errorf("node %d heartbeat node %d %d times in %v (%.1f per %v), want at most %d",
+							s.id, r.id, got, elapsed, float64(got)*float64(timings.HeartbeatInterval)/float64(elapsed),
+							timings.HeartbeatInterval, limit)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -124,9 +241,11 @@ func TestColdBootFailedPromotionUsesLadder(t *testing.T) {
 // TestConcurrentPromotersElectOne: two followers pass their ladder wait
 // at the same instant, round after round. Each declares itself a
 // candidate before it probes the other, so at most one of them ever
-// promotes. The control loops never tick inside the test (an hour's
-// heartbeat), so the test's goroutines are the only promoters; node 0
-// stays down.
+// promotes. The control loops run rounds only at Start and on heartbeat
+// news (an hour's heartbeat), and those rounds never promote: real time
+// never reaches the suspicion timeout, and with node 0 down neither
+// member ranks first for a cold start. So the test's goroutines are the
+// only promoters.
 func TestConcurrentPromotersElectOne(t *testing.T) {
 	timings := Config{
 		HeartbeatInterval: time.Hour,

@@ -142,6 +142,19 @@ type testNode struct {
 	obs  *countObs
 	done chan error
 	dead bool
+	// heard counts the heartbeats this member's wire server took, by
+	// sender.
+	heard [256]atomic.Int64
+}
+
+// ClusterFrame counts a heartbeat by its sender on the way to the node.
+func (tn *testNode) ClusterFrame(typ byte, count uint16, body, dst []byte) (uint16, []byte, uint32, string) {
+	if typ == wire.FrameHeartbeat {
+		if from, err := decodeHeartbeatReq(body); err == nil && from < uint32(len(tn.heard)) {
+			tn.heard[from].Add(1)
+		}
+	}
+	return tn.node.ClusterFrame(typ, count, body, dst)
 }
 
 // testTimings returns aggressive-but-stable harness timings. The
@@ -258,7 +271,7 @@ func bootNode(t *testing.T, tn *testNode) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn.srv = wire.NewServer(tn.node.Backend(), wire.Options{Cluster: tn.node})
+	tn.srv = wire.NewServer(tn.node.Backend(), wire.Options{Cluster: tn})
 	tn.done = make(chan error, 1)
 	go func() { tn.done <- tn.srv.Serve(ln) }()
 	tn.node.Start()

@@ -23,6 +23,7 @@ import (
 // plane via Backend) and cluster control frames.
 type Node struct {
 	cfg      Config
+	ids      []uint32 // member IDs ascending
 	ctrl     *admission.Controller
 	edge     *edgePlane
 	obs      Observer
@@ -50,7 +51,11 @@ type Node struct {
 	clients     map[uint32]*wire.Client
 	mirror      *os.File // open segment file the cursor points into
 	mirrorSeg   uint64
+	// unreached holds every other member, true when this node's last
+	// heartbeat to it failed (every one before the first round).
+	unreached map[uint32]bool
 
+	kick chan struct{} // a round wanted before the next tick; see nudge
 	stop chan struct{}
 	done chan struct{}
 }
@@ -76,11 +81,16 @@ type NodeOptions struct {
 }
 
 // NewNode builds a node. Every node starts as a follower with no known
-// authority. A cold cluster elects its lowest-ID member on the first
-// heartbeat round in which every other member answers that it has heard
-// of no authority; with a member down, or any epoch heard, the election
-// falls back to the promotion ladder that failover uses, after the
-// suspicion timeout.
+// authority. Its control loop runs a heartbeat round at Start, on every
+// heartbeat tick, and as soon as a heartbeat brings news to a node that
+// knows no live authority (see newsLocked). A cold cluster elects its
+// lowest-ID member on the first round in which every other member
+// answers that it has heard of no authority — the round the last member
+// to start listening sets off by heartbeating it; with a member down, or
+// any epoch heard, the election falls back to the promotion ladder that
+// failover uses, after the suspicion timeout. A node that promotes
+// heartbeats every member at once, so the others follow it within a
+// round trip.
 func NewNode(opts NodeOptions) (*Node, error) {
 	cfg := opts.Config.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -97,6 +107,7 @@ func NewNode(opts NodeOptions) (*Node, error) {
 	}
 	n := &Node{
 		cfg:         cfg,
+		ids:         cfg.sortedIDs(),
 		ctrl:        opts.Controller,
 		obs:         opts.Observer,
 		logf:        opts.Logf,
@@ -106,8 +117,15 @@ func NewNode(opts NodeOptions) (*Node, error) {
 		role:        RoleFollower,
 		authorityID: NoAuthority,
 		clients:     make(map[uint32]*wire.Client),
+		unreached:   make(map[uint32]bool, len(cfg.Members)),
+		kick:        make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
+	}
+	for _, id := range n.ids {
+		if id != cfg.NodeID {
+			n.unreached[id] = true
+		}
 	}
 	if n.segBytes <= 0 {
 		n.segBytes = 4 << 20
@@ -171,12 +189,22 @@ func (n *Node) Epoch() uint64 {
 	return n.epoch
 }
 
-// Start launches the control loop.
+// Start launches the control loop, whose first round runs at once.
 func (n *Node) Start() {
 	n.mu.Lock()
 	n.lastContact = time.Now()
 	n.mu.Unlock()
+	n.nudge()
 	go n.run()
+}
+
+// nudge asks the control loop for a round now, on top of its ticks. It
+// never blocks, and a nudge made while one is pending merges with it.
+func (n *Node) nudge() {
+	select {
+	case n.kick <- struct{}{}:
+	default:
+	}
 }
 
 // Stop shuts the node down: a follower relinquishes its leases to the
@@ -220,17 +248,23 @@ func (n *Node) run() {
 	t := time.NewTicker(n.cfg.HeartbeatInterval)
 	defer t.Stop()
 	for {
+		var now time.Time
 		select {
 		case <-n.stop:
 			return
-		case now := <-t.C:
-			n.tick(now)
-			n.edge.maybeRenew(now)
+		case now = <-t.C:
+		case <-n.kick:
+			now = time.Now()
 		}
+		n.round(now)
+		n.edge.maybeRenew(now)
 	}
 }
 
-func (n *Node) tick(now time.Time) {
+// round is one pass of the control loop. A follower whose authority
+// does not answer probes the whole membership in the same round, so it
+// finds a new authority without waiting out its own ladder.
+func (n *Node) round(now time.Time) {
 	n.mu.Lock()
 	role, aid := n.role, n.authorityID
 	n.mu.Unlock()
@@ -242,9 +276,7 @@ func (n *Node) tick(now time.Time) {
 		a.reap(now)
 	case RoleFollower:
 		cold := false
-		if aid != NoAuthority {
-			n.contactAuthority(aid, now)
-		} else {
+		if aid == NoAuthority || !n.contactAuthority(aid, now) {
 			cold = n.probe(now) == probeCold
 		}
 		n.maybePromote(now, cold)
@@ -300,22 +332,26 @@ func (n *Node) heartbeat(id uint32) (Role, uint32, uint64, error) {
 	return decodeHeartbeatResp(resp)
 }
 
-// contactAuthority is the follower's per-tick exchange with its
-// authority: one heartbeat, then fetch until caught up.
-func (n *Node) contactAuthority(aid uint32, now time.Time) {
+// contactAuthority is the follower's per-round exchange with its
+// authority: one heartbeat, then fetch until caught up. It reports
+// whether the member answered as authority.
+func (n *Node) contactAuthority(aid uint32, now time.Time) bool {
 	role, _, epoch, err := n.heartbeat(aid)
+	n.mu.Lock()
+	n.unreached[aid] = err != nil
+	n.mu.Unlock()
 	if err != nil {
 		n.obs.ClusterHeartbeatMiss()
-		return
+		return false
 	}
 	if role != RoleAuthority {
-		// It abdicated or never was; forget it and probe next tick.
+		// It abdicated or never was; forget it.
 		n.mu.Lock()
 		if n.authorityID == aid {
 			n.authorityID = NoAuthority
 		}
 		n.mu.Unlock()
-		return
+		return false
 	}
 	n.mu.Lock()
 	n.lastContact = now
@@ -327,6 +363,7 @@ func (n *Node) contactAuthority(aid uint32, now time.Time) {
 	if !paused {
 		n.fetchFrom(aid)
 	}
+	return true
 }
 
 // fetchFrom drains the authority's durable log into the local mirror.
@@ -453,11 +490,14 @@ const (
 // whole membership answered cold.
 func (n *Node) probe(now time.Time) probeVerdict {
 	v := probeCold
-	for _, id := range n.cfg.sortedIDs() {
+	for _, id := range n.ids {
 		if id == n.cfg.NodeID {
 			continue
 		}
 		role, aid, epoch, err := n.heartbeat(id)
+		n.mu.Lock()
+		n.unreached[id] = err != nil
+		n.mu.Unlock()
 		switch {
 		case err != nil, role == RoleFollower && (aid != NoAuthority || epoch != 0):
 			v = max(v, probeHeadless)
@@ -480,6 +520,55 @@ func (n *Node) probe(now time.Time) probeVerdict {
 	return v
 }
 
+// newsLocked reports whether a heartbeat from member `from` should set
+// off a round now rather than at the next tick. Only a follower with no
+// live authority (none, or one its last heartbeat did not reach) takes
+// news, of two kinds: `from` is a member its last round could not
+// reach, which has come up; or `from` is the member an election would
+// pick, the lowest ID among this node and the members it reached — how
+// a promotion's announcement lands, cold or by the ladder. The pick
+// never takes the second kind, so a headless member runs at most one
+// extra round per round of the pick's, and no two headless members set
+// each other off in turn.
+func (n *Node) newsLocked(from uint32) bool {
+	if n.role != RoleFollower || n.authorityID != NoAuthority && !n.unreached[n.authorityID] {
+		return false
+	}
+	unreached, member := n.unreached[from]
+	if !member {
+		return false // a probe from outside the membership
+	}
+	if unreached {
+		return true
+	}
+	for _, id := range n.ids {
+		if id == n.cfg.NodeID || !n.unreached[id] {
+			return id == from
+		}
+	}
+	return false
+}
+
+// announce heartbeats every other member, so that a follower hears of
+// this new authority from it (see newsLocked) rather than at its own
+// next tick or, still naming a dead authority, after its ladder wait.
+// The heartbeats go out in parallel: after a failover one member is the
+// dead authority, and a dial to it may take the full RPC timeout.
+func (n *Node) announce() {
+	var wg sync.WaitGroup
+	for _, id := range n.ids {
+		if id == n.cfg.NodeID {
+			continue
+		}
+		wg.Add(1)
+		go func(id uint32) {
+			defer wg.Done()
+			n.heartbeat(id)
+		}(id)
+	}
+	wg.Wait()
+}
+
 // coldLocked reports whether this node may promote by cold start: it
 // heads the ladder (the lowest member ID), has heard of no authority at
 // any epoch, and no promotion of its own has failed — a failed one
@@ -490,7 +579,7 @@ func (n *Node) coldLocked() bool {
 
 // maybePromote elects this node when it is eligible: by the ladder,
 // after the suspicion timeout plus this node's rank delay with no
-// authority contact; or by cold start, when coldRound says this tick's
+// authority contact; or by cold start, when coldRound says this round's
 // probe found every other member cold. Eligible, it becomes a candidate
 // before it looks again, so of two promoters that can reach each other
 // at least one sees the other. It promotes only if that second probe
@@ -612,6 +701,7 @@ func (n *Node) promote(now time.Time, why string) {
 	n.obs.ClusterRoleChange()
 	n.logf("cluster: promoted to authority at epoch %d (replayed %d lease records, %d backings, %d segments)",
 		epoch+1, info.ReplayedLeases, nBackings, info.Segments)
+	n.announce()
 	// Reattach the local edge immediately: its holdings survive the
 	// promotion and count toward settling.
 	n.edge.markReattach()
@@ -654,7 +744,11 @@ func (n *Node) ClusterFrame(typ byte, count uint16, body, dst []byte) (uint16, [
 		}
 		n.mu.Lock()
 		role, aid, epoch, a := n.role, n.authorityID, n.epoch, n.auth
+		news := n.newsLocked(node)
 		n.mu.Unlock()
+		if news {
+			n.nudge()
+		}
 		if role == RoleAuthority {
 			aid = n.cfg.NodeID
 			a.noteSeen(node, time.Now())
