@@ -298,7 +298,7 @@ func BenchmarkMultiClass(b *testing.B) {
 }
 
 // admissionBench builds a deployed controller at alpha=0.40.
-func admissionBench(b *testing.B, kind admission.LedgerKind) *admission.Controller {
+func admissionBench(b *testing.B) *admission.Controller {
 	b.Helper()
 	net := topology.MCI()
 	m := delay.NewModel(net)
@@ -307,29 +307,16 @@ func admissionBench(b *testing.B, kind admission.LedgerKind) *admission.Controll
 		b.Fatalf("select: %v safe=%v", err, rep != nil && rep.Safe)
 	}
 	ctrl, err := admission.NewController(net,
-		[]admission.ClassConfig{{Class: traffic.Voice(), Alpha: 0.40, Routes: set}}, kind)
+		[]admission.ClassConfig{{Class: traffic.Voice(), Alpha: 0.40, Routes: set}}, admission.AtomicLedger)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return ctrl
 }
 
-// BenchmarkAdmissionLocked regenerates F-G with the mutex ledger.
-func BenchmarkAdmissionLocked(b *testing.B) {
-	ctrl := admissionBench(b, admission.LockedLedger)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if id, err := ctrl.Admit("voice", i%19, (i+7)%19); err == nil {
-			if err := ctrl.Teardown(id); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // BenchmarkAdmissionAtomic regenerates F-G with the lock-free ledger.
 func BenchmarkAdmissionAtomic(b *testing.B) {
-	ctrl := admissionBench(b, admission.AtomicLedger)
+	ctrl := admissionBench(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if id, err := ctrl.Admit("voice", i%19, (i+7)%19); err == nil {
@@ -346,7 +333,7 @@ func BenchmarkAdmissionAtomic(b *testing.B) {
 // (the default Nop sink must stay within 5% of the seed; this one pays
 // for two time.Now() calls, histogram atomics, and a ring append).
 func BenchmarkAdmitWithTelemetry(b *testing.B) {
-	ctrl := admissionBench(b, admission.AtomicLedger)
+	ctrl := admissionBench(b)
 	sink := telemetry.NewRegistrySink(telemetry.NewRegistry(), telemetry.NewRing(4096))
 	ctrl.SetSink(sink)
 	b.ResetTimer()
@@ -365,7 +352,7 @@ func BenchmarkAdmitWithTelemetry(b *testing.B) {
 // BenchmarkAdmissionParallel regenerates F-G's concurrency story: all
 // cores admitting and tearing down at once (lock-free ledger).
 func BenchmarkAdmissionParallel(b *testing.B) {
-	ctrl := admissionBench(b, admission.AtomicLedger)
+	ctrl := admissionBench(b)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
@@ -383,7 +370,7 @@ func BenchmarkAdmissionParallel(b *testing.B) {
 // BenchmarkAdmissionDistributed regenerates F-G's distributed variant:
 // the same utilization test performed through hop-by-hop signaling
 // between per-router agent goroutines (internal/signaling), exposing the
-// coordination cost relative to the centralized ledgers above.
+// coordination cost relative to the centralized ledger above.
 func BenchmarkAdmissionDistributed(b *testing.B) {
 	net := topology.MCI()
 	m := delay.NewModel(net)

@@ -92,6 +92,13 @@ func (bc *batchCodec) decode(r io.Reader) error {
 			return err
 		}
 	}
+	// json.Unmarshal decodes array elements in place into the reused
+	// backing arrays, so a field the body leaves out, or a null element,
+	// would keep the previous request's value. Unmarshal only writes
+	// below the length it sets, so zeroing the last request's elements
+	// keeps everything past the length zero.
+	clear(bc.req.Admit)
+	clear(bc.req.Teardown)
 	bc.req.Admit = bc.req.Admit[:0]
 	bc.req.Teardown = bc.req.Teardown[:0]
 	if err := json.Unmarshal(bc.buf, &bc.req); err != nil {

@@ -98,6 +98,36 @@ func TestBatchSingletonInterop(t *testing.T) {
 	}
 }
 
+// TestBatchCodecReuseForgetsLastRequest decodes through one codec what
+// the pool hands out in turn: a full request, then bodies that leave
+// out a field or an element value. Nothing the first request carried
+// may fill those gaps.
+func TestBatchCodecReuseForgetsLastRequest(t *testing.T) {
+	bc := &batchCodec{}
+	full := `{"admit":[{"class":"voice","tenant":"t","src":"Seattle","dst":"Princeton"},{"class":"voice","src":"Princeton","dst":"Seattle"}],"teardown":[7,8]}`
+	for _, body := range []string{
+		`{"admit":[{"class":"voice","src":"Seattle"}]}`,
+		`{"admit":[{"class":"voice","src":"a","dst":"b"},{"src":"b","dst":"a"}]}`,
+		`{"admit":[{"class":"voice","src":"a","dst":"b"},{}]}`,
+	} {
+		if err := bc.decode(strings.NewReader(full)); err != nil {
+			t.Fatal(err)
+		}
+		if err := bc.decode(strings.NewReader(body)); err == nil {
+			t.Errorf("%s: accepted after a full request: %+v", body, bc.req)
+		}
+	}
+	if err := bc.decode(strings.NewReader(full)); err != nil {
+		t.Fatal(err)
+	}
+	if err := bc.decode(strings.NewReader(`{"admit":[{"class":"voice","src":"a","dst":"b"}],"teardown":[null]}`)); err != nil {
+		t.Fatal(err)
+	}
+	if bc.req.Admit[0].Tenant != "" || bc.req.Teardown[0] != 0 {
+		t.Errorf("previous request leaked into %+v", bc.req)
+	}
+}
+
 func TestBatchRejections(t *testing.T) {
 	ts, _ := testDaemon(t)
 	cases := []struct {

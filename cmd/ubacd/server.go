@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -36,11 +37,13 @@ const maxFlowBody = 64 << 10
 //
 // Router names are used in the API; the daemon resolves them against the
 // configured topology. Rejection bodies carry a machine-readable
-// "reason" field ("no_route" | "capacity" | "unknown_class" |
-// "policy_token_bucket" | "policy_shed" | "policy_reserve") matching
-// the event schema; statusForReason centralizes the reason → HTTP
+// "reason" field matching the event schema: "no_route" | "capacity" |
+// "unknown_class" | "policy_token_bucket" | "policy_shed" |
+// "policy_reserve" from the utilization test and the policy, and
+// "unknown_router" | "unknown_flow" | "shutting_down" | "internal" from
+// the handlers around it. statusForReason centralizes the reason → HTTP
 // status mapping (429 for rate/shed conditions, 503 for capacity
-// conditions, 404 for unknown names).
+// conditions, 404 for unknown names, 500 for "internal").
 type server struct {
 	net  *topology.Network
 	ctrl *admission.Controller
@@ -159,6 +162,13 @@ func writeErr(w http.ResponseWriter, code int, msg string) {
 // message, mirroring the decision event schema.
 func writeErrReason(w http.ResponseWriter, code int, msg, reason string) {
 	writeJSON(w, code, map[string]string{"error": msg, "reason": reason})
+}
+
+// writeAdmitErr writes the rejection of an admit or teardown: err's
+// reason and the status statusForReason gives it.
+func writeAdmitErr(w http.ResponseWriter, err error) {
+	reason := admitReason(err)
+	writeErrReason(w, statusForReason(reason), err.Error(), reason)
 }
 
 // admitReason maps the admission sentinel errors to event-schema
@@ -297,7 +307,7 @@ func decodeFlowRequest(r io.Reader) (flowRequest, error) {
 		return flowRequest{}, errors.New("trailing data after request object")
 	}
 	if req.Class == "" || req.Src == "" || req.Dst == "" {
-		return flowRequest{}, errFlowFields
+		return flowRequest{}, errors.New(`"class", "src" and "dst" are all required`)
 	}
 	return req, nil
 }
@@ -307,10 +317,14 @@ func (s *server) handleFlows(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxFlowBody)
-	fc := flowCodecPool.Get().(*flowCodec)
-	defer flowCodecPool.Put(fc)
-	if err := fc.decode(r.Body); err != nil {
+	// The whole body is read before it is parsed, so one past the cap is
+	// refused even when a complete request sits in its first 64 KiB.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxFlowBody))
+	var req flowRequest
+	if err == nil {
+		req, err = decodeFlowRequest(bytes.NewReader(body))
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeErr(w, http.StatusRequestEntityTooLarge,
@@ -320,27 +334,22 @@ func (s *server) handleFlows(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "invalid request: "+err.Error())
 		return
 	}
-	src, err := s.resolveRouter(fc.req.Src)
+	src, err := s.resolveRouter(req.Src)
 	if err != nil {
 		writeErrReason(w, http.StatusNotFound, err.Error(), "unknown_router")
 		return
 	}
-	dst, err := s.resolveRouter(fc.req.Dst)
+	dst, err := s.resolveRouter(req.Dst)
 	if err != nil {
 		writeErrReason(w, http.StatusNotFound, err.Error(), "unknown_router")
 		return
 	}
-	id, err := s.ctrl.AdmitWithTenant(fc.req.Class, fc.req.Tenant, src, dst)
+	id, err := s.ctrl.AdmitWithTenant(req.Class, req.Tenant, src, dst)
 	if err != nil {
 		writeAdmitErr(w, err)
 		return
 	}
-	fc.out = append(fc.out[:0], `{"id":`...)
-	fc.out = strconv.AppendUint(fc.out, uint64(id), 10)
-	fc.out = append(fc.out, '}', '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	_, _ = w.Write(fc.out)
+	writeJSON(w, http.StatusCreated, map[string]admission.FlowID{"id": id})
 }
 
 func (s *server) handleFlowByID(w http.ResponseWriter, r *http.Request) {

@@ -210,7 +210,7 @@ func TestWorkloadAgainstDeployment(t *testing.T) {
 	if err != nil || !dep.Safe() {
 		t.Fatalf("configure: %v", err)
 	}
-	ctrl, err := dep.Controller(admission.LockedLedger)
+	ctrl, err := dep.Controller(admission.AtomicLedger)
 	if err != nil {
 		t.Fatal(err)
 	}

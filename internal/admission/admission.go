@@ -7,16 +7,14 @@
 // O(path length) and needs no per-flow state in the core — this is the
 // scalability property the paper is built around.
 //
-// Two bandwidth ledgers are provided: a per-server mutex ledger and a
-// lock-free compare-and-swap ledger. Both admit concurrently from many
-// goroutines; BenchmarkAdmissionContention compares them at 1/4/16
+// The bandwidth ledger is one lock-free compare-and-swap counter per
+// (class, server); BenchmarkAdmissionContention drives it at 1/4/16
 // goroutines on shared and disjoint routes. Flow identity lives in a
 // sharded slot registry (see registry.go) that recycles slots through
 // per-shard free lists, so it stays as large as the peak number of
-// concurrent flows: the admit/teardown fast path takes no lock beyond
-// the locked ledger's per-server ones, allocates nothing in steady
-// state, and AdmitBatch/TeardownBatch amortize registry, counter and
-// telemetry traffic over whole batches.
+// concurrent flows: the admit/teardown fast path takes no lock,
+// allocates nothing in steady state, and AdmitBatch/TeardownBatch
+// amortize registry, counter and telemetry traffic over whole batches.
 package admission
 
 import (
@@ -70,71 +68,24 @@ var (
 	ErrPolicyReserve = errors.New("admission: policy capacity reserve")
 )
 
-// LedgerKind selects the bandwidth accounting implementation.
+// LedgerKind names the bandwidth accounting implementation. There is
+// one: the lock-free ledger. The type stays so NewController and
+// core.Deployment.Controller keep their signatures.
 type LedgerKind int
 
-const (
-	// LockedLedger guards each server's counters with a mutex.
-	LockedLedger LedgerKind = iota
-	// AtomicLedger uses lock-free compare-and-swap counters.
-	AtomicLedger
-)
+// AtomicLedger uses lock-free compare-and-swap counters.
+const AtomicLedger LedgerKind = 0
 
-// ledger tracks reserved bandwidth per (server, class) in microbits/s.
-// The mutating methods return the resulting counter value so the
-// controller's band-epoch wrappers (ledReserve/ledRelease in
+// atomicLedger tracks reserved bandwidth per (server, class) in
+// microbits/s. The mutating methods return the resulting counter value
+// so the controller's band-epoch wrappers (ledReserve/ledRelease in
 // headroom.go) can detect band crossings without a second read.
-type ledger interface {
-	// tryReserve atomically adds rate if the result stays within limit,
-	// returning the new value on success.
-	tryReserve(idx int, rate, limit int64) (int64, bool)
-	// release subtracts rate and returns the new value.
-	release(idx int, rate int64) int64
-	// inUse reads the current reservation.
-	inUse(idx int) int64
-}
-
-type lockedLedger struct {
-	mu   []sync.Mutex
-	used []int64
-}
-
-func newLockedLedger(n int) *lockedLedger {
-	return &lockedLedger{mu: make([]sync.Mutex, n), used: make([]int64, n)}
-}
-
-func (l *lockedLedger) tryReserve(idx int, rate, limit int64) (int64, bool) {
-	l.mu[idx].Lock()
-	defer l.mu[idx].Unlock()
-	if l.used[idx]+rate > limit {
-		return 0, false
-	}
-	l.used[idx] += rate
-	return l.used[idx], true
-}
-
-func (l *lockedLedger) release(idx int, rate int64) int64 {
-	l.mu[idx].Lock()
-	l.used[idx] -= rate
-	nu := l.used[idx]
-	l.mu[idx].Unlock()
-	return nu
-}
-
-func (l *lockedLedger) inUse(idx int) int64 {
-	l.mu[idx].Lock()
-	defer l.mu[idx].Unlock()
-	return l.used[idx]
-}
-
 type atomicLedger struct {
 	used []atomic.Int64
 }
 
-func newAtomicLedger(n int) *atomicLedger {
-	return &atomicLedger{used: make([]atomic.Int64, n)}
-}
-
+// tryReserve atomically adds rate if the result stays within limit,
+// returning the new value on success.
 func (l *atomicLedger) tryReserve(idx int, rate, limit int64) (int64, bool) {
 	for {
 		cur := l.used[idx].Load()
@@ -147,10 +98,12 @@ func (l *atomicLedger) tryReserve(idx int, rate, limit int64) (int64, bool) {
 	}
 }
 
+// release subtracts rate and returns the new value.
 func (l *atomicLedger) release(idx int, rate int64) int64 {
 	return l.used[idx].Add(-rate)
 }
 
+// inUse reads the current reservation.
 func (l *atomicLedger) inUse(idx int) int64 {
 	return l.used[idx].Load()
 }
@@ -213,7 +166,7 @@ type Controller struct {
 	// absent.
 	routeOf [][]int32
 
-	led    ledger
+	led    atomicLedger
 	limits [][]int64 // [class][server] reserved microbits/s
 	rates  []int64   // [class] per-flow rate, microbits/s
 	// paths[class][route] is the route's server index slice, resolved
@@ -304,7 +257,7 @@ type Controller struct {
 // NewController validates the configuration and builds a controller.
 // Every class must carry a route set over net; routes for missing pairs
 // simply make those pairs unadmittable (ErrNoRoute).
-func NewController(net *topology.Network, classes []ClassConfig, kind LedgerKind) (*Controller, error) {
+func NewController(net *topology.Network, classes []ClassConfig, _ LedgerKind) (*Controller, error) {
 	if net == nil {
 		return nil, fmt.Errorf("admission: nil network")
 	}
@@ -326,12 +279,7 @@ func NewController(net *topology.Network, classes []ClassConfig, kind LedgerKind
 	}
 	nsrv := net.NumServers()
 	nrt := net.NumRouters()
-	switch kind {
-	case AtomicLedger:
-		c.led = newAtomicLedger(len(classes) * nsrv)
-	default:
-		c.led = newLockedLedger(len(classes) * nsrv)
-	}
+	c.led.used = make([]atomic.Int64, len(classes)*nsrv)
 	for i, cc := range c.classes {
 		if err := cc.Class.Validate(); err != nil {
 			return nil, err
@@ -628,9 +576,6 @@ func (c *Controller) emit(id FlowID, class, tenant string, src, dst int, rate fl
 // (class, src, dst) and, on success, reserves the flow's rate on every
 // server and returns its flow ID. On failure nothing is reserved.
 func (c *Controller) Admit(class string, src, dst int) (FlowID, error) {
-	if !c.telemetered && c.policy == nil {
-		return c.admitLean(class, src, dst)
-	}
 	return c.admit(class, "", src, dst)
 }
 
@@ -639,66 +584,12 @@ func (c *Controller) Admit(class string, src, dst int) (FlowID, error) {
 // map it) and for telemetry. With no policy installed the tenant only
 // labels the audit event.
 func (c *Controller) AdmitWithTenant(class, tenant string, src, dst int) (FlowID, error) {
-	if !c.telemetered && c.policy == nil {
-		return c.admitLean(class, src, dst)
-	}
 	return c.admit(class, tenant, src, dst)
 }
 
-// admitLean is admit specialized for the default deployment — no
-// telemetry sink, no admission policy. Both fields are set before the
-// controller serves traffic (see SetSink/SetPolicy), so the dispatch
-// in Admit is stable. The body is the full admit minus every
-// telemetry/policy branch: at ~10^7 admits/s the time.Time zeroing and
-// the wide class-struct load are measurable.
-func (c *Controller) admitLean(class string, src, dst int) (FlowID, error) {
-	// classIndex's hint hit folded inline (the call misses the inline
-	// budget by the cost of its own slow-path call). eqName beats the
-	// runtime memequal call for class-name-length strings.
-	var ci int
-	if h := c.hint.Load(); h != nil && eqName(h.name, class) {
-		ci = h.ci
-	} else {
-		var ok bool
-		if ci, ok = c.classIndexSlow(class); !ok {
-			return 0, ErrUnknownClass
-		}
-	}
-	ri := c.routeIndex(ci, src, dst)
-	if ri < 0 {
-		c.noRoute.Add(1)
-		return 0, ErrNoRoute
-	}
-	if !c.budgetHit(ci, ri) {
-		if _, ok := c.admitReserveSlow(ci, ri); !ok {
-			c.rejected.Add(1)
-			return 0, ErrCapacity
-		}
-	}
-	id, seq, ok := c.reg.put(int32(ci), ri)
-	if !ok {
-		c.reg.gaps.Add(1)
-		c.release(ci, ri)
-		c.rejected.Add(1)
-		return 0, ErrTooManyFlows
-	}
-	if c.journal != nil {
-		if err := c.journal.AppendAdmit(uint64(id), seq, int32(ci), ri); err != nil {
-			// Journal closed (drain) or failed: unwind so the admit
-			// never happened — nothing durable acknowledged, nothing
-			// reserved.
-			c.reg.gaps.Add(1)
-			c.reg.take(id)
-			c.release(ci, ri)
-			return 0, ErrShuttingDown
-		}
-	}
-	c.noteActive(int64(seq - c.reg.gaps.Load() - c.tornDown.Load()))
-	return id, nil
-}
-
-// admit is the full path: telemetry timestamps and decision events,
-// and the policy consult.
+// admit is the one singleton path. With no sink and no policy the
+// telemetry (timestamps, decision events) and the policy consult each
+// cost one branch — the same contract as journal.
 func (c *Controller) admit(class, tenant string, src, dst int) (FlowID, error) {
 	var start time.Time
 	if c.telemetered {
@@ -893,22 +784,6 @@ func (c *Controller) Headroom(class string, src, dst int) (int, error) {
 
 // admittedCount derives the admitted counter from the admission
 // cursor (see the counter comment on Controller).
-// eqName compares two short interned-ish strings byte-wise. For class
-// names (a handful of bytes) the open-coded loop is cheaper than the
-// runtime memequal call the compiler emits for general string
-// equality, and it inlines.
-func eqName(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func (c *Controller) admittedCount() uint64 {
 	return c.reg.cursor.Load() - c.reg.gaps.Load()
 }

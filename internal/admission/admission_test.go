@@ -14,7 +14,7 @@ import (
 
 // testController builds a controller over a 3-router line with SP routes
 // for voice at the given alpha.
-func testController(t testing.TB, alpha float64, kind LedgerKind) (*Controller, *topology.Network) {
+func testController(t testing.TB, alpha float64) (*Controller, *topology.Network) {
 	t.Helper()
 	net, err := topology.Line(3, 100e6)
 	if err != nil {
@@ -25,7 +25,7 @@ func testController(t testing.TB, alpha float64, kind LedgerKind) (*Controller, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewController(net, []ClassConfig{{Class: traffic.Voice(), Alpha: alpha, Routes: set}}, kind)
+	c, err := NewController(net, []ClassConfig{{Class: traffic.Voice(), Alpha: alpha, Routes: set}}, AtomicLedger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +60,14 @@ func TestNewControllerValidation(t *testing.T) {
 		}},
 	}
 	for i, tc := range cases {
-		if _, err := NewController(tc.net, tc.classes, LockedLedger); err == nil {
+		if _, err := NewController(tc.net, tc.classes, AtomicLedger); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
 }
 
 func TestAdmitAndTeardown(t *testing.T) {
-	c, _ := testController(t, 0.3, LockedLedger)
+	c, _ := testController(t, 0.3)
 	id, err := c.Admit("voice", 0, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestAdmitAndTeardown(t *testing.T) {
 }
 
 func TestAdmitErrors(t *testing.T) {
-	c, _ := testController(t, 0.3, LockedLedger)
+	c, _ := testController(t, 0.3)
 	if _, err := c.Admit("nope", 0, 2); err != ErrUnknownClass {
 		t.Errorf("unknown class: %v", err)
 	}
@@ -126,7 +126,7 @@ func TestAdmitErrors(t *testing.T) {
 // agree that out-of-range routers, self-pairs and unrouted pairs are
 // all ErrNoRoute (the seed rejected self-pairs only in Admit).
 func TestPairValidationAlignment(t *testing.T) {
-	c, _ := testController(t, 0.3, LockedLedger)
+	c, _ := testController(t, 0.3)
 	if err := c.SetDelayBounds("voice", make([]float64, c.net.NumServers())); err != nil {
 		t.Fatal(err)
 	}
@@ -168,43 +168,41 @@ func TestPairValidationAlignment(t *testing.T) {
 }
 
 func TestCapacityExhaustion(t *testing.T) {
-	for _, kind := range []LedgerKind{LockedLedger, AtomicLedger} {
-		c, _ := testController(t, 0.3, kind)
-		// Reserved per server: 0.3·100 Mb/s = 30 Mb/s; voice is 32 kb/s;
-		// capacity = floor(30e6/32e3) = 937 flows on the shared path.
-		want := int(math.Floor(0.3 * 100e6 / 32e3))
-		if hr, err := c.Headroom("voice", 0, 2); err != nil || hr != want {
-			t.Errorf("kind %d: headroom = %d (%v), want %d", kind, hr, err, want)
+	c, _ := testController(t, 0.3)
+	// Reserved per server: 0.3·100 Mb/s = 30 Mb/s; voice is 32 kb/s;
+	// capacity = floor(30e6/32e3) = 937 flows on the shared path.
+	want := int(math.Floor(0.3 * 100e6 / 32e3))
+	if hr, err := c.Headroom("voice", 0, 2); err != nil || hr != want {
+		t.Errorf("headroom = %d (%v), want %d", hr, err, want)
+	}
+	var ids []FlowID
+	for {
+		id, err := c.Admit("voice", 0, 2)
+		if err == ErrCapacity {
+			break
 		}
-		var ids []FlowID
-		for {
-			id, err := c.Admit("voice", 0, 2)
-			if err == ErrCapacity {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, id)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(ids) != want {
-			t.Errorf("kind %d: admitted %d flows, want %d", kind, len(ids), want)
+		ids = append(ids, id)
+	}
+	if len(ids) != want {
+		t.Errorf("admitted %d flows, want %d", len(ids), want)
+	}
+	st := c.Stats()
+	if st.Rejected == 0 {
+		t.Error("no rejection recorded")
+	}
+	// Rejected admission must not leak reservations: tear down all and
+	// expect zero utilization everywhere.
+	for _, id := range ids {
+		if err := c.Teardown(id); err != nil {
+			t.Fatal(err)
 		}
-		st := c.Stats()
-		if st.Rejected == 0 {
-			t.Errorf("kind %d: no rejection recorded", kind)
-		}
-		// Rejected admission must not leak reservations: tear down all and
-		// expect zero utilization everywhere.
-		for _, id := range ids {
-			if err := c.Teardown(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for s := 0; s < 4; s++ {
-			if u, _ := c.Utilization("voice", s); u != 0 {
-				t.Errorf("kind %d: leaked %g on server %d", kind, u, s)
-			}
+	}
+	for s := 0; s < 4; s++ {
+		if u, _ := c.Utilization("voice", s); u != 0 {
+			t.Errorf("leaked %g on server %d", u, s)
 		}
 	}
 }
@@ -213,7 +211,7 @@ func TestRollbackOnPartialFailure(t *testing.T) {
 	// Two overlapping routes: 0->2 uses both servers, 0->1 only the
 	// first. Exhaust 1->2 via 0->2 admissions is impossible (both fill
 	// together), so instead fill 0->1 then check 0->2 rolls back cleanly.
-	c, net := testController(t, 0.3, LockedLedger)
+	c, net := testController(t, 0.3)
 	for {
 		if _, err := c.Admit("voice", 1, 2); err != nil {
 			break
@@ -233,50 +231,48 @@ func TestRollbackOnPartialFailure(t *testing.T) {
 }
 
 func TestConcurrentChurn(t *testing.T) {
-	for _, kind := range []LedgerKind{LockedLedger, AtomicLedger} {
-		c, _ := testController(t, 0.3, kind)
-		const workers = 8
-		const perWorker = 500
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				pairs := [][2]int{{0, 2}, {2, 0}, {0, 1}, {1, 2}}
-				var held []FlowID
-				for i := 0; i < perWorker; i++ {
-					p := pairs[(i+w)%len(pairs)]
-					if id, err := c.Admit("voice", p[0], p[1]); err == nil {
-						held = append(held, id)
-					}
-					if len(held) > 4 {
-						if err := c.Teardown(held[0]); err != nil {
-							t.Errorf("teardown: %v", err)
-							return
-						}
-						held = held[1:]
-					}
+	c, _ := testController(t, 0.3)
+	const workers = 8
+	const perWorker = 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			pairs := [][2]int{{0, 2}, {2, 0}, {0, 1}, {1, 2}}
+			var held []FlowID
+			for i := 0; i < perWorker; i++ {
+				p := pairs[(i+w)%len(pairs)]
+				if id, err := c.Admit("voice", p[0], p[1]); err == nil {
+					held = append(held, id)
 				}
-				for _, id := range held {
-					if err := c.Teardown(id); err != nil {
-						t.Errorf("final teardown: %v", err)
+				if len(held) > 4 {
+					if err := c.Teardown(held[0]); err != nil {
+						t.Errorf("teardown: %v", err)
+						return
 					}
+					held = held[1:]
 				}
-			}(w)
-		}
-		wg.Wait()
-		st := c.Stats()
-		if st.Active != 0 {
-			t.Errorf("kind %d: %d flows leaked", kind, st.Active)
-		}
-		if st.Admitted != st.TornDown {
-			t.Errorf("kind %d: admitted %d != torn down %d", kind, st.Admitted, st.TornDown)
-		}
-		// All reservations returned.
-		for s := 0; s < 4; s++ {
-			if u, _ := c.Utilization("voice", s); u != 0 {
-				t.Errorf("kind %d: residual utilization %g on server %d", kind, u, s)
 			}
+			for _, id := range held {
+				if err := c.Teardown(id); err != nil {
+					t.Errorf("final teardown: %v", err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.Active != 0 {
+		t.Errorf("%d flows leaked", st.Active)
+	}
+	if st.Admitted != st.TornDown {
+		t.Errorf("admitted %d != torn down %d", st.Admitted, st.TornDown)
+	}
+	// All reservations returned.
+	for s := 0; s < 4; s++ {
+		if u, _ := c.Utilization("voice", s); u != 0 {
+			t.Errorf("residual utilization %g on server %d", u, s)
 		}
 	}
 }
@@ -284,7 +280,7 @@ func TestConcurrentChurn(t *testing.T) {
 // The admitted population on any server never exceeds α·C/ρ — the
 // invariant Theorem 2 relies on (Equation (8)).
 func TestUtilizationNeverExceedsAlpha(t *testing.T) {
-	c, net := testController(t, 0.3, AtomicLedger)
+	c, net := testController(t, 0.3)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -308,7 +304,7 @@ func TestUtilizationNeverExceedsAlpha(t *testing.T) {
 }
 
 func TestUtilizationErrors(t *testing.T) {
-	c, _ := testController(t, 0.3, LockedLedger)
+	c, _ := testController(t, 0.3)
 	if _, err := c.Utilization("nope", 0); err != ErrUnknownClass {
 		t.Errorf("unknown class: %v", err)
 	}
@@ -326,7 +322,7 @@ func TestUtilizationErrors(t *testing.T) {
 	}
 }
 
-func benchController(b *testing.B, kind LedgerKind) *Controller {
+func benchController(b *testing.B) *Controller {
 	b.Helper()
 	net := topology.MCI()
 	m := delay.NewModel(net)
@@ -334,28 +330,15 @@ func benchController(b *testing.B, kind LedgerKind) *Controller {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := NewController(net, []ClassConfig{{Class: traffic.Voice(), Alpha: 0.3, Routes: set}}, kind)
+	c, err := NewController(net, []ClassConfig{{Class: traffic.Voice(), Alpha: 0.3, Routes: set}}, AtomicLedger)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return c
 }
 
-func BenchmarkAdmitTeardownLocked(b *testing.B) {
-	c := benchController(b, LockedLedger)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id, err := c.Admit("voice", i%19, (i+7)%19)
-		if err == nil {
-			if err := c.Teardown(id); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 func BenchmarkAdmitTeardownAtomic(b *testing.B) {
-	c := benchController(b, AtomicLedger)
+	c := benchController(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id, err := c.Admit("voice", i%19, (i+7)%19)
@@ -368,7 +351,7 @@ func BenchmarkAdmitTeardownAtomic(b *testing.B) {
 }
 
 func BenchmarkAdmitParallelAtomic(b *testing.B) {
-	c := benchController(b, AtomicLedger)
+	c := benchController(b)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
@@ -408,7 +391,7 @@ func TestMultiClassIsolationCentral(t *testing.T) {
 	c, err := NewController(net, []ClassConfig{
 		{Class: voice, Alpha: 0.1, Routes: vset},
 		{Class: video, Alpha: 0.3, Routes: dset},
-	}, LockedLedger)
+	}, AtomicLedger)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,8 @@ import (
 // controller: per-item verdicts, final counters and final per-server
 // utilization must agree exactly.
 func TestAdmitBatchMatchesSequential(t *testing.T) {
-	batchCtrl, _ := testController(t, 0.3, AtomicLedger)
-	seqCtrl, net := testController(t, 0.3, AtomicLedger)
+	batchCtrl, _ := testController(t, 0.3)
+	seqCtrl, net := testController(t, 0.3)
 
 	items := []BatchItem{
 		{Class: "voice", Src: 0, Dst: 2},
@@ -55,7 +55,7 @@ func TestAdmitBatchMatchesSequential(t *testing.T) {
 // cliff admits exactly the flows that fit — each reservation is its
 // own atomic utilization test, batching buys no leniency.
 func TestAdmitBatchCapacity(t *testing.T) {
-	c, _ := testController(t, 0.3, AtomicLedger)
+	c, _ := testController(t, 0.3)
 	headroom, err := c.Headroom("voice", 0, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestAdmitBatchCapacity(t *testing.T) {
 // mixed with bogus IDs; errors must align per index and the ledger
 // must balance to zero.
 func TestTeardownBatch(t *testing.T) {
-	c, net := testController(t, 0.3, AtomicLedger)
+	c, net := testController(t, 0.3)
 	items := make([]BatchItem, 20)
 	for i := range items {
 		items[i] = BatchItem{Class: "voice", Src: 0, Dst: 2}
@@ -128,7 +128,7 @@ func TestTeardownBatch(t *testing.T) {
 // TestBatchTelemetry checks batch operations land in the sink with the
 // same counts singleton operations would produce.
 func TestBatchTelemetry(t *testing.T) {
-	c, _ := testController(t, 0.3, AtomicLedger)
+	c, _ := testController(t, 0.3)
 	sink := telemetry.NewRegistrySink(telemetry.NewRegistry(), telemetry.NewRing(64))
 	c.SetSink(sink)
 	items := []BatchItem{
@@ -247,7 +247,7 @@ func TestBatchOwnClaimsDoNotCauseReject(t *testing.T) {
 // covered), and each decision reported must be exactly what the batch
 // decided, under a clock that makes Latency and When exact.
 func TestBatchRunOverwritesScratch(t *testing.T) {
-	c, _ := testController(t, 0.3, AtomicLedger)
+	c, _ := testController(t, 0.3)
 	sink := &captureSink{}
 	c.SetSink(sink)
 	tick := time.Unix(100, 0)
@@ -349,7 +349,7 @@ func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc gate runs uninstrumented")
 	}
-	c, _ := testController(t, 0.3, AtomicLedger)
+	c, _ := testController(t, 0.3)
 	cycle := batchCycle(t, c)
 	// Warm the scratch pool, the result capacity and every shard a batch
 	// can be homed on (each grows its first slots once).
@@ -368,7 +368,7 @@ func TestBatchTelemetryZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc gate runs uninstrumented")
 	}
-	c, _ := testController(t, 0.3, AtomicLedger)
+	c, _ := testController(t, 0.3)
 	sink := telemetry.NewRegistrySink(telemetry.NewRegistry(), telemetry.NewRing(4096))
 	c.SetSink(sink)
 	cycle := batchCycle(t, c)

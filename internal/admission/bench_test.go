@@ -24,13 +24,13 @@ const contentionRing = 16
 // concurrent voice flows fit per server, so admit/teardown pairs from
 // ≤16 workers never reject and the benchmark measures pure bookkeeping
 // throughput.
-func contentionController(b testing.TB, kind LedgerKind) *Controller {
-	return ringController(b, kind, 100e6)
+func contentionController(b testing.TB) *Controller {
+	return ringController(b, 100e6)
 }
 
 // ringController is contentionController at a chosen link capacity
 // (churn tests and benchmarks hold far more than 1562 flows).
-func ringController(b testing.TB, kind LedgerKind, capacity float64) *Controller {
+func ringController(b testing.TB, capacity float64) *Controller {
 	b.Helper()
 	net, err := topology.Ring(contentionRing, capacity)
 	if err != nil {
@@ -46,7 +46,7 @@ func ringController(b testing.TB, kind LedgerKind, capacity float64) *Controller
 			b.Fatal(err)
 		}
 	}
-	ctrl, err := NewController(net, []ClassConfig{{Class: traffic.Voice(), Alpha: 0.5, Routes: set}}, kind)
+	ctrl, err := NewController(net, []ClassConfig{{Class: traffic.Voice(), Alpha: 0.5, Routes: set}}, AtomicLedger)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func runAdmitTeardown(b *testing.B, ctrl *Controller, g int, disjoint bool) {
 func BenchmarkAdmitBatch(b *testing.B) {
 	for _, size := range []int{1, 16, 256} {
 		b.Run(fmt.Sprintf("loop/size=%d", size), func(b *testing.B) {
-			ctrl := contentionController(b, AtomicLedger)
+			ctrl := contentionController(b)
 			ids := make([]FlowID, size)
 			b.ResetTimer()
 			for i := 0; i < b.N; i += size {
@@ -117,7 +117,7 @@ func BenchmarkAdmitBatch(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("batch/size=%d", size), func(b *testing.B) {
-			ctrl := contentionController(b, AtomicLedger)
+			ctrl := contentionController(b)
 			items := make([]BatchItem, size)
 			for j := range items {
 				items[j] = BatchItem{Class: "voice", Src: j % contentionRing, Dst: (j + 1) % contentionRing}
@@ -150,7 +150,7 @@ func BenchmarkAdmitBatch(b *testing.B) {
 	// footprint over its live flows at the end (bounded; the seed's grew
 	// with b.N), registry-B/op the footprint in bytes per flow admitted.
 	b.Run("churn/size=64", func(b *testing.B) {
-		ctrl := ringController(b, AtomicLedger, 1e12)
+		ctrl := ringController(b, 1e12)
 		b.ReportAllocs()
 		b.ResetTimer()
 		churn64(b, ctrl, b.N)
@@ -165,8 +165,8 @@ func BenchmarkAdmitBatch(b *testing.B) {
 	// a sinkless twin, over the 2·b.N decisions (each flow is admitted
 	// and torn down).
 	b.Run("telemetry/size=64", func(b *testing.B) {
-		off := churn64(b, ringController(b, AtomicLedger, 1e12), b.N)
-		ctrl := ringController(b, AtomicLedger, 1e12)
+		off := churn64(b, ringController(b, 1e12), b.N)
+		ctrl := ringController(b, 1e12)
 		ctrl.SetSink(telemetry.NewRegistrySink(telemetry.NewRegistry(), telemetry.NewRing(4096)))
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -208,24 +208,17 @@ func churn64(b *testing.B, ctrl *Controller, n int) time.Duration {
 	return time.Since(start)
 }
 
-// BenchmarkAdmissionContention is the package-doc comparison: both
-// ledger kinds at 1/4/16 goroutines on shared vs disjoint routes. The
-// disjoint/g=16 rows are the ISSUE 4 acceptance point for the sharded
-// flow registry (≥2× admits/s over the seed global-mutex registry on a
+// BenchmarkAdmissionContention is the package-doc comparison: the
+// ledger at 1/4/16 goroutines on shared vs disjoint routes. The
+// disjoint/g=16 row is the acceptance point for the sharded flow
+// registry (≥2× admits/s over the seed global-mutex registry on a
 // multi-core runner).
 func BenchmarkAdmissionContention(b *testing.B) {
-	kinds := []struct {
-		name string
-		kind LedgerKind
-	}{{"locked", LockedLedger}, {"atomic", AtomicLedger}}
-	for _, k := range kinds {
-		for _, mode := range []string{"shared", "disjoint"} {
-			for _, g := range []int{1, 4, 16} {
-				b.Run(fmt.Sprintf("%s/%s/g=%d", k.name, mode, g), func(b *testing.B) {
-					ctrl := contentionController(b, k.kind)
-					runAdmitTeardown(b, ctrl, g, mode == "disjoint")
-				})
-			}
+	for _, mode := range []string{"shared", "disjoint"} {
+		for _, g := range []int{1, 4, 16} {
+			b.Run(fmt.Sprintf("%s/g=%d", mode, g), func(b *testing.B) {
+				runAdmitTeardown(b, contentionController(b), g, mode == "disjoint")
+			})
 		}
 	}
 }
@@ -265,7 +258,7 @@ func BenchmarkAdmitWithPolicy(b *testing.B) {
 	}
 	for _, pc := range cases {
 		b.Run(pc.name, func(b *testing.B) {
-			ctrl := contentionController(b, AtomicLedger)
+			ctrl := contentionController(b)
 			pc.install(b, ctrl)
 			b.ReportAllocs()
 			b.ResetTimer()

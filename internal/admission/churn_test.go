@@ -158,7 +158,7 @@ func (ch *churner) run(admits int) {
 // churnMatrixCell runs one cell and checks the footprint bound and
 // global ID uniqueness at its end, then drains.
 func churnMatrixCell(t *testing.T, order churnOrder, batch, workers, admits int) {
-	c := ringController(t, AtomicLedger, 1e12)
+	c := ringController(t, 1e12)
 	hold := 4 * batch
 	if hold < 256 {
 		hold = 256
@@ -231,7 +231,7 @@ func TestRegistryChurnMatrix(t *testing.T) {
 // onto one shard (the seed put every 64-op batch on shard base&63, the
 // same one for the life of the process).
 func TestBatchesSpreadOverShards(t *testing.T) {
-	c := ringController(t, AtomicLedger, 1e12)
+	c := ringController(t, 1e12)
 	items := make([]BatchItem, 64)
 	for j := range items {
 		items[j] = BatchItem{Class: "voice", Src: j % contentionRing, Dst: (j + 1) % contentionRing}
@@ -268,7 +268,7 @@ func TestBatchesSpreadOverShards(t *testing.T) {
 // TestChurnAfterRecovery: a registry rebuilt from the WAL recycles as
 // well as one that grew in place, and its snapshot stays small.
 func TestChurnAfterRecovery(t *testing.T) {
-	build := func() *Controller { return ringController(t, AtomicLedger, 1e12) }
+	build := func() *Controller { return ringController(t, 1e12) }
 	dir := t.TempDir()
 	c := build()
 	l := openJournal(t, c, dir, wal.ModeAsync)
@@ -337,7 +337,7 @@ func TestBatchChurnZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc gate runs uninstrumented")
 	}
-	c := ringController(t, AtomicLedger, 1e12)
+	c := ringController(t, 1e12)
 	items := make([]BatchItem, 64)
 	for j := range items {
 		items[j] = BatchItem{Class: "voice", Src: j % contentionRing, Dst: (j + 1) % contentionRing}

@@ -14,7 +14,7 @@ import (
 // events, with no wall time anywhere in them.
 func TestSetClockDeterministicTimestamps(t *testing.T) {
 	run := func() []telemetry.Event {
-		c, _ := testController(t, 0.3, AtomicLedger)
+		c, _ := testController(t, 0.3)
 		ring := telemetry.NewRing(16)
 		c.SetSink(telemetry.NewRegistrySink(telemetry.NewRegistry(), ring))
 		// Each clock read advances virtual time by exactly 1 ms.
@@ -50,7 +50,7 @@ func TestSetClockDeterministicTimestamps(t *testing.T) {
 
 // SetClock(nil) must restore the wall clock, not install a nil func.
 func TestSetClockNilRestoresWallClock(t *testing.T) {
-	c, _ := testController(t, 0.3, AtomicLedger)
+	c, _ := testController(t, 0.3)
 	c.SetSink(telemetry.NewRegistrySink(telemetry.NewRegistry(), telemetry.NewRing(4)))
 	c.SetClock(nil)
 	id, err := c.Admit("voice", 0, 2)

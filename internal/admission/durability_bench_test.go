@@ -17,7 +17,7 @@ func BenchmarkAdmitDurable(b *testing.B) {
 	for _, mode := range []string{"off", "async", "sync"} {
 		for _, size := range []int{1, 64, 256} {
 			b.Run(fmt.Sprintf("fsync=%s/batch=%d", mode, size), func(b *testing.B) {
-				ctrl := contentionController(b, AtomicLedger)
+				ctrl := contentionController(b)
 				if mode != "off" {
 					m := wal.ModeAsync
 					if mode == "sync" {

@@ -91,7 +91,7 @@ func utilizations(t *testing.T, c *Controller, net *topology.Network) map[string
 // population, the per-class utilization on every server, and the
 // stale-ID semantics exactly.
 func TestKillAndRestartRecovery(t *testing.T) {
-	ctrl, net := testController(t, 0.4, AtomicLedger)
+	ctrl, net := testController(t, 0.4)
 	dir := t.TempDir()
 	log := openJournal(t, ctrl, dir, wal.ModeSync)
 
@@ -160,7 +160,7 @@ func TestKillAndRestartRecovery(t *testing.T) {
 	img := crashImage(t, dir)
 	log.Close() // hygiene only; the image above is the crash state
 
-	build := func() *Controller { c, _ := testController(t, 0.4, AtomicLedger); return c }
+	build := func() *Controller { c, _ := testController(t, 0.4); return c }
 	rec, info := recoverInto(t, build, img)
 	if !info.SnapshotLoaded {
 		t.Fatal("recovery did not load the mid-run snapshot")
@@ -296,7 +296,7 @@ func TestRecoveryDeterminismMCI(t *testing.T) {
 // sync mode with singleton ops, so op order equals record order and
 // "records replayed" indexes directly into the recorded state history.
 func TestPrefixRecoveryMatchesReplay(t *testing.T) {
-	ctrl, net := testController(t, 0.4, AtomicLedger)
+	ctrl, net := testController(t, 0.4)
 	dir := t.TempDir()
 	log := openJournal(t, ctrl, dir, wal.ModeSync)
 
@@ -352,7 +352,7 @@ func TestPrefixRecoveryMatchesReplay(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(work, entries[0].Name()), data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		c, _ := testController(t, 0.4, AtomicLedger)
+		c, _ := testController(t, 0.4)
 		info, err := wal.Recover(work, c.Fingerprint(), c)
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
@@ -379,7 +379,7 @@ func TestPrefixRecoveryMatchesReplay(t *testing.T) {
 // nothing, batch admits fail item by item, and teardowns apply in
 // memory but report the lost durability.
 func TestJournalClosedMapsToShuttingDown(t *testing.T) {
-	ctrl, net := testController(t, 0.4, AtomicLedger)
+	ctrl, net := testController(t, 0.4)
 	log := openJournal(t, ctrl, t.TempDir(), wal.ModeSync)
 	id0, err := ctrl.Admit("voice", 0, 1)
 	if err != nil {
@@ -434,7 +434,7 @@ func TestJournalClosedMapsToShuttingDown(t *testing.T) {
 // under one configuration must not load into another — the fingerprint
 // covers the route set, so a different alpha is a different world.
 func TestRecoveryRefusesReconfiguredController(t *testing.T) {
-	ctrl, _ := testController(t, 0.4, AtomicLedger)
+	ctrl, _ := testController(t, 0.4)
 	dir := t.TempDir()
 	log := openJournal(t, ctrl, dir, wal.ModeSync)
 	if _, err := ctrl.Admit("voice", 0, 1); err != nil {
@@ -443,7 +443,7 @@ func TestRecoveryRefusesReconfiguredController(t *testing.T) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	other, _ := testController(t, 0.3, AtomicLedger)
+	other, _ := testController(t, 0.3)
 	if other.Fingerprint() == ctrl.Fingerprint() {
 		t.Fatal("fingerprints collide across alphas")
 	}
@@ -460,7 +460,7 @@ func TestRecoveryRefusesReconfiguredController(t *testing.T) {
 // applied records said two flows were active. Active is anchored to the
 // flows actually found; the ledger, rebuilt from them, was always right.
 func TestReplayReuseJournaledAheadOfTeardown(t *testing.T) {
-	c, net := testController(t, 0.3, AtomicLedger)
+	c, net := testController(t, 0.3)
 	ri := c.routeIndex(0, 0, 2)
 	x := makeFlowID(7, 3, 5)
 	y := makeFlowID(9, 3, 5) // same shard and slot, later generation
@@ -477,7 +477,7 @@ func TestReplayReuseJournaledAheadOfTeardown(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	twin, _ := testController(t, 0.3, AtomicLedger)
+	twin, _ := testController(t, 0.3)
 	if _, err := twin.Admit("voice", 0, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -510,19 +510,19 @@ func TestReplayReuseJournaledAheadOfTeardown(t *testing.T) {
 // whose ID carries a cluster node — is refused, and the message says
 // that the node bits are why.
 func TestRecoveryRefusesSlotsPastTheCap(t *testing.T) {
-	c, _ := testController(t, 0.3, AtomicLedger)
+	c, _ := testController(t, 0.3)
 	_, payload := c.MarshalRegistry()
 	// An empty registry's payload ends in 64 zero slot counts; shard 0's
 	// is the first of them.
 	at := len(payload) - 4*flowShards
 	binary.LittleEndian.PutUint32(payload[at:], flowSlotMask+2)
-	fresh, _ := testController(t, 0.3, AtomicLedger)
+	fresh, _ := testController(t, 0.3)
 	err := fresh.RestoreSnapshot(payload)
 	if !errors.Is(err, ErrRestore) || !strings.Contains(err.Error(), "cluster node") {
 		t.Fatalf("snapshot with %d slots in a shard: %v, want ErrRestore naming the node bits", flowSlotMask+2, err)
 	}
 
-	replay, _ := testController(t, 0.3, AtomicLedger)
+	replay, _ := testController(t, 0.3)
 	ri := replay.routeIndex(0, 0, 2)
 	err = replay.ReplayAdmit(uint64(makeFlowID(7, 3, 5).WithNode(1)), 7, 0, ri)
 	if !errors.Is(err, ErrRestore) || !strings.Contains(err.Error(), "cluster node") {

@@ -55,7 +55,7 @@ func newTwin(t *testing.T, fast bool) *twin {
 	// Alpha 0.2 on the 100 Mb/s line leaves 625 voice slots per hop:
 	// deep enough that refills grant real leases (headroom above the
 	// guard band), small enough that the schedule reaches saturation.
-	c, _ := testController(t, 0.2, AtomicLedger)
+	c, _ := testController(t, 0.2)
 	c.SetFastPath(fast)
 	s := &captureSink{}
 	c.SetSink(s)
@@ -278,7 +278,7 @@ func TestFastPathEquivalenceLockstep(t *testing.T) {
 // controllers — one fast, one exact. Both must restore identical state
 // and stay in lockstep through a second schedule.
 func TestFastPathEquivalenceAcrossRecovery(t *testing.T) {
-	ctrl, _ := testController(t, 0.2, AtomicLedger)
+	ctrl, _ := testController(t, 0.2)
 	dir := t.TempDir()
 	log := openJournal(t, ctrl, dir, wal.ModeSync)
 
@@ -309,7 +309,7 @@ func TestFastPathEquivalenceAcrossRecovery(t *testing.T) {
 	log.Close()
 
 	build := func(fast bool) *twin {
-		c, _ := testController(t, 0.2, AtomicLedger)
+		c, _ := testController(t, 0.2)
 		c.SetFastPath(fast)
 		tw := &twin{ctrl: c, sink: &captureSink{}}
 		info, err := wal.Recover(crash, c.Fingerprint(), c)

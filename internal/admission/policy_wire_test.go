@@ -39,8 +39,8 @@ func (j *countJournal) AppendTeardownBatch(ids []uint64) error {
 // decisions (IDs, errors, stats) as one with no policy at all, across
 // admit-to-exhaustion and teardown.
 func TestAlwaysAdmitEquivalence(t *testing.T) {
-	plain, _ := testController(t, 0.3, AtomicLedger)
-	gated, _ := testController(t, 0.3, AtomicLedger)
+	plain, _ := testController(t, 0.3)
+	gated, _ := testController(t, 0.3)
 	gated.SetPolicy(policy.AlwaysAdmit{})
 	if gated.Policy() != nil {
 		t.Fatal("SetPolicy(AlwaysAdmit) must strip to the nil fast path")
@@ -90,7 +90,7 @@ func TestPolicyZeroAlloc(t *testing.T) {
 		t.Skip("allocation counts differ under -race")
 	}
 	run := func(name string, install func(*Controller)) {
-		c, _ := testController(t, 0.3, AtomicLedger)
+		c, _ := testController(t, 0.3)
 		install(c)
 		cycle := func() {
 			id, err := c.AdmitWithTenant("voice", "tenant-a", 0, 2)
@@ -132,7 +132,7 @@ func TestPolicyZeroAlloc(t *testing.T) {
 // a policy refusal must not produce a journal append, and must leave
 // no reservation behind.
 func TestPolicyRejectsNotJournaled(t *testing.T) {
-	c, _ := testController(t, 0.3, AtomicLedger)
+	c, _ := testController(t, 0.3)
 	j := &countJournal{}
 	c.SetJournal(j)
 	tb, err := policy.NewTokenBucket(policy.BucketConfig{Rate: 1e-3, Burst: 1}, nil)
@@ -178,7 +178,7 @@ func TestPolicyRejectsNotJournaled(t *testing.T) {
 // burst that overloads the cluster is absorbed by sheddable tenants
 // first, then standard, while critical traffic is never policy-shed.
 func TestSLOCascadeBurst(t *testing.T) {
-	c, _ := testController(t, 0.3, AtomicLedger)
+	c, _ := testController(t, 0.3)
 	load := &policy.SampledLoad{Sample: c.MaxUtilization} // Interval 0: probe every decision
 	g, err := NewSLOGatedForTest(load)
 	if err != nil {
@@ -230,7 +230,7 @@ func NewSLOGatedForTest(load policy.LoadSignal) (*policy.SLOGated, error) {
 // TestAdmitBatchPolicyVerdicts: batches carry per-op tenants and get
 // per-op policy verdicts, identical to the loop path.
 func TestAdmitBatchPolicyVerdicts(t *testing.T) {
-	c, _ := testController(t, 0.3, AtomicLedger)
+	c, _ := testController(t, 0.3)
 	tb, err := policy.NewTokenBucket(policy.BucketConfig{Rate: 1e-3, Burst: 2},
 		map[string]policy.BucketConfig{"vip": {Rate: 1e-3, Burst: 100}})
 	if err != nil {

@@ -251,7 +251,7 @@ func TestRegistryConcurrentChurn(t *testing.T) {
 // torn-down ID must keep failing with ErrUnknownFlow even after its
 // registry slot has been recycled by later admissions.
 func TestControllerStaleFlowID(t *testing.T) {
-	c, _ := testController(t, 0.3, AtomicLedger)
+	c, _ := testController(t, 0.3)
 	stale, err := c.Admit("voice", 0, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -294,30 +294,28 @@ func TestAdmitFastPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc gate runs uninstrumented")
 	}
-	for _, kind := range []LedgerKind{LockedLedger, AtomicLedger} {
-		c, _ := testController(t, 0.3, kind)
-		// Warm every shard's slot freelist.
-		for i := 0; i < 2*flowShards; i++ {
-			id, err := c.Admit("voice", 0, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Teardown(id); err != nil {
-				t.Fatal(err)
-			}
+	c, _ := testController(t, 0.3)
+	// Warm every shard's slot freelist.
+	for i := 0; i < 2*flowShards; i++ {
+		id, err := c.Admit("voice", 0, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(1000, func() {
-			id, err := c.Admit("voice", 0, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Teardown(id); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("ledger kind %v: %g allocs/op on the fast path, want 0", kind, allocs)
+		if err := c.Teardown(id); err != nil {
+			t.Fatal(err)
 		}
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		id, err := c.Admit("voice", 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Teardown(id); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%g allocs/op on the fast path, want 0", allocs)
 	}
 }
 
@@ -351,7 +349,7 @@ func TestRegistryGrowthAllocatesPerChunk(t *testing.T) {
 // more batches over the recycled slots — and returns every ID issued.
 func goldenAdmitSequence(t *testing.T) []FlowID {
 	t.Helper()
-	c, _ := testController(t, 0.3, AtomicLedger)
+	c, _ := testController(t, 0.3)
 	pairs := [][2]int{{0, 2}, {2, 0}, {0, 1}, {1, 2}}
 	var all []FlowID
 	for i := 0; i < 100; i++ {
@@ -478,7 +476,7 @@ func TestFlowIDNodeBits(t *testing.T) {
 // others are marked full by their length alone — with empty free lists
 // nothing reads their slots.
 func TestRegistrySlotCap(t *testing.T) {
-	c, _ := testController(t, 0.3, AtomicLedger)
+	c, _ := testController(t, 0.3)
 	r := c.reg
 	const home = 5
 	ids := make([]FlowID, 4096)

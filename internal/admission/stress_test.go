@@ -13,7 +13,7 @@ import (
 // stressController builds a small ring network where every ordered pair
 // is routed over its clockwise arc, sized so that capacity contention is
 // real (admissions fail under load, forcing the rollback path).
-func stressController(t *testing.T, kind LedgerKind, alpha float64) (*Controller, int) {
+func stressController(t *testing.T, alpha float64) (*Controller, int) {
 	t.Helper()
 	const n = 6
 	net, err := topology.Ring(n, 2e6) // 2 Mb/s links: ~6 concurrent 32 kb/s calls per hop at alpha=0.1
@@ -36,7 +36,7 @@ func stressController(t *testing.T, kind LedgerKind, alpha float64) (*Controller
 			}
 		}
 	}
-	ctrl, err := NewController(net, []ClassConfig{{Class: traffic.Voice(), Alpha: alpha, Routes: set}}, kind)
+	ctrl, err := NewController(net, []ClassConfig{{Class: traffic.Voice(), Alpha: alpha, Routes: set}}, AtomicLedger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,107 +54,105 @@ func TestStressAdmitTeardown(t *testing.T) {
 		opsPerG    = 2000
 		alpha      = 0.1
 	)
-	for _, kind := range []LedgerKind{LockedLedger, AtomicLedger} {
-		ctrl, n := stressController(t, kind, alpha)
-		nsrv := ctrl.net.NumServers()
+	ctrl, n := stressController(t, alpha)
+	nsrv := ctrl.net.NumServers()
 
-		var wg sync.WaitGroup
-		leftover := make([][]FlowID, goroutines)
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(g) * 7919))
-				var held []FlowID
-				for op := 0; op < opsPerG; op++ {
-					switch {
-					case len(held) > 0 && rng.Intn(3) == 0:
-						// Tear down a random held flow.
-						i := rng.Intn(len(held))
-						if err := ctrl.Teardown(held[i]); err != nil {
-							t.Errorf("teardown of live flow: %v", err)
-							return
-						}
-						held[i] = held[len(held)-1]
-						held = held[:len(held)-1]
-					default:
-						src := rng.Intn(n)
-						dst := (src + 1 + rng.Intn(n-1)) % n
-						id, err := ctrl.Admit("voice", src, dst)
-						switch err {
-						case nil:
-							held = append(held, id)
-						case ErrCapacity:
-							// Expected under contention.
-						default:
-							t.Errorf("admit(%d,%d): %v", src, dst, err)
-							return
-						}
+	var wg sync.WaitGroup
+	leftover := make([][]FlowID, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g) * 7919))
+			var held []FlowID
+			for op := 0; op < opsPerG; op++ {
+				switch {
+				case len(held) > 0 && rng.Intn(3) == 0:
+					// Tear down a random held flow.
+					i := rng.Intn(len(held))
+					if err := ctrl.Teardown(held[i]); err != nil {
+						t.Errorf("teardown of live flow: %v", err)
+						return
 					}
-					if op%97 == 0 {
-						// Mid-flight safety: reservations never exceed the
-						// verified assignment (limits round down to whole
-						// microbits, so alpha itself is the hard ceiling).
-						s := rng.Intn(nsrv)
-						u, err := ctrl.Utilization("voice", s)
-						if err != nil {
-							t.Errorf("utilization: %v", err)
-							return
-						}
-						if u > alpha*(1+1e-9) {
-							t.Errorf("server %d over-admitted: utilization %g > alpha %g", s, u, alpha)
-							return
-						}
+					held[i] = held[len(held)-1]
+					held = held[:len(held)-1]
+				default:
+					src := rng.Intn(n)
+					dst := (src + 1 + rng.Intn(n-1)) % n
+					id, err := ctrl.Admit("voice", src, dst)
+					switch err {
+					case nil:
+						held = append(held, id)
+					case ErrCapacity:
+						// Expected under contention.
+					default:
+						t.Errorf("admit(%d,%d): %v", src, dst, err)
+						return
 					}
 				}
-				leftover[g] = held
-			}(g)
-		}
-		wg.Wait()
-		if t.Failed() {
-			t.Fatalf("ledger kind %v: stress invariants violated", kind)
-		}
-
-		// Drain everything still held and check the ledger balances.
-		for _, held := range leftover {
-			for _, id := range held {
-				if err := ctrl.Teardown(id); err != nil {
-					t.Fatalf("final teardown: %v", err)
+				if op%97 == 0 {
+					// Mid-flight safety: reservations never exceed the
+					// verified assignment (limits round down to whole
+					// microbits, so alpha itself is the hard ceiling).
+					s := rng.Intn(nsrv)
+					u, err := ctrl.Utilization("voice", s)
+					if err != nil {
+						t.Errorf("utilization: %v", err)
+						return
+					}
+					if u > alpha*(1+1e-9) {
+						t.Errorf("server %d over-admitted: utilization %g > alpha %g", s, u, alpha)
+						return
+					}
 				}
 			}
+			leftover[g] = held
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.Fatal("stress invariants violated")
+	}
+
+	// Drain everything still held and check the ledger balances.
+	for _, held := range leftover {
+		for _, id := range held {
+			if err := ctrl.Teardown(id); err != nil {
+				t.Fatalf("final teardown: %v", err)
+			}
 		}
-		st := ctrl.Stats()
-		if st.Active != 0 {
-			t.Fatalf("ledger kind %v: %d flows active after full teardown", kind, st.Active)
+	}
+	st := ctrl.Stats()
+	if st.Active != 0 {
+		t.Fatalf("%d flows active after full teardown", st.Active)
+	}
+	if st.Admitted != st.TornDown {
+		t.Fatalf("admitted %d != torn down %d", st.Admitted, st.TornDown)
+	}
+	if st.MaxActive < st.Active || st.Admitted == 0 {
+		t.Fatalf("implausible stats %+v", st)
+	}
+	for s := 0; s < nsrv; s++ {
+		u, err := ctrl.Utilization("voice", s)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if st.Admitted != st.TornDown {
-			t.Fatalf("ledger kind %v: admitted %d != torn down %d", kind, st.Admitted, st.TornDown)
+		if u != 0 {
+			t.Fatalf("server %d utilization %g after full teardown", s, u)
 		}
-		if st.MaxActive < st.Active || st.Admitted == 0 {
-			t.Fatalf("ledger kind %v: implausible stats %+v", kind, st)
-		}
-		for s := 0; s < nsrv; s++ {
-			u, err := ctrl.Utilization("voice", s)
+	}
+	// With the ledger empty, every pair must report its full headroom.
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if src == dst {
+				continue
+			}
+			h, err := ctrl.Headroom("voice", src, dst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if u != 0 {
-				t.Fatalf("ledger kind %v: server %d utilization %g after full teardown", kind, s, u)
-			}
-		}
-		// With the ledger empty, every pair must report its full headroom.
-		for src := 0; src < n; src++ {
-			for dst := 0; dst < n; dst++ {
-				if src == dst {
-					continue
-				}
-				h, err := ctrl.Headroom("voice", src, dst)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if h <= 0 {
-					t.Fatalf("ledger kind %v: pair (%d,%d) headroom %d after full teardown", kind, src, dst, h)
-				}
+			if h <= 0 {
+				t.Fatalf("pair (%d,%d) headroom %d after full teardown", src, dst, h)
 			}
 		}
 	}

@@ -124,7 +124,7 @@ func TestUnsafeDeploymentRejected(t *testing.T) {
 	if dep.Safe() {
 		t.Fatal("alpha=0.9 reported safe")
 	}
-	if _, err := dep.Controller(admission.LockedLedger); err == nil {
+	if _, err := dep.Controller(admission.AtomicLedger); err == nil {
 		t.Error("unsafe deployment deployed")
 	}
 }
