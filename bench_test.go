@@ -422,7 +422,7 @@ func BenchmarkHeuristicKnobs(b *testing.B) {
 	}{
 		{"lookahead", routing.Heuristic{}},
 		{"delayweighted", routing.Heuristic{DelayWeighted: true}},
-		{"parallel", routing.Heuristic{Parallel: true}},
+		{"parallel", routing.Heuristic{Workers: 2}},
 		{"cheap", routing.Heuristic{Mode: routing.Cheap}},
 		{"k4", routing.Heuristic{K: 4, LengthSlack: 1}},
 		{"nocycles", routing.Heuristic{IgnoreCycles: true}},
@@ -521,7 +521,7 @@ func BenchmarkConfigScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			m := delay.NewModel(net)
 			for i := 0; i < b.N; i++ {
-				_, rep, err := (routing.Heuristic{Parallel: true}).Select(m,
+				_, rep, err := (routing.Heuristic{Workers: 2}).Select(m,
 					routing.Request{Class: traffic.Voice(), Alpha: 0.2})
 				if err != nil {
 					b.Fatal(err)

@@ -69,7 +69,7 @@ func cmdSelect(args []string) error {
 		rep.Selector, *alpha, rep.PairsRouted, rep.PairsTotal, rep.Safe)
 	fmt.Printf("worst route delay bound: %.6f s (deadline %.3f s)\n", rep.WorstDelay, c.deadline)
 	fmt.Printf("total hops: %d over %d routes\n", rep.TotalHops, set.Len())
-	fmt.Printf("selection took %s (%d candidate evaluations, workers=%d)\n",
+	fmt.Printf("selection took %s (%d candidates considered, workers=%d)\n",
 		elapsed.Round(time.Microsecond), rep.CandidatesTried, c.workers)
 	if rep.FailedPair != nil {
 		fmt.Printf("first unroutable pair: %s -> %s\n",
@@ -102,7 +102,7 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("selection took %s (%d candidate evaluations, workers=%d)\n",
+	fmt.Printf("selection took %s (%d candidates considered, workers=%d)\n",
 		time.Since(started).Round(time.Microsecond), rep.CandidatesTried, c.workers)
 	if !rep.Safe && rep.FailedPair != nil {
 		fmt.Printf("selection FAILED at pair %s -> %s (%d/%d routed)\n",
@@ -488,7 +488,7 @@ func printTelemetrySummary(sink *telemetry.RegistrySink) {
 			sink.FixedPointIterations.Value(), sink.FixedPointDuration.Sum())
 	}
 	if n := sink.RouteSelectDuration.Count(); n > 0 {
-		fmt.Printf("route selection: %d runs, %d candidate evaluations, wall %s\n",
+		fmt.Printf("route selection: %d runs, %d candidates considered, wall %s\n",
 			n, sink.RouteSelectCandidates.Value(), sink.RouteSelectDuration.Sum())
 	}
 }

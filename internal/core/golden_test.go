@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"ubac/internal/admission"
 	"ubac/internal/routing"
+	"ubac/internal/telemetry"
 	"ubac/internal/topology"
 )
 
@@ -47,5 +49,38 @@ func TestGoldenMCIFingerprintPinned(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// fixedPointCounter counts fixed-point solves and discards the rest.
+type fixedPointCounter struct {
+	telemetry.Nop
+	solves atomic.Int64
+}
+
+func (c *fixedPointCounter) FixedPoint(telemetry.FixedPoint) { c.solves.Add(1) }
+
+// TestLookaheadSolveCount pins how many fixed-point solves ubacd's
+// default configuration runs: the winning delay-weighted lookahead
+// considers 2,284 candidates and solves only those its slack bound
+// cannot rule out, then the Figure 2 verification solves once. A change
+// in the count is a change in what the bound rules out.
+func TestLookaheadSolveCount(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("count pinned on amd64; FMA fusing may move float ties elsewhere")
+	}
+	const considered, want = 2284, 412
+	sys := voiceSystem(t, topology.MCI())
+	sink := &fixedPointCounter{}
+	sys.Model().Sink = sink
+	dep, err := sys.Configure(map[string]float64{"voice": 0.40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dep.Reports[0].CandidatesTried; got != considered {
+		t.Errorf("candidates considered %d, pinned %d", got, considered)
+	}
+	if got := sink.solves.Load(); got != want {
+		t.Errorf("fixed-point solves %d, pinned %d", got, want)
 	}
 }

@@ -362,13 +362,13 @@ func (s *Set) MaxRouteDelayExtra(d []float64, extra *Route) (float64, int) {
 func (s *Set) MinSlackExtra(d []float64, deadline, perHop float64, extra *Route) (float64, int) {
 	min, minIdx := deadline, -1
 	for i := range s.routes {
-		sl := deadline - s.routes[i].Delay(d) - float64(len(s.routes[i].Servers))*perHop
+		sl := s.routes[i].Slack(d, deadline, perHop)
 		if sl < min || minIdx == -1 {
 			min, minIdx = sl, i
 		}
 	}
 	if extra != nil {
-		sl := deadline - extra.Delay(d) - float64(len(extra.Servers))*perHop
+		sl := extra.Slack(d, deadline, perHop)
 		if sl < min || minIdx == -1 {
 			min, minIdx = sl, len(s.routes)
 		}
@@ -384,6 +384,13 @@ func (r Route) Delay(d []float64) float64 {
 		sum += d[srv]
 	}
 	return sum
+}
+
+// Slack returns the route's deadline slack under per-server bounds d,
+// deadline − (Delay(d) + Hops·perHop). MinSlackExtra and the route
+// selection's pre-solve bound both compute it here, so they round alike.
+func (r Route) Slack(d []float64, deadline, perHop float64) float64 {
+	return deadline - r.Delay(d) - float64(len(r.Servers))*perHop
 }
 
 // DependencyGraph returns the digraph over link servers whose arcs join

@@ -51,13 +51,6 @@ func (h Backtracking) budget() int {
 	return 500
 }
 
-func (h Backtracking) workers() int {
-	if h.Workers > 0 {
-		return h.Workers
-	}
-	return 1
-}
-
 // level is the search state of one pair position.
 type level struct {
 	cands      []candidate
@@ -85,7 +78,7 @@ func (h Backtracking) Select(m *delay.Model, req Request) (*routes.Set, *Report,
 	set := routes.NewSet(net)
 	base := make([]float64, net.NumServers())
 
-	eng, owned := engineFor(h.Engine, h.workers())
+	eng, owned := engineFor(h.Engine, h.Workers)
 	if owned {
 		defer eng.Close()
 	}
@@ -120,7 +113,7 @@ func (h Backtracking) Select(m *delay.Model, req Request) (*routes.Set, *Report,
 		// Evaluate this level's remaining candidates from its saved base.
 		run.cands = lv.cands[lv.next:]
 		run.base = lv.baseBefore
-		idx, tried, err := run.evaluateFirst()
+		idx, tried, err := run.pickFirst()
 		run.base = base
 		if err != nil {
 			return nil, nil, err

@@ -94,7 +94,8 @@ func benchSelectMCI(b *testing.B, sel Selector) {
 
 // BenchmarkSelectDelayWeighted is the delay-weighted lookahead member
 // alone: Yen's algorithm over the current delay vector for every pair,
-// then one phantom fixed-point solve per candidate.
+// then a phantom fixed-point solve per candidate its slack bound cannot
+// rule out.
 func BenchmarkSelectDelayWeighted(b *testing.B) {
 	benchSelectMCI(b, Heuristic{DelayWeighted: true})
 }

@@ -1,8 +1,10 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -23,11 +25,11 @@ import (
 //
 // Parallel evaluation is bit-identical to sequential evaluation by
 // construction: every candidate is solved as a phantom route from the
-// same warm-start base, outcomes are gathered into a slot indexed by
-// the candidate's position, and the winner is chosen by scanning those
-// slots in candidate order — goroutine scheduling cannot influence any
-// result. Each worker owns a delay.SolveScratch, so steady-state
-// evaluation does not allocate.
+// same warm-start base into a slot indexed by the candidate's position,
+// and evalRun.pick takes the best key with ties to the lowest index, a
+// winner that does not depend on how many candidates a wave solved —
+// goroutine scheduling cannot influence any result. Each worker owns a
+// delay.SolveScratch, so steady-state evaluation does not allocate.
 //
 // An Engine is safe for concurrent use by multiple selections (the
 // portfolio runs its members concurrently over one engine). Close
@@ -85,8 +87,6 @@ func (e *Engine) Close() {
 		close(e.tasks)
 	}
 }
-
-func (e *Engine) parallel() bool { return e.workers > 1 }
 
 // startWorkers lazily spins the pool up on first parallel use, so an
 // engine that only ever evaluates inline costs nothing.
@@ -177,8 +177,8 @@ type outcome struct {
 
 // evalRun is the per-selection state shared between the selection
 // goroutine and the engine's workers. The selection goroutine owns
-// cands/base between batches; during a batch the workers only read
-// them and write disjoint slots of outs/errs/dbufs.
+// cands/base between waves; during a wave the workers only read them
+// and write disjoint slots of outs/errs/dbufs.
 type evalRun struct {
 	eng      *Engine
 	m        *delay.Model
@@ -198,6 +198,8 @@ type evalRun struct {
 	outs         []outcome
 	errs         []error
 	dbufs        [][]float64
+	order        []int     // pick's visit order
+	bounds       []float64 // pick's per-candidate bounds
 }
 
 func newEvalRun(eng *Engine, m *delay.Model, req Request, set *routes.Set, base []float64) *evalRun {
@@ -299,15 +301,19 @@ func (r *evalRun) buildCandidates(p [2]int, k, slack int, delayWeighted, checkCy
 	return nil
 }
 
-// prepare resets the outcome slots for a batch of n candidates, keeping
-// buffer capacity (dbufs in particular) across batches.
+// prepare resets the per-candidate slots for n candidates, keeping
+// buffer capacity (dbufs in particular) across pairs.
 func (r *evalRun) prepare(n int) {
 	if cap(r.outs) < n {
 		r.outs = make([]outcome, n)
 		r.errs = make([]error, n)
+		r.order = make([]int, n)
+		r.bounds = make([]float64, n)
 	}
 	r.outs = r.outs[:n]
 	r.errs = r.errs[:n]
+	r.order = r.order[:n]
+	r.bounds = r.bounds[:n]
 	for i := 0; i < n; i++ {
 		r.outs[i] = outcome{}
 		r.errs[i] = nil
@@ -341,71 +347,77 @@ func (r *evalRun) evalCandidate(ci int, sc *delay.SolveScratch) {
 	}
 }
 
-// evaluateAll evaluates every candidate of the batch (lookahead mode
-// considers them all) and returns the first evaluation error in
-// candidate order, if any. Outcomes land in r.outs by candidate index.
-func (r *evalRun) evaluateAll() error {
+// pick returns the feasible candidate with the largest key, ties to the
+// lowest index, or -1 if none is feasible. bound(ci) must be at least
+// key(ci), which pick reads only once ci is solved.
+//
+// It visits candidates in descending bound order, ties by index, in
+// waves of the pool size. Before each wave it stops at the first
+// candidate whose bound cannot beat the best key solved so far: lower,
+// or equal at a higher index. No later candidate's bound is better, so
+// none of them is solved. With a constant bound and key the visit is a
+// first-accept scan in index order.
+func (r *evalRun) pick(bound, key func(ci int) float64) (int, error) {
 	n := len(r.cands)
 	r.prepare(n)
-	if r.eng.parallel() && n > 1 {
-		r.eng.startWorkers()
-		var wg sync.WaitGroup
-		wg.Add(n)
-		for ci := 0; ci < n; ci++ {
-			r.eng.tasks <- task{run: r, ci: ci, wg: &wg}
-		}
-		wg.Wait()
-	} else {
-		for ci := 0; ci < n; ci++ {
-			r.evalCandidate(ci, r.scratch)
-		}
+	for ci := range r.order {
+		r.order[ci] = ci
+		r.bounds[ci] = bound(ci)
 	}
-	for _, err := range r.errs {
-		if err != nil {
-			return err
-		}
+	slices.SortStableFunc(r.order, func(a, b int) int { return cmp.Compare(r.bounds[b], r.bounds[a]) })
+	best, bestKey := -1, 0.0
+	beats := func(v float64, ci int) bool {
+		return best < 0 || v > bestKey || (v == bestKey && ci < best)
 	}
-	return nil
-}
-
-// evaluateFirst finds the first feasible candidate in candidate order,
-// evaluating in waves of the pool size so later candidates overlap the
-// earlier ones without ever overtaking them. It returns the winning
-// index (-1 if none) and the number of candidates a sequential
-// first-accept scan would have tried — idx+1 on success, n on
-// exhaustion — which keeps reported counters identical to sequential
-// execution even though a wave may speculatively solve a few more.
-func (r *evalRun) evaluateFirst() (idx, tried int, err error) {
-	n := len(r.cands)
-	r.prepare(n)
-	wave := 1
-	if r.eng.parallel() && n > 1 {
-		wave = r.eng.workers
-	}
-	for lo := 0; lo < n; lo += wave {
-		hi := lo + wave
-		if hi > n {
-			hi = n
+	for lo := 0; lo < n && beats(r.bounds[r.order[lo]], r.order[lo]); {
+		hi := lo + 1
+		for hi < n && hi-lo < r.eng.workers && beats(r.bounds[r.order[hi]], r.order[hi]) {
+			hi++
 		}
-		if hi-lo == 1 {
-			r.evalCandidate(lo, r.scratch)
+		wave := r.order[lo:hi]
+		if len(wave) == 1 {
+			r.evalCandidate(wave[0], r.scratch)
 		} else {
 			r.eng.startWorkers()
 			var wg sync.WaitGroup
-			wg.Add(hi - lo)
-			for ci := lo; ci < hi; ci++ {
+			wg.Add(len(wave))
+			for _, ci := range wave {
 				r.eng.tasks <- task{run: r, ci: ci, wg: &wg}
 			}
 			wg.Wait()
 		}
-		for ci := lo; ci < hi; ci++ {
+		for _, ci := range wave {
 			if r.errs[ci] != nil {
-				return -1, 0, r.errs[ci]
+				return -1, r.errs[ci]
 			}
-			if r.outs[ci].ok {
-				return ci, ci + 1, nil
+			if r.outs[ci].ok && beats(key(ci), ci) {
+				best, bestKey = ci, key(ci)
 			}
 		}
+		lo = hi
 	}
-	return -1, n, nil
+	return best, nil
+}
+
+// pickLookahead returns the feasible candidate whose phantom solve
+// leaves the largest minimum slack. A candidate's bound is the smaller
+// of the set's and its own slack under base: the phantom solve only
+// raises delays from base (DESIGN.md §9), so no slack grows in it.
+func (r *evalRun) pickLookahead() (int, error) {
+	perHop := r.m.FixedPerHop
+	setSlack, _ := r.set.MinSlackExtra(r.base, r.deadline, perHop, nil)
+	return r.pick(func(ci int) float64 {
+		return min(setSlack, r.cands[ci].route.Slack(r.base, r.deadline, perHop))
+	}, func(ci int) float64 { return r.outs[ci].slack })
+}
+
+// pickFirst returns the first feasible candidate in index order (-1 if
+// none) and the count a sequential scan would have tried: idx+1, or
+// every candidate. A wave may solve a few more; the count hides them.
+func (r *evalRun) pickFirst() (idx, tried int, err error) {
+	constant := func(int) float64 { return 0 }
+	if idx, err = r.pick(constant, constant); idx < 0 {
+		return idx, len(r.cands), err
+	}
+	return idx, idx + 1, nil
 }

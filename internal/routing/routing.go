@@ -17,10 +17,12 @@
 // meeting the class deadline — otherwise the next candidate is tried, and
 // the selection fails when a pair has no acceptable candidate.
 //
-// Candidate evaluation — the dominant cost, one fixed-point solve per
-// candidate — runs through a shared Engine: a persistent worker pool
-// with per-worker solver scratch, warm-started from the accepted set's
-// converged delay vector and memoizing per-pair candidate generation.
+// Candidate evaluation — the dominant cost, a fixed-point solve per
+// candidate that a slack bound taken before any solve cannot rule out
+// (see evalRun.pick) — runs through a shared Engine: a persistent
+// worker pool with per-worker solver scratch, warm-started from the
+// accepted set's converged delay vector and memoizing per-pair
+// candidate generation.
 // Parallel and sequential evaluation produce bit-identical selections
 // (see Engine).
 package routing
@@ -28,7 +30,6 @@ package routing
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -79,8 +80,11 @@ type Report struct {
 	// TotalHops sums the route lengths (route-length cost of the
 	// selection).
 	TotalHops int
-	// CandidatesTried counts tentative candidate evaluations (heuristic
-	// only).
+	// CandidatesTried counts the candidates considered (heuristic and
+	// backtracking): every candidate of every pair under Lookahead, up
+	// to the accepted one in a first-accept scan. Lookahead solves only
+	// those its slack bound cannot rule out; the solves are counted by
+	// ubac_fixedpoint_runs_total.
 	CandidatesTried int
 	// Backtracks counts undo steps (Backtracking selector only).
 	Backtracks int
@@ -256,16 +260,12 @@ type Heuristic struct {
 	// IgnoreOrder disables heuristic 1 (longest pairs first) for
 	// ablation, keeping the input order.
 	IgnoreOrder bool
-	// Parallel evaluates candidates concurrently over a pool sized to
-	// GOMAXPROCS; equivalent to setting Workers to that size. The
-	// selection is bit-identical to sequential evaluation either way.
-	Parallel bool
-	// Workers sets the candidate-evaluation pool size explicitly
-	// (0 defers to Parallel; 1 forces sequential evaluation).
+	// Workers sets the candidate-evaluation pool size (0 or 1:
+	// sequential). The selection is bit-identical either way.
 	Workers int
 	// Engine, when non-nil, is a shared evaluation engine (worker pool
-	// + candidate memo) owned by the caller; Workers and Parallel are
-	// then ignored. When nil, Select runs a private engine.
+	// + candidate memo) owned by the caller; Workers is then ignored.
+	// When nil, Select runs a private engine.
 	Engine *Engine
 	// DelayWeighted generates each pair's candidate paths with Yen's
 	// algorithm over the *current delay vector* (arc cost = the link
@@ -292,19 +292,6 @@ func (h Heuristic) slack() int {
 	return 2
 }
 
-func (h Heuristic) workers() int {
-	if h.Workers > 0 {
-		return h.Workers
-	}
-	if h.Parallel {
-		if n := runtime.GOMAXPROCS(0); n > 2 {
-			return n
-		}
-		return 2
-	}
-	return 1
-}
-
 // Select runs the greedy search described in the package comment.
 func (h Heuristic) Select(m *delay.Model, req Request) (*routes.Set, *Report, error) {
 	start, emit := selectStart(m)
@@ -322,7 +309,7 @@ func (h Heuristic) Select(m *delay.Model, req Request) (*routes.Set, *Report, er
 	set := routes.NewSet(net)
 	base := make([]float64, net.NumServers()) // converged d of the accepted set
 
-	eng, owned := engineFor(h.Engine, h.workers())
+	eng, owned := engineFor(h.Engine, h.Workers)
 	if owned {
 		defer eng.Close()
 	}
@@ -335,51 +322,27 @@ func (h Heuristic) Select(m *delay.Model, req Request) (*routes.Set, *Report, er
 		if err := run.buildCandidates(p, h.k(), h.slack(), h.DelayWeighted, !h.IgnoreCycles); err != nil {
 			return nil, nil, err
 		}
-		accepted := false
+		// A candidate is judged as a phantom member of the set, which is
+		// bit-identical to adding it and re-solving, so no tentative set
+		// mutation is needed.
+		var idx int
 		if h.Mode == Lookahead {
-			// Evaluate every candidate by its one-step effect: solve the
-			// fixed point with the candidate as a phantom member of the
-			// set, and keep the feasible candidate that leaves the
-			// largest worst-route slack (ties to the lowest index).
+			// Keep the feasible candidate that leaves the largest
+			// worst-route slack (ties to the lowest index). Every
+			// candidate is considered; pick solves only those its slack
+			// bound cannot rule out.
+			idx, err = run.pickLookahead()
 			rep.CandidatesTried += len(run.cands)
-			if err := run.evaluateAll(); err != nil {
-				return nil, nil, err
-			}
-			bestIdx := -1
-			for ci := range run.outs {
-				if run.outs[ci].ok && (bestIdx == -1 || run.outs[ci].slack > run.outs[bestIdx].slack) {
-					bestIdx = ci
-				}
-			}
-			if bestIdx >= 0 {
-				if err := set.Add(run.cands[bestIdx].route); err != nil {
-					return nil, nil, err
-				}
-				copy(base, run.outs[bestIdx].d)
-				rep.PairsRouted++
-				rep.TotalHops += run.cands[bestIdx].route.Hops()
-				accepted = true
-			}
 		} else {
-			// Cheap mode: accept the first candidate that verifies. The
-			// phantom solve is bit-identical to adding the candidate and
-			// re-solving, so no tentative set mutation is needed.
-			idx, tried, err := run.evaluateFirst()
-			if err != nil {
-				return nil, nil, err
-			}
+			// Cheap mode: accept the first candidate that verifies.
+			var tried int
+			idx, tried, err = run.pickFirst()
 			rep.CandidatesTried += tried
-			if idx >= 0 {
-				if err := set.Add(run.cands[idx].route); err != nil {
-					return nil, nil, err
-				}
-				copy(base, run.outs[idx].d)
-				rep.PairsRouted++
-				rep.TotalHops += run.cands[idx].route.Hops()
-				accepted = true
-			}
 		}
-		if !accepted {
+		if err != nil {
+			return nil, nil, err
+		}
+		if idx < 0 {
 			failed := p
 			rep.FailedPair = &failed
 			rep.Safe = false
@@ -388,6 +351,12 @@ func (h Heuristic) Select(m *delay.Model, req Request) (*routes.Set, *Report, er
 			emitSelect(m, emit, start, rep)
 			return set, rep, nil
 		}
+		if err := set.Add(run.cands[idx].route); err != nil {
+			return nil, nil, err
+		}
+		copy(base, run.outs[idx].d)
+		rep.PairsRouted++
+		rep.TotalHops += run.cands[idx].route.Hops()
 	}
 	slack, _ := set.MinSlackExtra(base, req.Class.Deadline, m.FixedPerHop, nil)
 	rep.WorstDelay = req.Class.Deadline - slack

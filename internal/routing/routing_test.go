@@ -333,7 +333,7 @@ func TestParallelLookaheadMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pSet, pRep, err := (Heuristic{Parallel: true}).Select(m, voiceReq(alpha))
+		pSet, pRep, err := (Heuristic{Workers: 2}).Select(m, voiceReq(alpha))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +368,7 @@ func BenchmarkHeuristicParallelLookahead(b *testing.B) {
 	net := topology.MCI()
 	m := delay.NewModel(net)
 	for i := 0; i < b.N; i++ {
-		if _, _, err := (Heuristic{Parallel: true}).Select(m, voiceReq(0.4)); err != nil {
+		if _, _, err := (Heuristic{Workers: 2}).Select(m, voiceReq(0.4)); err != nil {
 			b.Fatal(err)
 		}
 	}

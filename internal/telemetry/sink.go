@@ -177,7 +177,7 @@ func NewRegistrySink(reg *Registry, ring *Ring) *RegistrySink {
 		RouteSelectDuration: reg.Histogram(MetricRouteSelectSeconds,
 			"Route-selection wall time per selector run."),
 		RouteSelectCandidates: reg.Counter(MetricRouteCandidates,
-			"Candidate route evaluations (fixed-point solves) performed by route selection."),
+			"Candidate routes considered by route selection (its solves are ubac_fixedpoint_runs_total)."),
 		SimGenerated: reg.Counter(MetricSimGeneratedTotal, "Packets generated by the simulator."),
 		SimDelivered: reg.Counter(MetricSimDeliveredTotal, "Packets delivered by the simulator."),
 		SimPoliced:   reg.Counter(MetricSimPolicedTotal, "Packets dropped by edge policing in the simulator."),

@@ -141,8 +141,9 @@ type RouteSelect struct {
 	Selector string
 	// PairsRouted and PairsTotal count selection progress.
 	PairsRouted, PairsTotal int
-	// Candidates is the number of candidate evaluations (fixed-point
-	// solves) the search performed.
+	// Candidates is the number of candidate routes the search
+	// considered (routing.Report.CandidatesTried); its fixed-point
+	// solves are reported as FixedPoint events.
 	Candidates int
 	// Safe reports whether the selected configuration verified.
 	Safe bool
