@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"ubac/internal/wire"
 )
 
 func TestBatchAdmitTeardownLifecycle(t *testing.T) {
@@ -141,7 +143,7 @@ func TestBatchRejections(t *testing.T) {
 		{"trailing data", `{"teardown":[1]} extra`, http.StatusBadRequest},
 		{"missing fields", `{"admit":[{"class":"voice","src":"Seattle"}]}`, http.StatusBadRequest},
 		{"huge body", `{"teardown":[` + strings.Repeat("1,", 40000) + `1]}`, http.StatusRequestEntityTooLarge},
-		{"too many ops", `{"teardown":[` + strings.Repeat("1,", maxBatchOps) + `1]}`, http.StatusBadRequest},
+		{"too many ops", `{"teardown":[` + strings.Repeat("1,", wire.MaxFrameOps) + `1]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/flows:batch", "application/json", strings.NewReader(tc.body))

@@ -6,13 +6,15 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"ubac/internal/wire"
 )
 
 // FuzzDecodeBatchRequest throws arbitrary bytes at the POST
 // /v1/flows:batch body decoder through the same 64 KiB cap the
 // handler applies: it must never panic, anything it accepts is
 // non-empty with every admit entry fully populated and at most
-// maxBatchOps operations, and the pooled codec must decode a known
+// wire.MaxFrameOps operations, and the pooled codec must decode a known
 // body identically right after — stale slices from the fuzzed request
 // must not leak through the sync.Pool reuse path.
 func FuzzDecodeBatchRequest(f *testing.F) {
@@ -40,8 +42,8 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 			if n == 0 {
 				t.Fatal("accepted an empty batch")
 			}
-			if n > maxBatchOps {
-				t.Fatalf("accepted %d operations, cap is %d", n, maxBatchOps)
+			if n > wire.MaxFrameOps {
+				t.Fatalf("accepted %d operations, cap is %d", n, wire.MaxFrameOps)
 			}
 			for i, a := range bc.req.Admit {
 				if a.Class == "" || a.Src == "" || a.Dst == "" {

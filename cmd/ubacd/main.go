@@ -1,7 +1,10 @@
 // Command ubacd is the admission-control daemon: it runs the paper's
 // configuration step once at startup (safe route selection and
 // verification at the requested utilization) and then serves run-time
-// admission decisions over HTTP.
+// admission decisions over HTTP and, with -wire, the binary wire
+// transport. Both are codecs over one wire.Backend: the admission
+// controller, or on a -cluster member its edge lease plane, so a
+// request is decided the same way whichever transport carries it.
 //
 //	ubacd -topology mci -alpha 0.40 -listen :8080
 //
@@ -154,7 +157,7 @@ func main() {
 			log.Fatalf("ubacd: %v", err)
 		}
 		if *wireListen == "" {
-			log.Fatalf("ubacd: -cluster requires -wire (cluster frames and flow admission ride the wire transport)")
+			log.Fatalf("ubacd: -cluster requires -wire (cluster frames ride the wire transport)")
 		}
 		if *dataDir == "" {
 			log.Fatalf("ubacd: -cluster requires -data-dir (the authority journals leases; followers mirror the log)")
@@ -257,9 +260,9 @@ func main() {
 		log.Print(line + ")")
 	}
 
-	// The distributed admission plane: every flow admit on this node
-	// goes through the node's edge lease cells; the wire server carries
-	// both client traffic and cluster frames.
+	// The distributed admission plane: every flow admit on this node,
+	// over either transport, goes through the node's edge lease cells;
+	// the wire server carries both client traffic and cluster frames.
 	var clusterNode *cluster.Node
 	backend := wire.Backend(ctrl)
 	wireOpts := wire.Options{Observer: sink}
@@ -293,11 +296,9 @@ func main() {
 			clusterCfg.NodeID, len(members), *dataDir)
 	}
 
-	httpHandler := newServer(net, ctrl, reg, ring)
-	httpHandler.clustered = clusterCfg != nil
 	httpSrv := &http.Server{
 		Addr:              *listen,
-		Handler:           httpHandler.routes(),
+		Handler:           newServer(net, backend, ctrl, reg, ring).routes(),
 		ReadTimeout:       10 * time.Second,
 		ReadHeaderTimeout: 5 * time.Second,
 		WriteTimeout:      10 * time.Second,
@@ -310,8 +311,8 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 
-	// The binary wire transport serves the same controller the HTTP
-	// handlers do; verdicts are identical on either path.
+	// The binary wire transport serves the same backend the HTTP flow
+	// endpoints do; verdicts are identical on either path.
 	var wireSrv *wire.Server
 	if *wireListen != "" {
 		ln, err := gonet.Listen("tcp", *wireListen)

@@ -1,11 +1,8 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime/metrics"
@@ -16,6 +13,7 @@ import (
 	"ubac/internal/admission"
 	"ubac/internal/telemetry"
 	"ubac/internal/topology"
+	"ubac/internal/wire"
 )
 
 // maxFlowBody bounds POST /v1/flows request bodies; an admission request
@@ -36,25 +34,20 @@ const maxFlowBody = 64 << 10
 //	GET    /debug/pprof/            runtime profiles (net/http/pprof)
 //
 // Router names are used in the API; the daemon resolves them against the
-// configured topology. Rejection bodies carry a machine-readable
-// "reason" field matching the event schema: "no_route" | "capacity" |
-// "unknown_class" | "policy_token_bucket" | "policy_shed" |
-// "policy_reserve" from the utilization test and the policy, and
-// "unknown_router" | "unknown_flow" | "shutting_down" | "internal" from
-// the handlers around it. statusForReason centralizes the reason → HTTP
-// status mapping (429 for rate/shed conditions, 503 for capacity
-// conditions, 404 for unknown names, 500 for "internal").
+// configured topology. The flow endpoints admit and tear down through
+// be, the backend the wire transport serves; the rest read ctrl.
+// Rejection bodies carry a machine-readable "reason" field: the
+// event-schema name wire.Reason gives the backend's error, or
+// "unknown_router" for a name the topology does not know.
+// statusForReason maps a reason to its HTTP status (429 for rate/shed
+// conditions, 503 for capacity conditions, 404 for unknown names, 500
+// for "internal").
 type server struct {
 	net  *topology.Network
+	be   wire.Backend
 	ctrl *admission.Controller
 	reg  *telemetry.Registry
 	ring *telemetry.Ring
-
-	// clustered disables the HTTP flow-mutation endpoints: on a cluster
-	// node, admission rides the wire transport's edge lease plane, and
-	// the local controller is either a pure ledger (authority) or idle
-	// (follower) — HTTP admits would bypass the lease accounting.
-	clustered bool
 
 	// Fast-path outcome counters, advanced from the controller's
 	// cumulative FastPathStats on each /metrics scrape (the controller
@@ -65,9 +58,9 @@ type server struct {
 	fpHit, fpStale, fpFallback *telemetry.Counter
 }
 
-func newServer(net *topology.Network, ctrl *admission.Controller,
+func newServer(net *topology.Network, be wire.Backend, ctrl *admission.Controller,
 	reg *telemetry.Registry, ring *telemetry.Ring) *server {
-	s := &server{net: net, ctrl: ctrl, reg: reg, ring: ring}
+	s := &server{net: net, be: be, ctrl: ctrl, reg: reg, ring: ring}
 	const fpHelp = "Admission decisions by fast-path outcome: hit (O(1) budget decrement), stale (lease refill), fallback (exact per-server walk)."
 	s.fpHit = reg.Counter("ubac_admit_fastpath_total", fpHelp, telemetry.Label{Key: "outcome", Value: "hit"})
 	s.fpStale = reg.Counter("ubac_admit_fastpath_total", fpHelp, telemetry.Label{Key: "outcome", Value: "stale"})
@@ -121,17 +114,9 @@ func (s *server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealth)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	flows, flowsBatch, flowByID := s.handleFlows, s.handleFlowsBatch, s.handleFlowByID
-	if s.clustered {
-		unavail := func(w http.ResponseWriter, r *http.Request) {
-			writeErr(w, http.StatusServiceUnavailable,
-				"cluster node: flow admission rides the wire transport (use a wire client against this node's -wire address)")
-		}
-		flows, flowsBatch, flowByID = unavail, unavail, unavail
-	}
-	mux.HandleFunc("/v1/flows", flows)
-	mux.HandleFunc("/v1/flows:batch", flowsBatch)
-	mux.HandleFunc("/v1/flows/", flowByID)
+	mux.HandleFunc("/v1/flows", s.handleFlows)
+	mux.HandleFunc("/v1/flows:batch", s.handleFlowsBatch)
+	mux.HandleFunc("/v1/flows/", s.handleFlowByID)
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/v1/events", s.handleEvents)
 	mux.HandleFunc("/v1/headroom", s.handleHeadroom)
@@ -158,45 +143,7 @@ func writeErr(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
-// writeErrReason adds the machine-readable reason alongside the human
-// message, mirroring the decision event schema.
-func writeErrReason(w http.ResponseWriter, code int, msg, reason string) {
-	writeJSON(w, code, map[string]string{"error": msg, "reason": reason})
-}
-
-// writeAdmitErr writes the rejection of an admit or teardown: err's
-// reason and the status statusForReason gives it.
-func writeAdmitErr(w http.ResponseWriter, err error) {
-	reason := admitReason(err)
-	writeErrReason(w, statusForReason(reason), err.Error(), reason)
-}
-
-// admitReason maps the admission sentinel errors to event-schema
-// reasons.
-func admitReason(err error) string {
-	switch {
-	case errors.Is(err, admission.ErrNoRoute):
-		return "no_route"
-	case errors.Is(err, admission.ErrCapacity):
-		return "capacity"
-	case errors.Is(err, admission.ErrUnknownClass):
-		return "unknown_class"
-	case errors.Is(err, admission.ErrUnknownFlow):
-		return "unknown_flow"
-	case errors.Is(err, admission.ErrShuttingDown):
-		return "shutting_down"
-	case errors.Is(err, admission.ErrPolicyRate):
-		return "policy_token_bucket"
-	case errors.Is(err, admission.ErrPolicyShed):
-		return "policy_shed"
-	case errors.Is(err, admission.ErrPolicyReserve):
-		return "policy_reserve"
-	default:
-		return "internal"
-	}
-}
-
-// statusForReason is the single reason → HTTP status mapping for every
+// statusForReason is the reason → HTTP status mapping for every
 // admission and teardown outcome. Client rate conditions (the caller
 // can back off and retry) are 429; server capacity conditions are 503;
 // names the configuration doesn't know are 404.
@@ -279,95 +226,6 @@ func (s *server) resolveRouter(spec string) (int, error) {
 		return n, nil
 	}
 	return 0, fmt.Errorf("unknown router %q", spec)
-}
-
-type flowRequest struct {
-	Class string `json:"class"`
-	// Tenant is optional: it feeds the installed admission policy
-	// (token buckets key on it; SLO tiers may map it) and labels the
-	// audit event.
-	Tenant string `json:"tenant,omitempty"`
-	Src    string `json:"src"`
-	Dst    string `json:"dst"`
-}
-
-// decodeFlowRequest parses a POST /v1/flows body. It is total over
-// arbitrary input (fuzz-tested): any reader either yields a request
-// with all three fields present or an error, never a panic. Unknown
-// fields and trailing data are rejected so malformed clients fail
-// loudly instead of silently admitting the wrong flow.
-func decodeFlowRequest(r io.Reader) (flowRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var req flowRequest
-	if err := dec.Decode(&req); err != nil {
-		return flowRequest{}, err
-	}
-	if dec.More() {
-		return flowRequest{}, errors.New("trailing data after request object")
-	}
-	if req.Class == "" || req.Src == "" || req.Dst == "" {
-		return flowRequest{}, errors.New(`"class", "src" and "dst" are all required`)
-	}
-	return req, nil
-}
-
-func (s *server) handleFlows(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	// The whole body is read before it is parsed, so one past the cap is
-	// refused even when a complete request sits in its first 64 KiB.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxFlowBody))
-	var req flowRequest
-	if err == nil {
-		req, err = decodeFlowRequest(bytes.NewReader(body))
-	}
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		writeErr(w, http.StatusBadRequest, "invalid request: "+err.Error())
-		return
-	}
-	src, err := s.resolveRouter(req.Src)
-	if err != nil {
-		writeErrReason(w, http.StatusNotFound, err.Error(), "unknown_router")
-		return
-	}
-	dst, err := s.resolveRouter(req.Dst)
-	if err != nil {
-		writeErrReason(w, http.StatusNotFound, err.Error(), "unknown_router")
-		return
-	}
-	id, err := s.ctrl.AdmitWithTenant(req.Class, req.Tenant, src, dst)
-	if err != nil {
-		writeAdmitErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]admission.FlowID{"id": id})
-}
-
-func (s *server) handleFlowByID(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodDelete {
-		writeErr(w, http.StatusMethodNotAllowed, "DELETE only")
-		return
-	}
-	raw := strings.TrimPrefix(r.URL.Path, "/v1/flows/")
-	id, err := strconv.ParseUint(raw, 10, 64)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "invalid flow id")
-		return
-	}
-	if err := s.ctrl.Teardown(admission.FlowID(id)); err != nil {
-		writeAdmitErr(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // routeOut is one configured route with its verified end-to-end bound.

@@ -20,6 +20,7 @@ import (
 	"ubac/internal/topology"
 	"ubac/internal/traffic"
 	"ubac/internal/wal"
+	"ubac/internal/wire"
 )
 
 func testDaemon(t *testing.T) (*httptest.Server, *topology.Network) {
@@ -42,6 +43,30 @@ func testDaemonFull(t *testing.T) (*httptest.Server, *topology.Network, *telemet
 // the test ends: a daemon booted on the directory before that finds it
 // as a killed one leaves it.
 func testDaemonOn(t *testing.T, dataDir string) (*httptest.Server, *topology.Network, *admission.Controller, *telemetry.RegistrySink) {
+	t.Helper()
+	net, ctrl, reg, ring, sink := testDeployment(t)
+	if dataDir != "" {
+		rec, err := recoverState(ctrl, sink, dataDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log, err := wal.Open(wal.Options{Dir: dataDir, Mode: wal.ModeSync,
+			Fingerprint: ctrl.Fingerprint(), Epoch: rec.Epoch + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrl.SetJournal(log)
+		t.Cleanup(func() { log.Close() })
+	}
+	ts := httptest.NewServer(newServer(net, ctrl, ctrl, reg, ring).routes())
+	t.Cleanup(ts.Close)
+	return ts, net, ctrl, sink
+}
+
+// testDeployment configures NSFNet at voice α 0.30 with main.go's
+// telemetry wiring: one registry, audit ring and sink for both the
+// delay model (the configuration step) and the run-time controller.
+func testDeployment(t *testing.T) (*topology.Network, *admission.Controller, *telemetry.Registry, *telemetry.Ring, *telemetry.RegistrySink) {
 	t.Helper()
 	net := topology.NSFNet(topology.DefaultCapacity)
 	classes, err := traffic.NewClassSet(traffic.Voice(), traffic.BestEffort(1))
@@ -66,22 +91,7 @@ func testDaemonOn(t *testing.T, dataDir string) (*httptest.Server, *topology.Net
 	}
 	sink.SetClasses(ctrl.Classes())
 	ctrl.SetSink(sink)
-	if dataDir != "" {
-		rec, err := recoverState(ctrl, sink, dataDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		log, err := wal.Open(wal.Options{Dir: dataDir, Mode: wal.ModeSync,
-			Fingerprint: ctrl.Fingerprint(), Epoch: rec.Epoch + 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctrl.SetJournal(log)
-		t.Cleanup(func() { log.Close() })
-	}
-	ts := httptest.NewServer(newServer(net, ctrl, reg, ring).routes())
-	t.Cleanup(ts.Close)
-	return ts, net, ctrl, sink
+	return net, ctrl, reg, ring, sink
 }
 
 func post(t *testing.T, ts *httptest.Server, path string, body any) (*http.Response, map[string]any) {
@@ -463,15 +473,16 @@ func TestStatusForReason(t *testing.T) {
 			t.Errorf("statusForReason(%q) = %d, want %d", tc.reason, got, tc.want)
 		}
 	}
-	// Every admission sentinel maps through admitReason to a reason the
+	// Every admission sentinel maps through wire.Reason to a reason the
 	// table knows (nothing falls to the 500 default by accident).
 	sentinels := []error{
 		admission.ErrNoRoute, admission.ErrCapacity, admission.ErrUnknownClass,
 		admission.ErrUnknownFlow, admission.ErrShuttingDown,
 		admission.ErrPolicyRate, admission.ErrPolicyShed, admission.ErrPolicyReserve,
+		admission.ErrTooManyFlows,
 	}
 	for _, err := range sentinels {
-		reason := admitReason(err)
+		reason := wire.Reason(err)
 		if reason == "internal" {
 			t.Errorf("sentinel %v maps to the internal fallback", err)
 		}
@@ -485,30 +496,9 @@ func TestStatusForReason(t *testing.T) {
 // admission policy installed on the controller before serving.
 func testDaemonPolicy(t *testing.T, pol policy.Policy) (*httptest.Server, *telemetry.RegistrySink) {
 	t.Helper()
-	net := topology.NSFNet(topology.DefaultCapacity)
-	classes, err := traffic.NewClassSet(traffic.Voice(), traffic.BestEffort(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := core.NewSystem(net, classes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry()
-	ring := telemetry.NewRing(256)
-	sink := telemetry.NewRegistrySink(reg, ring)
-	sys.Model().Sink = sink
-	dep, err := sys.Configure(map[string]float64{"voice": 0.30})
-	if err != nil || !dep.Safe() {
-		t.Fatalf("configure: %v", err)
-	}
-	ctrl, err := dep.Controller(admission.AtomicLedger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl.SetSink(sink)
+	net, ctrl, reg, ring, sink := testDeployment(t)
 	ctrl.SetPolicy(pol)
-	ts := httptest.NewServer(newServer(net, ctrl, reg, ring).routes())
+	ts := httptest.NewServer(newServer(net, ctrl, ctrl, reg, ring).routes())
 	t.Cleanup(ts.Close)
 	return ts, sink
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -15,6 +14,7 @@ import (
 	"ubac/internal/policy"
 	"ubac/internal/topology"
 	"ubac/internal/traffic"
+	"ubac/internal/wire"
 	"ubac/internal/workload"
 )
 
@@ -178,10 +178,8 @@ func (a *scenarioAdmitter) TryAdmitTier(class, tenant string, src, dst int) (uin
 	id, err := a.ctrl.AdmitWithTenant(class, tenant, src, dst)
 	o := a.outcome(class, tenant)
 	if err != nil {
-		switch {
-		case errors.Is(err, admission.ErrPolicyRate),
-			errors.Is(err, admission.ErrPolicyShed),
-			errors.Is(err, admission.ErrPolicyReserve):
+		switch wire.Reason(err) {
+		case "policy_token_bucket", "policy_shed", "policy_reserve":
 			o.RejectPolicy++
 		default:
 			o.RejectCapacity++

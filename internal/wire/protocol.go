@@ -108,8 +108,9 @@ const (
 	// MaxPayload bounds one frame's payload; a length field beyond it is
 	// corruption (or an attack), not an allocation request.
 	MaxPayload = 1 << 20
-	// MaxFrameOps bounds the unit count of one batch-shaped frame,
-	// matching the HTTP batch endpoint's cap.
+	// MaxFrameOps bounds the unit count of one batch-shaped frame, and
+	// is the largest run either transport hands the backend: a coalesced
+	// run of frames and an HTTP :batch request alike.
 	MaxFrameOps = 4096
 )
 
@@ -230,78 +231,66 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	}, total, nil
 }
 
-// statusOf maps an admission sentinel to its wire status code.
+// statuses is the one home of the reject vocabulary, shared by both
+// transports. Indexed by status code, a row holds the sentinel the
+// status stands for, the event-schema reason that /metrics, the audit
+// trail and HTTP bodies name it by, and whether it is a verdict (a
+// reject the audit trail records) rather than a failure. A full
+// registry is recorded as a capacity reject, and so is named one.
+var statuses = [...]struct {
+	err    error
+	reason string
+	reject bool
+}{
+	StatusOK:              {nil, "", false},
+	StatusCapacity:        {admission.ErrCapacity, "capacity", true},
+	StatusNoRoute:         {admission.ErrNoRoute, "no_route", true},
+	StatusUnknownClass:    {admission.ErrUnknownClass, "unknown_class", true},
+	StatusUnknownFlow:     {admission.ErrUnknownFlow, "unknown_flow", false},
+	StatusShuttingDown:    {admission.ErrShuttingDown, "shutting_down", false},
+	StatusPolicyRate:      {admission.ErrPolicyRate, "policy_token_bucket", true},
+	StatusPolicyShed:      {admission.ErrPolicyShed, "policy_shed", true},
+	StatusPolicyReserve:   {admission.ErrPolicyReserve, "policy_reserve", true},
+	StatusTooManyFlows:    {admission.ErrTooManyFlows, "capacity", true},
+	StatusInternal:        {nil, "internal", false},
+	StatusFetchOutOfRange: {ErrFetchOutOfRange, "internal", false},
+}
+
+// statusOf maps an error to the status of the first row whose sentinel
+// it wraps; nil is StatusOK and anything else StatusInternal.
 func statusOf(err error) uint32 {
-	switch {
-	case err == nil:
+	if err == nil {
 		return StatusOK
-	case errors.Is(err, admission.ErrCapacity):
-		return StatusCapacity
-	case errors.Is(err, admission.ErrNoRoute):
-		return StatusNoRoute
-	case errors.Is(err, admission.ErrUnknownClass):
-		return StatusUnknownClass
-	case errors.Is(err, admission.ErrUnknownFlow):
-		return StatusUnknownFlow
-	case errors.Is(err, admission.ErrShuttingDown):
-		return StatusShuttingDown
-	case errors.Is(err, admission.ErrPolicyRate):
-		return StatusPolicyRate
-	case errors.Is(err, admission.ErrPolicyShed):
-		return StatusPolicyShed
-	case errors.Is(err, admission.ErrPolicyReserve):
-		return StatusPolicyReserve
-	case errors.Is(err, admission.ErrTooManyFlows):
-		return StatusTooManyFlows
-	case errors.Is(err, ErrFetchOutOfRange):
-		return StatusFetchOutOfRange
-	default:
-		return StatusInternal
 	}
+	for st, row := range statuses {
+		if row.err != nil && errors.Is(err, row.err) {
+			return uint32(st)
+		}
+	}
+	return StatusInternal
 }
 
 // StatusErr maps a wire status code back to the admission sentinel the
 // server derived it from, so wire clients surface the same error
 // values an in-process caller would see. StatusOK maps to nil.
 func StatusErr(status uint32) error {
-	switch status {
-	case StatusOK:
-		return nil
-	case StatusCapacity:
-		return admission.ErrCapacity
-	case StatusNoRoute:
-		return admission.ErrNoRoute
-	case StatusUnknownClass:
-		return admission.ErrUnknownClass
-	case StatusUnknownFlow:
-		return admission.ErrUnknownFlow
-	case StatusShuttingDown:
-		return admission.ErrShuttingDown
-	case StatusPolicyRate:
-		return admission.ErrPolicyRate
-	case StatusPolicyShed:
-		return admission.ErrPolicyShed
-	case StatusPolicyReserve:
-		return admission.ErrPolicyReserve
-	case StatusTooManyFlows:
-		return admission.ErrTooManyFlows
-	case StatusFetchOutOfRange:
-		return ErrFetchOutOfRange
-	default:
-		return fmt.Errorf("wire: status %d", status)
+	if status < uint32(len(statuses)) && (status == StatusOK || statuses[status].err != nil) {
+		return statuses[status].err
 	}
+	return fmt.Errorf("wire: status %d", status)
 }
 
 // StatusRejected reports whether a status is an admission rejection —
 // a verdict, as opposed to a transport or server failure. Load
 // generators count these as rejects, not errors.
 func StatusRejected(status uint32) bool {
-	switch status {
-	case StatusCapacity, StatusNoRoute, StatusUnknownClass,
-		StatusPolicyRate, StatusPolicyShed, StatusPolicyReserve:
-		return true
-	}
-	return false
+	return status < uint32(len(statuses)) && statuses[status].reject
+}
+
+// Reason names an admit or teardown outcome in the event schema: ""
+// for nil, "internal" for an error that wraps no sentinel.
+func Reason(err error) string {
+	return statuses[statusOf(err)].reason
 }
 
 // RoutePair is one admittable (class, src, dst) tuple from a routes

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"ubac/internal/admission"
+	"ubac/internal/telemetry"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata golden vectors")
@@ -75,36 +77,80 @@ func TestDecodeFrameRejects(t *testing.T) {
 	}
 }
 
+// TestStatusMappingBijective walks every row of the status table: a
+// row's sentinel, bare or wrapped, maps to the row's status and back to
+// the sentinel, and no two rows share a sentinel.
 func TestStatusMappingBijective(t *testing.T) {
-	sentinels := []error{
-		nil, admission.ErrCapacity, admission.ErrNoRoute, admission.ErrUnknownClass,
-		admission.ErrUnknownFlow, admission.ErrShuttingDown, admission.ErrPolicyRate,
-		admission.ErrPolicyShed, admission.ErrPolicyReserve, admission.ErrTooManyFlows,
-		ErrFetchOutOfRange,
+	if len(statuses) != StatusFetchOutOfRange+1 {
+		t.Fatalf("status table has %d rows, want one per status code (%d)", len(statuses), StatusFetchOutOfRange+1)
 	}
-	seen := map[uint32]bool{}
-	for _, sent := range sentinels {
-		st := statusOf(sent)
-		if seen[st] {
-			t.Fatalf("status %d mapped twice", st)
-		}
-		seen[st] = true
-		back := StatusErr(st)
-		if sent == nil {
-			if back != nil {
-				t.Fatalf("StatusOK mapped to %v", back)
+	seen := map[error]uint32{}
+	for i, row := range statuses {
+		st := uint32(i)
+		if row.err == nil {
+			if st != StatusOK && st != StatusInternal {
+				t.Errorf("status %d has no sentinel", st)
 			}
 			continue
 		}
-		if !errors.Is(back, sent) {
-			t.Fatalf("status %d: %v round-tripped to %v", st, sent, back)
+		if prev, dup := seen[row.err]; dup {
+			t.Errorf("statuses %d and %d share sentinel %v", prev, st, row.err)
+		}
+		seen[row.err] = st
+		for _, err := range []error{row.err, fmt.Errorf("context: %w", row.err)} {
+			if got := statusOf(err); got != st {
+				t.Errorf("statusOf(%v) = %d, want %d", err, got, st)
+			}
+			if got := Reason(err); got != row.reason {
+				t.Errorf("Reason(%v) = %q, want %q", err, got, row.reason)
+			}
+		}
+		if back := StatusErr(st); back != row.err {
+			t.Errorf("status %d: StatusErr = %v, want %v", st, back, row.err)
 		}
 	}
-	if statusOf(errors.New("surprise")) != StatusInternal {
-		t.Fatal("unknown errors must map to StatusInternal")
+	if statusOf(nil) != StatusOK || StatusErr(StatusOK) != nil || Reason(nil) != "" {
+		t.Error("nil must map to StatusOK and back, with no reason")
+	}
+	if statusOf(errors.New("surprise")) != StatusInternal || Reason(errors.New("surprise")) != "internal" {
+		t.Fatal("unknown errors must map to StatusInternal, reason internal")
 	}
 	if StatusErr(StatusInternal) == nil || StatusErr(999) == nil {
 		t.Fatal("internal / unknown statuses must map to a non-nil error")
+	}
+	if StatusRejected(999) {
+		t.Error("an unknown status is not a reject")
+	}
+}
+
+// TestRejectReasonsMatchVerdicts pairs each reject sentinel with the
+// verdict the controller records for it: the table must name it as
+// the audit trail and ubac_reject_total do, and count it as a reject.
+// Teardown and transport outcomes are no verdict, so never a reject.
+func TestRejectReasonsMatchVerdicts(t *testing.T) {
+	for _, tc := range []struct {
+		err     error
+		verdict telemetry.Verdict
+	}{
+		{admission.ErrCapacity, telemetry.RejectedCapacity},
+		{admission.ErrTooManyFlows, telemetry.RejectedCapacity},
+		{admission.ErrNoRoute, telemetry.RejectedNoRoute},
+		{admission.ErrUnknownClass, telemetry.RejectedUnknownClass},
+		{admission.ErrPolicyRate, telemetry.RejectedPolicyRate},
+		{admission.ErrPolicyShed, telemetry.RejectedPolicyShed},
+		{admission.ErrPolicyReserve, telemetry.RejectedPolicyReserve},
+	} {
+		if got, want := Reason(tc.err), tc.verdict.Reason(); got != want {
+			t.Errorf("%v: reason %q, the controller records %q", tc.err, got, want)
+		}
+		if !StatusRejected(statusOf(tc.err)) {
+			t.Errorf("%v: not counted as a reject", tc.err)
+		}
+	}
+	for _, err := range []error{admission.ErrUnknownFlow, admission.ErrShuttingDown, ErrFetchOutOfRange, errors.New("surprise")} {
+		if StatusRejected(statusOf(err)) {
+			t.Errorf("%v: counted as a reject", err)
+		}
 	}
 }
 

@@ -436,23 +436,20 @@ func checkUnits(f Frame, unitLen int) bool {
 	return int(f.Count) <= MaxFrameOps && len(f.Body) == int(f.Count)*unitLen
 }
 
-// maxCoalesceOps caps the operations drained into one batch call.
-// AdmitBatch registers a whole batch in one registry shard, so the cap
-// matches the HTTP batch endpoint's — coalescing amortizes cost, it
-// must not create outcomes (shard exhaustion) per-frame processing
-// could not. Runs longer than the cap split at frame boundaries.
-const maxCoalesceOps = MaxFrameOps
-
 // handleAdmitRun drains one run of pipelined admit frames into as few
 // AdmitBatch calls as the op cap allows (usually one) and answers
 // each frame in order — the adaptive coalescing: depth follows
-// whatever was in flight on the connection.
+// whatever was in flight on the connection. AdmitBatch registers a
+// whole batch in one registry shard, so a call carries at most
+// MaxFrameOps operations — coalescing amortizes cost, it must not
+// create outcomes (shard exhaustion) per-frame processing could not.
+// Runs longer than the cap split at frame boundaries.
 func (c *serverConn) handleAdmitRun(run []Frame) bool {
 	for len(run) > 0 {
 		c.items = c.items[:0]
 		c.runLens = c.runLens[:0]
 		c.runSeqs = c.runSeqs[:0]
-		for len(run) > 0 && (len(c.runLens) == 0 || len(c.items)+int(run[0].Count) <= maxCoalesceOps) {
+		for len(run) > 0 && (len(c.runLens) == 0 || len(c.items)+int(run[0].Count) <= MaxFrameOps) {
 			f := run[0]
 			if !checkUnits(f, admitReqUnitLen) {
 				c.enqueueFrame(appendErrorFrame(c.scratch(), FrameAdmit, f.Seq, StatusInternal, "admit frame count/body mismatch"), 1)
@@ -505,7 +502,7 @@ func (c *serverConn) handleTeardownRun(run []Frame) bool {
 		c.tids = c.tids[:0]
 		c.runLens = c.runLens[:0]
 		c.runSeqs = c.runSeqs[:0]
-		for len(run) > 0 && (len(c.runLens) == 0 || len(c.tids)+int(run[0].Count) <= maxCoalesceOps) {
+		for len(run) > 0 && (len(c.runLens) == 0 || len(c.tids)+int(run[0].Count) <= MaxFrameOps) {
 			f := run[0]
 			if !checkUnits(f, teardownUnitLen) {
 				c.enqueueFrame(appendErrorFrame(c.scratch(), FrameTeardown, f.Seq, StatusInternal, "teardown frame count/body mismatch"), 1)
