@@ -15,9 +15,10 @@ import (
 	"ubac/internal/wire"
 )
 
-// The flow endpoints are a codec over the daemon's wire.Backend: a
-// singleton POST or DELETE is a run of one, a :batch request one run of
-// each kind, and every verdict is the backend's.
+// The flow endpoints are a codec over the daemon's controller, the
+// backend the wire transport serves too: a singleton POST or DELETE is
+// a run of one, a :batch request one run of each kind, and every
+// verdict is the controller's.
 
 type flowRequest struct {
 	Class string `json:"class"`
@@ -77,7 +78,7 @@ type batchResponse struct {
 	Teardown []batchTeardownResult `json:"teardown"`
 }
 
-// batchCodec carries one request's runs through body → backend →
+// batchCodec carries one request's runs through body → controller →
 // response with every slice reused across requests via batchCodecPool.
 // The :batch decoder uses json.Unmarshal over the pooled buffer, so
 // unknown fields are ignored rather than rejected (the singleton's
@@ -88,7 +89,7 @@ type batchCodec struct {
 	req   batchRequest
 	resp  batchResponse
 	items []admission.BatchItem
-	pos   []int32 // result index of each backend item
+	pos   []int32 // result index of each controller item
 	res   []admission.BatchResult
 	errs  []error
 }
@@ -147,9 +148,9 @@ func (bc *batchCodec) decode(r io.Reader) error {
 }
 
 // admitRun resolves the routers of bc.req.Admit and hands every
-// resolvable request to the backend in one AdmitBatch;
+// resolvable request to the controller in one AdmitBatch;
 // bc.resp.Admit[i] is request i's outcome. A router the topology does
-// not know is "unknown_router", the one reason the backend never gives.
+// not know is "unknown_router", the one reason the controller never gives.
 func (s *server) admitRun(bc *batchCodec) {
 	bc.resp.Admit = bc.resp.Admit[:0]
 	bc.items = bc.items[:0]
@@ -168,7 +169,7 @@ func (s *server) admitRun(bc *batchCodec) {
 		bc.pos = append(bc.pos, int32(i))
 		bc.resp.Admit = append(bc.resp.Admit, batchAdmitResult{})
 	}
-	bc.res = s.be.AdmitBatch(bc.items, bc.res)
+	bc.res = s.ctrl.AdmitBatch(bc.items, bc.res)
 	for k, r := range bc.res {
 		out := &bc.resp.Admit[bc.pos[k]]
 		if r.Err != nil {
@@ -179,10 +180,10 @@ func (s *server) admitRun(bc *batchCodec) {
 	}
 }
 
-// teardownRun hands bc.req.Teardown to the backend in one
+// teardownRun hands bc.req.Teardown to the controller in one
 // TeardownBatch; bc.resp.Teardown[i] is ID i's outcome.
 func (s *server) teardownRun(bc *batchCodec) {
-	bc.errs = s.be.TeardownBatch(bc.req.Teardown, bc.errs)
+	bc.errs = s.ctrl.TeardownBatch(bc.req.Teardown, bc.errs)
 	bc.resp.Teardown = bc.resp.Teardown[:0]
 	for _, err := range bc.errs {
 		out := batchTeardownResult{OK: err == nil}

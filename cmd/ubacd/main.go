@@ -2,9 +2,9 @@
 // configuration step once at startup (safe route selection and
 // verification at the requested utilization) and then serves run-time
 // admission decisions over HTTP and, with -wire, the binary wire
-// transport. Both are codecs over one wire.Backend: the admission
-// controller, or on a -cluster member its edge lease plane, so a
-// request is decided the same way whichever transport carries it.
+// transport. Both are codecs over the admission controller, which on a
+// -cluster member takes its capacity from the node's edge lease cells,
+// so a request is decided the same way whichever transport carries it.
 //
 //	ubacd -topology mci -alpha 0.40 -listen :8080
 //
@@ -162,8 +162,8 @@ func main() {
 		if *dataDir == "" {
 			log.Fatalf("ubacd: -cluster requires -data-dir (the authority journals leases; followers mirror the log)")
 		}
-		if policyCfg.Kind != "always_admit" {
-			log.Fatalf("ubacd: -cluster with policy %s: the policy plane is consulted on the single-node admit path only, not the edge lease path", policyCfg.Describe())
+		if k := policyCfg.Kind; k == "slo_gated" || k == "reserve_headroom" {
+			log.Fatalf("ubacd: -cluster with policy %s: %s reads this node's ledger, which a member's leases leave empty (no cluster-wide load signal)", policyCfg.Describe(), k)
 		}
 		clusterCfg = cc
 	}
@@ -261,10 +261,10 @@ func main() {
 	}
 
 	// The distributed admission plane: every flow admit on this node,
-	// over either transport, goes through the node's edge lease cells;
-	// the wire server carries both client traffic and cluster frames.
+	// over either transport, takes its capacity from the node's edge
+	// lease cells; the wire server carries both client traffic and
+	// cluster frames.
 	var clusterNode *cluster.Node
-	backend := wire.Backend(ctrl)
 	wireOpts := wire.Options{Observer: sink}
 	if clusterCfg != nil {
 		members := make([]cluster.Member, len(clusterCfg.Members))
@@ -290,7 +290,6 @@ func main() {
 			log.Fatalf("ubacd: %v", err)
 		}
 		clusterNode = node
-		backend = node.Backend()
 		wireOpts.Cluster = node
 		log.Printf("ubacd: cluster node %d of %d members (data in %s)",
 			clusterCfg.NodeID, len(members), *dataDir)
@@ -298,7 +297,7 @@ func main() {
 
 	httpSrv := &http.Server{
 		Addr:              *listen,
-		Handler:           newServer(net, backend, ctrl, reg, ring).routes(),
+		Handler:           newServer(net, ctrl, reg, ring).routes(),
 		ReadTimeout:       10 * time.Second,
 		ReadHeaderTimeout: 5 * time.Second,
 		WriteTimeout:      10 * time.Second,
@@ -311,7 +310,7 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 
-	// The binary wire transport serves the same backend the HTTP flow
+	// The binary wire transport serves the same controller the HTTP flow
 	// endpoints do; verdicts are identical on either path.
 	var wireSrv *wire.Server
 	if *wireListen != "" {
@@ -319,7 +318,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("ubacd: wire listen: %v", err)
 		}
-		wireSrv = wire.NewServer(backend, wireOpts)
+		wireSrv = wire.NewServer(ctrl, wireOpts)
 		log.Printf("ubacd: wire transport listening on %s", ln.Addr())
 		go func() {
 			if err := wireSrv.Serve(ln); err != nil && !errors.Is(err, gonet.ErrClosed) {

@@ -13,7 +13,6 @@ import (
 	"ubac/internal/admission"
 	"ubac/internal/telemetry"
 	"ubac/internal/topology"
-	"ubac/internal/wire"
 )
 
 // maxFlowBody bounds POST /v1/flows request bodies; an admission request
@@ -34,17 +33,16 @@ const maxFlowBody = 64 << 10
 //	GET    /debug/pprof/            runtime profiles (net/http/pprof)
 //
 // Router names are used in the API; the daemon resolves them against the
-// configured topology. The flow endpoints admit and tear down through
-// be, the backend the wire transport serves; the rest read ctrl.
+// configured topology. Every endpoint reads or drives ctrl, the
+// backend the wire transport serves too.
 // Rejection bodies carry a machine-readable "reason" field: the
-// event-schema name wire.Reason gives the backend's error, or
+// event-schema name wire.Reason gives the controller's error, or
 // "unknown_router" for a name the topology does not know.
 // statusForReason maps a reason to its HTTP status (429 for rate/shed
 // conditions, 503 for capacity conditions, 404 for unknown names, 500
 // for "internal").
 type server struct {
 	net  *topology.Network
-	be   wire.Backend
 	ctrl *admission.Controller
 	reg  *telemetry.Registry
 	ring *telemetry.Ring
@@ -58,9 +56,9 @@ type server struct {
 	fpHit, fpStale, fpFallback *telemetry.Counter
 }
 
-func newServer(net *topology.Network, be wire.Backend, ctrl *admission.Controller,
+func newServer(net *topology.Network, ctrl *admission.Controller,
 	reg *telemetry.Registry, ring *telemetry.Ring) *server {
-	s := &server{net: net, be: be, ctrl: ctrl, reg: reg, ring: ring}
+	s := &server{net: net, ctrl: ctrl, reg: reg, ring: ring}
 	const fpHelp = "Admission decisions by fast-path outcome: hit (O(1) budget decrement), stale (lease refill), fallback (exact per-server walk)."
 	s.fpHit = reg.Counter("ubac_admit_fastpath_total", fpHelp, telemetry.Label{Key: "outcome", Value: "hit"})
 	s.fpStale = reg.Counter("ubac_admit_fastpath_total", fpHelp, telemetry.Label{Key: "outcome", Value: "stale"})

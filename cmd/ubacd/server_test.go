@@ -58,7 +58,7 @@ func testDaemonOn(t *testing.T, dataDir string) (*httptest.Server, *topology.Net
 		ctrl.SetJournal(log)
 		t.Cleanup(func() { log.Close() })
 	}
-	ts := httptest.NewServer(newServer(net, ctrl, ctrl, reg, ring).routes())
+	ts := httptest.NewServer(newServer(net, ctrl, reg, ring).routes())
 	t.Cleanup(ts.Close)
 	return ts, net, ctrl, sink
 }
@@ -498,7 +498,7 @@ func testDaemonPolicy(t *testing.T, pol policy.Policy) (*httptest.Server, *telem
 	t.Helper()
 	net, ctrl, reg, ring, sink := testDeployment(t)
 	ctrl.SetPolicy(pol)
-	ts := httptest.NewServer(newServer(net, ctrl, ctrl, reg, ring).routes())
+	ts := httptest.NewServer(newServer(net, ctrl, reg, ring).routes())
 	t.Cleanup(ts.Close)
 	return ts, sink
 }

@@ -195,6 +195,11 @@ type Controller struct {
 	bandShift []uint8         // [class*nsrv+server] log2 band width
 	fastOn    bool
 	fastOK    bool
+	// lease, when installed (SetLeaseSource, cluster.go), supplies every
+	// admitted flow's capacity in place of the ledger; nodeBits are the
+	// cluster member's bits in every ID this controller issues.
+	lease    LeaseSource
+	nodeBits FlowID
 	// Fast-path outcome counters (see FastPathStats): stale = admits
 	// that went through a refill, fb* = exact-walk verdicts.
 	staleAdmits, fbAdmits, fbRejects atomic.Uint64
@@ -661,6 +666,7 @@ func (c *Controller) admit(class, tenant string, src, dst int) (FlowID, error) {
 		}
 	}
 	c.noteActive(int64(seq - c.reg.gaps.Load() - c.tornDown.Load()))
+	id |= c.nodeBits
 	if c.telemetered {
 		c.emit(id, class, tenant, src, dst, rateBPS, telemetry.Admitted, -1, start)
 	}
@@ -688,8 +694,13 @@ func (c *Controller) reserve(ci int, ri int32) (bottleneck int, ok bool) {
 	return -1, true
 }
 
-// release returns route ri's reservations of class ci to the ledger.
+// release returns route ri's reservations of class ci to the ledger,
+// or the flow's unit to the lease source.
 func (c *Controller) release(ci int, ri int32) {
+	if c.lease != nil {
+		c.lease.Put(ci, ri, 1)
+		return
+	}
 	rate := c.rates[ci]
 	base := ci * c.nsrv
 	for _, s := range c.paths[ci][ri] {
@@ -714,8 +725,12 @@ func (c *Controller) Teardown(id FlowID) error {
 	if c.telemetered {
 		start = c.now()
 	}
+	rid := id ^ c.nodeBits // as the registry issued it, if this node did
+	if rid.Node() != 0 {
+		return ErrUnknownFlow
+	}
 	var freed freeChain
-	class, route, ok := c.reg.takeInto(id, &freed)
+	class, route, ok := c.reg.takeInto(rid, &freed)
 	if !ok {
 		return ErrUnknownFlow
 	}
@@ -726,7 +741,7 @@ func (c *Controller) Teardown(id FlowID) error {
 	}
 	c.tornDown.Add(1)
 	if c.journal != nil {
-		if err := c.journal.AppendTeardown(uint64(id)); err != nil {
+		if err := c.journal.AppendTeardown(uint64(rid)); err != nil {
 			// The teardown took effect in memory but was not recorded: a
 			// crash now resurrects the flow. Surface that honestly —
 			// callers retry after the recovered daemon comes back.

@@ -47,6 +47,9 @@ type batchScratch struct {
 	claimCi []int32
 	claimRi []int32
 	claimN  []int32
+
+	// lease is the run's state at the lease source, if one is installed.
+	lease LeaseRun
 }
 
 // runFor returns n decisions of scratch. They hold an earlier batch's
@@ -71,6 +74,9 @@ var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // route (claim chunks never exceed it, so little is left to hand back).
 func (c *Controller) batchReserve(sc *batchScratch, ci int, ri int32, remaining int) (int, bool) {
 	if !c.fastOK {
+		if c.lease != nil {
+			return -1, c.lease.Take(&sc.lease, ci, ri)
+		}
 		s, ok := c.reserve(ci, ri)
 		if ok {
 			c.fbAdmits.Add(1)
@@ -210,6 +216,10 @@ func (c *Controller) AdmitBatch(items []BatchItem, results []BatchResult) []Batc
 		sc.pos = append(sc.pos, int32(i))
 	}
 	c.returnClaims(sc)
+	if c.lease != nil {
+		c.lease.Done(&sc.lease)
+		sc.lease = LeaseRun{}
+	}
 
 	admitted := len(sc.pos)
 	if cap(sc.ids) < admitted {
@@ -250,7 +260,7 @@ func (c *Controller) AdmitBatch(items []BatchItem, results []BatchResult) []Batc
 		}
 	}
 	for k := 0; k < admitted; k++ {
-		results[sc.pos[k]].ID = sc.ids[k]
+		results[sc.pos[k]].ID = sc.ids[k] | c.nodeBits
 	}
 
 	if admitted > 0 {
@@ -351,7 +361,12 @@ func (c *Controller) TeardownBatch(ids []FlowID, errs []error) []error {
 	// with one CAS per run.
 	var freed freeChain
 	for _, id := range ids {
-		class, route, ok := c.reg.takeInto(id, &freed)
+		rid := id ^ c.nodeBits // as the registry issued it, if this node did
+		var class, route int32
+		ok := rid.Node() == 0
+		if ok {
+			class, route, ok = c.reg.takeInto(rid, &freed)
+		}
 		if !ok {
 			errs = append(errs, ErrUnknownFlow)
 			continue
@@ -380,7 +395,7 @@ func (c *Controller) TeardownBatch(ids []FlowID, errs []error) []error {
 		torn++
 		errs = append(errs, nil)
 		if c.journal != nil {
-			sc.u64 = append(sc.u64, uint64(id))
+			sc.u64 = append(sc.u64, uint64(rid))
 		}
 		if c.telemetered {
 			cc := &c.classes[ci]
@@ -406,9 +421,12 @@ func (c *Controller) TeardownBatch(ids []FlowID, errs []error) []error {
 	}
 	for k := range sc.claimCi {
 		ci, ri, n := int(sc.claimCi[k]), sc.claimRi[k], int64(sc.claimN[k])
-		if c.fastOK {
+		switch {
+		case c.fastOK:
 			c.creditBudget(ci, ri, n)
-		} else {
+		case c.lease != nil:
+			c.lease.Put(ci, ri, n)
+		default:
 			c.releaseN(ci, ri, n)
 		}
 	}

@@ -8,10 +8,40 @@ package admission
 // none — so capacity an edge holds is always already backed on the
 // authority's ledger and the utilization bound holds cluster-wide by
 // construction: no interleaving of edge admits can exceed what was
-// reserved here first. The flows an edge admits against its leases are
-// kept in this controller's flow registry (RegisterLeased and
-// ReleaseLeased), so a cluster member has one flow table, and its
-// Stats are its edge's.
+// reserved here first.
+
+// LeaseSource is the capacity a cluster member admits against in place
+// of its ledger: flow slots the authority has already reserved on every
+// hop. With one installed, every admit runs class, route and policy as
+// on a single node and then takes its unit from the source; every
+// release — Teardown, TeardownBatch, an unwind — puts it back.
+type LeaseSource interface {
+	// Take moves one class-ci flow slot of route ri from the budget to
+	// a flow, reporting whether it did; a refusal is ErrCapacity.
+	Take(run *LeaseRun, ci int, ri int32) bool
+	// Put returns n flow slots of route ri to the budget.
+	Put(ci int, ri int32, n int64)
+	// Done closes an admit run, whose tallies the source reports.
+	Done(run *LeaseRun)
+}
+
+// LeaseRun is what one admit run (a batch, or one Admit) carries from
+// take to take, so a source reads the clock and counts its outcomes
+// once per run. Each run starts from the zero value.
+type LeaseRun struct {
+	Now        int64 // Unix nanoseconds, 0 until a Take reads the clock
+	Local, Dry int   // takes served from the budget at hand; refused without asking for more
+}
+
+// SetLeaseSource installs src in place of the ledger (nil restores it)
+// and node as the member whose bits every issued ID carries; an ID with
+// another node's bits is unknown to Teardown and TeardownBatch. Like
+// SetPolicy it must be called before the controller serves traffic.
+func (c *Controller) SetLeaseSource(src LeaseSource, node uint32) {
+	c.lease = src
+	c.nodeBits = FlowID(0).WithNode(node)
+	c.updateFastOK()
+}
 
 // ClassCount returns the number of configured classes; indices below
 // it are valid ci arguments everywhere in this file.
@@ -23,16 +53,6 @@ func (c *Controller) RouteCount(ci int) int {
 		return 0
 	}
 	return len(c.paths[ci])
-}
-
-// RouteIndexFor resolves (src, dst) to class ci's route index, -1 if
-// the pair is unroutable — the exported form of the lookup Admit uses,
-// so an edge plane and the controller agree on what ErrNoRoute means.
-func (c *Controller) RouteIndexFor(ci int, src, dst int) int32 {
-	if ci < 0 || ci >= len(c.classes) {
-		return -1
-	}
-	return c.routeIndex(ci, src, dst)
 }
 
 // ReserveBlock reserves n flow-slots of class-ci capacity on every hop
@@ -96,53 +116,4 @@ func (c *Controller) RouteServers(ci int, ri int32) []int {
 		return nil
 	}
 	return c.paths[ci][ri]
-}
-
-// RegisterLeased enters flows whose capacity the caller already holds
-// by lease — a cluster edge's admits — into the flow registry: one
-// claim for the run, as AdmitBatch makes. Nothing is reserved on the
-// ledger (the authority accounts the lease wholesale) and nothing is
-// journaled. classes, routes and ids are parallel; ids receives the
-// flows' IDs with node in their node bits. It returns false, with
-// nothing registered, when the registry is out of slots.
-func (c *Controller) RegisterLeased(node uint32, classes, routes []int32, ids []FlowID) bool {
-	if _, ok := c.reg.putBatch(classes, routes, ids); !ok {
-		c.reg.gaps.Add(uint64(len(ids)))
-		return false
-	}
-	if node != 0 {
-		for i := range ids {
-			ids[i] = ids[i].WithNode(node)
-		}
-	}
-	c.noteActive(int64(c.admittedCount() - c.tornDown.Load()))
-	return true
-}
-
-// ReleaseLeased resolves and frees a run of flows RegisterLeased
-// issued under node, the freed slots going back to their lists one
-// chain per shard run as in TeardownBatch. classes[i] and routes[i]
-// receive flow i's cell; classes[i] is -1 for an ID that is not live
-// or carries another node's bits, which is refused before the registry
-// is touched. It returns the number released.
-func (c *Controller) ReleaseLeased(node uint32, ids []FlowID, classes, routes []int32) int {
-	var freed freeChain
-	n := 0
-	for i, id := range ids {
-		classes[i] = -1
-		if id.Node() != node {
-			continue
-		}
-		class, route, ok := c.reg.takeInto(id.WithNode(0), &freed)
-		if !ok {
-			continue
-		}
-		classes[i], routes[i] = class, route
-		n++
-	}
-	freed.flush()
-	if n > 0 {
-		c.tornDown.Add(uint64(n))
-	}
-	return n
 }

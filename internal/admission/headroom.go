@@ -260,6 +260,12 @@ func (c *Controller) budgetPut(ci int, ri int32) bool {
 // fallback when the fast path is off.
 func (c *Controller) admitReserveSlow(ci int, ri int32) (bottleneck int, ok bool) {
 	if !c.fastOK {
+		if c.lease != nil {
+			var run LeaseRun // a run of one
+			ok := c.lease.Take(&run, ci, ri)
+			c.lease.Done(&run)
+			return -1, ok
+		}
 		s, ok := c.reserve(ci, ri)
 		if ok {
 			c.fbAdmits.Add(1)
@@ -482,9 +488,11 @@ func (c *Controller) SetFastPath(on bool) {
 // updateFastOK recomputes whether admits may lease. NeedFill policies
 // meter the exact fill headroom (reserve-headroom gates on it), so any
 // leased-but-unconsumed budget would distort their input; they get the
-// exact walk and an exact, band-cached fillAfter instead.
+// exact walk and an exact, band-cached fillAfter instead. A lease
+// source replaces the plane outright: its takes run where the exact
+// walk would.
 func (c *Controller) updateFastOK() {
-	c.fastOK = c.fastOn && !c.policyFill
+	c.fastOK = c.fastOn && !c.policyFill && c.lease == nil
 }
 
 // FastPathStats returns the fast-path outcome counters. Hits are

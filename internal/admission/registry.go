@@ -19,9 +19,9 @@ import (
 // registry itself only ever issues and resolves node 0: it reads bits
 // 6..31 as one slot number, no shard grows past 2^18 slots, and so an
 // ID carrying another node's bits names a slot beyond any shard's end
-// and resolves to nothing. A cluster edge stamps its node into the IDs
-// it hands out and strips it again before a teardown reaches here
-// (FlowID.WithNode). A flow's
+// and resolves to nothing. A cluster member's controller stamps its node
+// into the IDs it hands out and strips it again before a teardown
+// reaches here (SetLeaseSource). A flow's
 // generation is the low 32 bits of its admission sequence: successive
 // occupants of a slot differ in it (until the sequence has advanced by
 // an exact multiple of 2^32), and publishing a flow is then a single

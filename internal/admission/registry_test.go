@@ -514,9 +514,19 @@ func TestRegistrySlotCap(t *testing.T) {
 	if res := c.AdmitBatch([]BatchItem{{Class: "voice", Src: 0, Dst: 2}}, nil); res[0].Err != ErrTooManyFlows {
 		t.Fatalf("AdmitBatch with a full registry: %v, want ErrTooManyFlows", res[0].Err)
 	}
-	if c.RegisterLeased(1, []int32{0}, []int32{0}, make([]FlowID, 1)) {
-		t.Fatal("RegisterLeased succeeded with a full registry")
+	// A cluster member's refused admits hand their lease units back.
+	src := &countSource{budget: 2}
+	c.SetLeaseSource(src, 1)
+	if _, err := c.Admit("voice", 0, 2); err != ErrTooManyFlows {
+		t.Fatalf("leased Admit with a full registry: %v, want ErrTooManyFlows", err)
 	}
+	if res := c.AdmitBatch([]BatchItem{{Class: "voice", Src: 0, Dst: 2}}, nil); res[0].Err != ErrTooManyFlows {
+		t.Fatalf("leased AdmitBatch with a full registry: %v, want ErrTooManyFlows", res[0].Err)
+	}
+	if src.taken != 2 || src.budget != 2 {
+		t.Fatalf("leased admits refused by the registry took %d units and left a budget of %d, want 2 and 2", src.taken, src.budget)
+	}
+	c.SetLeaseSource(nil, 0)
 	if after, _ := c.Headroom("voice", 0, 2); after != before || c.Stats().Active != 0 {
 		t.Fatalf("refused admits left state behind: headroom %d then %d, %+v", before, after, c.Stats())
 	}

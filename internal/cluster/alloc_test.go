@@ -10,12 +10,14 @@ import (
 // TestEdgeRenewZeroAlloc: a warm edge's renewal pass — every cell in
 // use gathered into lease calls, granted or trimmed, the answers
 // applied — allocates nothing, whether or not admits came and went
-// since the last one.
+// since the last one; nor do those admits and teardowns, through the
+// member's controller with its decisions recorded.
 func TestEdgeRenewZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	rig := newEdgeRig(t, func(t testing.TB) *admission.Controller { return hubController(t, 4, 400) }, 8)
+	rig.attachSink()
 	cfg := rig.edge.cfg
 	rig.edge.grant = func(items []leaseItem, grants []uint64) ([]uint64, time.Duration, error) {
 		grants, err := rig.auth.handleLease(cfg.NodeID, items, grants, time.Now())
@@ -26,7 +28,7 @@ func TestEdgeRenewZeroAlloc(t *testing.T) {
 	var ids []admission.FlowID
 	var errs []error
 	churn := func() {
-		results = rig.edge.AdmitBatch(items, results)
+		results = rig.ctrl.AdmitBatch(items, results)
 		ids = ids[:0]
 		for _, res := range results {
 			if res.Err != nil {
@@ -34,10 +36,10 @@ func TestEdgeRenewZeroAlloc(t *testing.T) {
 			}
 			ids = append(ids, res.ID)
 		}
-		errs = rig.edge.TeardownBatch(ids, errs)
+		errs = rig.ctrl.TeardownBatch(ids, errs)
 	}
 	renew := func() { rig.edge.renewNow(time.Now()) }
-	held := rig.edge.AdmitBatch(items, nil) // flows that stay: cells in use
+	held := rig.ctrl.AdmitBatch(items, nil) // flows that stay: cells in use
 	// Each batch claims registry slots in a shard picked by its sequence;
 	// a thousand visit every shard, which grows once.
 	for i := 0; i < 1000; i++ {
@@ -62,7 +64,7 @@ func TestAuthorityFramesZeroAlloc(t *testing.T) {
 	}
 	rig := newEdgeRig(t, func(t testing.TB) *admission.Controller { return hubController(t, 4, 400) }, 8)
 	rig.edge.renewNow(time.Now())
-	if res := rig.edge.AdmitBatch(rig.routeItems(t), nil); res[0].Err != nil {
+	if res := rig.ctrl.AdmitBatch(rig.routeItems(t), nil); res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
 	rig.edge.renewNow(time.Now())

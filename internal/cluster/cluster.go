@@ -13,9 +13,10 @@
 // cluster-wide by construction: no interleaving of edge admits can
 // exceed what was reserved first.
 //
-// Every node — the authority included — serves admits through the same
-// edge plane: an admit is one compare-and-swap on a local lease cell
-// and zero cross-node round trips; only lease grant, renewal, reclaim
+// Every node — the authority included — serves admits through its own
+// admission controller, whose capacity comes from the node's edge plane:
+// an admit takes one compare-and-swap on a local lease cell and zero
+// cross-node round trips; only lease grant, renewal, reclaim
 // and WAL shipping cross the network, as cluster frames on the wire
 // protocol. The authority's own edge plane simply grants in-process.
 //

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ubac/internal/admission"
-	"ubac/internal/routes"
 )
 
 // The edge plane is where every admit in the cluster lands, on every
@@ -21,10 +20,13 @@ import (
 // edge is always at least the cell sum: the utilization bound cannot
 // be overdrawn from here.
 //
-// The flows themselves live in the controller's own registry, the one
-// table a single node keeps them in: a coalesced run of admits is one
-// claim there, a run of teardowns one chain of freed slots, and the
-// controller's Active and registry_slots figures are the edge's.
+// The plane is its controller's lease source (admission.LeaseSource):
+// every admit on the node runs the controller's own path — class,
+// route, policy, registry, decision record — and takes its unit from
+// a cell where a single node would reserve on its ledger; every
+// teardown puts the unit back. The plane itself holds only what is
+// lease-specific: cells, TTL, dry and down backoff, the sync grant,
+// reclaim, renewal and detach.
 //
 // A cell's budget is spendable only while its lease TTL holds. When
 // the TTL lapses (the authority is unreachable or rejected the cell's
@@ -170,13 +172,12 @@ func (c *cell) takeUntouched() uint64 {
 // Called under leaseMu.
 type grantFunc func(items []leaseItem, grants []uint64) (_ []uint64, ttl time.Duration, err error)
 
-// edgePlane implements wire.Backend over lease cells. One per node.
+// edgePlane is a node's lease cells, its controller's lease source.
 type edgePlane struct {
-	ctrl     *admission.Controller
-	cfg      Config
-	obs      Observer
-	classIdx map[string]int
-	cells    [][]cell // [class][route]
+	ctrl  *admission.Controller
+	cfg   Config
+	obs   Observer
+	cells [][]cell // [class][route]
 	// through[class][server] lists the class's routes crossing the
 	// server: the cells that compete for one ledger entry.
 	through [][][]int32
@@ -210,18 +211,10 @@ type edgePlane struct {
 }
 
 func newEdgePlane(ctrl *admission.Controller, cfg Config, obs Observer, grant grantFunc) *edgePlane {
-	e := &edgePlane{
-		ctrl:     ctrl,
-		cfg:      cfg,
-		obs:      obs,
-		grant:    grant,
-		classIdx: make(map[string]int),
-	}
-	names := ctrl.Classes()
-	e.cells = make([][]cell, len(names))
-	e.through = make([][][]int32, len(names))
-	for ci, name := range names {
-		e.classIdx[name] = ci
+	e := &edgePlane{ctrl: ctrl, cfg: cfg, obs: obs, grant: grant}
+	e.cells = make([][]cell, ctrl.ClassCount())
+	e.through = make([][][]int32, len(e.cells))
+	for ci := range e.cells {
 		e.cells[ci] = make([]cell, ctrl.RouteCount(ci))
 		e.through[ci] = make([][]int32, ctrl.ServerCount())
 		for ri := range e.cells[ci] {
@@ -235,14 +228,49 @@ func newEdgePlane(ctrl *admission.Controller, cfg Config, obs Observer, grant gr
 		}
 	}
 	e.fullReport = true // first renewal after start is a reattach
+	ctrl.SetLeaseSource(e, cfg.NodeID)
 	return e
 }
 
-// Classes implements wire.Backend.
-func (e *edgePlane) Classes() []string { return e.ctrl.Classes() }
+// Take implements admission.LeaseSource: one CAS against the cell in
+// the common case, a grant round trip on a miss. The run's clock is
+// read once, by its first take.
+func (e *edgePlane) Take(run *admission.LeaseRun, ci int, ri int32) bool {
+	if run.Now == 0 {
+		run.Now = time.Now().UnixNano()
+	}
+	c := &e.cells[ci][ri]
+	if e.tryLocal(c, run.Now) {
+		run.Local++
+		return true
+	}
+	if run.Now < c.dryUntil.Load() {
+		// A recent grant round trip found no headroom; reject locally
+		// until the backoff passes instead of hammering the authority.
+		// Still a demand signal: the low mark at 0 keeps the cell in use,
+		// so the renewer asks for budget the moment capacity frees up.
+		c.low.Store(0)
+		run.Dry++
+		return false
+	}
+	return e.syncAdmit(ci, ri, c, run.Now)
+}
 
-// ClassRoutes implements wire.Backend.
-func (e *edgePlane) ClassRoutes(class string) (*routes.Set, error) { return e.ctrl.ClassRoutes(class) }
+// Put implements admission.LeaseSource: the units move back from
+// active to budget, staying leased to this edge for reuse.
+func (e *edgePlane) Put(ci int, ri int32, n int64) {
+	e.cells[ci][ri].v.Add(uint64(n) * unitBack)
+}
+
+// Done implements admission.LeaseSource.
+func (e *edgePlane) Done(run *admission.LeaseRun) {
+	if run.Local > 0 {
+		e.obs.ClusterAdmitLocal(run.Local)
+	}
+	if run.Dry > 0 {
+		e.obs.ClusterLeaseReject(causeDry, run.Dry)
+	}
+}
 
 // tryLocal is the zero-round-trip admit: one CAS against the cell,
 // valid only while the lease TTL holds.
@@ -266,13 +294,21 @@ func (e *edgePlane) tryLocal(c *cell, now int64) bool {
 
 // syncAdmit is the slow path: a grant round trip inline with the
 // admit. Serialized under leaseMu so concurrent misses on the same
-// cell coalesce into one grant.
-func (e *edgePlane) syncAdmit(ci int, ri int32, c *cell, now int64) error {
+// cell coalesce into one grant, and the sync admits are counted there.
+// Every refusal is a capacity reject, whatever the grant call's fate.
+func (e *edgePlane) syncAdmit(ci int, ri int32, c *cell, now int64) bool {
 	e.leaseMu.Lock()
 	defer e.leaseMu.Unlock()
-	if e.tryLocal(c, now) {
-		return nil // a racing grant already refilled the cell
+	if e.tryLocal(c, now) || e.syncGrant(ci, ri, c) {
+		e.obs.ClusterAdmitSync(1)
+		return true
 	}
+	return false
+}
+
+// syncGrant asks the authority for the cell's budget and spends a unit
+// of what it gets. Caller holds leaseMu.
+func (e *edgePlane) syncGrant(ci int, ri int32, c *cell) bool {
 	if time.Now().UnixNano() < c.dryUntil.Load() {
 		// The call we queued behind already learned the cell is dry.
 		return e.leaseReject(c, causeDry)
@@ -284,22 +320,20 @@ func (e *edgePlane) syncAdmit(ci int, ri int32, c *cell, now int64) error {
 	}
 	// A cold cell asks for a block; a warm one knows what it uses.
 	e.add(e.itemFor(ci, ri, c, e.askFor(c, uint64(e.cfg.LeaseBlock))), c) // one item: no call yet
-	if err := e.flush(); err != nil {
-		e.leaseReject(c, causeDown)
-		return err
+	if e.flush() != nil {
+		return e.leaseReject(c, causeDown)
 	}
 	if e.tryLocal(c, time.Now().UnixNano()) {
-		return nil
+		return true
 	}
 	// The authority had nothing to grant. Before that stands, whatever
 	// this edge itself has parked, untouched, on the route's servers goes
 	// back and the cell asks again.
-	if err := e.reclaimLocked(ci, ri, c); err != nil {
-		e.leaseReject(c, causeDown)
-		return err
+	if e.reclaimLocked(ci, ri, c) != nil {
+		return e.leaseReject(c, causeDown)
 	}
 	if e.tryLocal(c, time.Now().UnixNano()) {
-		return nil
+		return true
 	}
 	// Still nothing: go dry for one renewal period so saturated cells
 	// reject at local speed, not one RPC per attempt.
@@ -317,12 +351,12 @@ func (e *edgePlane) askFor(c *cell, cold uint64) uint64 {
 	return cold
 }
 
-// leaseReject records one admit refused on the cell's lease state and
-// returns the error the admit carries.
-func (e *edgePlane) leaseReject(c *cell, cause string) error {
+// leaseReject records one admit refused on the cell's lease state; it
+// returns false, the take's answer.
+func (e *edgePlane) leaseReject(c *cell, cause string) bool {
 	c.low.Store(0)
 	e.obs.ClusterLeaseReject(cause, 1)
-	return admission.ErrCapacity
+	return false
 }
 
 // reclaimLocked is the edge's "drain siblings before any reject
@@ -529,112 +563,4 @@ func (e *edgePlane) detach() []revokeItem {
 func (e *edgePlane) cellSum(ci int, ri int32) uint64 {
 	v := e.cells[ci][ri].v.Load()
 	return (v >> 32) + (v & budgetMask)
-}
-
-// edgeScratch holds the working slices of one AdmitBatch or
-// TeardownBatch call; they keep their grown capacity across calls.
-type edgeScratch struct {
-	classes, routes, pos []int32
-	ids                  []admission.FlowID
-}
-
-var edgeScratchPool = sync.Pool{New: func() any { return new(edgeScratch) }}
-
-// AdmitBatch implements wire.Backend: each item is one local CAS in
-// the common case; misses take one grant round trip. The admitted
-// flows are then registered in one claim.
-func (e *edgePlane) AdmitBatch(items []admission.BatchItem, results []admission.BatchResult) []admission.BatchResult {
-	results = results[:0]
-	now := time.Now().UnixNano()
-	sc := edgeScratchPool.Get().(*edgeScratch)
-	sc.classes, sc.routes, sc.pos = sc.classes[:0], sc.routes[:0], sc.pos[:0]
-	var local, dry int
-	for i, it := range items {
-		ci, ok := e.classIdx[it.Class]
-		if !ok {
-			results = append(results, admission.BatchResult{Err: admission.ErrUnknownClass})
-			continue
-		}
-		ri := e.ctrl.RouteIndexFor(ci, it.Src, it.Dst)
-		if ri < 0 {
-			results = append(results, admission.BatchResult{Err: admission.ErrNoRoute})
-			continue
-		}
-		c := &e.cells[ci][ri]
-		if e.tryLocal(c, now) {
-			local++
-		} else if now < c.dryUntil.Load() {
-			// A recent grant round trip found no headroom; reject locally
-			// until the backoff passes instead of hammering the authority.
-			// Still a demand signal: the low mark at 0 keeps the cell in
-			// use, so the renewer asks for budget the moment capacity
-			// frees up.
-			c.low.Store(0)
-			dry++
-			results = append(results, admission.BatchResult{Err: admission.ErrCapacity})
-			continue
-		} else if err := e.syncAdmit(ci, ri, c, now); err != nil {
-			results = append(results, admission.BatchResult{Err: err})
-			continue
-		}
-		results = append(results, admission.BatchResult{})
-		sc.classes = append(sc.classes, int32(ci))
-		sc.routes = append(sc.routes, ri)
-		sc.pos = append(sc.pos, int32(i))
-	}
-	admitted := len(sc.pos)
-	if cap(sc.ids) < admitted {
-		sc.ids = make([]admission.FlowID, admitted)
-	}
-	ids := sc.ids[:admitted]
-	if e.ctrl.RegisterLeased(e.cfg.NodeID, sc.classes, sc.routes, ids) {
-		for k, p := range sc.pos {
-			results[p].ID = ids[k]
-		}
-	} else {
-		// Registry out of slots: the units go back to their cells and the
-		// run's successes fail, as the controller's own batch would.
-		for k, p := range sc.pos {
-			e.cells[sc.classes[k]][sc.routes[k]].v.Add(unitBack)
-			results[p].Err = admission.ErrTooManyFlows
-		}
-		local, admitted = 0, 0
-	}
-	if local > 0 {
-		e.obs.ClusterAdmitLocal(local)
-	}
-	if synced := admitted - local; synced > 0 {
-		e.obs.ClusterAdmitSync(synced)
-	}
-	if dry > 0 {
-		e.obs.ClusterLeaseReject(causeDry, dry)
-	}
-	edgeScratchPool.Put(sc)
-	return results
-}
-
-// TeardownBatch implements wire.Backend: the flow's unit moves back
-// from active to budget, staying leased to this edge for reuse. An ID
-// another node issued is unknown here.
-func (e *edgePlane) TeardownBatch(ids []admission.FlowID, errs []error) []error {
-	errs = errs[:0]
-	sc := edgeScratchPool.Get().(*edgeScratch)
-	if cap(sc.classes) < len(ids) {
-		sc.classes = make([]int32, len(ids))
-	}
-	if cap(sc.routes) < len(ids) {
-		sc.routes = make([]int32, len(ids))
-	}
-	classes, routes := sc.classes[:len(ids)], sc.routes[:len(ids)]
-	e.ctrl.ReleaseLeased(e.cfg.NodeID, ids, classes, routes)
-	for i, ci := range classes {
-		if ci < 0 {
-			errs = append(errs, admission.ErrUnknownFlow)
-			continue
-		}
-		e.cells[ci][routes[i]].v.Add(unitBack)
-		errs = append(errs, nil)
-	}
-	edgeScratchPool.Put(sc)
-	return errs
 }

@@ -1,13 +1,19 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"math/rand"
+	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ubac/internal/admission"
+	"ubac/internal/telemetry"
 	"ubac/internal/wal"
+	"ubac/internal/wire"
 )
 
 // edgeRig is one edge plane wired in-process to a real authority on
@@ -47,6 +53,14 @@ func newEdgeRig(t *testing.T, build func(testing.TB) *admission.Controller, leas
 		return grants, cfg.LeaseTTL, err
 	})
 	return r
+}
+
+// attachSink records the edge controller's decisions in a registry
+// sink, as ubacd does, and returns its audit ring.
+func (r *edgeRig) attachSink() *telemetry.Ring {
+	ring := telemetry.NewRing(64)
+	r.ctrl.SetSink(telemetry.NewRegistrySink(telemetry.NewRegistry(), ring))
+	return ring
 }
 
 // routeItems returns one admit item per route of the rig's first class,
@@ -117,15 +131,17 @@ func TestEdgeHubContentionNoSpuriousReject(t *testing.T) {
 	var results []admission.BatchResult
 	var errs []error
 	items := make([]admission.BatchItem, batch)
+	drawn := make([]int32, batch) // route of each item
 	admits := 0
 	for b := 0; b < batches; b++ {
 		for i := range items {
-			items[i] = routeItem[draw()]
+			drawn[i] = int32(draw())
+			items[i] = routeItem[drawn[i]]
 		}
-		results = rig.edge.AdmitBatch(items, results)
+		results = rig.ctrl.AdmitBatch(items, results)
 		for i, res := range results {
 			if res.Err != nil {
-				ri := rig.ctrl.RouteIndexFor(0, items[i].Src, items[i].Dst)
+				ri := drawn[i]
 				t.Fatalf("batch %d item %d (route %d): %v with %d flows held of the core's %d (authority headroom %d, %d reclaims so far)",
 					b, i, ri, res.Err, len(live), coreFlows, rig.authCtrl.BlockHeadroom(0, ri), rig.obs.reclaims.Load())
 			}
@@ -133,7 +149,7 @@ func TestEdgeHubContentionNoSpuriousReject(t *testing.T) {
 			admits++
 		}
 		if len(live) >= hold {
-			errs = rig.edge.TeardownBatch(live[:batch], errs)
+			errs = rig.ctrl.TeardownBatch(live[:batch], errs)
 			for _, err := range errs {
 				if err != nil {
 					t.Fatalf("batch %d teardown: %v", b, err)
@@ -178,7 +194,7 @@ func TestEdgeReclaimChunksAtMaxLeaseItems(t *testing.T) {
 	rig := newEdgeRig(t, func(t testing.TB) *admission.Controller { return hubController(t, k, (routes-1)*block) }, block)
 	routeItem := rig.routeItems(t)
 	rig.edge.renewNow(time.Now())
-	results := rig.edge.AdmitBatch(routeItem[:routes-1], nil)
+	results := rig.ctrl.AdmitBatch(routeItem[:routes-1], nil)
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("warming route %d: %v", i, res.Err)
@@ -190,7 +206,7 @@ func TestEdgeReclaimChunksAtMaxLeaseItems(t *testing.T) {
 	}
 
 	before := len(rig.calls)
-	results = rig.edge.AdmitBatch(routeItem[last:], results)
+	results = rig.ctrl.AdmitBatch(routeItem[last:], results)
 	if results[0].Err != nil {
 		t.Fatalf("admit on the last route: %v", results[0].Err)
 	}
@@ -242,11 +258,13 @@ func TestEdgeReclaimChunksAtMaxLeaseItems(t *testing.T) {
 
 // TestEdgeTeardownRefusesForeignNode: an ID stamped by another node —
 // or by none — is unknown at this edge and leaves the flow it would
-// otherwise have named in place.
+// otherwise have named in place. The member records its decisions as a
+// single node does, under the IDs it issued.
 func TestEdgeTeardownRefusesForeignNode(t *testing.T) {
 	rig := newEdgeRig(t, func(t testing.TB) *admission.Controller { return hubController(t, 2, 100) }, 8)
+	ring := rig.attachSink()
 	rig.edge.renewNow(time.Now())
-	res := rig.edge.AdmitBatch(rig.routeItems(t)[:1], nil)
+	res := rig.ctrl.AdmitBatch(rig.routeItems(t)[:1], nil)
 	if res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
@@ -254,7 +272,7 @@ func TestEdgeTeardownRefusesForeignNode(t *testing.T) {
 	if id.Node() != 1 {
 		t.Fatalf("edge-issued ID %#x carries node %d, want 1", uint64(id), id.Node())
 	}
-	errs := rig.edge.TeardownBatch([]admission.FlowID{id.WithNode(2), id.WithNode(0), id}, nil)
+	errs := rig.ctrl.TeardownBatch([]admission.FlowID{id.WithNode(2), id.WithNode(0), id}, nil)
 	if errs[0] != admission.ErrUnknownFlow || errs[1] != admission.ErrUnknownFlow || errs[2] != nil {
 		t.Fatalf("teardown of node-2, node-0 and own ID: %v, want unknown, unknown, nil", errs)
 	}
@@ -263,6 +281,60 @@ func TestEdgeTeardownRefusesForeignNode(t *testing.T) {
 	}
 	if sum := rig.edge.cellSum(0, 0); sum == 0 {
 		t.Error("the flow's unit did not return to its cell")
+	}
+	evs := ring.Snapshot(8) // newest first
+	if len(evs) != 2 || evs[1].Verdict != "admit" || evs[0].Verdict != "teardown" ||
+		evs[0].FlowID != uint64(id) || evs[1].FlowID != uint64(id) {
+		t.Errorf("events %+v, want the admit and the one teardown of %#x", evs, uint64(id))
+	}
+}
+
+// TestEdgeUnreachableAuthorityIsCapacity: while the authority cannot
+// be reached, a cold cell's admits are capacity rejects counted as
+// "down" — the first, whose grant call failed, and the next, which the
+// down backoff refuses without a call — and over the wire both answer
+// StatusCapacity, not StatusInternal.
+func TestEdgeUnreachableAuthorityIsCapacity(t *testing.T) {
+	unreachable := func(t *testing.T) *edgeRig {
+		rig := newEdgeRig(t, func(t testing.TB) *admission.Controller { return hubController(t, 2, 100) }, 8)
+		rig.edge.grant = func(_ []leaseItem, grants []uint64) ([]uint64, time.Duration, error) {
+			return grants, 0, errors.New("cluster: no known authority")
+		}
+		return rig
+	}
+	rig := unreachable(t)
+	item := rig.routeItems(t)[:1]
+	for i := 0; i < 2; i++ {
+		if res := rig.ctrl.AdmitBatch(item, nil); !errors.Is(res[0].Err, admission.ErrCapacity) {
+			t.Fatalf("admit %d with the authority unreachable: %v, want ErrCapacity", i, res[0].Err)
+		}
+	}
+	if down, dry := rig.obs.down.Load(), rig.obs.dry.Load(); down != 2 || dry != 0 {
+		t.Errorf("lease rejects counted down %d, dry %d; want 2 and 0", down, dry)
+	}
+
+	rig = unreachable(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := wire.NewServer(rig.ctrl, wire.Options{})
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
+	cl, err := wire.Dial(wire.ClientOptions{Addr: ln.Addr().String(), Timeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	req := []wire.AdmitReq{{Class: 0, Src: uint32(item[0].Src), Dst: uint32(item[0].Dst)}}
+	for i := 0; i < 2; i++ {
+		res, err := cl.Admit(req, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[0].Status != wire.StatusCapacity {
+			t.Fatalf("wire admit %d with the authority unreachable: status %d, want %d", i, res[0].Status, wire.StatusCapacity)
+		}
 	}
 }
 
@@ -274,7 +346,7 @@ func TestEdgeTeardownRefusesForeignNode(t *testing.T) {
 func TestFetchReadsOnlyToTheTail(t *testing.T) {
 	rig := newEdgeRig(t, func(t testing.TB) *admission.Controller { return hubController(t, 2, 100) }, 8)
 	rig.edge.renewNow(time.Now())
-	if res := rig.edge.AdmitBatch(rig.routeItems(t), nil); res[0].Err != nil {
+	if res := rig.ctrl.AdmitBatch(rig.routeItems(t), nil); res[0].Err != nil {
 		t.Fatal(res[0].Err) // a few grants, so the log has records to serve
 	}
 	seg, tail := rig.auth.log.TailPos()
@@ -305,4 +377,124 @@ func TestFetchReadsOnlyToTheTail(t *testing.T) {
 	if _, err := rig.auth.handleFetch(seg, tail+1, fetchMax, nil); !errors.Is(err, wal.ErrOutOfRange) {
 		t.Errorf("fetch past the tail: %v, want ErrOutOfRange", err)
 	}
+}
+
+// TestMemberAdmitsOnlyFromLeases: on a follower, every admit entry
+// point — Admit, AdmitWithTenant, AdmitBatch — takes its capacity from
+// the lease cells and every teardown path — Teardown, TeardownBatch —
+// hands it back, with workers wanting more than the core link holds.
+// The follower's own ledger stays empty throughout: a path that skipped
+// the cells would admit against it. Its cells hold one active unit per
+// live flow, their sums are exactly what the authority backs for the
+// node, and its Active count is the flows it holds.
+func TestMemberAdmitsOnlyFromLeases(t *testing.T) {
+	const node = 1 // newEdgeRig's
+	rig := newEdgeRig(t, func(t testing.TB) *admission.Controller { return hubController(t, 4, 150) }, 8)
+	rig.attachSink()
+	routeItem := rig.routeItems(t)
+	rig.edge.renewNow(time.Now())
+	ledgerEmpty := func() bool {
+		for ci := 0; ci < rig.ctrl.ClassCount(); ci++ {
+			for s := 0; s < rig.ctrl.ServerCount(); s++ {
+				if in := rig.ctrl.LedgerInUseMicro(ci, s); in != 0 {
+					t.Errorf("class %d server %d: the member's ledger holds %d", ci, s, in)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	// check compares the cells with the flows held and, after a renewal,
+	// with the authority's backing.
+	check := func(live []admission.FlowID) {
+		t.Helper()
+		ledgerEmpty()
+		if got := rig.ctrl.Stats().Active; got != int64(len(live)) {
+			t.Errorf("Active %d, the member holds %d flows", got, len(live))
+		}
+		rig.edge.renewNow(time.Now())
+		backing := rig.auth.backingSnapshot()
+		var active uint64
+		for ri := range routeItem {
+			active += rig.edge.cells[0][ri].v.Load() >> 32
+			if sum, back := rig.edge.cellSum(0, int32(ri)), backing[backKey{node: node, ci: 0, ri: int32(ri)}]; sum != back {
+				t.Errorf("route %d: cells hold %d, the authority backs %d", ri, sum, back)
+			}
+		}
+		if active != uint64(len(live)) {
+			t.Errorf("cells hold %d active units for %d live flows", active, len(live))
+		}
+	}
+
+	var mu sync.Mutex
+	var live []admission.FlowID
+	var rejects atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			var mine []admission.FlowID
+			var results []admission.BatchResult
+			var errs []error
+			items := make([]admission.BatchItem, 4)
+			admitted := func(id admission.FlowID, err error) {
+				switch {
+				case err == nil && id.Node() == node:
+					mine = append(mine, id)
+				case errors.Is(err, admission.ErrCapacity):
+					rejects.Add(1)
+				default:
+					t.Errorf("admit: ID %#x, %v", uint64(id), err)
+				}
+			}
+			for i := 0; i < 300 && ledgerEmpty(); i++ {
+				it := routeItem[rng.Intn(len(routeItem))]
+				switch i % 3 {
+				case 0:
+					admitted(rig.ctrl.Admit(it.Class, it.Src, it.Dst))
+				case 1:
+					admitted(rig.ctrl.AdmitWithTenant(it.Class, "t", it.Src, it.Dst))
+				default:
+					for k := range items {
+						items[k] = routeItem[rng.Intn(len(routeItem))]
+					}
+					results = rig.ctrl.AdmitBatch(items, results)
+					for _, r := range results {
+						admitted(r.ID, r.Err)
+					}
+				}
+				if len(mine) < 48 {
+					continue
+				}
+				for _, id := range mine[:8] {
+					if err := rig.ctrl.Teardown(id); err != nil {
+						t.Errorf("teardown %#x: %v", uint64(id), err)
+					}
+				}
+				errs = rig.ctrl.TeardownBatch(mine[8:24], errs)
+				for _, err := range errs {
+					if err != nil {
+						t.Errorf("batch teardown: %v", err)
+					}
+				}
+				mine = mine[24:]
+			}
+			mu.Lock()
+			live = append(live, mine...)
+			mu.Unlock()
+		}(w)
+	}
+	wg.Wait()
+	if rejects.Load() == 0 {
+		t.Error("no admit was refused: the workers never wanted more than the leases hold")
+	}
+	check(live)
+	for i, err := range rig.ctrl.TeardownBatch(live, nil) {
+		if err != nil {
+			t.Errorf("final teardown %d: %v", i, err)
+		}
+	}
+	check(nil)
 }

@@ -271,7 +271,7 @@ func bootNode(t *testing.T, tn *testNode) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn.srv = wire.NewServer(tn.node.Backend(), wire.Options{Cluster: tn})
+	tn.srv = wire.NewServer(tn.ctrl, wire.Options{Cluster: tn})
 	tn.done = make(chan error, 1)
 	go func() { tn.done <- tn.srv.Serve(ln) }()
 	tn.node.Start()

@@ -15,12 +15,13 @@ import (
 )
 
 // Node ties the pieces into one cluster member: the edge plane every
-// admit lands on, the follower loop that heartbeats the authority and
-// mirrors its WAL, the election (cold start or rank ladder) that
-// replays the mirror into a fresh ledger, and the authority state once
-// promoted. It implements wire.ClusterHandler, so a single wire
-// listener carries both admission traffic (dispatched to the edge
-// plane via Backend) and cluster control frames.
+// admit takes its capacity from, the follower loop that heartbeats the
+// authority and mirrors its WAL, the election (cold start or rank
+// ladder) that replays the mirror into a fresh ledger, and the
+// authority state once promoted. It implements wire.ClusterHandler, so
+// a single wire listener carries both admission traffic (served by the
+// node's controller, its edge plane installed as the lease source) and
+// cluster control frames.
 type Node struct {
 	cfg      Config
 	ids      []uint32 // member IDs ascending
@@ -65,8 +66,9 @@ type NodeOptions struct {
 	// Config is the static cluster configuration (validated here).
 	Config Config
 	// Controller is this node's admission controller, built from the
-	// shared configuration: route/class resolution on every node, the
-	// live utilization ledger on the authority.
+	// shared configuration: every admit on the node runs through it,
+	// against the edge plane NewNode installs as its lease source, and
+	// on the authority it is also the live utilization ledger.
 	Controller *admission.Controller
 	// DataDir holds the WAL (authored when authority, mirrored when
 	// follower). Created if missing.
@@ -160,9 +162,6 @@ func scanMirror(dir string) (seg uint64, off int64) {
 		seg = i
 	}
 }
-
-// Backend returns the edge plane for wire.NewServer.
-func (n *Node) Backend() wire.Backend { return n.edge }
 
 // Role returns the node's current role.
 func (n *Node) Role() Role {

@@ -76,7 +76,7 @@ func leaseSafetyProperty(t *testing.T, build func(testing.TB) *admission.Control
 			workers.Add(1)
 			go func(tn *testNode, w int) {
 				defer workers.Done()
-				backend := tn.node.Backend()
+				backend := tn.ctrl
 				items := make([]admission.BatchItem, 3)
 				for i := range items {
 					p := pairs[(w+i)%len(pairs)]

@@ -111,7 +111,7 @@ type Server struct {
 }
 
 // NewServer builds a wire server over a configured backend (the
-// admission controller, or a cluster edge plane). The class table
+// admission controller, on a cluster member too). The class table
 // snapshot taken here is what hello responses advertise; it is
 // immutable for the backend's lifetime.
 func NewServer(ctrl Backend, opts Options) *Server {
