@@ -69,8 +69,8 @@ func cmdSelect(args []string) error {
 		rep.Selector, *alpha, rep.PairsRouted, rep.PairsTotal, rep.Safe)
 	fmt.Printf("worst route delay bound: %.6f s (deadline %.3f s)\n", rep.WorstDelay, c.deadline)
 	fmt.Printf("total hops: %d over %d routes\n", rep.TotalHops, set.Len())
-	fmt.Printf("selection took %s (%d candidates considered, workers=%d)\n",
-		elapsed.Round(time.Microsecond), rep.CandidatesTried, c.workers)
+	fmt.Printf("selection took %s (%d candidates considered)\n",
+		elapsed.Round(time.Microsecond), rep.CandidatesTried)
 	if rep.FailedPair != nil {
 		fmt.Printf("first unroutable pair: %s -> %s\n",
 			net.Router((*rep.FailedPair)[0]).Name, net.Router((*rep.FailedPair)[1]).Name)
@@ -102,8 +102,8 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("selection took %s (%d candidates considered, workers=%d)\n",
-		time.Since(started).Round(time.Microsecond), rep.CandidatesTried, c.workers)
+	fmt.Printf("selection took %s (%d candidates considered)\n",
+		time.Since(started).Round(time.Microsecond), rep.CandidatesTried)
 	if !rep.Safe && rep.FailedPair != nil {
 		fmt.Printf("selection FAILED at pair %s -> %s (%d/%d routed)\n",
 			net.Router((*rep.FailedPair)[0]).Name, net.Router((*rep.FailedPair)[1]).Name,
@@ -424,7 +424,7 @@ func cmdSimulate(args []string) error {
 		return err
 	}
 	// Validate the run against the analytic bounds through the shared
-	// checker (re-solves with the model's settings, so -parallel applies).
+	// checker, which re-solves the fixed point with m.
 	check, err := sim.CheckAgainstBounds(m,
 		[]delay.ClassInput{{Class: cls, Alpha: *alpha, Routes: set}}, out)
 	if err != nil {

@@ -18,8 +18,6 @@ type commonFlags struct {
 	deadline float64
 	selector string
 	perHop   float64
-	parallel int
-	workers  int
 }
 
 func addCommon(fs *flag.FlagSet) *commonFlags {
@@ -33,10 +31,6 @@ func addCommon(fs *flag.FlagSet) *commonFlags {
 		"route selector: sp | heuristic | cheap | backtracking | portfolio")
 	fs.Float64Var(&c.perHop, "perhop", 0,
 		"constant per-hop delay in seconds charged against deadlines (propagation etc.)")
-	fs.IntVar(&c.parallel, "parallel", 0,
-		"delay solver worker pool size; 0 or 1 = sequential sweep (results are bit-identical either way)")
-	fs.IntVar(&c.workers, "workers", 0,
-		"route-selection candidate evaluation pool size; 0 or 1 = sequential (the selection is bit-identical either way)")
 	return c
 }
 
@@ -54,11 +48,10 @@ func (c *commonFlags) network() (*topology.Network, error) {
 }
 
 // model builds a delay model over the network with the flag-configured
-// per-hop constant and solver pool size.
+// per-hop constant.
 func (c *commonFlags) model(net *topology.Network) *delay.Model {
 	m := delay.NewModel(net)
 	m.FixedPerHop = c.perHop
-	m.Workers = c.parallel
 	return m
 }
 
@@ -67,13 +60,13 @@ func (c *commonFlags) makeSelector() (routing.Selector, error) {
 	case "sp":
 		return routing.SP{}, nil
 	case "heuristic":
-		return routing.Heuristic{Workers: c.workers}, nil
+		return routing.Heuristic{}, nil
 	case "cheap":
-		return routing.Heuristic{Mode: routing.Cheap, Workers: c.workers}, nil
+		return routing.Heuristic{Mode: routing.Cheap}, nil
 	case "backtracking":
-		return routing.Backtracking{Workers: c.workers}, nil
+		return routing.Backtracking{}, nil
 	case "portfolio":
-		return routing.Portfolio{Workers: c.workers}, nil
+		return routing.Portfolio{}, nil
 	default:
 		return nil, fmt.Errorf("unknown selector %q", c.selector)
 	}

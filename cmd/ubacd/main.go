@@ -37,6 +37,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sort"
 	"syscall"
 	"time"
 
@@ -44,12 +45,32 @@ import (
 	"ubac/internal/cluster"
 	"ubac/internal/config"
 	"ubac/internal/core"
-	"ubac/internal/routing"
 	"ubac/internal/telemetry"
 	"ubac/internal/traffic"
 	"ubac/internal/wal"
 	"ubac/internal/wire"
 )
+
+// servedClass is the one real-time class ubacd configures and admits.
+const servedClass = "voice"
+
+// fileAlpha returns the utilization a configuration file assigns to
+// servedClass. It refuses a file whose alphas name any other class:
+// ubacd would skip that entry and boot at the -alpha default, so a
+// misspelt class would silently run at an α nobody asked for.
+func fileAlpha(alphas map[string]float64) (float64, error) {
+	var other []string
+	for name := range alphas {
+		if name != servedClass {
+			other = append(other, name)
+		}
+	}
+	if len(other) > 0 {
+		sort.Strings(other)
+		return 0, fmt.Errorf("config: alphas names %q; ubacd serves only class %q", other, servedClass)
+	}
+	return alphas[servedClass], nil
+}
 
 // recoverState replays the data directory into ctrl and reports what
 // came back to the sink: the replay counts, and the flows now active —
@@ -74,8 +95,6 @@ func main() {
 	listen := flag.String("listen", ":8080", "listen address")
 	wireListen := flag.String("wire", "", "binary wire-transport listen address (empty = HTTP only)")
 	events := flag.Int("events", 4096, "decision audit ring capacity (rounded up to a power of two)")
-	workers := flag.Int("workers", 0, "delay solver worker pool size (0 or 1 = sequential fixed-point sweep)")
-	routeWorkers := flag.Int("route-workers", 0, "route-selection candidate evaluation pool size (0 or 1 = sequential; routes are bit-identical either way)")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "graceful shutdown deadline on SIGINT/SIGTERM")
 	dataDir := flag.String("data-dir", "", "durability directory for the admission WAL and snapshots (empty = non-durable)")
 	fsync := flag.String("fsync", config.DefaultFsync, "WAL append mode: sync | async | off (off only without -data-dir)")
@@ -98,10 +117,12 @@ func main() {
 		if !set["topology"] {
 			*topo = file.Topology
 		}
+		a, err := fileAlpha(file.Alphas)
+		if err != nil {
+			log.Fatalf("ubacd: %s: %v", *cfgPath, err)
+		}
 		if !set["alpha"] {
-			if a, ok := file.Alphas["voice"]; ok {
-				*alpha = a
-			}
+			*alpha = a
 		}
 		if !set["listen"] {
 			*listen = file.Listen
@@ -111,12 +132,6 @@ func main() {
 		}
 		if !set["events"] {
 			*events = file.Events
-		}
-		if !set["workers"] {
-			*workers = file.SolverWorkers
-		}
-		if !set["route-workers"] {
-			*routeWorkers = file.RouteWorkers
 		}
 		if !set["shutdown-grace"] {
 			*shutdownGrace = time.Duration(file.ShutdownGraceSeconds * float64(time.Second))
@@ -187,11 +202,9 @@ func main() {
 	ring := telemetry.NewRing(*events)
 	sink := telemetry.NewRegistrySink(reg, ring)
 	sys.Model().Sink = sink
-	sys.Model().Workers = *workers
-	sys.Config().Selector = routing.Portfolio{Workers: *routeWorkers}
 
 	configStart := time.Now()
-	dep, err := sys.Configure(map[string]float64{"voice": *alpha})
+	dep, err := sys.Configure(map[string]float64{servedClass: *alpha})
 	if err != nil {
 		log.Fatalf("ubacd: configure: %v", err)
 	}
@@ -303,8 +316,8 @@ func main() {
 		WriteTimeout:      10 * time.Second,
 		IdleTimeout:       60 * time.Second,
 	}
-	log.Printf("ubacd: %s configured at alpha=%.3f (%d routes verified in %s, route-workers=%d), policy %s, listening on %s",
-		net.Name(), *alpha, len(dep.Verify.Routes), configElapsed.Round(time.Millisecond), *routeWorkers,
+	log.Printf("ubacd: %s configured at alpha=%.3f (%d routes verified in %s), policy %s, listening on %s",
+		net.Name(), *alpha, len(dep.Verify.Routes), configElapsed.Round(time.Millisecond),
 		policyCfg.Describe(), *listen)
 
 	errCh := make(chan error, 1)

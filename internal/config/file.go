@@ -25,14 +25,6 @@ type File struct {
 	WireListen string `json:"wire_listen,omitempty"`
 	// Events is the decision audit ring capacity (default 4096).
 	Events int `json:"events,omitempty"`
-	// SolverWorkers sizes the delay solver's parallel sweep pool; 0 or
-	// 1 keeps the sequential solver.
-	SolverWorkers int `json:"solver_workers,omitempty"`
-	// RouteWorkers sizes the route-selection candidate evaluation pool
-	// (and enables concurrent portfolio members); 0 or 1 keeps the
-	// sequential selection. The selected routes are bit-identical
-	// either way.
-	RouteWorkers int `json:"route_workers,omitempty"`
 	// ShutdownGraceSeconds is the graceful-drain deadline on
 	// SIGINT/SIGTERM (default 10).
 	ShutdownGraceSeconds float64 `json:"shutdown_grace_seconds,omitempty"`
@@ -100,18 +92,6 @@ func ParseFile(data []byte) (*File, error) {
 	}
 	if f.Events == 0 {
 		f.Events = DefaultEvents
-	}
-	if f.SolverWorkers < 0 {
-		return nil, fmt.Errorf("config: negative solver_workers %d", f.SolverWorkers)
-	}
-	if f.SolverWorkers > 1024 {
-		return nil, fmt.Errorf("config: solver_workers %d unreasonably large", f.SolverWorkers)
-	}
-	if f.RouteWorkers < 0 {
-		return nil, fmt.Errorf("config: negative route_workers %d", f.RouteWorkers)
-	}
-	if f.RouteWorkers > 1024 {
-		return nil, fmt.Errorf("config: route_workers %d unreasonably large", f.RouteWorkers)
 	}
 	if f.ShutdownGraceSeconds < 0 || f.ShutdownGraceSeconds != f.ShutdownGraceSeconds {
 		return nil, fmt.Errorf("config: invalid shutdown_grace_seconds %g", f.ShutdownGraceSeconds)

@@ -16,7 +16,6 @@ func TestParseFileMinimalAppliesDefaults(t *testing.T) {
 		t.Fatalf("parsed %+v", f)
 	}
 	if f.Listen != DefaultListen || f.Events != DefaultEvents ||
-		f.SolverWorkers != 0 || f.RouteWorkers != 0 ||
 		f.ShutdownGraceSeconds != DefaultShutdownGraceSeconds {
 		t.Fatalf("defaults not applied: %+v", f)
 	}
@@ -28,8 +27,6 @@ func TestParseFileExplicitValuesKept(t *testing.T) {
 		"alphas": {"voice": 0.3, "video": 0.2},
 		"listen": "127.0.0.1:9090",
 		"events": 128,
-		"solver_workers": 4,
-		"route_workers": 8,
 		"shutdown_grace_seconds": 2.5
 	}`
 	f, err := ParseFile([]byte(doc))
@@ -37,8 +34,7 @@ func TestParseFileExplicitValuesKept(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f.Topology != "ring:8" || len(f.Alphas) != 2 || f.Listen != "127.0.0.1:9090" ||
-		f.Events != 128 || f.SolverWorkers != 4 || f.RouteWorkers != 8 ||
-		f.ShutdownGraceSeconds != 2.5 {
+		f.Events != 128 || f.ShutdownGraceSeconds != 2.5 {
 		t.Fatalf("parsed %+v", f)
 	}
 }
@@ -57,10 +53,8 @@ func TestParseFileRejections(t *testing.T) {
 		{"alpha one", `{"topology":"mci","alphas":{"voice":1}}`, "out of (0,1)"},
 		{"alpha negative", `{"topology":"mci","alphas":{"voice":-0.1}}`, "out of (0,1)"},
 		{"negative events", `{"topology":"mci","alphas":{"voice":0.4},"events":-1}`, "negative events"},
-		{"negative workers", `{"topology":"mci","alphas":{"voice":0.4},"solver_workers":-2}`, "negative solver_workers"},
-		{"huge workers", `{"topology":"mci","alphas":{"voice":0.4},"solver_workers":5000}`, "unreasonably large"},
-		{"negative route workers", `{"topology":"mci","alphas":{"voice":0.4},"route_workers":-1}`, "negative route_workers"},
-		{"huge route workers", `{"topology":"mci","alphas":{"voice":0.4},"route_workers":2000}`, "unreasonably large"},
+		{"solver workers removed", `{"topology":"mci","alphas":{"voice":0.4},"solver_workers":4}`, `unknown field "solver_workers"`},
+		{"route workers removed", `{"topology":"mci","alphas":{"voice":0.4},"route_workers":4}`, `unknown field "route_workers"`},
 		{"negative grace", `{"topology":"mci","alphas":{"voice":0.4},"shutdown_grace_seconds":-1}`, "shutdown_grace_seconds"},
 	}
 	for _, tc := range cases {

@@ -12,7 +12,7 @@ import (
 // once — re-parsing the marshaled form is a fixed point).
 func FuzzParseFile(f *testing.F) {
 	f.Add(`{"topology":"mci","alphas":{"voice":0.4}}`)
-	f.Add(`{"topology":"ring:8","alphas":{"voice":0.3,"video":0.2},"listen":":9090","events":128,"solver_workers":4,"shutdown_grace_seconds":2.5}`)
+	f.Add(`{"topology":"ring:8","alphas":{"voice":0.3,"video":0.2},"listen":":9090","events":128,"shutdown_grace_seconds":2.5}`)
 	f.Add(`{"topology":"","alphas":{"voice":0.4}}`)
 	f.Add(`{"topology":"mci","alphas":{"voice":1e309}}`)
 	f.Add(`{"topology":"mci","alphas":{"voice":0.4}}{}`)

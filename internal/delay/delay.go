@@ -57,13 +57,6 @@ type Model struct {
 	// queueing bounds — the paper folds these constants into the
 	// deadline requirements (Section 3). Default 0.
 	FixedPerHop float64
-	// Workers sets the size of the worker pool used to parallelize each
-	// sweep of the two-class fixed-point iteration (tree-sharded Y
-	// accumulation, server-sharded delay updates). 0 or 1 runs the
-	// sequential solver; either way the result is bit-identical — the
-	// parallel sweep reduces with elementwise max, which is
-	// order-independent. The multi-class solver is always sequential.
-	Workers int
 	// Sink receives one telemetry.FixedPoint event per solver run
 	// (iteration count, convergence, wall time). nil or telemetry.Nop
 	// (the default) disables the timestamping entirely; solves inside
@@ -250,17 +243,13 @@ func (m *Model) SolveTwoClassExtra(in ClassInput, extra *routes.Route, d0 []floa
 		copy(res.D, d0)
 	}
 	burst, rho := in.Class.Bucket.Burst, in.Class.Bucket.Rate
-	if m.Workers > 1 {
-		m.iterateParallel(in, extra, res, gain, burst, rho)
-	} else {
-		m.iterateSequential(in, extra, res, gain, burst, rho)
-	}
+	m.iterate(in, extra, res, gain, burst, rho)
 	return res, nil
 }
 
-// iterateSequential runs the Equation (14) sweep d ← Z(d) on one
-// goroutine until convergence, divergence, or the iteration cap.
-func (m *Model) iterateSequential(in ClassInput, extra *routes.Route, res *Result, gain []float64, burst, rho float64) {
+// iterate runs the Equation (14) sweep d ← Z(d) until convergence,
+// divergence, or the iteration cap.
+func (m *Model) iterate(in ClassInput, extra *routes.Route, res *Result, gain []float64, burst, rho float64) {
 	nsrv := len(res.D)
 	next := make([]float64, nsrv)
 	var buf []float64

@@ -426,7 +426,9 @@ func TestRouteReportSlack(t *testing.T) {
 	}
 }
 
-func BenchmarkSolveTwoClassMCI(b *testing.B) {
+// BenchmarkFixedPoint measures one cold two-class fixed-point solve over
+// the full MCI shortest-path route table (CI bench-smoke runs it).
+func BenchmarkFixedPoint(b *testing.B) {
 	net := topology.MCI()
 	rs := routes.NewSet(net)
 	rg := net.RouterGraph()
@@ -445,6 +447,7 @@ func BenchmarkSolveTwoClassMCI(b *testing.B) {
 	}
 	m := NewModel(net)
 	in := ClassInput{Class: traffic.Voice(), Alpha: 0.3, Routes: rs}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := m.SolveTwoClass(in)

@@ -12,9 +12,9 @@ import (
 // SolveScratch holds the reusable state of repeated two-class solves:
 // the Result vectors, the sweep buffers, the per-server gain vector
 // (cached across calls with the same model/class parameters), and the
-// active-domain bookkeeping. The route-selection engine gives each of
-// its workers one scratch so that steady-state candidate evaluation
-// performs zero heap allocations.
+// active-domain bookkeeping. A route selection solves every candidate
+// through one scratch, so steady-state candidate evaluation performs
+// zero heap allocations.
 //
 // A scratch is not safe for concurrent use; the Result returned by
 // SolveTwoClassScratch aliases its buffers and is valid only until the
@@ -22,7 +22,7 @@ import (
 type SolveScratch struct {
 	res  Result
 	next []float64
-	pre  []float64 // the Y sweep's per-prefix sums (routes.Set.ComputeYPartial)
+	pre  []float64 // the Y sweep's per-prefix sums (routes.Set.AccumulateY)
 
 	gain      []float64
 	gainModel *Model
@@ -48,8 +48,7 @@ func (sc *SolveScratch) ensure(nsrv int) {
 // SolveTwoClassScratch is SolveTwoClassExtra with caller-provided
 // scratch: bit-identical results (same D, Y, Converged, Iterations for
 // the same inputs), no per-call allocations once the scratch is warm.
-// The sweep is always sequential — callers parallelize across solves,
-// not within one — and restricted to the servers actually crossed by
+// The sweep is restricted to the servers actually crossed by
 // in.Routes or extra: every other server's update is the constant
 // gain·T from the first sweep on (its Y_k is 0 in every iteration), so
 // folding those servers' first-sweep change and constant delay into the
@@ -101,7 +100,7 @@ func (m *Model) SolveTwoClassScratch(in ClassInput, extra *routes.Route, d0 []fl
 
 // iterateActive runs the Equation (14) sweep d ← Z(d) restricted to the
 // active servers (those crossed by the route set or the phantom route),
-// reproducing iterateSequential bit for bit:
+// reproducing iterate bit for bit:
 //
 //   - an inactive server has Y_k = 0 in every sweep, so its update is
 //     the constant c_s = gain_s·T; its delta is |c_s − d0_s| in sweep 1
@@ -162,7 +161,7 @@ func (m *Model) iterateActive(in ClassInput, extra *routes.Route, res *Result, s
 		for _, s := range dom {
 			res.Y[s] = 0
 		}
-		in.Routes.ComputeYPartial(res.D, res.Y, 0, len(res.D), extra, &sc.pre)
+		in.Routes.AccumulateY(res.D, res.Y, extra, &sc.pre)
 		worstChange := 0.0
 		worstD := 0.0
 		for _, s := range dom {

@@ -216,7 +216,7 @@ func TestSolveScratchWarmStartMonotone(t *testing.T) {
 }
 
 // Steady-state scratch solves must not allocate: that is the contract
-// the evaluation engine's per-worker scratches depend on.
+// route selection's candidate loop depends on.
 func TestSolveScratchZeroAllocs(t *testing.T) {
 	net := topology.MCI()
 	cls := traffic.Voice()

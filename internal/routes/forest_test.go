@@ -13,10 +13,10 @@ import (
 func perRouteY(s *Set, d []float64, extra *Route) []float64 {
 	y := make([]float64, len(d))
 	for i := 0; i < s.Len(); i++ {
-		accumulateY(d, y, s.Route(i).Servers)
+		accumulateRoute(d, y, s.Route(i).Servers)
 	}
 	if extra != nil {
-		accumulateY(d, y, extra.Servers)
+		accumulateRoute(d, y, extra.Servers)
 	}
 	return y
 }
@@ -36,8 +36,8 @@ func distinctPrefixes(s *Set) int {
 }
 
 // checkForest requires the forest sweep to equal per-route accumulation
-// bit for bit, whole and sharded by tree, and the forest to hold exactly
-// the set's distinct prefixes.
+// bit for bit, from zero and on top of existing values, and the forest
+// to hold exactly the set's distinct prefixes.
 func checkForest(t *testing.T, label string, s *Set, d []float64, extra *Route) {
 	t.Helper()
 	nsrv := len(d)
@@ -50,29 +50,26 @@ func checkForest(t *testing.T, label string, s *Set, d []float64, extra *Route) 
 			t.Fatalf("%s: Y[%d] = %.17g, per-route %.17g", label, k, got[k], want[k])
 		}
 	}
-	// Three tree shards merged by max, the phantom on the last one.
-	merged := make([]float64, nsrv)
-	for _, sh := range [][2]int{{0, nsrv / 3}, {nsrv / 3, nsrv / 2}, {nsrv / 2, nsrv}} {
-		part := make([]float64, nsrv)
-		var ex *Route
-		if sh[1] == nsrv {
-			ex = extra
+	// AccumulateY does not zero: every entry ends at the larger of what
+	// it held and the per-route value.
+	held := func(k int) float64 {
+		if k%2 == 1 {
+			return d[k]
 		}
-		s.ComputeYPartial(d, part, sh[0], sh[1], ex, &buf)
-		for k, v := range part {
-			if v > merged[k] {
-				merged[k] = v
-			}
-		}
+		return want[k] / 2
 	}
+	for k := range got {
+		got[k] = held(k)
+	}
+	s.AccumulateY(d, got, extra, &buf)
 	for k := range want {
-		if merged[k] != want[k] {
-			t.Fatalf("%s: sharded Y[%d] = %.17g, per-route %.17g", label, k, merged[k], want[k])
+		if w := max(held(k), want[k]); got[k] != w {
+			t.Fatalf("%s: accumulated Y[%d] = %.17g, want %.17g", label, k, got[k], w)
 		}
 	}
 	total := 0
-	for f := 0; f < nsrv; f++ {
-		total += s.TreeLen(f)
+	for _, tree := range s.trees {
+		total += len(tree)
 	}
 	if n := distinctPrefixes(s); total != n {
 		t.Fatalf("%s: forest holds %d prefixes, routes have %d distinct", label, total, n)

@@ -258,7 +258,7 @@ func (s *Set) ComputeY(d, y []float64) {
 // ComputeYExtra is ComputeY over the set plus one phantom route that is
 // not (yet) a member — the way to evaluate a candidate route without
 // mutating the set. extra may be nil. buf is the sweep's scratch (see
-// ComputeYPartial); with a non-nil buf a warm call does not allocate.
+// AccumulateY); with a non-nil buf a warm call does not allocate.
 func (s *Set) ComputeYExtra(d, y []float64, extra *Route, buf *[]float64) {
 	if len(d) != s.net.NumServers() || len(y) != s.net.NumServers() {
 		panic("routes: ComputeY slice length mismatch")
@@ -266,34 +266,25 @@ func (s *Set) ComputeYExtra(d, y []float64, extra *Route, buf *[]float64) {
 	for i := range y {
 		y[i] = 0
 	}
-	s.ComputeYPartial(d, y, 0, len(s.trees), extra, buf)
+	s.AccumulateY(d, y, extra, buf)
 }
 
-// TreeLen returns the number of distinct route prefixes whose first
-// server is f — the work of sweeping tree f.
-func (s *Set) TreeLen(f int) int { return len(s.trees[f]) }
-
-// ComputeYPartial accumulates into y the Y_k contributions of the routes
-// whose first server is in [lo, hi), plus extra if non-nil. Unlike
-// ComputeYExtra it does not zero y first — the caller provides a zeroed
-// (or partially accumulated) buffer. The parallel solver shards the
-// trees across workers this way; merging the per-shard buffers with an
-// elementwise max reproduces ComputeYExtra bit for bit, because Y_k is
-// itself a max over prefix sums and max is order-independent.
+// AccumulateY is ComputeYExtra without zeroing y first: it raises each
+// y_k to the Y_k contribution of the set's routes plus extra (if
+// non-nil), leaving larger entries alone. A caller that zeroes only
+// the servers it tracks uses it to skip the rest.
 //
 // Each prefix's sum is its parent's plus the parent's last server delay
 // — the same float additions, in the same order, as summing each route
 // left to right — so the forest sweep equals per-route accumulation bit
 // for bit while visiting each shared prefix once. buf holds the
 // per-prefix sums of one tree; it grows as needed and is kept for the
-// next call. A nil buf allocates per call. Concurrent sweeps of one Set
-// need distinct bufs.
-func (s *Set) ComputeYPartial(d, y []float64, lo, hi int, extra *Route, buf *[]float64) {
+// next call. A nil buf allocates per call.
+func (s *Set) AccumulateY(d, y []float64, extra *Route, buf *[]float64) {
 	if buf == nil {
 		buf = new([]float64)
 	}
-	for f := lo; f < hi; f++ {
-		t := s.trees[f]
+	for _, t := range s.trees {
 		if len(t) > cap(*buf) {
 			*buf = make([]float64, len(t))
 		}
@@ -312,11 +303,11 @@ func (s *Set) ComputeYPartial(d, y []float64, lo, hi int, extra *Route, buf *[]f
 		}
 	}
 	if extra != nil {
-		accumulateY(d, y, extra.Servers)
+		accumulateRoute(d, y, extra.Servers)
 	}
 }
 
-func accumulateY(d, y []float64, servers []int) {
+func accumulateRoute(d, y []float64, servers []int) {
 	prefix := 0.0
 	for _, srv := range servers {
 		if prefix > y[srv] {

@@ -19,11 +19,8 @@ type Backtracking struct {
 	LengthSlack int
 	// MaxBacktracks bounds the total number of undo steps (default 500).
 	MaxBacktracks int
-	// Workers sets the candidate-evaluation pool size (default 1,
-	// sequential). Candidate acceptance is bit-identical either way.
-	Workers int
-	// Engine, when non-nil, is a caller-owned shared evaluation engine;
-	// Workers is then ignored.
+	// Engine, when non-nil, is a candidate memo shared with other
+	// selections.
 	Engine *Engine
 }
 
@@ -60,8 +57,8 @@ type level struct {
 
 // Select implements Selector with depth-first search over per-pair
 // candidate lists. Each level's untried candidates are evaluated as
-// phantom routes from the level's saved base vector — first feasible
-// candidate in order wins, exactly as the sequential scan would.
+// phantom routes from the level's saved base vector; the first feasible
+// candidate in order wins.
 func (h Backtracking) Select(m *delay.Model, req Request) (*routes.Set, *Report, error) {
 	start, emit := selectStart(m)
 	pairs, err := resolvePairs(m, req)
@@ -78,11 +75,7 @@ func (h Backtracking) Select(m *delay.Model, req Request) (*routes.Set, *Report,
 	set := routes.NewSet(net)
 	base := make([]float64, net.NumServers())
 
-	eng, owned := engineFor(h.Engine, h.Workers)
-	if owned {
-		defer eng.Close()
-	}
-	run := newEvalRun(eng, m, req, set, base)
+	run := newEvalRun(engineOr(h.Engine), m, req, set, base)
 
 	levels := make([]*level, len(ordered))
 	backtracks := 0
@@ -99,9 +92,6 @@ func (h Backtracking) Select(m *delay.Model, req Request) (*routes.Set, *Report,
 	}
 
 	for i < len(ordered) {
-		if req.canceled() {
-			return nil, nil, ErrCanceled
-		}
 		if levels[i] == nil {
 			lv, err := buildLevel(ordered[i])
 			if err != nil {
@@ -124,7 +114,7 @@ func (h Backtracking) Select(m *delay.Model, req Request) (*routes.Set, *Report,
 			if err := set.Add(run.cands[idx].route); err != nil {
 				return nil, nil, err
 			}
-			copy(base, run.outs[idx].d)
+			copy(base, run.best)
 			i++
 			continue
 		}

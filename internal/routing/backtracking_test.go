@@ -1,9 +1,11 @@
 package routing
 
 import (
+	"math"
 	"testing"
 
 	"ubac/internal/delay"
+	"ubac/internal/routes"
 	"ubac/internal/topology"
 	"ubac/internal/traffic"
 )
@@ -58,7 +60,11 @@ func TestBacktrackingDominatesGreedy(t *testing.T) {
 }
 
 // The cheap greedy is non-monotone on MCI: it fails at alpha=0.43-0.45
-// yet succeeds at 0.46. Backtracking must repair the failure.
+// yet succeeds at 0.46. Backtracking must repair the failure. The repair
+// undoes routes (RemoveLast trims the set's prefix forest), so the
+// selection's final delay vector, read through its WorstDelay, must
+// equal a fresh solve of the returned set bit for bit, and that solve
+// must equal one of the same routes added to a new set.
 func TestBacktrackingRepairsCheapFailure(t *testing.T) {
 	net := topology.MCI()
 	m := model(t, net)
@@ -69,7 +75,7 @@ func TestBacktrackingRepairsCheapFailure(t *testing.T) {
 	if greedy.Safe {
 		t.Skip("cheap heuristic no longer fails at 0.43 on this topology")
 	}
-	_, bt, err := (Backtracking{}).Select(m, voiceReq(0.43))
+	set, bt, err := (Backtracking{}).Select(m, voiceReq(0.43))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +83,36 @@ func TestBacktrackingRepairsCheapFailure(t *testing.T) {
 		t.Fatalf("backtracking did not repair the greedy failure: %+v", bt)
 	}
 	if bt.Backtracks == 0 {
-		t.Error("repair without backtracking recorded")
+		t.Fatal("repair without backtracking recorded; the case no longer exercises RemoveLast")
 	}
 	t.Logf("repaired with %d backtracks, %d candidates", bt.Backtracks, bt.CandidatesTried)
+
+	rebuilt := routes.NewSet(net)
+	for i := 0; i < set.Len(); i++ {
+		if err := rebuilt.Add(set.Route(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve := func(s *routes.Set) *delay.Result {
+		res, err := m.SolveTwoClass(delay.ClassInput{Class: traffic.Voice(), Alpha: 0.43, Routes: s})
+		if err != nil || !res.Converged {
+			t.Fatalf("solve: converged=%v err=%v", res != nil && res.Converged, err)
+		}
+		return res
+	}
+	got, want := solve(set), solve(rebuilt)
+	deadline := traffic.Voice().Deadline
+	if slack, _ := set.MinSlackExtra(got.D, deadline, m.FixedPerHop, nil); math.Float64bits(deadline-slack) != math.Float64bits(bt.WorstDelay) {
+		t.Fatalf("WorstDelay %.17g, fresh solve %.17g", bt.WorstDelay, deadline-slack)
+	}
+	if got.Iterations != want.Iterations {
+		t.Fatalf("%d iterations, rebuilt set %d", got.Iterations, want.Iterations)
+	}
+	for s := range want.D {
+		if math.Float64bits(got.D[s]) != math.Float64bits(want.D[s]) || math.Float64bits(got.Y[s]) != math.Float64bits(want.Y[s]) {
+			t.Fatalf("server %d D=%.17g Y=%.17g, rebuilt set D=%.17g Y=%.17g", s, got.D[s], got.Y[s], want.D[s], want.Y[s])
+		}
+	}
 }
 
 func TestBacktrackingBudgetExhaustion(t *testing.T) {

@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"fmt"
 	"sort"
 	"testing"
 
@@ -37,46 +36,37 @@ func benchGridPairs(net *topology.Network, n int) [][2]int {
 	return ps
 }
 
-func benchSelect(b *testing.B, mk func(w int) Selector, alpha float64, pairs int) {
+func benchSelect(b *testing.B, sel Selector, alpha float64, pairs int) {
 	net, err := topology.Grid(8, 8, 100e6)
 	if err != nil {
 		b.Fatal(err)
 	}
 	m := delay.NewModel(net)
 	req := Request{Class: traffic.Voice(), Alpha: alpha, Pairs: benchGridPairs(net, pairs)}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := mk(workers).Select(m, req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := sel.Select(m, req); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkSelectLookahead is the headline selection benchmark: the
 // paper's lookahead heuristic with k=6 candidates per pair over the 24
-// longest pairs of an 8×8 grid. workers=1 is the sequential baseline;
-// workers=4 fans the per-pair candidate solves across the engine pool
-// (same selection bit for bit). On a single-core host the workers=4
-// variant measures pool overhead, not speedup — compare wall times only
-// on a multi-core runner; the allocs/op reduction is machine-independent.
+// longest pairs of an 8×8 grid.
 func BenchmarkSelectLookahead(b *testing.B) {
-	benchSelect(b, func(w int) Selector { return Heuristic{K: 6, Workers: w} }, 0.10, 24)
+	benchSelect(b, Heuristic{K: 6}, 0.10, 24)
 }
 
-// BenchmarkSelectCheap measures the first-accept scan (phantom solves
-// through the same engine, waves of the pool size).
+// BenchmarkSelectCheap measures the first-accept scan.
 func BenchmarkSelectCheap(b *testing.B) {
-	benchSelect(b, func(w int) Selector { return Heuristic{K: 6, Mode: Cheap, Workers: w} }, 0.10, 24)
+	benchSelect(b, Heuristic{K: 6, Mode: Cheap}, 0.10, 24)
 }
 
-// BenchmarkSelectPortfolio exercises concurrent portfolio members over
-// one shared engine and memoized candidate generation.
+// BenchmarkSelectPortfolio runs the portfolio members in turn over one
+// shared engine and memoized candidate generation.
 func BenchmarkSelectPortfolio(b *testing.B) {
-	benchSelect(b, func(w int) Selector { return Portfolio{Workers: w} }, 0.10, 24)
+	benchSelect(b, Portfolio{}, 0.10, 24)
 }
 
 // benchSelectMCI times one selector over every ordered MCI pair at
@@ -101,7 +91,7 @@ func BenchmarkSelectDelayWeighted(b *testing.B) {
 }
 
 // BenchmarkSelectPortfolioMCI is ubacd's default selector at its default
-// operating point (sequential; the delay-weighted member wins there).
+// operating point (the delay-weighted member wins there).
 func BenchmarkSelectPortfolioMCI(b *testing.B) {
 	benchSelectMCI(b, Portfolio{})
 }

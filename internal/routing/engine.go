@@ -15,39 +15,15 @@ import (
 	"ubac/internal/traffic"
 )
 
-// Engine is the shared candidate-evaluation backend of the selectors: a
-// persistent worker pool that fans the per-pair candidate solves out
-// across goroutines, plus a memo of per-pair k-shortest-path candidate
-// routes so that repeated selections over the same network (portfolio
-// members, backtracking revisits, repeated daemon reconfigurations)
-// never recompute Yen's algorithm or the path→route conversion for a
-// pair they have already seen.
-//
-// Parallel evaluation is bit-identical to sequential evaluation by
-// construction: every candidate is solved as a phantom route from the
-// same warm-start base into a slot indexed by the candidate's position,
-// and evalRun.pick takes the best key with ties to the lowest index, a
-// winner that does not depend on how many candidates a wave solved —
-// goroutine scheduling cannot influence any result. Each worker owns a
-// delay.SolveScratch, so steady-state evaluation does not allocate.
-//
-// An Engine is safe for concurrent use by multiple selections (the
-// portfolio runs its members concurrently over one engine). Close
-// releases the workers; the engine must not be used afterwards.
+// Engine is the per-pair candidate memo the selectors share: it caches
+// each pair's k-shortest-path candidate routes so that repeated
+// selections over the same network (portfolio members, backtracking
+// revisits, repeated daemon reconfigurations) never recompute Yen's
+// algorithm or the path→route conversion for a pair they have already
+// seen. An Engine is safe for concurrent use by multiple selections.
 type Engine struct {
-	workers int
-	start   sync.Once
-	mu      sync.Mutex
-	tasks   chan task
-	memo    map[memoKey][]routes.Route
-	closed  bool
-}
-
-// task asks a worker to evaluate candidate ci of a selection run.
-type task struct {
-	run *evalRun
-	ci  int
-	wg  *sync.WaitGroup
+	mu   sync.Mutex
+	memo map[memoKey][]routes.Route
 }
 
 // memoKey identifies one memoized candidate-route computation. Keying
@@ -60,62 +36,17 @@ type memoKey struct {
 	class    string
 }
 
-// NewEngine returns an engine whose pool has the given number of
-// workers. Values below 2 (including 0) yield an engine that evaluates
-// inline on the calling goroutine — still memoizing candidates, never
-// spawning goroutines.
-func NewEngine(workers int) *Engine {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Engine{workers: workers, memo: make(map[memoKey][]routes.Route)}
+// NewEngine returns an empty engine.
+func NewEngine() *Engine {
+	return &Engine{memo: make(map[memoKey][]routes.Route)}
 }
 
-// Workers reports the pool size the engine was built with.
-func (e *Engine) Workers() int { return e.workers }
-
-// Close shuts the worker pool down. Idempotent; the engine must not be
-// used for further selections afterwards.
-func (e *Engine) Close() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
-	e.closed = true
-	if e.tasks != nil {
-		close(e.tasks)
-	}
-}
-
-// startWorkers lazily spins the pool up on first parallel use, so an
-// engine that only ever evaluates inline costs nothing.
-func (e *Engine) startWorkers() {
-	e.start.Do(func() {
-		ch := make(chan task, e.workers)
-		for i := 0; i < e.workers; i++ {
-			go func() {
-				sc := &delay.SolveScratch{}
-				for t := range ch {
-					t.run.evalCandidate(t.ci, sc)
-					t.wg.Done()
-				}
-			}()
-		}
-		e.mu.Lock()
-		e.tasks = ch
-		e.mu.Unlock()
-	})
-}
-
-// engineFor resolves the engine a selector should use: the caller's
-// shared engine if one was provided, else a fresh owned engine the
-// selector must Close when its selection finishes.
-func engineFor(e *Engine, workers int) (eng *Engine, owned bool) {
+// engineOr returns e, or a fresh engine private to one Select if e is nil.
+func engineOr(e *Engine) *Engine {
 	if e != nil {
-		return e, false
+		return e
 	}
-	return NewEngine(workers), true
+	return NewEngine()
 }
 
 // memoRoutes returns the pair's filtered, converted candidate routes,
@@ -165,20 +96,9 @@ type candidate struct {
 	score  float64
 }
 
-// outcome is the evaluation result of one candidate: whether it is
-// feasible (fixed point converged and every route meets the deadline
-// with it added), the resulting minimum slack, and the converged delay
-// vector to warm-start from if it is accepted.
-type outcome struct {
-	ok    bool
-	slack float64
-	d     []float64
-}
-
-// evalRun is the per-selection state shared between the selection
-// goroutine and the engine's workers. The selection goroutine owns
-// cands/base between waves; during a wave the workers only read them
-// and write disjoint slots of outs/errs/dbufs.
+// evalRun is the state of one selection's candidate evaluation: the
+// accepted set, its converged delay vector (base), the current pair's
+// candidates and the solver scratch every candidate is solved in.
 type evalRun struct {
 	eng      *Engine
 	m        *delay.Model
@@ -190,16 +110,14 @@ type evalRun struct {
 	set      *routes.Set
 	ksp      *graph.KSPSolver
 	wksp     *graph.WeightedKSPSolver
-	scratch  *delay.SolveScratch // inline-evaluation scratch
-	base     []float64           // warm-start delay vector for this batch
+	scratch  *delay.SolveScratch
+	base     []float64 // warm-start delay vector for this batch
 
 	cands        []candidate
 	scratchCands []candidate
-	outs         []outcome
-	errs         []error
-	dbufs        [][]float64
 	order        []int     // pick's visit order
 	bounds       []float64 // pick's per-candidate bounds
+	best         []float64 // converged delay vector of pick's winner
 }
 
 func newEvalRun(eng *Engine, m *delay.Model, req Request, set *routes.Set, base []float64) *evalRun {
@@ -301,100 +219,61 @@ func (r *evalRun) buildCandidates(p [2]int, k, slack int, delayWeighted, checkCy
 	return nil
 }
 
-// prepare resets the per-candidate slots for n candidates, keeping
-// buffer capacity (dbufs in particular) across pairs.
-func (r *evalRun) prepare(n int) {
-	if cap(r.outs) < n {
-		r.outs = make([]outcome, n)
-		r.errs = make([]error, n)
-		r.order = make([]int, n)
-		r.bounds = make([]float64, n)
-	}
-	r.outs = r.outs[:n]
-	r.errs = r.errs[:n]
-	r.order = r.order[:n]
-	r.bounds = r.bounds[:n]
-	for i := 0; i < n; i++ {
-		r.outs[i] = outcome{}
-		r.errs[i] = nil
-	}
-	for len(r.dbufs) < n {
-		r.dbufs = append(r.dbufs, nil)
-	}
-}
-
 // evalCandidate solves the fixed point with candidate ci as a phantom
-// member of the accepted set, warm-started from the batch's base, and
-// records feasibility, slack, and the converged delay vector. It only
-// reads shared state and writes slots indexed by ci, so distinct
-// candidates evaluate concurrently without synchronization.
-func (r *evalRun) evalCandidate(ci int, sc *delay.SolveScratch) {
-	res, err := r.m.SolveTwoClassScratch(r.input(), &r.cands[ci].route, r.base, sc)
-	if err != nil {
-		r.errs[ci] = err
-		return
+// member of the accepted set, warm-started from the batch's base. It
+// reports whether the candidate is feasible (fixed point converged and
+// every route meets the deadline with it added) and the resulting
+// minimum slack; the converged vector is d, valid until the next solve.
+func (r *evalRun) evalCandidate(ci int) (d []float64, slack float64, ok bool, err error) {
+	res, err := r.m.SolveTwoClassScratch(r.input(), &r.cands[ci].route, r.base, r.scratch)
+	if err != nil || !res.Converged {
+		return nil, 0, false, err
 	}
-	if !res.Converged {
-		return
-	}
-	slack, _ := r.set.MinSlackExtra(res.D, r.deadline, r.m.FixedPerHop, &r.cands[ci].route)
-	if delay.MeetsDeadline(r.deadline-slack, r.deadline) {
-		if r.dbufs[ci] == nil {
-			r.dbufs[ci] = make([]float64, len(res.D))
-		}
-		copy(r.dbufs[ci], res.D)
-		r.outs[ci] = outcome{ok: true, slack: slack, d: r.dbufs[ci]}
-	}
+	slack, _ = r.set.MinSlackExtra(res.D, r.deadline, r.m.FixedPerHop, &r.cands[ci].route)
+	return res.D, slack, delay.MeetsDeadline(r.deadline-slack, r.deadline), nil
 }
 
 // pick returns the feasible candidate with the largest key, ties to the
-// lowest index, or -1 if none is feasible. bound(ci) must be at least
-// key(ci), which pick reads only once ci is solved.
+// lowest index, or -1 if none is feasible, and leaves the winner's
+// converged vector in r.best. The key is the candidate's solved slack
+// when bySlack is set and 0 otherwise; bound(ci) must be at least the
+// key.
 //
-// It visits candidates in descending bound order, ties by index, in
-// waves of the pool size. Before each wave it stops at the first
-// candidate whose bound cannot beat the best key solved so far: lower,
-// or equal at a higher index. No later candidate's bound is better, so
-// none of them is solved. With a constant bound and key the visit is a
-// first-accept scan in index order.
-func (r *evalRun) pick(bound, key func(ci int) float64) (int, error) {
+// It solves candidates one at a time in descending bound order, ties by
+// index, and stops at the first whose bound cannot beat the best key
+// solved so far: lower, or equal at a higher index. No later
+// candidate's bound is better, so none of them is solved. With a
+// constant bound and key the visit is a first-accept scan in index
+// order.
+func (r *evalRun) pick(bound func(ci int) float64, bySlack bool) (int, error) {
 	n := len(r.cands)
-	r.prepare(n)
-	for ci := range r.order {
-		r.order[ci] = ci
-		r.bounds[ci] = bound(ci)
+	r.order = r.order[:0]
+	r.bounds = r.bounds[:0]
+	for ci := 0; ci < n; ci++ {
+		r.order = append(r.order, ci)
+		r.bounds = append(r.bounds, bound(ci))
 	}
 	slices.SortStableFunc(r.order, func(a, b int) int { return cmp.Compare(r.bounds[b], r.bounds[a]) })
 	best, bestKey := -1, 0.0
 	beats := func(v float64, ci int) bool {
 		return best < 0 || v > bestKey || (v == bestKey && ci < best)
 	}
-	for lo := 0; lo < n && beats(r.bounds[r.order[lo]], r.order[lo]); {
-		hi := lo + 1
-		for hi < n && hi-lo < r.eng.workers && beats(r.bounds[r.order[hi]], r.order[hi]) {
-			hi++
+	for _, ci := range r.order {
+		if !beats(r.bounds[ci], ci) {
+			break
 		}
-		wave := r.order[lo:hi]
-		if len(wave) == 1 {
-			r.evalCandidate(wave[0], r.scratch)
-		} else {
-			r.eng.startWorkers()
-			var wg sync.WaitGroup
-			wg.Add(len(wave))
-			for _, ci := range wave {
-				r.eng.tasks <- task{run: r, ci: ci, wg: &wg}
-			}
-			wg.Wait()
+		d, slack, ok, err := r.evalCandidate(ci)
+		if err != nil {
+			return -1, err
 		}
-		for _, ci := range wave {
-			if r.errs[ci] != nil {
-				return -1, r.errs[ci]
-			}
-			if r.outs[ci].ok && beats(key(ci), ci) {
-				best, bestKey = ci, key(ci)
-			}
+		key := 0.0
+		if bySlack {
+			key = slack
 		}
-		lo = hi
+		if ok && beats(key, ci) {
+			best, bestKey = ci, key
+			r.best = append(r.best[:0], d...)
+		}
 	}
 	return best, nil
 }
@@ -408,15 +287,13 @@ func (r *evalRun) pickLookahead() (int, error) {
 	setSlack, _ := r.set.MinSlackExtra(r.base, r.deadline, perHop, nil)
 	return r.pick(func(ci int) float64 {
 		return min(setSlack, r.cands[ci].route.Slack(r.base, r.deadline, perHop))
-	}, func(ci int) float64 { return r.outs[ci].slack })
+	}, true)
 }
 
 // pickFirst returns the first feasible candidate in index order (-1 if
-// none) and the count a sequential scan would have tried: idx+1, or
-// every candidate. A wave may solve a few more; the count hides them.
+// none) and the number of candidates it tried: idx+1, or every one.
 func (r *evalRun) pickFirst() (idx, tried int, err error) {
-	constant := func(int) float64 { return 0 }
-	if idx, err = r.pick(constant, constant); idx < 0 {
+	if idx, err = r.pick(func(int) float64 { return 0 }, false); idx < 0 {
 		return idx, len(r.cands), err
 	}
 	return idx, idx + 1, nil

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"ubac/internal/delay"
@@ -67,53 +68,115 @@ func randomPairs(net *topology.Network, n int, seed int64) [][2]int {
 	return ps
 }
 
-// sameSolve re-solves both selections, the sequential one with the
-// sequential sweep and the parallel one with the tree-sharded parallel
-// sweep (Model.Workers 4), and requires bit-identical D and Y.
-func sameSolve(t *testing.T, label string, net *topology.Network, cls traffic.Class, alpha float64, seqSet, parSet *routes.Set) {
-	t.Helper()
-	want, err := delay.NewModel(net).SolveTwoClass(delay.ClassInput{Class: cls, Alpha: alpha, Routes: seqSet})
+// A persistent shared engine (a warm memo) must not change any
+// selection relative to fresh per-Select engines, across repeated
+// selections and different selectors sharing it at once (the Engine is
+// documented safe for concurrent use; -race checks the memo's lock).
+func TestEngineSharedAcrossSelections(t *testing.T) {
+	net, err := topology.Parse("grid:4x4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm := delay.NewModel(net)
-	pm.Workers = 4
-	got, err := pm.SolveTwoClass(delay.ClassInput{Class: cls, Alpha: alpha, Routes: parSet})
-	if err != nil {
-		t.Fatal(err)
+	m := delay.NewModel(net)
+	cls := traffic.Voice()
+	pairs := randomPairs(net, 12, 7)
+	eng := NewEngine()
+	cases := []struct {
+		name   string
+		shared Selector
+		fresh  Selector
+	}{
+		{"heuristic", Heuristic{Engine: eng}, Heuristic{}},
+		{"cheap", Heuristic{Mode: Cheap, Engine: eng}, Heuristic{Mode: Cheap}},
+		{"backtracking", Backtracking{Engine: eng}, Backtracking{}},
 	}
-	if got.Converged != want.Converged || got.Iterations != want.Iterations {
-		t.Fatalf("%s: converged=%v after %d, want %v after %d", label, got.Converged, got.Iterations, want.Converged, want.Iterations)
+	type result struct {
+		set *routes.Set
+		rep *Report
+		err error
 	}
-	if !want.Converged {
-		return // D and Y are unspecified on divergence
-	}
-	for s := range want.D {
-		if got.D[s] != want.D[s] || got.Y[s] != want.Y[s] {
-			t.Fatalf("%s: server %d D=%.17g Y=%.17g, want D=%.17g Y=%.17g", label, s, got.D[s], got.Y[s], want.D[s], want.Y[s])
+	for _, alpha := range []float64{0.25, 0.45} {
+		req := Request{Class: cls, Alpha: alpha, Pairs: pairs}
+		for round := 0; round < 2; round++ { // round 2 hits the memo
+			got := make([]result, len(cases))
+			var wg sync.WaitGroup
+			for i, tc := range cases {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					set, rep, err := tc.shared.Select(m, req)
+					got[i] = result{set, rep, err}
+				}()
+			}
+			wg.Wait()
+			for i, tc := range cases {
+				if got[i].err != nil {
+					t.Fatal(got[i].err)
+				}
+				wantSet, wantRep, err := tc.fresh.Select(m, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameReport(t, tc.name, got[i].rep, wantRep)
+				sameRouteSets(t, tc.name, got[i].set, wantSet)
+			}
 		}
 	}
 }
 
 // TestEngineParallelMatchesSequential is the determinism property of the
-// evaluation engine: for every selector, parallel candidate evaluation
-// (workers=4, plus concurrent portfolio members) must reproduce the
-// sequential selection exactly — same route set, same report down to
-// bit-identical WorstDelay, and the same re-solved delay vector under
-// the sequential and the parallel sweep — on random topologies, in both
-// safe and failing regimes, and on a backtracking search that undoes
-// routes (RemoveLast trims the set's prefix forest mid-selection).
+// shared candidate memo: every selector, run in parallel with the others
+// over one Engine, must reproduce its own sequential selection on a
+// private engine exactly — same route set, same report down to a
+// bit-identical WorstDelay — on random topologies, in both safe and
+// failing regimes, and on a backtracking search that undoes routes.
 func TestEngineParallelMatchesSequential(t *testing.T) {
 	cls := traffic.Voice()
 	selectors := []struct {
 		name string
-		mk   func(w int) Selector
+		mk   func(eng *Engine) Selector
 	}{
-		{"lookahead", func(w int) Selector { return Heuristic{Workers: w} }},
-		{"delay-weighted", func(w int) Selector { return Heuristic{DelayWeighted: true, Workers: w} }},
-		{"cheap", func(w int) Selector { return Heuristic{Mode: Cheap, Workers: w} }},
-		{"backtracking", func(w int) Selector { return Backtracking{Workers: w, MaxBacktracks: 40} }},
-		{"portfolio", func(w int) Selector { return Portfolio{Workers: w} }},
+		{"lookahead", func(eng *Engine) Selector { return Heuristic{Engine: eng} }},
+		{"delay-weighted", func(eng *Engine) Selector { return Heuristic{DelayWeighted: true, Engine: eng} }},
+		{"cheap", func(eng *Engine) Selector { return Heuristic{Mode: Cheap, Engine: eng} }},
+		{"backtracking", func(eng *Engine) Selector { return Backtracking{MaxBacktracks: 40, Engine: eng} }},
+		{"portfolio", func(eng *Engine) Selector { return Portfolio{Engine: eng} }},
+	}
+	type result struct {
+		set *routes.Set
+		rep *Report
+		err error
+	}
+	// check runs every selector at once over one fresh shared engine and
+	// compares each with a sequential run on a private engine.
+	check := func(label string, m *delay.Model, req Request) []*Report {
+		eng := NewEngine()
+		got := make([]result, len(selectors))
+		var wg sync.WaitGroup
+		for i, sc := range selectors {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				set, rep, err := sc.mk(eng).Select(m, req)
+				got[i] = result{set, rep, err}
+			}()
+		}
+		wg.Wait()
+		reps := make([]*Report, len(selectors))
+		for i, sc := range selectors {
+			name := label + "/" + sc.name
+			if got[i].err != nil {
+				t.Fatalf("%s parallel: %v", name, got[i].err)
+			}
+			seqSet, seqRep, err := sc.mk(nil).Select(m, req)
+			if err != nil {
+				t.Fatalf("%s sequential: %v", name, err)
+			}
+			sameReport(t, name, got[i].rep, seqRep)
+			sameRouteSets(t, name, got[i].set, seqSet)
+			reps[i] = seqRep
+		}
+		return reps
 	}
 	for ti, spec := range []string{"grid:4x4", "grid:5x3", "nsfnet", "random:12:24:3"} {
 		net, err := topology.Parse(spec)
@@ -123,83 +186,16 @@ func TestEngineParallelMatchesSequential(t *testing.T) {
 		pairs := randomPairs(net, 10, int64(100+ti))
 		m := delay.NewModel(net)
 		for _, alpha := range []float64{0.30, 0.85} {
-			req := Request{Class: cls, Alpha: alpha, Pairs: pairs}
-			for _, sc := range selectors {
-				label := spec + "/" + sc.name
-				seqSet, seqRep, err := sc.mk(1).Select(m, req)
-				if err != nil {
-					t.Fatalf("%s sequential: %v", label, err)
-				}
-				parSet, parRep, err := sc.mk(4).Select(m, req)
-				if err != nil {
-					t.Fatalf("%s parallel: %v", label, err)
-				}
-				sameReport(t, label, parRep, seqRep)
-				sameRouteSets(t, label, parSet, seqSet)
-				sameSolve(t, label, net, cls, alpha, seqSet, parSet)
-			}
+			check(spec, m, Request{Class: cls, Alpha: alpha, Pairs: pairs})
 		}
 	}
 
 	// The cheap greedy fails on MCI at α 0.43 and backtracking repairs it
 	// (TestBacktrackingRepairsCheapFailure), so this search really undoes
-	// routes.
-	net := topology.MCI()
-	m := delay.NewModel(net)
-	req := Request{Class: cls, Alpha: 0.43}
-	seqSet, seqRep, err := Backtracking{Workers: 1}.Select(m, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parSet, parRep, err := Backtracking{Workers: 4}.Select(m, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqRep.Backtracks == 0 || !seqRep.Safe {
-		t.Fatalf("mci/backtracking: %d backtracks, safe=%v; the case no longer exercises RemoveLast", seqRep.Backtracks, seqRep.Safe)
-	}
-	sameReport(t, "mci/backtracking", parRep, seqRep)
-	sameRouteSets(t, "mci/backtracking", parSet, seqSet)
-	sameSolve(t, "mci/backtracking", net, cls, 0.43, seqSet, parSet)
-}
-
-// A persistent shared engine — warm memo, long-lived workers — must not
-// change any selection relative to fresh per-Select engines, across
-// repeated selections and different selectors sharing it.
-func TestEngineSharedAcrossSelections(t *testing.T) {
-	net, err := topology.Parse("grid:4x4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := delay.NewModel(net)
-	cls := traffic.Voice()
-	pairs := randomPairs(net, 12, 7)
-	eng := NewEngine(4)
-	defer eng.Close()
-	for _, alpha := range []float64{0.25, 0.45} {
-		req := Request{Class: cls, Alpha: alpha, Pairs: pairs}
-		for round := 0; round < 2; round++ { // round 2 hits the memo
-			for _, tc := range []struct {
-				name   string
-				shared Selector
-				fresh  Selector
-			}{
-				{"heuristic", Heuristic{Engine: eng}, Heuristic{}},
-				{"cheap", Heuristic{Mode: Cheap, Engine: eng}, Heuristic{Mode: Cheap}},
-				{"backtracking", Backtracking{Engine: eng}, Backtracking{}},
-			} {
-				gotSet, gotRep, err := tc.shared.Select(m, req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantSet, wantRep, err := tc.fresh.Select(m, req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameReport(t, tc.name, gotRep, wantRep)
-				sameRouteSets(t, tc.name, gotSet, wantSet)
-			}
-		}
+	// routes while the other selectors fill the shared memo.
+	reps := check("mci", delay.NewModel(topology.MCI()), Request{Class: cls, Alpha: 0.43})
+	if bt := reps[3]; bt.Backtracks == 0 || !bt.Safe {
+		t.Fatalf("mci/backtracking: %d backtracks, safe=%v; the case no longer exercises RemoveLast", bt.Backtracks, bt.Safe)
 	}
 }
 
@@ -232,30 +228,4 @@ func TestSelectEmitsRouteSelect(t *testing.T) {
 	if got := sink.RouteSelectDuration.Count() - before; got != 1 {
 		t.Fatalf("select events from portfolio = %d, want 1", got)
 	}
-}
-
-// Concurrent portfolio members cancel cleanly: the winning member's
-// result is returned even while higher-indexed members are abandoned
-// mid-selection, and ErrCanceled never escapes.
-func TestPortfolioConcurrentCancellation(t *testing.T) {
-	net := topology.MCI()
-	m := delay.NewModel(net)
-	req := Request{Class: traffic.Voice(), Alpha: 0.30}
-	set, rep, err := (Portfolio{Workers: 4}).Select(m, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Safe {
-		t.Fatalf("portfolio unsafe on MCI at alpha=0.30: %+v", rep)
-	}
-	if set.Len() != rep.PairsRouted {
-		t.Fatalf("set has %d routes, report says %d", set.Len(), rep.PairsRouted)
-	}
-	// Must agree with the sequential portfolio exactly.
-	wantSet, wantRep, err := (Portfolio{}).Select(m, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameReport(t, "portfolio-mci", rep, wantRep)
-	sameRouteSets(t, "portfolio-mci", set, wantSet)
 }

@@ -159,25 +159,21 @@ func TestGoldenMCIShortestPathPinned(t *testing.T) {
 				pin.alpha, rep.Safe, set.Len(), pin.safe, pin.routes)
 		}
 		in := delay.ClassInput{Class: traffic.Voice(), Alpha: pin.alpha, Routes: set}
-		for _, workers := range []int{0, 4} {
-			m := delay.NewModel(net)
-			m.Workers = workers
-			res, err := m.SolveTwoClass(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Converged || res.Iterations != pin.iterations {
-				t.Fatalf("alpha=%.2f workers=%d: converged=%v after %d iterations, pinned %d",
-					pin.alpha, workers, res.Converged, res.Iterations, pin.iterations)
-			}
-			if got := res.MaxServerDelay(); !approx(got, pin.maxServerDelay) {
-				t.Fatalf("alpha=%.2f workers=%d: max server delay %.17g, pinned %.17g",
-					pin.alpha, workers, got, pin.maxServerDelay)
-			}
-			if worst, _ := set.MaxRouteDelay(res.D); !approx(worst, pin.worstRoute) {
-				t.Fatalf("alpha=%.2f workers=%d: worst route bound %.17g, pinned %.17g",
-					pin.alpha, workers, worst, pin.worstRoute)
-			}
+		res, err := m.SolveTwoClass(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged || res.Iterations != pin.iterations {
+			t.Fatalf("alpha=%.2f: converged=%v after %d iterations, pinned %d",
+				pin.alpha, res.Converged, res.Iterations, pin.iterations)
+		}
+		if got := res.MaxServerDelay(); !approx(got, pin.maxServerDelay) {
+			t.Fatalf("alpha=%.2f: max server delay %.17g, pinned %.17g",
+				pin.alpha, got, pin.maxServerDelay)
+		}
+		if worst, _ := set.MaxRouteDelay(res.D); !approx(worst, pin.worstRoute) {
+			t.Fatalf("alpha=%.2f: worst route bound %.17g, pinned %.17g",
+				pin.alpha, worst, pin.worstRoute)
 		}
 	}
 }

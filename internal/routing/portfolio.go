@@ -1,9 +1,6 @@
 package routing
 
 import (
-	"errors"
-	"sync/atomic"
-
 	"ubac/internal/delay"
 	"ubac/internal/routes"
 )
@@ -19,24 +16,14 @@ import (
 // shortest-path routing: its last member considers exactly the shortest
 // paths.
 //
-// With Workers > 1 the members run concurrently over one shared Engine
-// (pooled candidate evaluation plus a memo of per-pair candidate
-// routes), and the result is still exactly the sequential one: members
-// are ranked by position, the lowest-indexed safe member wins, and
-// higher-indexed members are canceled once it is known. The fallback
-// case (no safe member) cancels nothing, so the most-pairs comparison
-// sees every member's full result, as in sequential execution.
+// Members run one at a time over one shared Engine, so the per-pair
+// candidate routes one member generates are memoized for the next.
 type Portfolio struct {
 	// Members are tried in order; nil means the default ensemble
 	// (lookahead, cheap scoring, SP-guided single-candidate).
 	Members []Selector
-	// Workers sizes the shared candidate-evaluation pool and, when
-	// greater than 1, runs the members concurrently. 0 or 1 keeps the
-	// fully sequential behavior.
-	Workers int
-	// Engine, when non-nil, is a caller-owned shared evaluation engine
-	// used instead of a per-Select one; Workers still gates member
-	// concurrency.
+	// Engine, when non-nil, is a caller-owned candidate memo used
+	// instead of a per-Select one.
 	Engine *Engine
 }
 
@@ -47,86 +34,19 @@ func (p Portfolio) members(eng *Engine) []Selector {
 	if p.Members != nil {
 		return p.Members
 	}
-	w := p.Workers
 	return []Selector{
-		Heuristic{DelayWeighted: true, Workers: w, Engine: eng},  // congestion-aware candidates
-		Heuristic{Workers: w, Engine: eng},                       // lookahead, dense-topology winner
-		Heuristic{Mode: Cheap, Workers: w, Engine: eng},          // fast greedy, occasionally best
-		Heuristic{K: 1, LengthSlack: 1, Workers: w, Engine: eng}, // SP-guided: safe whenever SP is
+		Heuristic{DelayWeighted: true, Engine: eng},  // congestion-aware candidates
+		Heuristic{Engine: eng},                       // lookahead, dense-topology winner
+		Heuristic{Mode: Cheap, Engine: eng},          // fast greedy, occasionally best
+		Heuristic{K: 1, LengthSlack: 1, Engine: eng}, // SP-guided: safe whenever SP is
 	}
 }
 
-// Select implements Selector.
+// Select implements Selector: the first safe member's result wins.
 func (p Portfolio) Select(m *delay.Model, req Request) (*routes.Set, *Report, error) {
-	eng, owned := engineFor(p.Engine, p.Workers)
-	if owned {
-		defer eng.Close()
-	}
-	members := p.members(eng)
-	if p.Workers <= 1 || len(members) <= 1 {
-		return p.selectSequential(m, req, members)
-	}
-
-	type result struct {
-		set *routes.Set
-		rep *Report
-		err error
-	}
-	cancels := make([]*atomic.Bool, len(members))
-	done := make([]chan result, len(members))
-	for i, sel := range members {
-		cancels[i] = new(atomic.Bool)
-		done[i] = make(chan result, 1)
-		mreq := req
-		mreq.cancel = cancels[i]
-		go func(i int, sel Selector, mreq Request) {
-			set, rep, err := sel.Select(m, mreq)
-			done[i] <- result{set, rep, err}
-		}(i, sel, mreq)
-	}
-	cancelAfter := func(i int) {
-		for j := i + 1; j < len(members); j++ {
-			cancels[j].Store(true)
-		}
-	}
 	var bestSet *routes.Set
 	var bestRep *Report
-	var firstErr error
-	winner := -1
-	// Collect in member order so the lowest-indexed safe member wins,
-	// exactly as sequential execution would; every goroutine is drained
-	// before returning so the shared engine can be closed safely.
-	for i := range members {
-		r := <-done[i]
-		switch {
-		case r.err != nil:
-			if firstErr == nil && !errors.Is(r.err, ErrCanceled) {
-				firstErr = r.err
-				cancelAfter(i)
-			}
-		case winner >= 0 || firstErr != nil:
-			// Late completion after the outcome is decided; ignore.
-		case r.rep.Safe:
-			winner = i
-			bestSet, bestRep = r.set, r.rep
-			cancelAfter(i)
-		case bestRep == nil || r.rep.PairsRouted > bestRep.PairsRouted:
-			bestSet, bestRep = r.set, r.rep
-		}
-	}
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
-	bestRep.Selector = "portfolio/" + bestRep.Selector
-	return bestSet, bestRep, nil
-}
-
-// selectSequential is the Workers<=1 path: members run one at a time,
-// first safe result wins.
-func (p Portfolio) selectSequential(m *delay.Model, req Request, members []Selector) (*routes.Set, *Report, error) {
-	var bestSet *routes.Set
-	var bestRep *Report
-	for _, sel := range members {
+	for _, sel := range p.members(engineOr(p.Engine)) {
 		set, rep, err := sel.Select(m, req)
 		if err != nil {
 			return nil, nil, err

@@ -17,21 +17,16 @@
 // meeting the class deadline — otherwise the next candidate is tried, and
 // the selection fails when a pair has no acceptable candidate.
 //
-// Candidate evaluation — the dominant cost, a fixed-point solve per
+// Candidate evaluation is the dominant cost: a fixed-point solve per
 // candidate that a slack bound taken before any solve cannot rule out
-// (see evalRun.pick) — runs through a shared Engine: a persistent
-// worker pool with per-worker solver scratch, warm-started from the
-// accepted set's converged delay vector and memoizing per-pair
-// candidate generation.
-// Parallel and sequential evaluation produce bit-identical selections
-// (see Engine).
+// (see evalRun.pick). The solves run one at a time through one solver
+// scratch, warm-started from the accepted set's converged delay vector;
+// an Engine memoizes per-pair candidate generation across selections.
 package routing
 
 import (
-	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"ubac/internal/delay"
@@ -41,11 +36,6 @@ import (
 	"ubac/internal/traffic"
 )
 
-// ErrCanceled is returned by a Select whose request was canceled by the
-// portfolio (a lower-indexed member already produced a safe selection).
-// It never escapes Portfolio.Select.
-var ErrCanceled = errors.New("routing: selection canceled")
-
 // Request describes one selection problem: route every (src, dst) pair
 // for flows of Class under utilization assignment Alpha.
 type Request struct {
@@ -54,14 +44,7 @@ type Request struct {
 	// Pairs lists the ordered source/destination router pairs to route.
 	// Nil means all ordered pairs of edge routers.
 	Pairs [][2]int
-
-	// cancel, when set (by the portfolio), asks the selector to abandon
-	// the selection at the next pair boundary.
-	cancel *atomic.Bool
 }
-
-// canceled reports whether the request was asked to stop.
-func (r Request) canceled() bool { return r.cancel != nil && r.cancel.Load() }
 
 // Report describes the outcome of a selection.
 type Report struct {
@@ -198,9 +181,6 @@ func (SP) Select(m *delay.Model, req Request) (*routes.Set, *Report, error) {
 	rg := m.Network().RouterGraph()
 	rep := &Report{Selector: "sp", PairsTotal: len(pairs)}
 	for _, p := range pairs {
-		if req.canceled() {
-			return nil, nil, ErrCanceled
-		}
 		path, err := rg.ShortestPath(p[0], p[1])
 		if err != nil {
 			return nil, nil, pairErr(p, err)
@@ -260,12 +240,8 @@ type Heuristic struct {
 	// IgnoreOrder disables heuristic 1 (longest pairs first) for
 	// ablation, keeping the input order.
 	IgnoreOrder bool
-	// Workers sets the candidate-evaluation pool size (0 or 1:
-	// sequential). The selection is bit-identical either way.
-	Workers int
-	// Engine, when non-nil, is a shared evaluation engine (worker pool
-	// + candidate memo) owned by the caller; Workers is then ignored.
-	// When nil, Select runs a private engine.
+	// Engine, when non-nil, is a candidate memo shared with other
+	// selections. When nil, Select uses a private one.
 	Engine *Engine
 	// DelayWeighted generates each pair's candidate paths with Yen's
 	// algorithm over the *current delay vector* (arc cost = the link
@@ -309,16 +285,9 @@ func (h Heuristic) Select(m *delay.Model, req Request) (*routes.Set, *Report, er
 	set := routes.NewSet(net)
 	base := make([]float64, net.NumServers()) // converged d of the accepted set
 
-	eng, owned := engineFor(h.Engine, h.Workers)
-	if owned {
-		defer eng.Close()
-	}
-	run := newEvalRun(eng, m, req, set, base)
+	run := newEvalRun(engineOr(h.Engine), m, req, set, base)
 
 	for _, p := range ordered {
-		if req.canceled() {
-			return nil, nil, ErrCanceled
-		}
 		if err := run.buildCandidates(p, h.k(), h.slack(), h.DelayWeighted, !h.IgnoreCycles); err != nil {
 			return nil, nil, err
 		}
@@ -354,7 +323,7 @@ func (h Heuristic) Select(m *delay.Model, req Request) (*routes.Set, *Report, er
 		if err := set.Add(run.cands[idx].route); err != nil {
 			return nil, nil, err
 		}
-		copy(base, run.outs[idx].d)
+		copy(base, run.best)
 		rep.PairsRouted++
 		rep.TotalHops += run.cands[idx].route.Hops()
 	}

@@ -323,57 +323,6 @@ func BenchmarkHeuristicSelectMCI(b *testing.B) {
 	}
 }
 
-// Parallel lookahead must produce exactly the same route set as the
-// serial evaluation — determinism is part of its contract.
-func TestParallelLookaheadMatchesSerial(t *testing.T) {
-	net := topology.MCI()
-	m := model(t, net)
-	for _, alpha := range []float64{0.32, 0.40} {
-		sSet, sRep, err := (Heuristic{}).Select(m, voiceReq(alpha))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pSet, pRep, err := (Heuristic{Workers: 2}).Select(m, voiceReq(alpha))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sRep.Safe != pRep.Safe || sRep.TotalHops != pRep.TotalHops || sSet.Len() != pSet.Len() {
-			t.Fatalf("alpha=%.2f: parallel diverged from serial: %+v vs %+v", alpha, sRep, pRep)
-		}
-		for i := 0; i < sSet.Len(); i++ {
-			a, b := sSet.Route(i), pSet.Route(i)
-			if a.Src != b.Src || a.Dst != b.Dst || a.Hops() != b.Hops() {
-				t.Fatalf("alpha=%.2f: route %d differs", alpha, i)
-			}
-			for j := range a.Servers {
-				if a.Servers[j] != b.Servers[j] {
-					t.Fatalf("alpha=%.2f: route %d server %d differs", alpha, i, j)
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkHeuristicSerialLookahead(b *testing.B) {
-	net := topology.MCI()
-	m := delay.NewModel(net)
-	for i := 0; i < b.N; i++ {
-		if _, _, err := (Heuristic{}).Select(m, voiceReq(0.4)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHeuristicParallelLookahead(b *testing.B) {
-	net := topology.MCI()
-	m := delay.NewModel(net)
-	for i := 0; i < b.N; i++ {
-		if _, _, err := (Heuristic{Workers: 2}).Select(m, voiceReq(0.4)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestDelayWeightedHeuristic(t *testing.T) {
 	net := topology.MCI()
 	m := model(t, net)

@@ -205,8 +205,7 @@ func Start(net *topology.Network, classes []ClassConfig) (*Network, error) {
 // against the given delay model before bringing the signaling plane up,
 // and refuses to start on an unsafe assignment — the distributed
 // counterpart of the daemon's "a running plane is the proof the
-// deadlines hold" contract. The model's solver settings apply, so a
-// model with Workers > 1 verifies with the parallel fixed-point sweep.
+// deadlines hold" contract. The model's solver settings apply.
 // Classes must be in priority order (highest first). The verification
 // result is returned alongside the running network for operator
 // inspection.

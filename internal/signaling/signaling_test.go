@@ -273,48 +273,42 @@ func BenchmarkEstablishTerminate(b *testing.B) {
 
 // TestStartVerified gates the distributed plane on Figure 2
 // verification: a safe configuration starts (and serves traffic), an
-// unsafe one is refused with the verification report attached, and the
-// verdict is the same whether the delay solve runs sequentially or on
-// the parallel sweep pool.
+// unsafe one is refused with the verification report attached.
 func TestStartVerified(t *testing.T) {
 	net, err := topology.Line(3, 100e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 4} {
-		m := delay.NewModel(net)
-		m.Workers = workers
-		set, _, err := routing.SP{}.Select(m, routing.Request{Class: traffic.Voice(), Alpha: 0.3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, v, err := StartVerified(net, m, []ClassConfig{{Class: traffic.Voice(), Alpha: 0.3, Routes: set}})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !v.Safe || !v.Converged {
-			t.Fatalf("workers=%d: verified start with unsafe report %+v", workers, v)
-		}
-		id, err := n.Establish("voice", 0, 2)
-		if err != nil {
-			t.Fatalf("workers=%d: establish on verified plane: %v", workers, err)
-		}
-		if err := n.Terminate(id); err != nil {
-			t.Fatal(err)
-		}
-		n.Stop()
+	m := delay.NewModel(net)
+	set, _, err := routing.SP{}.Select(m, routing.Request{Class: traffic.Voice(), Alpha: 0.3})
+	if err != nil {
+		t.Fatal(err)
 	}
+	n, v, err := StartVerified(net, m, []ClassConfig{{Class: traffic.Voice(), Alpha: 0.3, Routes: set}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Safe || !v.Converged {
+		t.Fatalf("verified start with unsafe report %+v", v)
+	}
+	id, err := n.Establish("voice", 0, 2)
+	if err != nil {
+		t.Fatalf("establish on verified plane: %v", err)
+	}
+	if err := n.Terminate(id); err != nil {
+		t.Fatal(err)
+	}
+	n.Stop()
 
 	// A deadline no route can meet: verification must refuse to start
 	// the plane and still hand back the report.
 	tight := traffic.Voice()
 	tight.Deadline = 1e-9
-	m := delay.NewModel(net)
-	set, _, err := routing.SP{}.Select(m, routing.Request{Class: tight, Alpha: 0.3})
+	set, _, err = routing.SP{}.Select(m, routing.Request{Class: tight, Alpha: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, v, err := StartVerified(net, m, []ClassConfig{{Class: tight, Alpha: 0.3, Routes: set}})
+	n, v, err = StartVerified(net, m, []ClassConfig{{Class: tight, Alpha: 0.3, Routes: set}})
 	if err == nil {
 		n.Stop()
 		t.Fatal("unsafe configuration started")

@@ -88,9 +88,8 @@ func (b *BoundCheck) Verdict() string {
 
 // CheckAgainstBounds validates a finished run against the
 // configuration-time analysis: it re-solves the delay fixed point with
-// m (using the parallel sweep when m.Workers > 1), takes each class's
-// worst route bound, and compares it to the run's observed per-class
-// worst queueing delay. inputs must be priority-ordered and parallel to
+// m, takes each class's worst route bound, and compares it to the run's
+// observed per-class worst queueing delay. inputs must be priority-ordered and parallel to
 // the run's class indexes (simulated class i carries inputs[i]).
 func CheckAgainstBounds(m *delay.Model, inputs []delay.ClassInput, out *Results) (*BoundCheck, error) {
 	if m == nil || out == nil {
