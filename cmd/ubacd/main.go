@@ -304,6 +304,10 @@ func main() {
 		}
 		clusterNode = node
 		wireOpts.Cluster = node
+		// A member's local-path admits are its controller's cell hits; the
+		// sink already named the family with the sync path.
+		reg.CounterFunc(telemetry.MetricClusterAdmitsTotal, "", func() uint64 { return ctrl.FastPathStats().Hits },
+			telemetry.Label{Key: "path", Value: "local"})
 		log.Printf("ubacd: cluster node %d of %d members (data in %s)",
 			clusterCfg.NodeID, len(members), *dataDir)
 	}

@@ -185,26 +185,32 @@ type Controller struct {
 	// seed's global mutex around a map[FlowID]flowRecord.
 	reg *flowRegistry
 
-	// Headroom plane (headroom.go): per-(class, route) admission budgets
-	// plus the banded-invalidation epochs behind the cached read paths.
-	// fastOn is the SetFastPath master switch; fastOK additionally
-	// requires no NeedFill policy. Both are read unsynchronized on the
-	// hot path — configure before serving traffic.
-	plane     []classPlane
-	bandEpoch []atomic.Uint32 // [class*nsrv+server] band-crossing epoch
-	bandShift []uint8         // [class*nsrv+server] log2 band width
-	fastOn    bool
-	fastOK    bool
-	// lease, when installed (SetLeaseSource, cluster.go), supplies every
-	// admitted flow's capacity in place of the ledger; nodeBits are the
-	// cluster member's bits in every ID this controller issues.
-	lease    LeaseSource
-	nodeBits FlowID
+	// Lease cells (headroom.go): one per (class, route), with the
+	// reverse index from servers to the routes crossing them, the
+	// fillAfter caches and the banded-invalidation epochs behind them.
+	// fastOn is the SetFastPath master switch; fastOK is whether admits
+	// take from the cells (see updateFastOK). refill supplies dry cells
+	// (SetRefill, cluster.go); ledgerCells is whether this controller's
+	// ledger backs them, cellCap the most a cell takes back before a
+	// put releases to the ledger, and nodeBits the cluster member's
+	// bits in every ID this controller issues. All are read
+	// unsynchronized on the hot path — configure before serving traffic.
+	cells       [][]Cell        // [class][route]
+	members     [][][]int32     // [class][server] routes crossing the server
+	fills       [][]fillCache   // [class][route]
+	bandEpoch   []atomic.Uint32 // [class*nsrv+server] band-crossing epoch
+	bandShift   []uint8         // [class*nsrv+server] log2 band width
+	fastOn      bool
+	fastOK      bool
+	refill      Refill
+	ledgerCells bool
+	cellCap     int64
+	nodeBits    FlowID
 	// Fast-path outcome counters (see FastPathStats): stale = admits
 	// that went through a refill, fb* = exact-walk verdicts.
 	staleAdmits, fbAdmits, fbRejects atomic.Uint64
 	// recoveredAdmits is the admitted counter restored by
-	// FinishRecovery; replayed admits predate the plane's counters.
+	// FinishRecovery; replayed admits predate the fast-path counters.
 	recoveredAdmits uint64
 	// hint caches the last classIndex lookup; hintArr holds the
 	// preallocated (name, index) pairs it points into.
@@ -332,7 +338,7 @@ func NewController(net *topology.Network, classes []ClassConfig, _ LedgerKind) (
 	c.nsrv = nsrv
 	c.buildPlane()
 	c.fastOn = true
-	c.updateFastOK()
+	c.SetRefill(nil, 0)
 	return c, nil
 }
 
@@ -505,15 +511,15 @@ func policyOutcome(v policy.Verdict) (telemetry.Verdict, error) {
 // decisions O(path) only on band crossings. NeedFill disables leasing
 // (see updateFastOK), so the raw ledger here is the exact reservation.
 func (c *Controller) fillAfter(ci int, ri int32) float64 {
-	e := &c.plane[ci].entries[ri]
+	e := &c.fills[ci][ri]
 	base := ci * c.nsrv
 	var stamp uint64
 	for _, s := range c.paths[ci][ri] {
 		stamp += uint64(c.bandEpoch[base+s].Load())
 	}
-	if s1 := e.fillStamp.Load(); s1 == stamp {
-		f := math.Float64frombits(e.fillBits.Load())
-		if e.fillStamp.Load() == s1 {
+	if s1 := e.stamp.Load(); s1 == stamp {
+		f := math.Float64frombits(e.bits.Load())
+		if e.stamp.Load() == s1 {
 			return f
 		}
 	}
@@ -528,12 +534,13 @@ func (c *Controller) fillAfter(ci int, ri int32) float64 {
 			worst = f
 		}
 	}
-	// Publish bits before stamp under the entry lock so a torn pair can
+	// Publish bits before stamp under the cell lock so a torn pair can
 	// only be seen as stale (readers re-check the stamp around bits).
-	e.mu.Lock()
-	e.fillBits.Store(math.Float64bits(worst))
-	e.fillStamp.Store(stamp)
-	e.mu.Unlock()
+	mu := &c.cells[ci][ri].mu
+	mu.Lock()
+	e.bits.Store(math.Float64bits(worst))
+	e.stamp.Store(stamp)
+	mu.Unlock()
 	return worst
 }
 
@@ -645,7 +652,7 @@ func (c *Controller) admit(class, tenant string, src, dst int) (FlowID, error) {
 	id, seq, ok := c.reg.put(int32(ci), ri)
 	if !ok {
 		c.reg.gaps.Add(1)
-		c.release(ci, ri)
+		c.release(ci, ri, 1)
 		c.rejected.Add(1)
 		if c.telemetered {
 			c.emit(0, class, tenant, src, dst, rateBPS, telemetry.RejectedCapacity, -1, start)
@@ -658,7 +665,7 @@ func (c *Controller) admit(class, tenant string, src, dst int) (FlowID, error) {
 			// happened — nothing durable acknowledged, nothing reserved.
 			c.reg.gaps.Add(1)
 			c.reg.take(id)
-			c.release(ci, ri)
+			c.release(ci, ri, 1)
 			if c.telemetered {
 				c.emit(0, class, tenant, src, dst, rateBPS, telemetry.RejectedCapacity, -1, start)
 			}
@@ -694,20 +701,6 @@ func (c *Controller) reserve(ci int, ri int32) (bottleneck int, ok bool) {
 	return -1, true
 }
 
-// release returns route ri's reservations of class ci to the ledger,
-// or the flow's unit to the lease source.
-func (c *Controller) release(ci int, ri int32) {
-	if c.lease != nil {
-		c.lease.Put(ci, ri, 1)
-		return
-	}
-	rate := c.rates[ci]
-	base := ci * c.nsrv
-	for _, s := range c.paths[ci][ri] {
-		c.ledRelease(base+s, rate)
-	}
-}
-
 // noteActive folds one post-admission active count into the MaxActive
 // high-water mark.
 func (c *Controller) noteActive(act int64) {
@@ -737,7 +730,7 @@ func (c *Controller) Teardown(id FlowID) error {
 	freed.flush()
 	ci := int(class)
 	if !c.budgetPut(ci, route) {
-		c.releaseFlowSlow(ci, route)
+		c.release(ci, route, 1)
 	}
 	c.tornDown.Add(1)
 	if c.journal != nil {
@@ -766,8 +759,8 @@ func (c *Controller) Utilization(class string, s int) (float64, error) {
 	if s < 0 || s >= c.nsrv {
 		return 0, fmt.Errorf("admission: server %d out of range", s)
 	}
-	// Lease-adjusted: budget held by the headroom plane is reserved on
-	// the ledger but not in use by any admitted flow.
+	// Lease-adjusted: budget held in the cells is reserved on the ledger
+	// but not in use by any admitted flow.
 	return float64(c.usedMicro(ci, s)) / 1e6 / c.net.ServerCapacity(s), nil
 }
 

@@ -35,21 +35,54 @@ type batchScratch struct {
 	ids     []FlowID
 	u64     []uint64 // journal view of ids (wal speaks uint64, not FlowID)
 	cis     []int32  // per-item class index, -1 when the class is unknown
+	ris     []int32  // per-item route index, -1 when unroutable
+	slot    []int8   // per-item claim table entry, -1 for none
 
 	// run is the batch's decisions, filled once the batch is decided and
 	// handed to the sink in one call (telemetry attached only).
 	run []telemetry.Decision
 
-	// Per-batch headroom claims: the first item on a (class, route)
-	// claims a chunk of the route's budget in one CAS and later items
-	// on the same route consume it locally, so a homogeneous batch does
-	// one atomic sub per route per batch. claimN is slots still unspent.
-	claimCi []int32
-	claimRi []int32
-	claimN  []int32
+	// Per-batch claims: the first item on a (class, route) claims from
+	// the route's cell, in one CAS, what the batch's items on the route
+	// will spend, and later items consume it locally, so a homogeneous
+	// batch does one atomic sub per route per batch. TeardownBatch
+	// counts its credits in the same table. keys, parallel to claims,
+	// is what demand searches: class<<32 | route.
+	claims []claim
+	keys   []uint64
+}
 
-	// lease is the run's state at the lease source, if one is installed.
-	lease LeaseRun
+// claim is one route's entry in a batch's claim table.
+type claim struct {
+	ci, ri int32
+	// want is how many of the batch's items on the route are still to be
+	// decided (TeardownBatch: the slots to credit back).
+	want int64
+	// n is the slots claimed and still unspent.
+	n int64
+	// left is the budget the open chunk left in the cell, -1 when no
+	// chunk is open. Closing a chunk folds left+n into the cell's
+	// low-water mark: the lowest budget per-item takes would have left,
+	// so a slot handed back unspent does not count as reached.
+	left int64
+}
+
+// demand counts one more item on route ri of class ci into the claim
+// table and returns its entry, -1 when the table is full.
+func (sc *batchScratch) demand(ci int, ri int32) int8 {
+	key := uint64(ci)<<32 | uint64(ri)
+	for k, kk := range sc.keys {
+		if kk == key {
+			sc.claims[k].want++
+			return int8(k)
+		}
+	}
+	if len(sc.keys) == maxClaimRoutes {
+		return -1
+	}
+	sc.keys = append(sc.keys, key)
+	sc.claims = append(sc.claims, claim{ci: int32(ci), ri: ri, want: 1, left: -1})
+	return int8(len(sc.keys) - 1)
 }
 
 // runFor returns n decisions of scratch. They hold an earlier batch's
@@ -68,71 +101,79 @@ const maxClaimRoutes = 16
 
 var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// batchReserve decides one batch item against the headroom plane,
-// preferring the batch's local claim for the route. remaining is an
-// upper bound on how many items of the batch could still want this
-// route (claim chunks never exceed it, so little is left to hand back).
-func (c *Controller) batchReserve(sc *batchScratch, ci int, ri int32, remaining int) (int, bool) {
+// batchReserve decides one batch item, from the batch's claim on the
+// route when it has an entry k in the claim table.
+func (c *Controller) batchReserve(sc *batchScratch, ci int, ri int32, k int8) (int, bool) {
 	if !c.fastOK {
-		if c.lease != nil {
-			return -1, c.lease.Take(&sc.lease, ci, ri)
-		}
-		s, ok := c.reserve(ci, ri)
-		if ok {
-			c.fbAdmits.Add(1)
-		} else {
-			c.fbRejects.Add(1)
-		}
-		return s, ok
+		return c.admitReserveSlow(ci, ri) // the exact walk
 	}
-	for k := range sc.claimCi {
-		if int(sc.claimCi[k]) != ci || sc.claimRi[k] != ri {
-			continue
-		}
-		if sc.claimN[k] > 0 {
-			sc.claimN[k]--
-			return -1, true
-		}
-		if take := c.claimChunk(ci, ri, int64(remaining)); take > 0 {
-			sc.claimN[k] = int32(take) - 1
-			return -1, true
-		}
-		return c.slowAdmitReserve(ci, ri, &c.plane[ci].entries[ri])
+	if k >= 0 {
+		return c.spendClaim(sc, &sc.claims[k])
 	}
-	if len(sc.claimCi) < maxClaimRoutes {
-		take := c.claimChunk(ci, ri, int64(remaining))
-		sc.claimCi = append(sc.claimCi, int32(ci))
-		sc.claimRi = append(sc.claimRi, ri)
-		if take > 0 {
-			sc.claimN = append(sc.claimN, int32(take)-1)
-			return -1, true
-		}
-		sc.claimN = append(sc.claimN, 0)
-		return c.slowAdmitReserve(ci, ri, &c.plane[ci].entries[ri])
+	if c.cells[ci][ri].Take() {
+		return -1, true
 	}
-	return c.admitReserve(ci, ri)
+	return c.batchRefill(sc, ci, ri)
+}
+
+// spendClaim admits one item from the batch's claim on its route,
+// claiming the route's remaining demand from the cell in one CAS once
+// the last chunk is spent, and asking the refill when the cell has
+// none.
+func (c *Controller) spendClaim(sc *batchScratch, cl *claim) (int, bool) {
+	want := cl.want
+	cl.want--
+	if cl.n > 0 {
+		cl.n--
+		return -1, true
+	}
+	e := &c.cells[cl.ci][cl.ri]
+	if cl.left >= 0 {
+		e.spent(cl.left)
+		cl.left = -1
+	}
+	if took, left := e.claim(want); took > 0 {
+		cl.n, cl.left = took-1, left
+		return -1, true
+	}
+	return c.batchRefill(sc, int(cl.ci), cl.ri)
+}
+
+// batchRefill asks the refill for a unit of a dry cell. A claimed slot
+// is backed capacity its cell no longer holds, so a refill that drains
+// sibling cells could not reach it: the batch's unspent claims go back
+// to their cells first, and a batch is refused only what per-item
+// takes would be refused.
+func (c *Controller) batchRefill(sc *batchScratch, ci int, ri int32) (int, bool) {
+	if sc.holdsClaims() {
+		c.returnClaims(sc)
+	}
+	return c.refillTake(ci, ri)
 }
 
 // holdsClaims reports whether the batch holds any unspent claim.
 func (sc *batchScratch) holdsClaims() bool {
-	for _, n := range sc.claimN {
-		if n > 0 {
+	for _, cl := range sc.claims {
+		if cl.n > 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// returnClaims credits unspent claim slots back to their routes.
+// returnClaims closes every open chunk and credits its unspent slots
+// back to the route's cell; later items on the route claim afresh.
 func (c *Controller) returnClaims(sc *batchScratch) {
-	for k := range sc.claimCi {
-		if n := sc.claimN[k]; n > 0 {
-			c.creditBudget(int(sc.claimCi[k]), sc.claimRi[k], int64(n))
+	for k := range sc.claims {
+		cl := &sc.claims[k]
+		if cl.left >= 0 {
+			c.cells[cl.ci][cl.ri].spent(cl.left + cl.n)
 		}
+		if cl.n > 0 {
+			c.put(int(cl.ci), cl.ri, cl.n)
+		}
+		cl.n, cl.left = 0, -1
 	}
-	sc.claimCi = sc.claimCi[:0]
-	sc.claimRi = sc.claimRi[:0]
-	sc.claimN = sc.claimN[:0]
 }
 
 // AdmitBatch runs the utilization test for every item and registers
@@ -156,21 +197,35 @@ func (c *Controller) AdmitBatch(items []BatchItem, results []BatchResult) []Batc
 	sc.pos = sc.pos[:0]
 	sc.bns = sc.bns[:0]
 	sc.cis = sc.cis[:0]
-	sc.claimCi = sc.claimCi[:0]
-	sc.claimRi = sc.claimRi[:0]
-	sc.claimN = sc.claimN[:0]
+	sc.ris = sc.ris[:0]
+	sc.slot = sc.slot[:0]
+	sc.claims, sc.keys = sc.claims[:0], sc.keys[:0]
+
+	// Resolve every item first, counting each route's demand into the
+	// claim table: a claim takes what the batch will spend, and leaves
+	// the rest of the cell to concurrent batches.
+	for _, it := range items {
+		ci, ok := c.classIndex(it.Class)
+		ri, k := int32(-1), int8(-1)
+		if !ok {
+			ci = -1
+		} else if ri = c.routeIndex(ci, it.Src, it.Dst); ri >= 0 && c.fastOK {
+			k = sc.demand(ci, ri)
+		}
+		sc.cis = append(sc.cis, int32(ci))
+		sc.ris = append(sc.ris, ri)
+		sc.slot = append(sc.slot, k)
+	}
 
 	var rejected, policyRejected, noRoute uint64
-	for i, it := range items {
+	for i := range items {
+		it := &items[i]
 		sc.bns = append(sc.bns, -1)
-		ci, ok := c.classIndex(it.Class)
-		if !ok {
-			sc.cis = append(sc.cis, -1)
+		ci, ri := int(sc.cis[i]), sc.ris[i]
+		if ci < 0 {
 			results = append(results, BatchResult{Err: ErrUnknownClass})
 			continue
 		}
-		sc.cis = append(sc.cis, int32(ci))
-		ri := c.routeIndex(ci, it.Src, it.Dst)
 		if ri < 0 {
 			noRoute++
 			results = append(results, BatchResult{Err: ErrNoRoute})
@@ -194,16 +249,7 @@ func (c *Controller) AdmitBatch(items []BatchItem, results []BatchResult) []Batc
 				continue
 			}
 		}
-		bn, ok := c.batchReserve(sc, ci, ri, len(items)-i)
-		if !ok && sc.holdsClaims() {
-			// A claimed slot is backed capacity the plane no longer sees,
-			// so the reclaiming walk of a sibling route cannot drain it.
-			// Before the reject stands, the batch's unspent claims go back
-			// to their routes' budgets and the walk runs once more: a batch
-			// is refused only what the exact test would refuse it.
-			c.returnClaims(sc)
-			bn, ok = c.admitReserveSlow(ci, ri)
-		}
+		bn, ok := c.batchReserve(sc, ci, ri, sc.slot[i])
 		if !ok {
 			rejected++
 			sc.bns[i] = int32(bn)
@@ -216,10 +262,6 @@ func (c *Controller) AdmitBatch(items []BatchItem, results []BatchResult) []Batc
 		sc.pos = append(sc.pos, int32(i))
 	}
 	c.returnClaims(sc)
-	if c.lease != nil {
-		c.lease.Done(&sc.lease)
-		sc.lease = LeaseRun{}
-	}
 
 	admitted := len(sc.pos)
 	if cap(sc.ids) < admitted {
@@ -233,7 +275,7 @@ func (c *Controller) AdmitBatch(items []BatchItem, results []BatchResult) []Batc
 		// batch's cursor block never became admits.
 		c.reg.gaps.Add(uint64(admitted))
 		for k := range sc.pos {
-			c.release(int(sc.classes[k]), sc.routes[k])
+			c.release(int(sc.classes[k]), sc.routes[k], 1)
 			results[sc.pos[k]].Err = ErrTooManyFlows
 		}
 		rejected += uint64(admitted)
@@ -253,7 +295,7 @@ func (c *Controller) AdmitBatch(items []BatchItem, results []BatchResult) []Batc
 			c.reg.gaps.Add(uint64(admitted))
 			for k := 0; k < admitted; k++ {
 				c.reg.take(sc.ids[k])
-				c.release(int(sc.classes[k]), sc.routes[k])
+				c.release(int(sc.classes[k]), sc.routes[k], 1)
 				results[sc.pos[k]].Err = ErrShuttingDown
 			}
 			admitted = 0
@@ -345,9 +387,7 @@ func (c *Controller) TeardownBatch(ids []FlowID, errs []error) []error {
 	errs = errs[:0]
 	sc := scratchPool.Get().(*batchScratch)
 	sc.u64 = sc.u64[:0]
-	sc.claimCi = sc.claimCi[:0]
-	sc.claimRi = sc.claimRi[:0]
-	sc.claimN = sc.claimN[:0]
+	sc.claims, sc.keys = sc.claims[:0], sc.keys[:0]
 	// Torn-down flows are written into the run as they are released and
 	// reported after the loop, all sharing one end-of-batch clock read
 	// (the AdmitBatch pattern).
@@ -372,25 +412,11 @@ func (c *Controller) TeardownBatch(ids []FlowID, errs []error) []error {
 			continue
 		}
 		ci := int(class)
-		// Credits are aggregated per route in the claim table and
-		// returned in bulk below — one budget CAS per distinct route
-		// instead of one per flow.
-		credited := false
-		for k := range sc.claimCi {
-			if int(sc.claimCi[k]) == ci && sc.claimRi[k] == route {
-				sc.claimN[k]++
-				credited = true
-				break
-			}
-		}
-		if !credited {
-			if len(sc.claimCi) < maxClaimRoutes {
-				sc.claimCi = append(sc.claimCi, int32(ci))
-				sc.claimRi = append(sc.claimRi, route)
-				sc.claimN = append(sc.claimN, 1)
-			} else {
-				c.releaseFlow(ci, route)
-			}
+		// Credits are counted per route in the claim table and returned
+		// in bulk below — one budget CAS per distinct route instead of
+		// one per flow.
+		if sc.demand(ci, route) < 0 {
+			c.release(ci, route, 1)
 		}
 		torn++
 		errs = append(errs, nil)
@@ -419,20 +445,10 @@ func (c *Controller) TeardownBatch(ids []FlowID, errs []error) []error {
 		}
 		c.sink.DecisionRun(run)
 	}
-	for k := range sc.claimCi {
-		ci, ri, n := int(sc.claimCi[k]), sc.claimRi[k], int64(sc.claimN[k])
-		switch {
-		case c.fastOK:
-			c.creditBudget(ci, ri, n)
-		case c.lease != nil:
-			c.lease.Put(ci, ri, n)
-		default:
-			c.releaseN(ci, ri, n)
-		}
+	for _, cl := range sc.claims {
+		c.release(int(cl.ci), cl.ri, cl.want)
 	}
-	sc.claimCi = sc.claimCi[:0]
-	sc.claimRi = sc.claimRi[:0]
-	sc.claimN = sc.claimN[:0]
+	sc.claims, sc.keys = sc.claims[:0], sc.keys[:0]
 	if torn > 0 {
 		c.tornDown.Add(uint64(torn))
 	}

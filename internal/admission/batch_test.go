@@ -184,10 +184,9 @@ func TestBatchTelemetry(t *testing.T) {
 // batch used to have for itself. Link 0→1 is filled, then eight flows
 // of route A = (0,1) leave, so A's budget holds the link's only eight
 // free slots. A batch of seven A items and one item of B = (0,2), which
-// shares that link, claims all eight for A in one chunk and spends
-// seven; the eighth sits in the batch's scratch where B's reclaiming
-// walk cannot see it. The exact-walk twin has no plane and admits all
-// eight items, and so must the fast side.
+// shares that link, claims A's seven in one chunk, and B's reclaiming
+// walk must still find the eighth. The exact-walk twin has no cells
+// and admits all eight items, and so must the fast side.
 func TestBatchOwnClaimsDoNotCauseReject(t *testing.T) {
 	fast, exact := newTwin(t, true), newTwin(t, false)
 	for {
@@ -237,6 +236,54 @@ func TestBatchOwnClaimsDoNotCauseReject(t *testing.T) {
 	if errA != ErrCapacity || errB != ErrCapacity {
 		t.Fatalf("link should be full: fast=%v exact=%v", errA, errB)
 	}
+}
+
+// TestBatchClaimsYieldToEarlierItems: at saturation a batch is refused
+// what the exact test refuses, item by item in order. Link 0→1 is
+// filled, then eight flows of route A = (0,1) leave, so A's cell holds
+// the link's only eight free slots. A batch of one A item, one item of
+// B = (0,2) and seven more A items wants nine: the exact twin admits
+// the first eight and refuses the last. On the fast side A's first item
+// claims all eight for A's items, so B's item finds both cells empty;
+// the batch's unspent claims must go back to A's cell before B's
+// refill drains it, or B is refused in place of the last A item.
+func TestBatchClaimsYieldToEarlierItems(t *testing.T) {
+	fast, exact := newTwin(t, true), newTwin(t, false)
+	for _, tw := range []*twin{fast, exact} {
+		for {
+			id, err := tw.ctrl.Admit("voice", 0, 1)
+			if err != nil {
+				break
+			}
+			tw.live = append(tw.live, id)
+		}
+		for _, err := range tw.ctrl.TeardownBatch(tw.live[:8], nil) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	items := make([]BatchItem, 9)
+	for i := range items {
+		items[i] = BatchItem{Class: "voice", Src: 0, Dst: 1}
+	}
+	items[1].Dst = 2
+	resFast := fast.ctrl.AdmitBatch(items, nil)
+	resExact := exact.ctrl.AdmitBatch(items, nil)
+	for i := range items {
+		want := error(nil)
+		if i == len(items)-1 {
+			want = ErrCapacity
+		}
+		if resExact[i].Err != want {
+			t.Fatalf("item %d: exact twin %v, want %v", i, resExact[i].Err, want)
+		}
+		if resFast[i].Err != want || resFast[i].ID != resExact[i].ID {
+			t.Errorf("item %d: fast (%v, %v), exact (%v, %v)", i, resFast[i].ID, resFast[i].Err, resExact[i].ID, resExact[i].Err)
+		}
+	}
+	compareDecisions(t, fast, exact)
+	compareUtil(t, fast.ctrl, exact.ctrl, 0)
 }
 
 // TestBatchRunOverwritesScratch guards the in-place fill of the run a

@@ -1,47 +1,59 @@
 package admission
 
+import "math"
+
 // This file is the controller surface the cluster plane stands on: an
 // authority node reserves whole blocks of per-(class, route) capacity
 // on its ledger and delegates them to edge admitters as leases. A
-// block reservation is exactly the headroom plane's wholesale lease —
+// block reservation is exactly the local refill's wholesale lease —
 // the paper's utilization test applied n flows at a time, all hops or
 // none — so capacity an edge holds is always already backed on the
 // authority's ledger and the utilization bound holds cluster-wide by
 // construction: no interleaving of edge admits can exceed what was
 // reserved here first.
 
-// LeaseSource is the capacity a cluster member admits against in place
-// of its ledger: flow slots the authority has already reserved on every
-// hop. With one installed, every admit runs class, route and policy as
-// on a single node and then takes its unit from the source; every
-// release — Teardown, TeardownBatch, an unwind — puts it back.
-type LeaseSource interface {
-	// Take moves one class-ci flow slot of route ri from the budget to
-	// a flow, reporting whether it did; a refusal is ErrCapacity.
-	Take(run *LeaseRun, ci int, ri int32) bool
-	// Put returns n flow slots of route ri to the budget.
-	Put(ci int, ri int32, n int64)
-	// Done closes an admit run, whose tallies the source reports.
-	Done(run *LeaseRun)
+// Refill is where a controller's lease cells get their units when a
+// take finds its cell dry: empty, or past its deadline. A single node
+// runs the local refill, which leases from this controller's ledger; a
+// cluster member installs a remote one, which leases from the
+// authority's. Either way every admit runs class, route and policy as
+// on a single node and takes its unit from the route's cell, and every
+// release — Teardown, TeardownBatch, an unwind — puts it back there.
+type Refill interface {
+	// Take moves one class-ci flow slot of route ri to the flow being
+	// admitted, refilling the route's cell on the way. ok reports
+	// whether it did; walked, that the verdict came from the exact walk
+	// on this controller's ledger rather than from a cell, and
+	// bottleneck is the server that refused a walked admit (-1
+	// otherwise). A refusal is ErrCapacity.
+	Take(ci int, ri int32) (bottleneck int, ok, walked bool)
 }
 
-// LeaseRun is what one admit run (a batch, or one Admit) carries from
-// take to take, so a source reads the clock and counts its outcomes
-// once per run. Each run starts from the zero value.
-type LeaseRun struct {
-	Now        int64 // Unix nanoseconds, 0 until a Take reads the clock
-	Local, Dry int   // takes served from the budget at hand; refused without asking for more
-}
-
-// SetLeaseSource installs src in place of the ledger (nil restores it)
-// and node as the member whose bits every issued ID carries; an ID with
-// another node's bits is unknown to Teardown and TeardownBatch. Like
-// SetPolicy it must be called before the controller serves traffic.
-func (c *Controller) SetLeaseSource(src LeaseSource, node uint32) {
-	c.lease = src
+// SetRefill installs r as the source of every cell's units (nil
+// restores the local refill) and node as the member whose bits every
+// issued ID carries; an ID with another node's bits is unknown to
+// Teardown and TeardownBatch. Cells another ledger backs are read as
+// holding nothing of this one, take every unit a teardown returns, and
+// are the only capacity the controller admits against. Like SetPolicy
+// it must be called before the controller serves traffic.
+func (c *Controller) SetRefill(r Refill, node uint32) {
+	c.ledgerCells = r == nil
+	c.cellCap = math.MaxInt64
+	if r == nil {
+		r, c.cellCap = localRefill{c}, maxLease
+	}
+	c.refill = r
 	c.nodeBits = FlowID(0).WithNode(node)
 	c.updateFastOK()
 }
+
+// Cell returns class ci's lease cell of route ri.
+func (c *Controller) Cell(ci int, ri int32) *Cell { return &c.cells[ci][ri] }
+
+// RoutesThrough returns the routes of class ci that cross server s: the
+// cells that compete for one ledger entry. The slice is the
+// controller's own — callers must not modify it.
+func (c *Controller) RoutesThrough(ci, s int) []int32 { return c.members[ci][s] }
 
 // ClassCount returns the number of configured classes; indices below
 // it are valid ci arguments everywhere in this file.

@@ -150,6 +150,8 @@ func lockstepSchedule(t *testing.T, rng *rand.Rand, a, b *twin, steps, checkEver
 		}
 		if checkEvery > 0 && i%checkEvery == 0 {
 			compareUtil(t, a.ctrl, b.ctrl, i)
+			checkBacking(t, a.ctrl, i)
+			checkBacking(t, b.ctrl, i)
 		}
 	}
 }
@@ -172,6 +174,31 @@ func compareUtil(t *testing.T, a, b *Controller, step int) {
 			if ua != ub {
 				t.Fatalf("step %d: utilization diverges on (%s, %d): fast=%v exact=%v",
 					step, class, s, ua, ub)
+			}
+		}
+	}
+}
+
+// checkBacking asserts the ledger's accounting identity: per (class,
+// server), the raw ledger holds exactly the live flows crossing the
+// server plus the budget of every cell on a route crossing it, at the
+// class rate.
+func checkBacking(t *testing.T, c *Controller, step int) {
+	t.Helper()
+	units := make([]int64, len(c.classes)*c.nsrv)
+	for _, f := range c.reg.snapshot() {
+		for _, s := range c.paths[f.class][f.route] {
+			units[int(f.class)*c.nsrv+s]++
+		}
+	}
+	for ci := range c.classes {
+		for s := 0; s < c.nsrv; s++ {
+			n := units[ci*c.nsrv+s]
+			for _, r := range c.RoutesThrough(ci, s) {
+				n += c.Cell(ci, r).Budget()
+			}
+			if got, want := c.LedgerInUseMicro(ci, s), n*c.rates[ci]; got != want {
+				t.Fatalf("step %d: class %d server %d: ledger holds %d, flows and cell budgets %d", step, ci, s, got, want)
 			}
 		}
 	}
@@ -350,7 +377,7 @@ func TestFastPathEquivalenceAcrossRecovery(t *testing.T) {
 // compares: any budget the fast path leaked, double-credited, or
 // failed to subtract in its lease-adjusted accounting shows up as a
 // utilization mismatch. Run with -race this doubles as the memory
-// model check on the headroom plane.
+// model check on the lease cells.
 func TestFastPathConcurrentDrain(t *testing.T) {
 	for _, fastOn := range []bool{true, false} {
 		fast := newTwin(t, fastOn)

@@ -8,51 +8,53 @@ import (
 	"ubac/internal/telemetry"
 )
 
-// countSource is a LeaseSource with a fixed budget per controller: it
-// counts what it hands out and what comes back, and the runs it saw.
-type countSource struct {
-	mu                  sync.Mutex
-	budget, taken, runs int64
-	local, dry          int
+// countRefill is a remote refill with a fixed budget per controller:
+// it counts the takes it serves and refuses. A unit it hands out goes
+// straight to a flow, and a teardown returns it to the route's cell, as
+// a member's units stay with the member until a renewal.
+type countRefill struct {
+	mu                   sync.Mutex
+	budget, taken, local int64
+	dry                  int
 }
 
-func (s *countSource) Take(run *LeaseRun, ci int, ri int32) bool {
+func (s *countRefill) Take(ci int, ri int32) (int, bool, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.taken++
 	if s.budget == 0 {
-		run.Dry++
-		return false
+		s.dry++
+		return -1, false, false
 	}
 	s.budget--
-	run.Local++
-	return true
+	s.local++
+	return -1, true, false
 }
 
-func (s *countSource) Put(ci int, ri int32, n int64) {
+// held is the units the refill and the controller's cells hold between
+// them.
+func (s *countRefill) held(c *Controller) int64 {
 	s.mu.Lock()
-	s.budget += n
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	n := s.budget
+	for ci := 0; ci < c.ClassCount(); ci++ {
+		for ri := 0; ri < c.RouteCount(ci); ri++ {
+			n += c.Cell(ci, int32(ri)).Budget()
+		}
+	}
+	return n
 }
 
-func (s *countSource) Done(run *LeaseRun) {
-	s.mu.Lock()
-	s.runs++
-	s.local += run.Local
-	s.dry += run.Dry
-	s.mu.Unlock()
-}
-
-// TestLeaseSourceSeam: with a lease source installed, every admit entry
-// point takes its unit from the source and runs the policy and the
-// decision record as a single node does; the ledger is never touched;
-// IDs carry the member's node bits, and an ID without them is refused.
-// Teardowns put every unit back, and a run reports its tallies once.
-func TestLeaseSourceSeam(t *testing.T) {
+// TestRefillSeam: with a remote refill installed, every admit entry
+// point takes its unit from the route's cell or, the cell dry, from the
+// refill, and runs the policy and the decision record as a single node
+// does; the ledger is never touched; IDs carry the member's node bits,
+// and an ID without them is refused. Teardowns put every unit back.
+func TestRefillSeam(t *testing.T) {
 	c, _ := testController(t, 0.3)
 	const node = 9
-	src := &countSource{budget: 4}
-	c.SetLeaseSource(src, node)
+	src := &countRefill{budget: 4}
+	c.SetRefill(src, node)
 	ring := telemetry.NewRing(64)
 	c.SetSink(telemetry.NewRegistrySink(telemetry.NewRegistry(), ring))
 	tb, err := policy.NewTokenBucket(policy.BucketConfig{Rate: 1e9, Burst: 1e9},
@@ -90,13 +92,13 @@ func TestLeaseSourceSeam(t *testing.T) {
 			admitted(res[i].ID, nil)
 		}
 	}
-	if src.taken != 5 || src.budget != 0 || src.runs != 3 || src.local != 4 || src.dry != 1 {
-		t.Fatalf("source after the admits: %+v, want 5 takes in 3 runs, 4 local and 1 dry", src)
+	if src.taken != 5 || src.budget != 0 || src.local != 4 || src.dry != 1 {
+		t.Fatalf("refill after the admits: %+v, want 5 takes, 4 served and 1 dry", src)
 	}
 	for ci := 0; ci < c.ClassCount(); ci++ {
 		for s := 0; s < c.ServerCount(); s++ {
 			if in := c.LedgerInUseMicro(ci, s); in != 0 {
-				t.Fatalf("class %d server %d: ledger holds %d with a lease source installed", ci, s, in)
+				t.Fatalf("class %d server %d: ledger holds %d with a remote refill installed", ci, s, in)
 			}
 		}
 	}
@@ -117,8 +119,8 @@ func TestLeaseSourceSeam(t *testing.T) {
 	if errs[0] != ErrUnknownFlow || errs[1] != nil || errs[2] != nil || errs[3] != nil {
 		t.Fatalf("batch teardown: %v", errs)
 	}
-	if src.budget != 4 || c.Stats().Active != 0 {
-		t.Fatalf("after every teardown: budget %d of 4, %+v", src.budget, c.Stats())
+	if held := src.held(c); held != 4 || c.Stats().Active != 0 {
+		t.Fatalf("after every teardown: budget %d of 4, %+v", held, c.Stats())
 	}
 
 	// The decisions are the single node's: admits and teardowns carry

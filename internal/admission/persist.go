@@ -117,7 +117,7 @@ func (c *Controller) MarshalRegistry() (seq uint64, payload []byte) {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(nsrv))
 	for ci := 0; ci < nclasses; ci++ {
 		for s := 0; s < nsrv; s++ {
-			// Lease-adjusted: unconsumed headroom-plane budget is backed
+			// Lease-adjusted: unconsumed cell budget is backed
 			// by the raw ledger but belongs to no admitted flow, and
 			// recovery rebuilds the ledger from flows alone. At quiesce
 			// the adjustment is exact, which is when the cross-check in

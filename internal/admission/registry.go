@@ -21,7 +21,7 @@ import (
 // ID carrying another node's bits names a slot beyond any shard's end
 // and resolves to nothing. A cluster member's controller stamps its node
 // into the IDs it hands out and strips it again before a teardown
-// reaches here (SetLeaseSource). A flow's
+// reaches here (SetRefill). A flow's
 // generation is the low 32 bits of its admission sequence: successive
 // occupants of a slot differ in it (until the sequence has advanced by
 // an exact multiple of 2^32), and publishing a flow is then a single

@@ -514,20 +514,23 @@ func TestRegistrySlotCap(t *testing.T) {
 	if res := c.AdmitBatch([]BatchItem{{Class: "voice", Src: 0, Dst: 2}}, nil); res[0].Err != ErrTooManyFlows {
 		t.Fatalf("AdmitBatch with a full registry: %v, want ErrTooManyFlows", res[0].Err)
 	}
-	// A cluster member's refused admits hand their lease units back.
-	src := &countSource{budget: 2}
-	c.SetLeaseSource(src, 1)
-	if _, err := c.Admit("voice", 0, 2); err != ErrTooManyFlows {
-		t.Fatalf("leased Admit with a full registry: %v, want ErrTooManyFlows", err)
-	}
-	if res := c.AdmitBatch([]BatchItem{{Class: "voice", Src: 0, Dst: 2}}, nil); res[0].Err != ErrTooManyFlows {
-		t.Fatalf("leased AdmitBatch with a full registry: %v, want ErrTooManyFlows", res[0].Err)
-	}
-	if src.taken != 2 || src.budget != 2 {
-		t.Fatalf("leased admits refused by the registry took %d units and left a budget of %d, want 2 and 2", src.taken, src.budget)
-	}
-	c.SetLeaseSource(nil, 0)
 	if after, _ := c.Headroom("voice", 0, 2); after != before || c.Stats().Active != 0 {
 		t.Fatalf("refused admits left state behind: headroom %d then %d, %+v", before, after, c.Stats())
+	}
+	// A cluster member's refused admits hand their lease units back.
+	m, _ := testController(t, 0.3)
+	src := &countRefill{budget: 2}
+	m.SetRefill(src, 1)
+	for i := range m.reg.shards {
+		m.reg.shards[i].length.Store(flowSlotMask + 1)
+	}
+	if _, err := m.Admit("voice", 0, 2); err != ErrTooManyFlows {
+		t.Fatalf("leased Admit with a full registry: %v, want ErrTooManyFlows", err)
+	}
+	if res := m.AdmitBatch([]BatchItem{{Class: "voice", Src: 0, Dst: 2}}, nil); res[0].Err != ErrTooManyFlows {
+		t.Fatalf("leased AdmitBatch with a full registry: %v, want ErrTooManyFlows", res[0].Err)
+	}
+	if held := src.held(m); src.taken != 1 || held != 2 || m.Stats().Active != 0 {
+		t.Fatalf("leased admits refused by the registry took %d units and left %d held, want 1 and 2", src.taken, held)
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // The authority owns the cluster's real utilization ledger. Every unit
 // of capacity an edge holds — on any node, this one included — was
-// first reserved here via ReserveBlock, the headroom plane's
+// first reserved here via ReserveBlock, the controller's
 // all-or-nothing per-hop wholesale reservation, and journaled to the
 // WAL as an absolute per-(node, class, route) backing record before
 // the grant was acknowledged. Releases are journaled asynchronously: a

@@ -6,7 +6,7 @@
 // utilization ledger (an admission.Controller used purely as that
 // ledger) and delegates capacity to the other nodes as leases: a lease
 // is a block of per-(class, route) flow-slots, reserved wholesale on
-// every hop of the route via the controller's headroom plane before it
+// every hop of the route (the controller's wholesale lease) before it
 // is granted — the paper's admission test applied n flows at a time,
 // all hops or none. An edge that holds budget therefore holds capacity
 // the authority has already accounted, and the utilization bound holds
@@ -14,11 +14,12 @@
 // exceed what was reserved first.
 //
 // Every node — the authority included — serves admits through its own
-// admission controller, whose capacity comes from the node's edge plane:
-// an admit takes one compare-and-swap on a local lease cell and zero
-// cross-node round trips; only lease grant, renewal, reclaim
-// and WAL shipping cross the network, as cluster frames on the wire
-// protocol. The authority's own edge plane simply grants in-process.
+// admission controller, from the controller's per-route lease cells,
+// with the node's edge plane as their refill: an admit takes one
+// compare-and-swap on a local lease cell and zero cross-node round
+// trips; only lease grant, renewal, reclaim and WAL shipping cross the
+// network, as cluster frames on the wire protocol. The authority's own
+// edge plane simply grants in-process.
 //
 // The authority journals every lease change to its WAL as an absolute
 // backing record (grants fsynced before the ack, releases async — a
@@ -227,8 +228,6 @@ func (c Config) addrOf(id uint32) string {
 // Observer receives cluster telemetry. telemetry.RegistrySink
 // satisfies it structurally; nil observers are replaced by a no-op.
 type Observer interface {
-	// ClusterAdmitLocal counts admits answered from local leased budget.
-	ClusterAdmitLocal(n int)
 	// ClusterAdmitSync counts admits that needed a grant round trip.
 	ClusterAdmitSync(n int)
 	// ClusterGrant records one grant call and its wall time.
@@ -251,7 +250,6 @@ type Observer interface {
 
 type nopObserver struct{}
 
-func (nopObserver) ClusterAdmitLocal(int)          {}
 func (nopObserver) ClusterAdmitSync(int)           {}
 func (nopObserver) ClusterGrant(time.Duration)     {}
 func (nopObserver) ClusterLeaseReject(string, int) {}

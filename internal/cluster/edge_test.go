@@ -416,7 +416,7 @@ func TestMemberAdmitsOnlyFromLeases(t *testing.T) {
 		backing := rig.auth.backingSnapshot()
 		var active uint64
 		for ri := range routeItem {
-			active += rig.edge.cells[0][ri].v.Load() >> 32
+			active += rig.edge.cellSum(0, int32(ri)) - uint64(rig.ctrl.Cell(0, int32(ri)).Budget())
 			if sum, back := rig.edge.cellSum(0, int32(ri)), backing[backKey{node: node, ci: 0, ri: int32(ri)}]; sum != back {
 				t.Errorf("route %d: cells hold %d, the authority backs %d", ri, sum, back)
 			}
@@ -497,4 +497,118 @@ func TestMemberAdmitsOnlyFromLeases(t *testing.T) {
 		}
 	}
 	check(nil)
+}
+
+// TestLapsedLeaseRefusesEveryEntryPoint: budget in a cell whose
+// deadline has passed is not spendable. While the grant call fails,
+// Admit, AdmitWithTenant and AdmitBatch's claim are all capacity
+// rejects and leave the budget where it was; a successful renewal
+// reopens the cell.
+func TestLapsedLeaseRefusesEveryEntryPoint(t *testing.T) {
+	rig := newEdgeRig(t, func(t testing.TB) *admission.Controller { return hubController(t, 2, 100) }, 8)
+	rig.edge.renewNow(time.Now())
+	it := rig.routeItems(t)[0]
+	if res := rig.ctrl.AdmitBatch([]admission.BatchItem{it}, nil); res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+	cell := rig.ctrl.Cell(0, 0)
+	held := cell.Budget()
+	if held == 0 {
+		t.Fatal("the warmed cell holds no budget")
+	}
+	granting := rig.edge.grant
+	rig.edge.grant = func(_ []leaseItem, grants []uint64) ([]uint64, time.Duration, error) {
+		return grants, 0, errors.New("cluster: no known authority")
+	}
+	cell.Renew(0, time.Now().Add(-time.Millisecond).UnixNano())
+	if _, err := rig.ctrl.Admit(it.Class, it.Src, it.Dst); !errors.Is(err, admission.ErrCapacity) {
+		t.Errorf("Admit on a lapsed lease: %v, want ErrCapacity", err)
+	}
+	if _, err := rig.ctrl.AdmitWithTenant(it.Class, "t", it.Src, it.Dst); !errors.Is(err, admission.ErrCapacity) {
+		t.Errorf("AdmitWithTenant on a lapsed lease: %v, want ErrCapacity", err)
+	}
+	for i, res := range rig.ctrl.AdmitBatch([]admission.BatchItem{it, it}, nil) {
+		if !errors.Is(res.Err, admission.ErrCapacity) {
+			t.Errorf("AdmitBatch item %d on a lapsed lease: %v, want ErrCapacity", i, res.Err)
+		}
+	}
+	if got := cell.Budget(); got != held {
+		t.Errorf("the lapsed cell's budget went from %d to %d", held, got)
+	}
+	rig.edge.grant = granting
+	rig.edge.renewNow(time.Now())
+	if _, err := rig.ctrl.Admit(it.Class, it.Src, it.Dst); err != nil {
+		t.Errorf("Admit after a renewal: %v", err)
+	}
+}
+
+// TestEdgeBatchOwnClaimsDoNotCauseReject is TestBatchOwnClaimsDoNotCauseReject
+// on a cluster member. The core link is filled from route A (no admit
+// refused, so no cell is in its dry backoff), then eight
+// of A's flows leave, so A's cell holds the core's only eight free
+// slots, none reached since the renewal that follows. A batch of one A
+// item, one item of route B, which shares the core, and six more A
+// items claims A's seven in one CAS; B's cell is empty and the
+// authority has nothing, so B's refill takes back what A's cell holds
+// untouched. That must be what per-item takes would have left
+// untouched — seven, all but the one slot A's first item spent — which
+// it is only if the six claimed slots go back to A's cell before the
+// refill, and count as not reached when they do. Every item is
+// admitted, and after a renewal every cell sum is what the authority
+// backs.
+func TestEdgeBatchOwnClaimsDoNotCauseReject(t *testing.T) {
+	const node, coreFlows, freed = 1, 40, 8
+	rig := newEdgeRig(t, func(t testing.TB) *admission.Controller { return hubController(t, 2, coreFlows) }, 8)
+	routeItem := rig.routeItems(t)
+	a, b := routeItem[0], routeItem[1]
+	rig.edge.renewNow(time.Now())
+	var live []admission.FlowID
+	for len(live) < coreFlows {
+		id, err := rig.ctrl.Admit(a.Class, a.Src, a.Dst)
+		if err != nil {
+			t.Fatalf("route A refused flow %d of the core's %d: %v", len(live)+1, coreFlows, err)
+		}
+		live = append(live, id)
+	}
+	for _, err := range rig.ctrl.TeardownBatch(live[:freed], nil) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	rig.edge.renewNow(time.Now())
+	if h := rig.authCtrl.BlockHeadroom(0, 1); h != 0 {
+		t.Fatalf("authority headroom %d on route B, want a full core", h)
+	}
+	items := make([]admission.BatchItem, freed)
+	for i := range items {
+		items[i] = a
+	}
+	items[1] = b
+	before := len(rig.calls)
+	for i, res := range rig.ctrl.AdmitBatch(items, nil) {
+		if res.Err != nil {
+			t.Errorf("item %d: %v, though the core has room for every item", i, res.Err)
+		}
+	}
+	reclaimed := false
+	for _, call := range rig.calls[before:] {
+		for _, it := range call {
+			if it.ri == 0 && it.want == 0 {
+				reclaimed = true
+				if held := len(live) - freed + 1; it.bud != 0 || it.act != uint64(held) {
+					t.Errorf("B's refill left A reporting %d active and %d budget, want its %d flows and nothing untouched", it.act, it.bud, held)
+				}
+			}
+		}
+	}
+	if !reclaimed {
+		t.Error("B's refill never took A's untouched budget back")
+	}
+	rig.edge.renewNow(time.Now())
+	backing := rig.auth.backingSnapshot()
+	for ri := range routeItem {
+		if sum, back := rig.edge.cellSum(0, int32(ri)), backing[backKey{node: node, ci: 0, ri: int32(ri)}]; sum != back {
+			t.Errorf("route %d: the cell holds %d, the authority backs %d", ri, sum, back)
+		}
+	}
 }

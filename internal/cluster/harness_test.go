@@ -7,6 +7,7 @@ import (
 	"net"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -110,11 +111,10 @@ var clusterTopologies = []struct {
 // countObs counts cluster telemetry with atomics (the registry sink is
 // exercised separately; tests want exact per-node numbers).
 type countObs struct {
-	local, synced, grants, misses, roles atomic.Int64
-	dry, down, reclaims                  atomic.Int64
+	synced, grants, misses, roles atomic.Int64
+	dry, down, reclaims           atomic.Int64
 }
 
-func (o *countObs) ClusterAdmitLocal(n int)    { o.local.Add(int64(n)) }
 func (o *countObs) ClusterAdmitSync(n int)     { o.synced.Add(int64(n)) }
 func (o *countObs) ClusterGrant(time.Duration) { o.grants.Add(1) }
 func (o *countObs) ClusterLag(int64)           {}
@@ -444,7 +444,7 @@ func TestClusterElectsAndAdmits(t *testing.T) {
 	}
 
 	// Warmed: a burst against the same routes must be all-local.
-	preLocal, preSync := follower.obs.local.Load(), follower.obs.synced.Load()
+	preLocal, preSync := follower.ctrl.FastPathStats().Hits, follower.obs.synced.Load()
 	res, err = cl.Admit(reqs, res)
 	if err != nil {
 		t.Fatal(err)
@@ -456,7 +456,7 @@ func TestClusterElectsAndAdmits(t *testing.T) {
 			admitted++
 		}
 	}
-	if got := follower.obs.local.Load() - preLocal; got != int64(admitted) {
+	if got := follower.ctrl.FastPathStats().Hits - preLocal; got != uint64(admitted) {
 		t.Errorf("warmed burst: %d local-path admits for %d admitted", got, admitted)
 	}
 	if got := follower.obs.synced.Load() - preSync; got != 0 {
@@ -538,6 +538,75 @@ func TestClusterNodeStatsActive(t *testing.T) {
 	}
 	if got := follower.ctrl.Stats().Active; got != 0 {
 		t.Errorf("Active %d after repeated teardowns, want 0", got)
+	}
+}
+
+// TestStoppedMemberTakesNoLease: a follower stops — as ubacd stops its
+// node before draining its transports — and hands its leases back, so
+// the authority backs nothing for it. A teardown that arrives afterwards
+// succeeds and is harmless: no admit takes a lease again, on the route
+// it freed or on any other, the authority's backing for the node stays
+// 0, and no report reaches it that it cannot account.
+func TestStoppedMemberTakesNoLease(t *testing.T) {
+	nodes := newClusterOn(t, 3, newTestController, testTimings())
+	var mu sync.Mutex
+	var lines []string
+	for _, tn := range nodes {
+		tn.node.logf = func(format string, args ...any) {
+			mu.Lock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+			mu.Unlock()
+			t.Logf(format, args...)
+		}
+		bootNode(t, tn)
+	}
+	auth := waitAuthority(t, nodes, 5*time.Second)
+	follower := nodes[0]
+	if follower == auth {
+		follower = nodes[1]
+	}
+	set, err := follower.ctrl.ClassRoutes("voice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0, r1 := set.Route(0), set.Route(1)
+	id, err := follower.ctrl.Admit("voice", r0.Src, r0.Dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	follower.node.Stop()
+	follower.dead = true // the cleanup must not stop it twice
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		_ = follower.srv.Shutdown(ctx)
+		<-follower.done
+	})
+	backed := func(when string) {
+		t.Helper()
+		for k, b := range auth.node.auth.backingSnapshot() {
+			if k.node == follower.id && b != 0 {
+				t.Errorf("%s: the authority backs %d on (%d,%d) for the stopped node", when, b, k.ci, k.ri)
+			}
+		}
+	}
+	backed("after the stop")
+	if err := follower.ctrl.Teardown(id); err != nil {
+		t.Fatalf("teardown of a flow admitted before the stop: %v", err)
+	}
+	for _, r := range []routes.Route{r0, r1} {
+		if _, err := follower.ctrl.Admit("voice", r.Src, r.Dst); !errors.Is(err, admission.ErrCapacity) {
+			t.Errorf("admit on (%d,%d) after the stop: %v, want ErrCapacity", r.Src, r.Dst, err)
+		}
+	}
+	backed("after the admits")
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range lines {
+		if strings.Contains(l, "cannot yet account") {
+			t.Errorf("authority log: %s", l)
+		}
 	}
 }
 

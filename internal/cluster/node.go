@@ -14,13 +14,14 @@ import (
 	"ubac/internal/wire"
 )
 
-// Node ties the pieces into one cluster member: the edge plane every
-// admit takes its capacity from, the follower loop that heartbeats the
+// Node ties the pieces into one cluster member: the edge plane that
+// refills the lease cells every admit takes its capacity from, the
+// follower loop that heartbeats the
 // authority and mirrors its WAL, the election (cold start or rank
 // ladder) that replays the mirror into a fresh ledger, and the
 // authority state once promoted. It implements wire.ClusterHandler, so
 // a single wire listener carries both admission traffic (served by the
-// node's controller, its edge plane installed as the lease source) and
+// node's controller, its edge plane installed as the cells' refill) and
 // cluster control frames.
 type Node struct {
 	cfg      Config
@@ -67,7 +68,7 @@ type NodeOptions struct {
 	Config Config
 	// Controller is this node's admission controller, built from the
 	// shared configuration: every admit on the node runs through it,
-	// against the edge plane NewNode installs as its lease source, and
+	// against lease cells refilled by the edge plane NewNode installs, and
 	// on the authority it is also the live utilization ledger.
 	Controller *admission.Controller
 	// DataDir holds the WAL (authored when authority, mirrored when
@@ -206,8 +207,9 @@ func (n *Node) nudge() {
 	}
 }
 
-// Stop shuts the node down: a follower relinquishes its leases to the
-// authority (best effort), an authority closes its log.
+// Stop shuts the node down: its lease cells close, a follower
+// relinquishes its leases to the authority (best effort), an authority
+// closes its log.
 func (n *Node) Stop() {
 	close(n.stop)
 	<-n.done
@@ -218,14 +220,15 @@ func (n *Node) Stop() {
 	n.clients = make(map[uint32]*wire.Client)
 	n.mirror = nil
 	n.mu.Unlock()
-	if role == RoleFollower && aid != NoAuthority {
-		if items := n.edge.detach(); len(items) > 0 {
-			if cl, ok := clients[aid]; ok {
-				body := appendRevokeReq(nil, n.cfg.NodeID, items)
-				_, err := cl.ClusterCall(wire.FrameRevoke, uint16(len(items)), body, n.timeout)
-				if err != nil {
-					n.logf("cluster: relinquish on shutdown: %v", err)
-				}
+	// From here on the node takes no lease: admits that still arrive are
+	// refused without a grant call, teardowns are harmless.
+	items := n.edge.detach()
+	if role == RoleFollower && aid != NoAuthority && len(items) > 0 {
+		if cl, ok := clients[aid]; ok {
+			body := appendRevokeReq(nil, n.cfg.NodeID, items)
+			_, err := cl.ClusterCall(wire.FrameRevoke, uint16(len(items)), body, n.timeout)
+			if err != nil {
+				n.logf("cluster: relinquish on shutdown: %v", err)
 			}
 		}
 	}

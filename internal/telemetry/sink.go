@@ -96,7 +96,6 @@ type RegistrySink struct {
 	WireBatches     *Counter
 	WireBatchOps    *Counter
 
-	ClusterLocalAdmits     *Counter
 	ClusterSyncAdmits      *Counter
 	ClusterGrants          *Counter
 	ClusterGrantDuration   *Histogram
@@ -208,9 +207,6 @@ func NewRegistrySink(reg *Registry, ring *Ring) *RegistrySink {
 			"Coalesced admission batch calls made by the wire transport."),
 		WireBatchOps: reg.Counter(MetricWireBatchOpsTotal,
 			"Operations drained into coalesced wire batch calls (ops/batches = mean coalesce depth)."),
-		ClusterLocalAdmits: reg.Counter(MetricClusterAdmitsTotal,
-			"Cluster edge admissions, by path (local = answered from the leased budget with zero cross-node round trips).",
-			Label{"path", "local"}),
 		ClusterSyncAdmits: reg.Counter(MetricClusterAdmitsTotal,
 			"Cluster edge admissions, by path (local = answered from the leased budget with zero cross-node round trips).",
 			Label{"path", "sync"}),
@@ -362,12 +358,10 @@ func (s *RegistrySink) WireCoalesce(frames, ops int) {
 	s.WireBatchOps.Add(uint64(ops))
 }
 
-// ClusterAdmitLocal satisfies the cluster package's Observer interface:
-// n edge admissions answered entirely from the local leased budget.
-func (s *RegistrySink) ClusterAdmitLocal(n int) { s.ClusterLocalAdmits.Add(uint64(n)) }
-
-// ClusterAdmitSync satisfies the cluster Observer interface: n
-// admissions that had to make a synchronous grant round trip.
+// ClusterAdmitSync satisfies the cluster package's Observer interface:
+// n admissions that had to make a synchronous grant round trip. The
+// local path's count is the member controller's fast-path hits, which
+// the daemon registers under the same family.
 func (s *RegistrySink) ClusterAdmitSync(n int) { s.ClusterSyncAdmits.Add(uint64(n)) }
 
 // ClusterGrant satisfies the cluster Observer interface: one lease
