@@ -236,9 +236,9 @@ type routeOut struct {
 }
 
 // handleRoutes lists every configured route with its verified
-// worst-case end-to-end queueing bound, served from the controller's
-// epoch-keyed route-delay cache (lookups show up in /metrics as
-// ubac_route_cache_lookups_total). ?class= filters to one class.
+// worst-case end-to-end queueing bound, as the controller summed it
+// when the class's delay vector was installed. ?class= filters to one
+// class.
 func (s *server) handleRoutes(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, "GET only")
@@ -271,12 +271,7 @@ func (s *server) handleRoutes(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	hits, misses := s.ctrl.DelayCacheStats()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"routes":       out,
-		"cache_hits":   hits,
-		"cache_misses": misses,
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"routes": out})
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -604,11 +604,10 @@ func TestFlowBodyLimit(t *testing.T) {
 	}
 }
 
-// TestRoutesEndpointAndCacheMetrics walks the whole route-delay cache
-// path: /v1/routes serves verified per-route bounds, the first call is
-// a cache miss, the second a hit, and both counters surface in
-// /metrics as ubac_route_cache_lookups_total.
-func TestRoutesEndpointAndCacheMetrics(t *testing.T) {
+// TestRoutesEndpoint checks that /v1/routes serves every configured
+// route with its verified bound, that ?class= filters to one class, and
+// that an unknown class is a 404.
+func TestRoutesEndpoint(t *testing.T) {
 	ts, _ := testDaemon(t)
 
 	resp, body := get(t, ts, "/v1/routes")
@@ -625,42 +624,16 @@ func TestRoutesEndpointAndCacheMetrics(t *testing.T) {
 			t.Fatalf("implausible route entry: %v", r)
 		}
 	}
-	if body["cache_misses"].(float64) < 1 {
-		t.Fatalf("first lookup did not miss: %v", body)
-	}
 
 	resp, body = get(t, ts, "/v1/routes?class=voice")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/routes?class=voice: %d", resp.StatusCode)
 	}
-	if body["cache_hits"].(float64) < 1 {
-		t.Fatalf("second lookup did not hit: %v", body)
+	if voice, _ := body["routes"].([]any); len(voice) != len(routes) {
+		t.Fatalf("?class=voice: %d routes, want %d", len(voice), len(routes))
 	}
 	if resp, _ := get(t, ts, "/v1/routes?class=nope"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown class: %d, want 404", resp.StatusCode)
-	}
-
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	text, err := io.ReadAll(mresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, series := range []string{
-		`ubac_route_cache_lookups_total{result="hit"}`,
-		`ubac_route_cache_lookups_total{result="miss"}`,
-	} {
-		idx := strings.Index(string(text), series)
-		if idx < 0 {
-			t.Fatalf("metrics missing %s", series)
-		}
-		rest := strings.TrimSpace(strings.SplitN(string(text[idx+len(series):]), "\n", 2)[0])
-		if v, err := strconv.ParseFloat(rest, 64); err != nil || v < 1 {
-			t.Fatalf("%s = %q, want >= 1", series, rest)
-		}
 	}
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -194,8 +195,8 @@ func (a *scenarioAdmitter) Release(h uint64) { _ = a.ctrl.Teardown(admission.Flo
 // runScenario configures a controller, installs the policy, generates
 // the workload and replays it in virtual time.
 func runScenario(cfg scenarioConfig) (*scenarioReport, error) {
-	if cfg.horizon <= 0 || cfg.holding <= 0 {
-		return nil, fmt.Errorf("-horizon and -holding must be positive")
+	if !(cfg.horizon > 0 && cfg.holding > 0) || math.IsInf(cfg.horizon, 0) || math.IsInf(cfg.holding, 0) {
+		return nil, fmt.Errorf("-horizon and -holding must be positive and finite")
 	}
 	net, err := topology.Parse(cfg.topo)
 	if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -133,6 +134,8 @@ func TestScenarioSpecErrors(t *testing.T) {
 		func() scenarioConfig { c := overloadScenario(""); c.mix = "gold=-1"; return c }(),
 		func() scenarioConfig { c := overloadScenario("nope:spec"); return c }(),
 		func() scenarioConfig { c := overloadScenario(""); c.horizon = 0; return c }(),
+		func() scenarioConfig { c := overloadScenario(""); c.horizon = math.NaN(); return c }(),
+		func() scenarioConfig { c := overloadScenario(""); c.horizon = math.Inf(1); return c }(),
 		func() scenarioConfig { c := overloadScenario(""); c.class = "nope"; return c }(),
 	}
 	for i, cfg := range bad {

@@ -20,7 +20,6 @@ package admission
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,30 +76,27 @@ type LedgerKind int
 const AtomicLedger LedgerKind = 0
 
 // atomicLedger tracks reserved bandwidth per (server, class) in
-// microbits/s. The mutating methods return the resulting counter value
-// so the controller's band-epoch wrappers (ledReserve/ledRelease in
-// headroom.go) can detect band crossings without a second read.
+// microbits/s.
 type atomicLedger struct {
 	used []atomic.Int64
 }
 
-// tryReserve atomically adds rate if the result stays within limit,
-// returning the new value on success.
-func (l *atomicLedger) tryReserve(idx int, rate, limit int64) (int64, bool) {
+// tryReserve atomically adds rate if the result stays within limit.
+func (l *atomicLedger) tryReserve(idx int, rate, limit int64) bool {
 	for {
 		cur := l.used[idx].Load()
 		if cur+rate > limit {
-			return 0, false
+			return false
 		}
 		if l.used[idx].CompareAndSwap(cur, cur+rate) {
-			return cur + rate, true
+			return true
 		}
 	}
 }
 
-// release subtracts rate and returns the new value.
-func (l *atomicLedger) release(idx int, rate int64) int64 {
-	return l.used[idx].Add(-rate)
+// release subtracts rate.
+func (l *atomicLedger) release(idx int, rate int64) {
+	l.used[idx].Add(-rate)
 }
 
 // inUse reads the current reservation.
@@ -174,32 +170,28 @@ type Controller struct {
 	// route set.
 	paths [][][]int
 
-	// delayMu guards the verified per-server delay vectors; the caches
-	// handle their own synchronization. Both are populated lazily by
-	// SetDelayBounds (typically from core.Deployment.Controller).
-	delayMu    sync.RWMutex
-	delayD     [][]float64          // [class] verified per-server bounds, seconds
-	delayCache []*routes.DelayCache // [class] epoch-keyed route-sum cache
+	// delaySums[class][route] is the route's verified end-to-end bound
+	// in seconds, summed once by SetDelayBounds (typically from
+	// core.Deployment.Controller); nil until then. delayMu guards the
+	// slice headers: SetDelayBounds swaps in a new slice, never edits
+	// a published one.
+	delayMu   sync.RWMutex
+	delaySums [][]float64
 
 	// reg is the sharded flow registry (registry.go); it replaces the
 	// seed's global mutex around a map[FlowID]flowRecord.
 	reg *flowRegistry
 
 	// Lease cells (headroom.go): one per (class, route), with the
-	// reverse index from servers to the routes crossing them, the
-	// fillAfter caches and the banded-invalidation epochs behind them.
-	// fastOn is the SetFastPath master switch; fastOK is whether admits
+	// reverse index from servers to the routes crossing them. fastOn is the SetFastPath master switch; fastOK is whether admits
 	// take from the cells (see updateFastOK). refill supplies dry cells
 	// (SetRefill, cluster.go); ledgerCells is whether this controller's
 	// ledger backs them, cellCap the most a cell takes back before a
 	// put releases to the ledger, and nodeBits the cluster member's
 	// bits in every ID this controller issues. All are read
 	// unsynchronized on the hot path — configure before serving traffic.
-	cells       [][]Cell        // [class][route]
-	members     [][][]int32     // [class][server] routes crossing the server
-	fills       [][]fillCache   // [class][route]
-	bandEpoch   []atomic.Uint32 // [class*nsrv+server] band-crossing epoch
-	bandShift   []uint8         // [class*nsrv+server] log2 band width
+	cells       [][]Cell    // [class][route]
+	members     [][][]int32 // [class][server] routes crossing the server
 	fastOn      bool
 	fastOK      bool
 	refill      Refill
@@ -330,11 +322,7 @@ func NewController(net *topology.Network, classes []ClassConfig, _ LedgerKind) (
 		c.routeOf = append(c.routeOf, table)
 		c.paths = append(c.paths, paths)
 	}
-	c.delayD = make([][]float64, len(c.classes))
-	c.delayCache = make([]*routes.DelayCache, len(c.classes))
-	for i, cc := range c.classes {
-		c.delayCache[i] = routes.NewDelayCache(cc.Routes)
-	}
+	c.delaySums = make([][]float64, len(c.classes))
 	c.nsrv = nsrv
 	c.buildPlane()
 	c.fastOn = true
@@ -343,31 +331,34 @@ func NewController(net *topology.Network, classes []ClassConfig, _ LedgerKind) (
 }
 
 // SetDelayBounds installs the verified per-server delay vector of one
-// class (the configuration-time fixed-point solution) so RouteDelay can
-// answer end-to-end bound queries. Installing a new vector bumps the
-// class's route-delay cache epoch: a reconfiguration — new utilization
-// assignment or changed topology — re-solves the fixed point and must
-// come through here, which is exactly when the cached sums go stale.
+// class (the configuration-time fixed-point solution) by summing every
+// route's end-to-end bound from it once (Fig. 2 of the paper: a
+// route's bound is a configuration-time constant). A reconfiguration —
+// new utilization assignment or changed topology — re-solves the fixed
+// point and comes through here again, replacing every sum at once.
 func (c *Controller) SetDelayBounds(class string, d []float64) error {
 	ci, ok := c.byName[class]
 	if !ok {
 		return ErrUnknownClass
 	}
-	if len(d) != c.net.NumServers() {
-		return fmt.Errorf("admission: delay vector length %d, want %d", len(d), c.net.NumServers())
+	if len(d) != c.nsrv {
+		return fmt.Errorf("admission: delay vector length %d, want %d", len(d), c.nsrv)
+	}
+	set := c.classes[ci].Routes
+	sums := make([]float64, set.Len())
+	for r := range sums {
+		sums[r] = set.Route(r).Delay(d)
 	}
 	c.delayMu.Lock()
-	c.delayD[ci] = append([]float64(nil), d...)
+	c.delaySums[ci] = sums
 	c.delayMu.Unlock()
-	c.delayCache[ci].Invalidate()
 	return nil
 }
 
 // RouteDelay returns the verified worst-case end-to-end queueing delay
-// bound of the configured route of (class, src, dst), served from the
-// per-class route-delay cache (hit/miss counters flow to the telemetry
-// sink). ErrNoDelayBounds is returned until SetDelayBounds has
-// installed the class's solved vector.
+// bound of the configured route of (class, src, dst). ErrNoDelayBounds
+// is returned until SetDelayBounds has installed the class's solved
+// vector.
 func (c *Controller) RouteDelay(class string, src, dst int) (float64, error) {
 	ci, ok := c.byName[class]
 	if !ok {
@@ -377,13 +368,11 @@ func (c *Controller) RouteDelay(class string, src, dst int) (float64, error) {
 	if ri < 0 {
 		return 0, ErrNoRoute
 	}
-	c.delayMu.RLock()
-	d := c.delayD[ci]
-	c.delayMu.RUnlock()
-	if d == nil {
-		return 0, ErrNoDelayBounds
+	sums, err := c.routeDelays(ci)
+	if err != nil {
+		return 0, err
 	}
-	return c.delayCache[ci].RouteDelay(int(ri), d)
+	return sums[ri], nil
 }
 
 // routeIndex resolves the configured route of (src, dst) for class ci,
@@ -399,32 +388,26 @@ func (c *Controller) routeIndex(ci, src, dst int) int32 {
 	return c.routeOf[ci][src*nrt+dst]
 }
 
-// RouteDelays returns the cached per-route end-to-end bounds of the
-// named class, parallel to its route set's indexes. The slice is shared
-// with the cache — callers must not modify it.
+// RouteDelays returns the per-route end-to-end bounds of the named
+// class, parallel to its route set's indexes. The slice is shared —
+// callers must not modify it.
 func (c *Controller) RouteDelays(class string) ([]float64, error) {
 	ci, ok := c.byName[class]
 	if !ok {
 		return nil, ErrUnknownClass
 	}
-	c.delayMu.RLock()
-	d := c.delayD[ci]
-	c.delayMu.RUnlock()
-	if d == nil {
-		return nil, ErrNoDelayBounds
-	}
-	return c.delayCache[ci].Delays(d), nil
+	return c.routeDelays(ci)
 }
 
-// DelayCacheStats sums hit and miss counts across the per-class
-// route-delay caches.
-func (c *Controller) DelayCacheStats() (hits, misses uint64) {
-	for _, dc := range c.delayCache {
-		h, m := dc.Stats()
-		hits += h
-		misses += m
+// routeDelays is RouteDelays by class index.
+func (c *Controller) routeDelays(ci int) ([]float64, error) {
+	c.delayMu.RLock()
+	sums := c.delaySums[ci]
+	c.delayMu.RUnlock()
+	if sums == nil {
+		return nil, ErrNoDelayBounds
 	}
-	return hits, misses
+	return sums, nil
 }
 
 // SetSink routes per-decision telemetry into s (nil restores the no-op
@@ -436,9 +419,6 @@ func (c *Controller) SetSink(s telemetry.Sink) {
 	}
 	c.sink = s
 	c.telemetered = telemetry.Active(s)
-	for _, dc := range c.delayCache {
-		dc.SetSink(s)
-	}
 }
 
 // SetJournal installs the durability journal (nil turns durability
@@ -503,26 +483,12 @@ func policyOutcome(v policy.Verdict) (telemetry.Verdict, error) {
 
 // fillAfter returns the worst per-server fill fraction along route ri
 // of class ci if one more flow were admitted: max over hops of
-// (reserved + rate) / (alpha · capacity). Computed only for policies
-// that declare NeedFill. The walked figure is cached per route and
-// keyed on the sum of the member servers' band epochs: while no hop
-// has crossed a band edge (~1/32 of its limit) the cached figure is
-// returned without touching the ledger, keeping NeedFill policy
-// decisions O(path) only on band crossings. NeedFill disables leasing
-// (see updateFastOK), so the raw ledger here is the exact reservation.
+// (reserved + rate) / (alpha · capacity), read from the live ledger —
+// the same O(path) walk as the utilization test itself. Computed only
+// for policies that declare NeedFill. NeedFill disables leasing (see
+// updateFastOK), so the raw ledger here is the exact reservation.
 func (c *Controller) fillAfter(ci int, ri int32) float64 {
-	e := &c.fills[ci][ri]
 	base := ci * c.nsrv
-	var stamp uint64
-	for _, s := range c.paths[ci][ri] {
-		stamp += uint64(c.bandEpoch[base+s].Load())
-	}
-	if s1 := e.stamp.Load(); s1 == stamp {
-		f := math.Float64frombits(e.bits.Load())
-		if e.stamp.Load() == s1 {
-			return f
-		}
-	}
 	rate := c.rates[ci]
 	worst := 0.0
 	for _, s := range c.paths[ci][ri] {
@@ -534,13 +500,6 @@ func (c *Controller) fillAfter(ci int, ri int32) float64 {
 			worst = f
 		}
 	}
-	// Publish bits before stamp under the cell lock so a torn pair can
-	// only be seen as stale (readers re-check the stamp around bits).
-	mu := &c.cells[ci][ri].mu
-	mu.Lock()
-	e.bits.Store(math.Float64bits(worst))
-	e.stamp.Store(stamp)
-	mu.Unlock()
 	return worst
 }
 
@@ -690,10 +649,10 @@ func (c *Controller) reserve(ci int, ri int32) (bottleneck int, ok bool) {
 	rate := c.rates[ci]
 	base := ci * c.nsrv
 	for i, s := range servers {
-		if !c.ledReserve(base+s, rate, c.limits[ci][s]) {
+		if !c.led.tryReserve(base+s, rate, c.limits[ci][s]) {
 			// Roll back the servers already reserved.
 			for _, t := range servers[:i] {
-				c.ledRelease(base+t, rate)
+				c.led.release(base+t, rate)
 			}
 			return s, false
 		}

@@ -167,6 +167,103 @@ func TestPairValidationAlignment(t *testing.T) {
 	}
 }
 
+// delayVector is a per-server delay vector with distinct entries, so
+// every route's sum differs from its neighbors'.
+func delayVector(n int, scale float64) []float64 {
+	d := make([]float64, n)
+	for i := range d {
+		d[i] = scale * float64(i+1)
+	}
+	return d
+}
+
+// TestSetDelayBoundsSumsRoutes: RouteDelays is each route's
+// Route.Delay over the installed vector, bit for bit, and a second
+// SetDelayBounds replaces every sum.
+func TestSetDelayBoundsSumsRoutes(t *testing.T) {
+	c, net := testController(t, 0.3)
+	if _, err := c.RouteDelays("voice"); err != ErrNoDelayBounds {
+		t.Fatalf("before SetDelayBounds: %v, want ErrNoDelayBounds", err)
+	}
+	set, err := c.ClassRoutes("voice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scale := range []float64{0.001, 0.0035} {
+		d := delayVector(net.NumServers(), scale)
+		if err := c.SetDelayBounds("voice", d); err != nil {
+			t.Fatal(err)
+		}
+		sums, err := c.RouteDelays("voice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sums) != set.Len() {
+			t.Fatalf("%d sums for %d routes", len(sums), set.Len())
+		}
+		for i, got := range sums {
+			rt := set.Route(i)
+			want := rt.Delay(d)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("scale %g route %d: sum %g, Route.Delay %g", scale, i, got, want)
+			}
+			if one, err := c.RouteDelay("voice", rt.Src, rt.Dst); err != nil || one != want {
+				t.Fatalf("scale %g route %d: RouteDelay %g, %v; want %g", scale, i, one, err, want)
+			}
+		}
+	}
+}
+
+// TestRouteDelaysRaceSetDelayBounds: readers racing SetDelayBounds see
+// one installed vector's full slice, never a mix of two.
+func TestRouteDelaysRaceSetDelayBounds(t *testing.T) {
+	c, net := testController(t, 0.3)
+	set, err := c.ClassRoutes("voice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecs := [][]float64{delayVector(net.NumServers(), 0.001), delayVector(net.NumServers(), 0.002)}
+	want := make([][]float64, len(vecs))
+	for v, d := range vecs {
+		for i := 0; i < set.Len(); i++ {
+			want[v] = append(want[v], set.Route(i).Delay(d))
+		}
+	}
+	if err := c.SetDelayBounds("voice", vecs[0]); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 500; k++ {
+				sums, err := c.RouteDelays("voice")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				v := 0
+				if sums[0] != want[0][0] {
+					v = 1
+				}
+				for i := range sums {
+					if sums[i] != want[v][i] {
+						t.Errorf("mixed read: route %d = %g, vector %d has %g", i, sums[i], v, want[v][i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	for k := 0; k < 200; k++ {
+		if err := c.SetDelayBounds("voice", vecs[k%2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+}
+
 func TestCapacityExhaustion(t *testing.T) {
 	c, _ := testController(t, 0.3)
 	// Reserved per server: 0.3·100 Mb/s = 30 Mb/s; voice is 32 kb/s;

@@ -227,7 +227,8 @@ func BenchmarkAdmissionContention(b *testing.B) {
 // admit/teardown cycle: always_admit must match the policy-free
 // baseline (SetPolicy strips it to nil), token_bucket adds one map
 // lookup plus CAS refill/spend, slo_gated adds a cached load-signal
-// read. All three stay allocation-free.
+// read, reserve_headroom adds the route's fill walk and turns the lease
+// cells off. All four stay allocation-free.
 func BenchmarkAdmitWithPolicy(b *testing.B) {
 	cases := []struct {
 		name    string
@@ -254,6 +255,13 @@ func BenchmarkAdmitWithPolicy(b *testing.B) {
 				b.Fatal(err)
 			}
 			c.SetPolicy(g)
+		}},
+		{"reserve_headroom", func(b *testing.B, c *Controller) {
+			p, err := policy.NewReserveHeadroom(0.05, []string{"gold"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			c.SetPolicy(p)
 		}},
 	}
 	for _, pc := range cases {

@@ -2,14 +2,13 @@ package admission
 
 import (
 	"math"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Per-route lease cells: the O(1) admit path (ROADMAP item 3), on a
-// single node and on a cluster member alike.
+// Per-route lease cells: the O(1) admit path, on a single node and on
+// a cluster member alike.
 //
 // Each (class, route) pair owns one Cell: a budget of flow slots that
 // are already *backed* — their rate is reserved on every server of the
@@ -38,13 +37,6 @@ import (
 // A cluster member installs a remote refill instead, whose units the
 // authority reserved on its ledger and which stay spendable only until
 // the cell's deadline.
-//
-// Banded invalidation serves the *read* paths (fillAfter): each (class,
-// server) ledger counter is bucketed into ~bandCount power-of-two
-// bands, and a reserve/release that crosses a band edge bumps the
-// server's epoch. A cached route figure carries the sum of its member
-// servers' epochs; a mismatch means some hop moved at least a band's
-// width and the figure is recomputed.
 const (
 	// maxLease bounds a route's unconsumed budget under the local refill:
 	// at most this many admission slots are held away from the exact
@@ -55,10 +47,6 @@ const (
 	// be >= maxLease so that even a route whose entire guard region is
 	// transiently leased to siblings (before reclaim) stays admissible.
 	leaseGuard = 64
-	// bandCount is the target number of utilization bands per server
-	// counter; band width is the largest power of two not exceeding
-	// limit/bandCount.
-	bandCount = 32
 	// lowUntouched is a cell's low-water mark while no take has spent
 	// from it since ResetLow.
 	lowUntouched = math.MaxInt64
@@ -79,8 +67,8 @@ type Cell struct {
 	// low is the lowest budget a take has left behind since ResetLow
 	// (lowUntouched when none has): what lies below it no admit reached.
 	low atomic.Int64
-	// mu serializes the local refill (and fill-cache writes), so a
-	// stampede on an empty budget does one walk, not one per goroutine.
+	// mu serializes the local refill, so a stampede on an empty budget
+	// does one walk, not one per goroutine.
 	mu sync.Mutex
 	// Pad to exactly 64 bytes: one cache line.
 	_ [32]byte
@@ -215,15 +203,6 @@ func (e *Cell) ResetLow() { e.low.Store(lowUntouched) }
 // in use, all of its budget reached.
 func (e *Cell) MarkDry() { e.low.Store(0) }
 
-// fillCache is fillAfter's per-route worst-fill figure: bits is the
-// float64 image, stamp the sum of member-server band epochs it was
-// computed under (^0 = never computed). Writers hold the route cell's
-// mu and store bits before stamp; readers double-check stamp around
-// bits.
-type fillCache struct {
-	stamp, bits atomic.Uint64
-}
-
 // FastPathStats reports how admits were decided since construction (or
 // since recovery; replayed admits are excluded).
 type FastPathStats struct {
@@ -265,63 +244,24 @@ func (c *Controller) classIndexSlow(name string) (int, bool) {
 	return ci, ok
 }
 
-// buildPlane constructs the cells, the reverse index, the fill caches
-// and the band shifts. Called once from NewController.
+// buildPlane constructs the cells and the reverse index. Called once
+// from NewController.
 func (c *Controller) buildPlane() {
-	nsrv := c.nsrv
 	c.cells = make([][]Cell, len(c.classes))
 	c.members = make([][][]int32, len(c.classes))
-	c.fills = make([][]fillCache, len(c.classes))
-	c.bandEpoch = make([]atomic.Uint32, len(c.classes)*nsrv)
-	c.bandShift = make([]uint8, len(c.classes)*nsrv)
 	c.hintArr = make([]classHint, len(c.classes))
 	for ci := range c.classes {
 		c.hintArr[ci] = classHint{name: c.classes[ci].Class.Name, ci: ci}
 		nr := len(c.paths[ci])
 		c.cells[ci] = make([]Cell, nr)
-		c.fills[ci] = make([]fillCache, nr)
-		c.members[ci] = make([][]int32, nsrv)
+		c.members[ci] = make([][]int32, c.nsrv)
 		for r := 0; r < nr; r++ {
 			c.cells[ci][r].ResetLow()
-			c.fills[ci][r].stamp.Store(^uint64(0))
 			for _, s := range c.paths[ci][r] {
 				c.members[ci][s] = append(c.members[ci][s], int32(r))
 			}
 		}
-		for s := 0; s < nsrv; s++ {
-			width := c.limits[ci][s] / bandCount
-			sh := 0
-			if width > 1 {
-				sh = bits.Len64(uint64(width)) - 1
-			}
-			c.bandShift[ci*nsrv+s] = uint8(sh)
-		}
 	}
-}
-
-// noteBand bumps server idx's band epoch when a ledger move crossed a
-// band edge.
-func (c *Controller) noteBand(idx int, old, now int64) {
-	sh := c.bandShift[idx]
-	if old>>sh != now>>sh {
-		c.bandEpoch[idx].Add(1)
-	}
-}
-
-// ledReserve / ledRelease wrap the raw ledger with band-epoch
-// maintenance. Every ledger move in the controller funnels through
-// these two.
-func (c *Controller) ledReserve(idx int, amt, limit int64) bool {
-	nu, ok := c.led.tryReserve(idx, amt, limit)
-	if ok {
-		c.noteBand(idx, nu-amt, nu)
-	}
-	return ok
-}
-
-func (c *Controller) ledRelease(idx int, amt int64) {
-	nu := c.led.release(idx, amt)
-	c.noteBand(idx, nu+amt, nu)
 }
 
 // walkHeadroom is the exact per-server headroom walk: the number of
@@ -350,9 +290,9 @@ func (c *Controller) tryLease(ci int, ri int32, n int64) bool {
 	base := ci * c.nsrv
 	servers := c.paths[ci][ri]
 	for i, s := range servers {
-		if !c.ledReserve(base+s, amt, c.limits[ci][s]) {
+		if !c.led.tryReserve(base+s, amt, c.limits[ci][s]) {
 			for _, t := range servers[:i] {
-				c.ledRelease(base+t, amt)
+				c.led.release(base+t, amt)
 			}
 			return false
 		}
@@ -538,7 +478,7 @@ func (c *Controller) releaseN(ci int, ri int32, n int64) {
 	amt := n * c.rates[ci]
 	base := ci * c.nsrv
 	for _, s := range c.paths[ci][ri] {
-		c.ledRelease(base+s, amt)
+		c.led.release(base+s, amt)
 	}
 }
 
@@ -586,7 +526,7 @@ func (c *Controller) SetFastPath(on bool) {
 // updateFastOK recomputes whether admits take from the cells. NeedFill
 // policies meter the exact fill headroom (reserve-headroom gates on
 // it), so any leased-but-unconsumed budget would distort their input;
-// they get the exact walk and an exact, band-cached fillAfter instead.
+// they get the exact walk and fillAfter's read of the ledger instead.
 // Cells another ledger backs are the only capacity this controller
 // has: its own ledger holds none of it, so they stay on.
 func (c *Controller) updateFastOK() {

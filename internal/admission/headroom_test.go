@@ -31,7 +31,6 @@ func (s *captureSink) DecisionRun(run []telemetry.Decision) {
 
 func (s *captureSink) FixedPoint(telemetry.FixedPoint)   {}
 func (s *captureSink) RouteSelect(telemetry.RouteSelect) {}
-func (s *captureSink) RouteCache(telemetry.RouteCache)   {}
 func (s *captureSink) SimRun(telemetry.SimRun)           {}
 
 func (s *captureSink) take() []telemetry.Decision {

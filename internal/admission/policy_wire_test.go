@@ -257,3 +257,30 @@ func TestAdmitBatchPolicyVerdicts(t *testing.T) {
 		t.Fatalf("stats %+v: want 4 admitted, 1 policy-rejected", st)
 	}
 }
+
+// TestReserveHeadroomHoldsItsReserve: reserve_headroom at 5 % on the
+// contention ring (α 0.5, 1,562 voice flows per link) refuses
+// unprotected traffic exactly where its rule says — at the 1,485th
+// flow, whose fill would pass 0.95 — and the protected tenant then gets
+// the whole reserve, 78 flows, before the link is full.
+func TestReserveHeadroomHoldsItsReserve(t *testing.T) {
+	c := contentionController(t)
+	p, err := policy.NewReserveHeadroom(0.05, []string{"gold"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetPolicy(p)
+	fill := func(tenant string) (int, error) {
+		for n := 0; ; n++ {
+			if _, err := c.AdmitWithTenant("voice", tenant, 0, 1); err != nil {
+				return n, err
+			}
+		}
+	}
+	if n, err := fill(""); n != 1484 || !errors.Is(err, ErrPolicyReserve) {
+		t.Fatalf("unprotected: %d admitted, then %v; want 1484, then ErrPolicyReserve", n, err)
+	}
+	if n, err := fill("gold"); n != 78 || !errors.Is(err, ErrCapacity) {
+		t.Fatalf("protected: %d admitted, then %v; want 78, then ErrCapacity", n, err)
+	}
+}

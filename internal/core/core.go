@@ -172,8 +172,8 @@ func (d *Deployment) Alpha(class string) (float64, bool) {
 // Controller deploys the configuration to a run-time admission
 // controller. Unsafe deployments are rejected: admitting flows against
 // an unverified assignment voids the delay guarantees. The verified
-// per-class delay vectors are installed on the controller, so RouteDelay
-// queries are served from its epoch-keyed route-delay cache.
+// per-class delay vectors are installed on the controller, which sums
+// each route's end-to-end bound from them once for RouteDelay queries.
 func (d *Deployment) Controller(kind admission.LedgerKind) (*admission.Controller, error) {
 	if !d.Safe() {
 		return nil, fmt.Errorf("core: refusing to deploy an unverified configuration")

@@ -7,15 +7,14 @@ import "fmt"
 // refused when admitting it would push any server on its route past
 // (1 - Reserve) of the class's reservation pool; protected names
 // (tenant or class) bypass the reserve and can use the full pool.
-// This is the policy plane ROADMAP item 3's live α re-optimization
-// feeds: re-solving the fixed point shrinks or grows the pool, and
-// the reserve fraction rides on top of whatever the current
-// assignment is.
+// A new utilization assignment shrinks or grows the pool, and the
+// reserve fraction rides on top of whatever the current assignment is.
 //
 // The policy declares NeedFill, so the admission controller computes
 // DecisionContext.FillAfter — the worst post-admission fill fraction
-// along the route — before calling Decide. That walk is O(path
-// length), the same bound as the utilization test itself.
+// along the route, read from the live ledger — before calling Decide.
+// That walk is O(path length), the same bound as the utilization test
+// itself.
 type ReserveHeadroom struct {
 	reserve   float64
 	protected map[string]bool

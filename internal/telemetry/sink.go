@@ -17,7 +17,6 @@ const (
 	MetricFixedPointIter     = "ubac_fixedpoint_iterations"
 	MetricFixedPointRuns     = "ubac_fixedpoint_runs_total" // labeled {converged=...}
 	MetricFixedPointDuration = "ubac_fixedpoint_duration_seconds"
-	MetricRouteCacheLookups  = "ubac_route_cache_lookups_total" // labeled {result=...}
 	MetricRouteSelectSeconds = "ubac_routing_select_seconds"
 	MetricRouteCandidates    = "ubac_routing_candidates_total"
 	MetricSimGeneratedTotal  = "ubac_sim_packets_generated_total"
@@ -69,9 +68,6 @@ type RegistrySink struct {
 	FixedPointConverged  *Counter
 	FixedPointDiverged   *Counter
 	FixedPointDuration   *Histogram
-
-	RouteCacheHits   *Counter
-	RouteCacheMisses *Counter
 
 	RouteSelectDuration   *Histogram
 	RouteSelectCandidates *Counter
@@ -169,10 +165,6 @@ func NewRegistrySink(reg *Registry, ring *Ring) *RegistrySink {
 			"Fixed-point solver runs, by outcome.", Label{"converged", "false"}),
 		FixedPointDuration: reg.Histogram(MetricFixedPointDuration,
 			"Delay fixed-point solve wall time."),
-		RouteCacheHits: reg.Counter(MetricRouteCacheLookups,
-			"Route-delay cache lookups, by result.", Label{"result", "hit"}),
-		RouteCacheMisses: reg.Counter(MetricRouteCacheLookups,
-			"Route-delay cache lookups, by result.", Label{"result", "miss"}),
 		RouteSelectDuration: reg.Histogram(MetricRouteSelectSeconds,
 			"Route-selection wall time per selector run."),
 		RouteSelectCandidates: reg.Counter(MetricRouteCandidates,
@@ -509,16 +501,6 @@ func (s *RegistrySink) RouteSelect(rs RouteSelect) {
 	s.RouteSelectDuration.Observe(rs.Elapsed)
 	if rs.Candidates > 0 {
 		s.RouteSelectCandidates.Add(uint64(rs.Candidates))
-	}
-}
-
-// RouteCache implements Sink.
-func (s *RegistrySink) RouteCache(rc RouteCache) {
-	if rc.Hits > 0 {
-		s.RouteCacheHits.Add(rc.Hits)
-	}
-	if rc.Misses > 0 {
-		s.RouteCacheMisses.Add(rc.Misses)
 	}
 }
 

@@ -151,17 +151,6 @@ type RouteSelect struct {
 	Elapsed time.Duration
 }
 
-// RouteCache carries route-delay cache lookup outcomes, emitted by
-// routes.DelayCache as deltas (one event per lookup batch; the sink
-// accumulates totals).
-type RouteCache struct {
-	// Hits counts lookups served from the cached epoch.
-	Hits uint64
-	// Misses counts lookups that forced a recomputation of the
-	// per-route sums (first use after an Invalidate).
-	Misses uint64
-}
-
 // SimRun carries the aggregate outcome of one simulator run, emitted by
 // sim.Sim.
 type SimRun struct {
@@ -185,7 +174,6 @@ type Sink interface {
 	DecisionRun([]Decision)
 	FixedPoint(FixedPoint)
 	RouteSelect(RouteSelect)
-	RouteCache(RouteCache)
 	SimRun(SimRun)
 }
 
@@ -204,9 +192,6 @@ func (Nop) FixedPoint(FixedPoint) {}
 
 // RouteSelect implements Sink.
 func (Nop) RouteSelect(RouteSelect) {}
-
-// RouteCache implements Sink.
-func (Nop) RouteCache(RouteCache) {}
 
 // SimRun implements Sink.
 func (Nop) SimRun(SimRun) {}

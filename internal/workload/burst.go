@@ -95,13 +95,8 @@ func NewMMPPGenerator(cfg MMPPConfig, meanHolding float64, pairs [][2]int, seed 
 	if meanHolding <= 0 || math.IsNaN(meanHolding) || math.IsInf(meanHolding, 0) {
 		return nil, fmt.Errorf("workload: invalid mean holding %g", meanHolding)
 	}
-	if len(pairs) == 0 {
-		return nil, fmt.Errorf("workload: no pairs")
-	}
-	for _, p := range pairs {
-		if p[0] == p[1] {
-			return nil, fmt.Errorf("workload: self pair %v", p)
-		}
+	if err := validatePairs(pairs); err != nil {
+		return nil, err
 	}
 	return &MMPPGenerator{
 		rng:         rand.New(rand.NewSource(seed)),
@@ -115,59 +110,16 @@ func NewMMPPGenerator(cfg MMPPConfig, meanHolding float64, pairs [][2]int, seed 
 func (g *MMPPGenerator) OfferedLoad() float64 { return g.Config.MeanRate() * g.MeanHolding }
 
 // Generate produces all calls arriving in [0, horizon), sorted by
-// arrival time. The modulating chain starts in its stationary
-// distribution so the window is statistically homogeneous.
+// arrival time: the MMPPSource stream on the generator's rng,
+// collected. The modulating chain starts in its stationary
+// distribution so the window is statistically homogeneous. A horizon
+// that is not positive and finite yields no calls.
 func (g *MMPPGenerator) Generate(horizon float64) []Call {
-	if horizon <= 0 {
+	src, err := NewMMPPSource(g.Config, g.MeanHolding, g.Pairs, horizon, g.rng)
+	if err != nil {
 		return nil
 	}
-	var calls []Call
-	high := g.rng.Float64() < g.Config.probHigh()
-	t := 0.0
-	// stateEnd is when the current sojourn expires; arrivals past it
-	// roll the chain forward first.
-	stateEnd := t + g.sojourn(high)
-	for t < horizon {
-		rate := g.Config.LowRate
-		if high {
-			rate = g.Config.HighRate
-		}
-		var next float64
-		if rate > 0 {
-			next = t + g.rng.ExpFloat64()/rate
-		} else {
-			next = math.Inf(1) // silent state: jump straight to the flip
-		}
-		if next >= stateEnd {
-			// The state flips before the candidate arrival fires. The
-			// exponential's memorylessness lets us discard the candidate
-			// and redraw at the new rate from the flip instant.
-			t = stateEnd
-			high = !high
-			stateEnd = t + g.sojourn(high)
-			continue
-		}
-		t = next
-		if t >= horizon {
-			break
-		}
-		p := g.Pairs[g.rng.Intn(len(g.Pairs))]
-		calls = append(calls, Call{
-			Arrive:  t,
-			Holding: g.rng.ExpFloat64() * g.MeanHolding,
-			Src:     p[0],
-			Dst:     p[1],
-		})
-	}
-	return calls
-}
-
-// sojourn draws one state-holding time.
-func (g *MMPPGenerator) sojourn(high bool) float64 {
-	if high {
-		return g.rng.ExpFloat64() * g.Config.MeanHigh
-	}
-	return g.rng.ExpFloat64() * g.Config.MeanLow
+	return collect(src)
 }
 
 // InterarrivalCV returns the empirical coefficient of variation

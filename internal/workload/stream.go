@@ -10,8 +10,8 @@ import (
 // time in nondecreasing arrival order until the horizon, so a consumer
 // can replay millions of lifetimes without materializing the whole
 // call slice. Sources take an explicit *rand.Rand — the caller owns
-// the run's seed discipline, nothing touches global rand — and draw in
-// exactly the same order as the batch Generate methods, so a source
+// the run's seed discipline, nothing touches global rand. The batch
+// Generate methods collect a source on the generator's rng, so a source
 // and a generator built from the same seed produce identical streams
 // (property-tested in stream_test.go).
 type Source interface {
@@ -74,8 +74,7 @@ func NewPoissonSource(arrivalRate, meanHolding float64, pairs [][2]int, horizon 
 // OfferedLoad returns the offered load in Erlangs (λ/μ).
 func (s *PoissonSource) OfferedLoad() float64 { return s.rate * s.meanHolding }
 
-// Next returns the next arrival, mirroring Generator.Generate draw for
-// draw: interarrival, pair, holding.
+// Next returns the next arrival, drawing interarrival, pair, holding.
 func (s *PoissonSource) Next() (Call, bool) {
 	if s.done {
 		return Call{}, false
@@ -111,8 +110,7 @@ type MMPPSource struct {
 }
 
 // NewMMPPSource validates the parameters and prepares the stream. The
-// modulating chain starts in its stationary distribution, exactly as
-// MMPPGenerator.Generate does.
+// modulating chain starts in its stationary distribution.
 func NewMMPPSource(cfg MMPPConfig, meanHolding float64, pairs [][2]int, horizon float64, rng *rand.Rand) (*MMPPSource, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -139,8 +137,7 @@ func NewMMPPSource(cfg MMPPConfig, meanHolding float64, pairs [][2]int, horizon 
 func (s *MMPPSource) OfferedLoad() float64 { return s.cfg.MeanRate() * s.meanHolding }
 
 // Next returns the next arrival, rolling the modulating chain forward
-// between candidate arrivals with the same memorylessness argument as
-// the batch generator (identical draw order, identical stream).
+// between candidate arrivals.
 func (s *MMPPSource) Next() (Call, bool) {
 	if s.done {
 		return Call{}, false
@@ -162,6 +159,9 @@ func (s *MMPPSource) Next() (Call, bool) {
 			next = math.Inf(1) // silent state: jump straight to the flip
 		}
 		if next >= s.stateEnd {
+			// The state flips before the candidate arrival fires. The
+			// exponential's memorylessness lets us discard the candidate
+			// and redraw at the new rate from the flip instant.
 			s.t = s.stateEnd
 			s.high = !s.high
 			s.stateEnd = s.t + s.sojourn()

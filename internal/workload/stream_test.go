@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -128,5 +129,26 @@ func TestSourceValidation(t *testing.T) {
 	}
 	if _, err := NewMMPPSource(cfg, 1, streamPairs, 10, nil); err == nil {
 		t.Error("nil rng accepted")
+	}
+}
+
+// A horizon that is not positive and finite yields no calls from
+// either generator: a draw loop run against NaN or +Inf never ends.
+func TestGenerateRefusesBadHorizon(t *testing.T) {
+	g, err := NewGenerator(12, 0.5, streamPairs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMMPPGenerator(MMPPConfig{HighRate: 40, LowRate: 2, MeanHigh: 1.5, MeanLow: 4}, 2, streamPairs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		if calls := g.Generate(h); len(calls) != 0 {
+			t.Errorf("Poisson Generate(%g): %d calls, want none", h, len(calls))
+		}
+		if calls := m.Generate(h); len(calls) != 0 {
+			t.Errorf("MMPP Generate(%g): %d calls, want none", h, len(calls))
+		}
 	}
 }

@@ -49,13 +49,8 @@ func NewGenerator(arrivalRate, meanHolding float64, pairs [][2]int, seed int64) 
 	if meanHolding <= 0 || math.IsNaN(meanHolding) || math.IsInf(meanHolding, 0) {
 		return nil, fmt.Errorf("workload: invalid mean holding %g", meanHolding)
 	}
-	if len(pairs) == 0 {
-		return nil, fmt.Errorf("workload: no pairs")
-	}
-	for _, p := range pairs {
-		if p[0] == p[1] {
-			return nil, fmt.Errorf("workload: self pair %v", p)
-		}
+	if err := validatePairs(pairs); err != nil {
+		return nil, err
 	}
 	return &Generator{
 		rng:         rand.New(rand.NewSource(seed)),
@@ -70,25 +65,21 @@ func NewGenerator(arrivalRate, meanHolding float64, pairs [][2]int, seed int64) 
 func (g *Generator) OfferedLoad() float64 { return g.ArrivalRate * g.MeanHolding }
 
 // Generate produces all calls arriving in [0, horizon), sorted by
-// arrival time.
+// arrival time: the PoissonSource stream on the generator's rng,
+// collected. A horizon that is not positive and finite yields no calls.
 func (g *Generator) Generate(horizon float64) []Call {
-	if horizon <= 0 {
+	src, err := NewPoissonSource(g.ArrivalRate, g.MeanHolding, g.Pairs, horizon, g.rng)
+	if err != nil {
 		return nil
 	}
+	return collect(src)
+}
+
+// collect drains a source into a call slice.
+func collect(src Source) []Call {
 	var calls []Call
-	t := 0.0
-	for {
-		t += g.rng.ExpFloat64() / g.ArrivalRate
-		if t >= horizon {
-			break
-		}
-		p := g.Pairs[g.rng.Intn(len(g.Pairs))]
-		calls = append(calls, Call{
-			Arrive:  t,
-			Holding: g.rng.ExpFloat64() * g.MeanHolding,
-			Src:     p[0],
-			Dst:     p[1],
-		})
+	for c, ok := src.Next(); ok; c, ok = src.Next() {
+		calls = append(calls, c)
 	}
 	return calls
 }
