@@ -333,7 +333,7 @@ func cmdSimulate(args []string) error {
 	alpha := fs.Float64("alpha", 0.3, "utilization assignment")
 	duration := fs.Float64("duration", 1.0, "simulated seconds")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	scheduler := fs.String("scheduler", "priority", "scheduler: priority | fifo | wfq")
+	scheduler := fs.String("scheduler", "priority", "scheduler: priority | fifo | wfq | drr")
 	flows := fs.Int("flows", 1, "admission attempts per routed pair (attempts beyond capacity are rejected)")
 	scale := fs.Bool("scale", false,
 		"run the flow-lifetime scale harness: arrivals and teardowns are events, every arrival passes run-time admission in virtual time")

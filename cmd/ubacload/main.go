@@ -57,7 +57,7 @@ func main() {
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "WAL directory for -durability (empty = temp dir, removed on exit)")
 	scn := scenarioConfig{}
 	flag.StringVar(&scn.policySpec, "policy", "", "scenario mode: admission policy spec (see ubacd -policy; empty = always_admit)")
-	flag.StringVar(&scn.arrivals, "arrivals", "poisson:rate=10", "scenario mode: arrival process: poisson:rate=R | mmpp:high=H,low=L,on=S,off=S")
+	flag.StringVar(&scn.arrivals, "arrivals", "poisson:rate=10", "scenario mode: arrival process: poisson:rate=R | mmpp:high=H,low=L,on=S,off=S (the hold time is -holding)")
 	flag.StringVar(&scn.mix, "mix", "", "scenario mode: weighted tenant mix, tenant=weight[,tenant=weight...] (empty = untenanted)")
 	flag.Float64Var(&scn.holding, "holding", 60, "scenario mode: mean call holding time, virtual seconds")
 	flag.Float64Var(&scn.horizon, "horizon", 600, "scenario mode: generated window, virtual seconds")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"ubac/internal/config"
 	"ubac/internal/core"
 	"ubac/internal/policy"
+	"ubac/internal/sim"
 	"ubac/internal/topology"
 	"ubac/internal/traffic"
 	"ubac/internal/wire"
@@ -31,7 +33,7 @@ type scenarioConfig struct {
 	alpha      float64
 	class      string
 	policySpec string
-	arrivals   string  // poisson:rate=R | mmpp:high=H,low=L,on=S,off=S
+	arrivals   string  // sim.ParseArrivalSpec syntax, without holding=
 	mix        string  // tenant=weight[,tenant=weight...] ("" = untenanted)
 	holding    float64 // mean call holding time, virtual seconds
 	horizon    float64 // generated window, virtual seconds
@@ -54,70 +56,6 @@ type scenarioReport struct {
 	IDC      float64 // analytic burstiness of the arrival process (1 = Poisson)
 	CV       float64 // empirical interarrival CV of the generated window
 	PeakUtil float64 // MaxUtilization high-water mark over the replay
-}
-
-// callSource abstracts the two arrival generators.
-type callSource interface {
-	Generate(horizon float64) []workload.Call
-	OfferedLoad() float64
-}
-
-// parseArrivalSpec resolves the -arrivals flag:
-//
-//	poisson:rate=R
-//	mmpp:high=H,low=L,on=S,off=S   (rates in calls/s, sojourns in seconds)
-//
-// returning the generator and the analytic IDC of the process.
-func parseArrivalSpec(spec string, holding float64, pairs [][2]int, seed int64) (callSource, float64, error) {
-	kind, rest, hasArgs := strings.Cut(spec, ":")
-	kv := map[string]float64{}
-	if hasArgs {
-		for _, arg := range strings.Split(rest, ",") {
-			key, val, ok := strings.Cut(arg, "=")
-			if !ok {
-				return nil, 0, fmt.Errorf("malformed -arrivals argument %q (want key=value)", arg)
-			}
-			v, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return nil, 0, fmt.Errorf("-arrivals %s=%q is not a number", key, val)
-			}
-			kv[key] = v
-		}
-	}
-	need := func(keys ...string) error {
-		for _, k := range keys {
-			if _, ok := kv[k]; !ok {
-				return fmt.Errorf("-arrivals %s needs %s=", kind, k)
-			}
-		}
-		if len(kv) != len(keys) {
-			return fmt.Errorf("-arrivals %s takes exactly %v", kind, keys)
-		}
-		return nil
-	}
-	switch kind {
-	case "poisson":
-		if err := need("rate"); err != nil {
-			return nil, 0, err
-		}
-		g, err := workload.NewGenerator(kv["rate"], holding, pairs, seed)
-		return g, 1, err
-	case "mmpp":
-		if err := need("high", "low", "on", "off"); err != nil {
-			return nil, 0, err
-		}
-		cfg := workload.MMPPConfig{
-			HighRate: kv["high"], LowRate: kv["low"],
-			MeanHigh: kv["on"], MeanLow: kv["off"],
-		}
-		g, err := workload.NewMMPPGenerator(cfg, holding, pairs, seed)
-		if err != nil {
-			return nil, 0, err
-		}
-		return g, cfg.IDC(), nil
-	default:
-		return nil, 0, fmt.Errorf("unknown -arrivals kind %q (poisson | mmpp)", kind)
-	}
 }
 
 // parseMixSpec resolves -mix "gold=1,silver=2,bronze=7" into a
@@ -254,7 +192,20 @@ func runScenario(cfg scenarioConfig) (*scenarioReport, error) {
 		pairs[i] = [2]int{p.src, p.dst}
 	}
 
-	src, idc, err := parseArrivalSpec(cfg.arrivals, cfg.holding, pairs, cfg.seed)
+	arr, err := sim.ParseArrivalSpec(cfg.arrivals)
+	if err != nil {
+		return nil, err
+	}
+	// The parse succeeded, so the only key this can match is holding=.
+	if strings.Contains(cfg.arrivals, "holding=") {
+		return nil, fmt.Errorf("-arrivals takes no holding= key: -holding sets the hold time")
+	}
+	arr.Holding = cfg.holding
+	idc := 1.0
+	if arr.Kind == "mmpp" {
+		idc = arr.MMPP.IDC()
+	}
+	src, err := arr.Source(pairs, cfg.horizon, rand.New(rand.NewSource(cfg.seed)))
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +213,7 @@ func runScenario(cfg scenarioConfig) (*scenarioReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	calls := src.Generate(cfg.horizon)
+	calls := workload.Collect(src)
 	if len(calls) == 0 {
 		return nil, fmt.Errorf("no calls generated over %.0fs", cfg.horizon)
 	}

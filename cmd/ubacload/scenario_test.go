@@ -130,6 +130,8 @@ func TestScenarioSpecErrors(t *testing.T) {
 		func() scenarioConfig { c := overloadScenario(""); c.arrivals = "poisson:rate=zero"; return c }(),
 		func() scenarioConfig { c := overloadScenario(""); c.arrivals = "mmpp:high=1"; return c }(),
 		func() scenarioConfig { c := overloadScenario(""); c.arrivals = "poisson:rate=1,extra=2"; return c }(),
+		func() scenarioConfig { c := overloadScenario(""); c.arrivals = "poisson:rate=5,rate=500"; return c }(),
+		func() scenarioConfig { c := overloadScenario(""); c.arrivals = "poisson:rate=5,holding=3"; return c }(),
 		func() scenarioConfig { c := overloadScenario(""); c.mix = "gold"; return c }(),
 		func() scenarioConfig { c := overloadScenario(""); c.mix = "gold=-1"; return c }(),
 		func() scenarioConfig { c := overloadScenario("nope:spec"); return c }(),

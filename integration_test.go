@@ -226,7 +226,7 @@ func TestWorkloadAgainstDeployment(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := g.Generate(2000)
-	st := workload.Replay(workload.Schedule(calls), calls, ctrlAdapter{ctrl})
+	st, _ := workload.ReplayTiered(workload.Schedule(calls), calls, ctrlAdapter{ctrl})
 	want, err := workload.ErlangB(offered, circuits)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestWorkloadAgainstDeployment(t *testing.T) {
 
 type ctrlAdapter struct{ ctrl *admission.Controller }
 
-func (a ctrlAdapter) TryAdmit(src, dst int) (uint64, bool) {
+func (a ctrlAdapter) TryAdmitTier(_, _ string, src, dst int) (uint64, bool) {
 	id, err := a.ctrl.Admit("voice", src, dst)
 	return uint64(id), err == nil
 }

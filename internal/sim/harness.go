@@ -27,6 +27,9 @@ func RunScaleSpec(spec *ScaleSpec, classes []traffic.Class, alpha float64, sel r
 	if !(alpha > 0 && alpha < 1) {
 		return nil, fmt.Errorf("sim: alpha %g out of (0,1)", alpha)
 	}
+	if _, err := schedulerKind(cfg.Scheduler); err != nil {
+		return nil, err
+	}
 	if len(classes) == 0 {
 		classes = []traffic.Class{traffic.Voice()}
 	}

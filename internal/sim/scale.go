@@ -17,8 +17,6 @@ import (
 type ScaleConfig struct {
 	// Scheduler kind: "priority" (default), "fifo", "wfq", or "drr".
 	Scheduler string
-	// Weights are the WFQ/DRR class weights (nil = equal).
-	Weights []float64
 	// Seed drives every random draw the simulator itself makes (class
 	// mix). The workload source carries its own rng; give it one seeded
 	// from the same run seed for a fully reproducible run.
@@ -100,7 +98,6 @@ type scaleSlot struct {
 	servers  []int // route link servers (shared with the route set)
 	id       admission.FlowID
 	departAt float64
-	period   float64 // CBR inter-packet gap, Size/Rate
 	class    int32
 	emitted  int32
 	inflight int32
@@ -110,10 +107,10 @@ type scaleSlot struct {
 // scaleClass is the per-class emission profile derived from the
 // admission configuration.
 type scaleClass struct {
-	name  string
-	size  float64 // packet size in bits (= bucket depth: one burst/packet)
-	burst int32   // packets emitted back-to-back at admit
-	prio  int
+	name   string
+	size   float64 // packet size in bits (= bucket depth: one-packet burst)
+	period float64 // CBR inter-packet gap, size over the bucket rate
+	prio   int
 }
 
 // ScaleSim is the flow-lifetime discrete-event simulator: arrivals and
@@ -135,8 +132,6 @@ type ScaleSim struct {
 	routeOf [][]int32
 	// paths[ci][ri] is route ri's link-server path for class ci.
 	paths [][][]int
-	// rates[ci] is the class's declared long-run rate in bits/second.
-	rates []float64
 	src   workload.Source
 	cfg   ScaleConfig
 	ran   bool
@@ -155,9 +150,11 @@ func NewScale(ctrl *admission.Controller, classes []admission.ClassConfig, src w
 	if src == nil {
 		return nil, fmt.Errorf("sim: nil workload source")
 	}
-	if cfg.Scheduler == "" {
-		cfg.Scheduler = "priority"
+	kind, err := schedulerKind(cfg.Scheduler)
+	if err != nil {
+		return nil, err
 	}
+	cfg.Scheduler = kind
 	if cfg.PacketsPerFlow == 0 {
 		cfg.PacketsPerFlow = 4
 	}
@@ -181,12 +178,11 @@ func NewScale(ctrl *admission.Controller, classes []admission.ClassConfig, src w
 			return nil, fmt.Errorf("sim: class %q needs a positive bucket", cc.Class.Name)
 		}
 		s.classes = append(s.classes, scaleClass{
-			name:  cc.Class.Name,
-			size:  size,
-			burst: 1, // bucket depth == packet size: one-packet burst
-			prio:  cc.Class.Priority,
+			name:   cc.Class.Name,
+			size:   size,
+			period: size / cc.Class.Bucket.Rate,
+			prio:   cc.Class.Priority,
 		})
-		s.rates = append(s.rates, cc.Class.Bucket.Rate)
 		table := make([]int32, nrt*nrt)
 		for j := range table {
 			table[j] = -1
@@ -225,21 +221,15 @@ func (s *ScaleSim) Run() (*ScaleReport, error) {
 			prioClasses = c.prio + 1
 		}
 	}
-	nsrv := s.net.NumServers()
-	servers := make([]serverRun, nsrv)
-	for i := range servers {
-		q, err := sched.NewScheduler(s.cfg.Scheduler, prioClasses, s.cfg.Weights)
-		if err != nil {
-			return nil, err
-		}
-		servers[i] = serverRun{q: q, cap: s.net.ServerCapacity(i)}
+	eng, err := newEngine(s.net, s.cfg.Scheduler, prioClasses, nil, 1024)
+	if err != nil {
+		return nil, err
 	}
 
-	// Virtual clock: the controller reads simulation time. Every event
-	// handler updates vnow before touching the controller, so audit
-	// timestamps and latencies are pure functions of the event sequence.
-	vnow := 0.0
-	s.ctrl.SetClock(func() time.Time { return time.Unix(0, int64(math.Round(vnow*1e9))) })
+	// Virtual clock: the controller reads simulation time, the time of
+	// the event being handled, so audit timestamps and latencies are
+	// pure functions of the event sequence.
+	s.ctrl.SetClock(func() time.Time { return time.Unix(0, int64(math.Round(eng.now*1e9))) })
 	defer s.ctrl.SetClock(nil)
 
 	rep := &ScaleReport{Seed: s.cfg.Seed}
@@ -290,7 +280,6 @@ func (s *ScaleSim) Run() (*ScaleReport, error) {
 		pool = append(pool, p)
 	}
 
-	q := newEventQueue(1024)
 	classWeightTotal := 0.0
 	for _, w := range s.cfg.ClassWeights {
 		classWeightTotal += w
@@ -315,58 +304,17 @@ func (s *ScaleSim) Run() (*ScaleReport, error) {
 	var pktSeq uint64
 	active := 0
 
-	var startNext func(srv int, now float64)
-	arrivePkt := func(p *sched.Packet, srv int, now float64) {
-		servers[srv].q.Enqueue(p, now)
-		backlog := servers[srv].q.Len()
-		if servers[srv].busy {
-			backlog++
-		}
-		if backlog > rep.MaxBacklog {
-			rep.MaxBacklog = backlog
-		}
-		if !servers[srv].busy {
-			startNext(srv, now)
-		}
-	}
-	startNext = func(srv int, now float64) {
-		p, ok := servers[srv].q.Dequeue(now)
-		if !ok {
-			servers[srv].busy = false
-			servers[srv].current = nil
-			return
-		}
-		wait := now - p.Enqueued
-		if wait > rep.MaxHopDelay {
-			rep.MaxHopDelay = wait
-		}
-		p.Wait += wait
-		servers[srv].busy = true
-		servers[srv].current = p
-		q.push(event{at: now + p.Size/servers[srv].cap, kind: evDone, a: int32(srv)})
-	}
-
 	slotDone := func(idx int32) {
 		sl := &slots[idx]
 		if sl.closed && sl.inflight == 0 {
 			release(idx)
 		}
 	}
-	deliver := func(p *sched.Packet, now float64) {
-		sl := &slots[p.Flow]
-		ci := sl.class
-		cs := &stats[ci]
-		cs.Delivered++
-		w := p.Wait
-		if w > cs.MaxQueueing {
-			cs.MaxQueueing = w
-		}
-		cs.SumQueueing += w
-		cs.hist[histBin(w)]++
-		if lat := now - p.Born; lat > cs.MaxLatency {
-			cs.MaxLatency = lat
-		}
+	eng.route = func(flow int) []int { return slots[flow].servers }
+	eng.deliver = func(p *sched.Packet, now float64) {
 		idx := int32(p.Flow)
+		sl := &slots[idx]
+		stats[sl.class].record(p, now)
 		sl.inflight--
 		freePacket(p)
 		slotDone(idx)
@@ -385,17 +333,15 @@ func (s *ScaleSim) Run() (*ScaleReport, error) {
 		p.Born = now
 		sl.inflight++
 		sl.emitted++
-		arrivePkt(p, sl.servers[0], now)
+		eng.arrive(p, sl.servers[0], now)
 		if int(sl.emitted) < s.cfg.PacketsPerFlow {
-			next := now
-			if sl.emitted >= cl.burst {
-				next = now + sl.period
-			}
-			// Strictly before the departure: the teardown event carries a
-			// lower sequence number than any emit scheduled at or after
-			// it, so an emit past departAt could reference a freed slot.
-			if next < sl.departAt {
-				q.push(event{at: next, kind: evEmit, a: idx})
+			// The one-packet burst went out at admit; the rest follow at
+			// the CBR cadence, strictly before the departure: the
+			// teardown event carries a lower sequence number than any
+			// emit scheduled at or after it, so an emit past departAt
+			// could reference a freed slot.
+			if next := now + cl.period; next < sl.departAt {
+				eng.q.push(event{at: next, kind: evEmit, a: idx})
 			}
 		}
 	}
@@ -414,7 +360,7 @@ func (s *ScaleSim) Run() (*ScaleReport, error) {
 		}
 		pending = c
 		havePending = true
-		q.push(event{at: c.Arrive, kind: evArrive})
+		eng.q.push(event{at: c.Arrive, kind: evArrive})
 	}
 	pull()
 
@@ -446,34 +392,27 @@ func (s *ScaleSim) Run() (*ScaleReport, error) {
 			servers:  s.paths[ci][ri],
 			id:       id,
 			departAt: now + c.Holding,
-			period:   cl.size / s.classBucketRate(ci),
 			class:    int32(ci),
 		}
-		q.push(event{at: slots[idx].departAt, kind: evDepart, a: idx})
+		eng.q.push(event{at: slots[idx].departAt, kind: evDepart, a: idx})
 		if s.cfg.PacketsPerFlow > 0 && now < slots[idx].departAt {
-			q.push(event{at: now, kind: evEmit, a: idx})
+			eng.q.push(event{at: now, kind: evEmit, a: idx})
 		}
 	}
 
-	for q.len() > 0 {
-		e := q.pop()
-		vnow = e.at
-		if e.at > rep.Duration {
-			rep.Duration = e.at
-		}
+	err = eng.run(func(e event) error {
 		switch e.kind {
 		case evArrive:
 			if !havePending {
-				return nil, fmt.Errorf("sim: arrival event with no pending call")
+				return fmt.Errorf("sim: arrival event with no pending call")
 			}
-			c := pending
 			rep.Lifetimes++
-			admitCall(c, e.at)
+			admitCall(pending, e.at)
 			pull()
 		case evDepart:
 			sl := &slots[e.a]
 			if err := s.ctrl.Teardown(sl.id); err != nil {
-				return nil, fmt.Errorf("sim: teardown of flow %d: %w", sl.id, err)
+				return fmt.Errorf("sim: teardown of flow %d: %w", sl.id, err)
 			}
 			rep.Teardowns++
 			active--
@@ -481,29 +420,19 @@ func (s *ScaleSim) Run() (*ScaleReport, error) {
 			slotDone(e.a)
 		case evEmit:
 			emit(e.a, e.at)
-		case evDone:
-			srv := int(e.a)
-			p := servers[srv].current
-			if p == nil {
-				return nil, fmt.Errorf("sim: completion on idle server %d", srv)
-			}
-			p.Hop++
-			now := e.at
-			route := slots[p.Flow].servers
-			if p.Hop < len(route) {
-				servers[srv].busy = false
-				servers[srv].current = nil
-				startNext(srv, now)
-				arrivePkt(p, route[p.Hop], now)
-			} else {
-				deliver(p, now)
-				servers[srv].busy = false
-				servers[srv].current = nil
-				startNext(srv, now)
-			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
+	// Events pop in time order, so the last one ends the run.
+	rep.Duration = eng.now
+	for srv := range eng.servers {
+		rep.MaxBacklog = max(rep.MaxBacklog, eng.maxBacklog[srv])
+		rep.MaxHopDelay = max(rep.MaxHopDelay, eng.maxHopDelay[srv])
+	}
 	for i := range stats {
 		pc := &rep.PerClass[i]
 		pc.Packets = stats[i].Generated
@@ -515,7 +444,3 @@ func (s *ScaleSim) Run() (*ScaleReport, error) {
 	}
 	return rep, nil
 }
-
-// classBucketRate returns the class's declared long-run rate. Kept as a
-// method so the emission cadence has one source of truth.
-func (s *ScaleSim) classBucketRate(ci int) float64 { return s.rates[ci] }

@@ -7,7 +7,12 @@ import (
 	"path/filepath"
 	"testing"
 
+	"ubac/internal/admission"
+	"ubac/internal/delay"
+	"ubac/internal/routing"
+	"ubac/internal/topology"
 	"ubac/internal/traffic"
+	"ubac/internal/workload"
 )
 
 // mustScaleSpec parses a spec or fails the test.
@@ -225,4 +230,120 @@ func TestScaleSoak(t *testing.T) {
 	}
 	t.Logf("lifetimes=%d admitted=%d rejected=%d peakSlots=%d peakPackets=%d maxQ=%g",
 		rep.Lifetimes, rep.Admitted, rep.Rejected, rep.PeakSlots, rep.PeakPackets, rep.ObservedMax())
+}
+
+// callList is a workload.Source over a fixed call sequence.
+type callList []workload.Call
+
+func (l *callList) Next() (workload.Call, bool) {
+	if len(*l) == 0 {
+		return workload.Call{}, false
+	}
+	c := (*l)[0]
+	*l = (*l)[1:]
+	return c, true
+}
+
+func (l *callList) OfferedLoad() float64 { return 0 }
+
+// voiceController builds a controller for the voice class over
+// shortest-path routes on net, returning it with its class configs.
+func voiceController(t *testing.T, net *topology.Network) (*admission.Controller, []admission.ClassConfig) {
+	t.Helper()
+	set, _, err := routing.SP{}.Select(delay.NewModel(net), routing.Request{Class: traffic.Voice(), Alpha: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccs := []admission.ClassConfig{{Class: traffic.Voice(), Alpha: 0.3, Routes: set}}
+	ctrl, err := admission.NewController(net, ccs, admission.AtomicLedger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctrl, ccs
+}
+
+func TestNewScaleValidation(t *testing.T) {
+	ctrl, ccs := voiceController(t, lineNet(t, 3))
+	if _, err := NewScale(ctrl, ccs, &callList{}, ScaleConfig{Scheduler: "alien"}); err == nil {
+		t.Error("unknown scheduler accepted")
+	}
+	spec := mustScaleSpec(t, "line:3", "poisson:rate=10", 1, 10)
+	if _, err := RunScaleSpec(spec, nil, 0.3, nil, ScaleConfig{Scheduler: "alien"}); err == nil {
+		t.Error("unknown scheduler accepted by RunScaleSpec")
+	}
+}
+
+// TestSimulatorsForwardIdentically feeds both simulators the same two
+// flows, whose routes share one server, with the same emission times:
+// greedy one-packet bursts at CBR pace in Sim, admitted lifetimes
+// capped at the same packet count in ScaleSim. Forwarding is one
+// engine, so every delay statistic must agree to the bit.
+func TestSimulatorsForwardIdentically(t *testing.T) {
+	const pkts = 5
+	net := lineNet(t, 3)
+	ctrl, ccs := voiceController(t, net)
+	voice := traffic.Voice()
+	period := voice.Bucket.Burst / voice.Bucket.Rate
+	// The second flow starts half a transmission later, so its packet
+	// holds the shared last hop when the first flow's packet reaches it.
+	a0 := 0.001
+	b0 := a0 + 0.5*voice.Bucket.Burst/net.ServerCapacity(0)
+	pairs := [][2]int{{0, 2}, {1, 2}}
+	starts := []float64{a0, b0}
+
+	s, err := New(net, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := callList{}
+	for i, p := range pairs {
+		var route []int
+		for r := 0; r < ccs[0].Routes.Len(); r++ {
+			if rt := ccs[0].Routes.Route(r); rt.Src == p[0] && rt.Dst == p[1] {
+				route = rt.Servers
+			}
+		}
+		if _, err := s.AddFlow(FlowSpec{
+			Route: route, Size: voice.Bucket.Burst, Rate: voice.Bucket.Rate,
+			Burst: voice.Bucket.Burst, Pattern: GreedyBurst, Offset: starts[i],
+		}); err != nil {
+			t.Fatal(err)
+		}
+		calls = append(calls, workload.Call{Arrive: starts[i], Holding: 10, Src: p[0], Dst: p[1]})
+	}
+	// Emits run while <= duration: this admits exactly pkts per flow.
+	res, err := s.Run(b0 + (pkts-0.5)*period)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale, err := NewScale(ctrl, ccs, &calls, ScaleConfig{PacketsPerFlow: pkts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := scale.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got, want := rep.PerClass[0], res.PerClass[0]
+	if want.Delivered != 2*pkts || got.Delivered != want.Delivered {
+		t.Fatalf("delivered %d (scale) vs %d (sim), want %d", got.Delivered, want.Delivered, 2*pkts)
+	}
+	if want.MaxQueueing == 0 {
+		t.Fatal("no queueing at the shared server: the test shape is wrong")
+	}
+	if got.MaxQueueing != want.MaxQueueing || got.MeanQueueing != want.MeanQueueing() || got.MaxLatency != want.MaxLatency {
+		t.Errorf("scale max/mean queueing, max latency = %g/%g/%g; sim = %g/%g/%g",
+			got.MaxQueueing, got.MeanQueueing, got.MaxLatency,
+			want.MaxQueueing, want.MeanQueueing(), want.MaxLatency)
+	}
+	var backlog int
+	var hop float64
+	for srv := range res.MaxBacklog {
+		backlog = max(backlog, res.MaxBacklog[srv])
+		hop = max(hop, res.MaxHopDelay[srv])
+	}
+	if rep.MaxBacklog != backlog || rep.MaxHopDelay != hop {
+		t.Errorf("scale backlog/hop delay = %d/%g; sim = %d/%g", rep.MaxBacklog, rep.MaxHopDelay, backlog, hop)
+	}
 }

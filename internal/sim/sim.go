@@ -130,6 +130,20 @@ type ClassStats struct {
 	hist [histBins]uint64
 }
 
+// record counts one delivered packet of the class, finishing at now.
+func (c *ClassStats) record(p *sched.Packet, now float64) {
+	c.Delivered++
+	w := p.Wait
+	if w > c.MaxQueueing {
+		c.MaxQueueing = w
+	}
+	c.SumQueueing += w
+	c.hist[histBin(w)]++
+	if lat := now - p.Born; lat > c.MaxLatency {
+		c.MaxLatency = lat
+	}
+}
+
 // histBins spans 1 µs · 2^63 — far beyond any simulated delay.
 const histBins = 40
 
@@ -210,14 +224,11 @@ func New(net *topology.Network, cfg Config) (*Sim, error) {
 	if net == nil {
 		return nil, fmt.Errorf("sim: nil network")
 	}
-	if cfg.Scheduler == "" {
-		cfg.Scheduler = "priority"
+	kind, err := schedulerKind(cfg.Scheduler)
+	if err != nil {
+		return nil, err
 	}
-	switch cfg.Scheduler {
-	case "priority", "fifo", "wfq", "drr":
-	default:
-		return nil, fmt.Errorf("sim: unknown scheduler %q", cfg.Scheduler)
-	}
+	cfg.Scheduler = kind
 	return &Sim{net: net, cfg: cfg, sink: telemetry.Nop{}}, nil
 }
 
@@ -245,17 +256,9 @@ type flowRun struct {
 	nextEmit  float64
 	burstLeft int // packets still to emit back-to-back (GreedyBurst)
 	onUntil   float64
-	offUntil  float64
 	// Edge policer state (Police only).
 	tokens   float64
 	lastFill float64
-}
-
-type serverRun struct {
-	q       sched.Scheduler
-	busy    bool
-	current *sched.Packet
-	cap     float64
 }
 
 // Run executes the simulation for the given number of simulated seconds
@@ -280,27 +283,31 @@ func (s *Sim) Run(duration float64) (*Results, error) {
 		}
 	}
 
-	nsrv := s.net.NumServers()
-	servers := make([]serverRun, nsrv)
-	for i := range servers {
-		q, err := sched.NewScheduler(s.cfg.Scheduler, classes, s.cfg.Weights)
-		if err != nil {
-			return nil, err
-		}
-		servers[i] = serverRun{q: q, cap: s.net.ServerCapacity(i)}
+	eng, err := newEngine(s.net, s.cfg.Scheduler, classes, s.cfg.Weights, 2*len(s.flows))
+	if err != nil {
+		return nil, err
 	}
-
 	res := &Results{
 		Duration:           duration,
 		PerClass:           make([]ClassStats, classes),
-		MaxBacklog:         make([]int, nsrv),
-		MaxHopDelay:        make([]float64, nsrv),
+		MaxBacklog:         eng.maxBacklog,
+		MaxHopDelay:        eng.maxHopDelay,
 		PerFlowMaxQueueing: make([]float64, len(s.flows)),
+	}
+	eng.route = func(flow int) []int { return s.flows[flow].Route }
+	eng.deliver = func(p *sched.Packet, now float64) {
+		cs := &res.PerClass[p.Class]
+		cs.record(p, now)
+		res.Delivered++
+		if d := s.flows[p.Flow].Deadline; d > 0 && p.Wait > d {
+			cs.Late++
+		}
+		if p.Wait > res.PerFlowMaxQueueing[p.Flow] {
+			res.PerFlowMaxQueueing[p.Flow] = p.Wait
+		}
 	}
 
 	var pktSeq uint64
-	q := newEventQueue(2 * len(s.flows))
-	push := func(e event) { q.push(e) }
 
 	runs := make([]flowRun, len(s.flows))
 	for i, f := range s.flows {
@@ -321,61 +328,7 @@ func (s *Sim) Run(duration float64) (*Results, error) {
 			runs[i].nextEmit = f.Offset + rng.Float64()*(on+off)
 			runs[i].onUntil = runs[i].nextEmit + on
 		}
-		push(event{at: runs[i].nextEmit, kind: evEmit, a: int32(i)})
-	}
-
-	var startNext func(srv int, now float64)
-	arrive := func(p *sched.Packet, srv int, now float64) {
-		servers[srv].q.Enqueue(p, now)
-		backlog := servers[srv].q.Len()
-		if servers[srv].busy {
-			backlog++
-		}
-		if backlog > res.MaxBacklog[srv] {
-			res.MaxBacklog[srv] = backlog
-		}
-		if !servers[srv].busy {
-			startNext(srv, now)
-		}
-	}
-
-	deliver := func(p *sched.Packet, now float64) {
-		f := s.flows[p.Flow]
-		cs := &res.PerClass[p.Class]
-		cs.Delivered++
-		res.Delivered++
-		w := p.Wait
-		if w > cs.MaxQueueing {
-			cs.MaxQueueing = w
-		}
-		cs.SumQueueing += w
-		cs.hist[histBin(w)]++
-		if lat := now - p.Born; lat > cs.MaxLatency {
-			cs.MaxLatency = lat
-		}
-		if f.Deadline > 0 && w > f.Deadline {
-			cs.Late++
-		}
-		if w > res.PerFlowMaxQueueing[p.Flow] {
-			res.PerFlowMaxQueueing[p.Flow] = w
-		}
-	}
-
-	startNext = func(srv int, now float64) {
-		p, ok := servers[srv].q.Dequeue(now)
-		if !ok {
-			servers[srv].busy = false
-			servers[srv].current = nil
-			return
-		}
-		wait := now - p.Enqueued
-		if wait > res.MaxHopDelay[srv] {
-			res.MaxHopDelay[srv] = wait
-		}
-		p.Wait += wait
-		servers[srv].busy = true
-		servers[srv].current = p
-		push(event{at: now + p.Size/servers[srv].cap, kind: evDone, a: int32(srv)})
+		eng.q.push(event{at: runs[i].nextEmit, kind: evEmit, a: int32(i)})
 	}
 
 	emit := func(fi int, now float64) {
@@ -403,7 +356,7 @@ func (s *Sim) Run(duration float64) (*Results, error) {
 				Size:  f.Size,
 				Born:  now,
 			}
-			arrive(p, f.Route[0], now)
+			eng.arrive(p, f.Route[0], now)
 		}
 
 		period := f.Size / f.Rate
@@ -430,7 +383,7 @@ func (s *Sim) Run(duration float64) (*Results, error) {
 			run.nextEmit = now + period
 		}
 		if run.nextEmit <= duration {
-			push(event{at: run.nextEmit, kind: evEmit, a: int32(fi)})
+			eng.q.push(event{at: run.nextEmit, kind: evEmit, a: int32(fi)})
 		}
 	}
 
@@ -452,34 +405,15 @@ func (s *Sim) Run(duration float64) (*Results, error) {
 			s.sink.SimRun(run)
 		}()
 	}
-	for q.len() > 0 {
-		e := q.pop()
-		if e.at > duration && e.kind == evEmit {
-			continue
-		}
-		switch e.kind {
-		case evEmit:
+	// Emits are the only events Sim schedules besides completions.
+	err = eng.run(func(e event) error {
+		if e.at <= duration {
 			emit(int(e.a), e.at)
-		case evDone:
-			srv := int(e.a)
-			p := servers[srv].current
-			if p == nil {
-				return nil, fmt.Errorf("sim: completion on idle server %d", srv)
-			}
-			p.Hop++
-			now := e.at
-			if p.Hop < len(s.flows[p.Flow].Route) {
-				servers[srv].busy = false
-				servers[srv].current = nil
-				startNext(srv, now)
-				arrive(p, s.flows[p.Flow].Route[p.Hop], now)
-			} else {
-				deliver(p, now)
-				servers[srv].busy = false
-				servers[srv].current = nil
-				startNext(srv, now)
-			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

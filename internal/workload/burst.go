@@ -119,7 +119,7 @@ func (g *MMPPGenerator) Generate(horizon float64) []Call {
 	if err != nil {
 		return nil
 	}
-	return collect(src)
+	return Collect(src)
 }
 
 // InterarrivalCV returns the empirical coefficient of variation
@@ -224,8 +224,7 @@ type Clocked interface {
 // ReplayTiered pushes the event schedule through a tier-aware admitter
 // and returns overall blocking statistics plus a per-tier breakdown
 // keyed by TierKey. Departure events for blocked calls are skipped,
-// and calls still holding at the horizon are drained, exactly as in
-// Replay.
+// and calls still holding at the horizon are drained.
 func ReplayTiered(events []Event, calls []Call, adm TierAdmitter) (BlockingStats, map[string]*BlockingStats) {
 	var st BlockingStats
 	tiers := make(map[string]*BlockingStats)

@@ -72,11 +72,11 @@ func (g *Generator) Generate(horizon float64) []Call {
 	if err != nil {
 		return nil
 	}
-	return collect(src)
+	return Collect(src)
 }
 
-// collect drains a source into a call slice.
-func collect(src Source) []Call {
+// Collect drains a source into a call slice.
+func Collect(src Source) []Call {
 	var calls []Call
 	for c, ok := src.Next(); ok; c, ok = src.Next() {
 		calls = append(calls, c)
@@ -161,42 +161,4 @@ func (s BlockingStats) Blocking() float64 {
 		return 0
 	}
 	return float64(s.Blocked) / float64(s.Offered)
-}
-
-// Admitter is the minimal admission interface the replay needs;
-// admission.Controller satisfies it via a tiny adapter in the caller.
-type Admitter interface {
-	// TryAdmit attempts to admit a call and returns an opaque handle.
-	TryAdmit(src, dst int) (handle uint64, ok bool)
-	// Release tears the call down.
-	Release(handle uint64)
-}
-
-// Replay pushes the event schedule through an admitter and returns the
-// measured blocking statistics. Departure events for calls that were
-// blocked (or never started) are skipped.
-func Replay(events []Event, calls []Call, adm Admitter) BlockingStats {
-	var st BlockingStats
-	handles := make(map[int]uint64, len(calls))
-	for _, ev := range events {
-		if ev.Start {
-			st.Offered++
-			if h, ok := adm.TryAdmit(calls[ev.Call].Src, calls[ev.Call].Dst); ok {
-				st.Admitted++
-				handles[ev.Call] = h
-			} else {
-				st.Blocked++
-			}
-			continue
-		}
-		if h, ok := handles[ev.Call]; ok {
-			adm.Release(h)
-			delete(handles, ev.Call)
-		}
-	}
-	// Drain calls still holding at the horizon.
-	for _, h := range handles {
-		adm.Release(h)
-	}
-	return st
 }

@@ -208,13 +208,14 @@ func TestErlangBMonotoneProperty(t *testing.T) {
 	}
 }
 
-// ctrlAdmitter adapts admission.Controller to the Admitter interface.
+// ctrlAdmitter adapts admission.Controller to TierAdmitter, admitting
+// every call as one class.
 type ctrlAdmitter struct {
 	ctrl  *admission.Controller
 	class string
 }
 
-func (a ctrlAdmitter) TryAdmit(src, dst int) (uint64, bool) {
+func (a ctrlAdmitter) TryAdmitTier(_, _ string, src, dst int) (uint64, bool) {
 	id, err := a.ctrl.Admit(a.class, src, dst)
 	return uint64(id), err == nil
 }
@@ -259,7 +260,7 @@ func TestReplayMatchesErlangB(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := g.Generate(4000)
-	st := Replay(Schedule(calls), calls, ctrlAdmitter{ctrl: ctrl, class: "voice"})
+	st, _ := ReplayTiered(Schedule(calls), calls, ctrlAdmitter{ctrl: ctrl, class: "voice"})
 	if st.Offered != len(calls) || st.Admitted+st.Blocked != st.Offered {
 		t.Fatalf("accounting broken: %+v", st)
 	}
