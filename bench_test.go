@@ -24,6 +24,7 @@ package ubac_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"ubac/internal/admission"
@@ -528,29 +529,34 @@ func BenchmarkConfigScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkAggregationPenalty regenerates X-3: at the configured
-// operating point (alpha=0.40, routes from the heuristic, every path
-// filled to its admission-control capacity), compare the
-// configuration-time delay bound against the flow-aware analysis the
-// paper's approach replaces. The gap is the utilization price of
-// flow-state-free admission.
-func BenchmarkAggregationPenalty(b *testing.B) {
+// aggregationPenalty builds X-3's operating point: MCI at alpha=0.40,
+// routes from the heuristic, every pair filled round-robin until the
+// admission controller rejects everywhere. It returns the population as
+// one entry per route with its admitted count, the number of admitted
+// flows, and the configuration-time worst end-to-end bound.
+func aggregationPenalty(tb testing.TB) (*delay.Model, []delay.Entry, int, float64) {
 	net := topology.MCI()
 	m := delay.NewModel(net)
 	voice := traffic.Voice()
 	const alpha = 0.40
 	set, rep, err := (routing.Heuristic{}).Select(m, routing.Request{Class: voice, Alpha: alpha})
 	if err != nil || !rep.Safe {
-		b.Fatalf("select: %v", err)
+		tb.Fatalf("select: %v", err)
 	}
 	ctrl, err := admission.NewController(net,
 		[]admission.ClassConfig{{Class: voice, Alpha: alpha, Routes: set}},
 		admission.AtomicLedger)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	// Fill every pair round-robin until the controller rejects everywhere.
-	var flows []delay.Flow
+	// Fill every pair round-robin until the controller rejects
+	// everywhere, counting the admitted flows per route.
+	routeOf := make(map[[2]int]int, set.Len())
+	for r := 0; r < set.Len(); r++ {
+		routeOf[[2]int{set.Route(r).Src, set.Route(r).Dst}] = r
+	}
+	counts := make([]int, set.Len())
+	flows := 0
 	pairs := net.Pairs()
 	active := make([]bool, len(pairs))
 	for i := range active {
@@ -567,34 +573,72 @@ func BenchmarkAggregationPenalty(b *testing.B) {
 				remaining--
 				continue
 			}
-			for r := 0; r < set.Len(); r++ {
-				rt := set.Route(r)
-				if rt.Src == p[0] && rt.Dst == p[1] {
-					flows = append(flows, delay.Flow{Bucket: voice.Bucket, Route: rt})
-					break
-				}
-			}
+			counts[routeOf[p]]++
+			flows++
+		}
+	}
+	var entries []delay.Entry
+	for r, n := range counts {
+		if n > 0 {
+			entries = append(entries, delay.Entry{Bucket: voice.Bucket, Route: set.Route(r), Count: n})
 		}
 	}
 	cfgRes, err := m.SolveTwoClass(delay.ClassInput{Class: voice, Alpha: alpha, Routes: set})
 	if err != nil || !cfgRes.Converged {
-		b.Fatalf("config solve: %v", err)
+		tb.Fatalf("config solve: %v", err)
 	}
 	worstCfg, _ := set.MaxRouteDelay(cfgRes.D)
+	return m, entries, flows, worstCfg
+}
 
-	var fa *delay.FlowAwareResult
+// BenchmarkAggregationPenalty regenerates X-3: at the configured
+// operating point (aggregationPenalty), compare the configuration-time
+// delay bound against the flow-aware analysis the paper's approach
+// replaces. The gap is the utilization price of flow-state-free
+// admission. ns/op times the flow-aware solve alone.
+func BenchmarkAggregationPenalty(b *testing.B) {
+	m, entries, flows, worstCfg := aggregationPenalty(b)
+	var (
+		fa  *delay.FlowAwareResult
+		err error
+	)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fa, err = m.SolveFlowAware(flows)
+		fa, err = m.SolveFlowAware(entries)
 		if err != nil || !fa.Converged {
 			b.Fatalf("flow-aware solve: %v", err)
 		}
 	}
-	if fa.MaxFlowDelay() > worstCfg+1e-9 {
-		b.Fatalf("flow-aware %g exceeds configuration bound %g", fa.MaxFlowDelay(), worstCfg)
+	if fa.MaxEntryDelay() > worstCfg+1e-9 {
+		b.Fatalf("flow-aware %g exceeds configuration bound %g", fa.MaxEntryDelay(), worstCfg)
 	}
-	b.ReportMetric(float64(len(flows)), "flows")
+	b.ReportMetric(float64(flows), "flows")
+	b.ReportMetric(float64(len(entries)), "entries")
 	b.ReportMetric(worstCfg*1e3, "config_ms")
-	b.ReportMetric(fa.MaxFlowDelay()*1e3, "flowaware_ms")
-	b.Logf("X-3: %d admitted flows; config bound %.2f ms vs flow-aware %.2f ms (%.2fx aggregation penalty)",
-		len(flows), worstCfg*1e3, fa.MaxFlowDelay()*1e3, worstCfg/fa.MaxFlowDelay())
+	b.ReportMetric(fa.MaxEntryDelay()*1e3, "flowaware_ms")
+	b.Logf("X-3: %d admitted flows on %d routes; config bound %.2f ms vs flow-aware %.2f ms (%.2fx aggregation penalty)",
+		flows, len(entries), worstCfg*1e3, fa.MaxEntryDelay()*1e3, worstCfg/fa.MaxEntryDelay())
+}
+
+// TestGoldenAggregationPenalty pins X-3 at its printed precision: 49,410
+// admitted flows on 342 routes, a 69.25 ms configuration-time bound, a
+// 28.50 ms flow-aware bound, a 2.43x aggregation penalty. The numbers
+// rest on the heuristic's route selection, pinned on amd64 only.
+func TestGoldenAggregationPenalty(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("route selection pinned on amd64; FMA fusing may move float ties elsewhere")
+	}
+	if raceEnabled {
+		t.Skip("one sequential selection and fill; the race detector would only slow it")
+	}
+	m, entries, flows, worstCfg := aggregationPenalty(t)
+	fa, err := m.SolveFlowAware(entries)
+	if err != nil || !fa.Converged {
+		t.Fatalf("flow-aware solve: %v", err)
+	}
+	got := fmt.Sprintf("%d flows, %d routes, %.2f ms vs %.2f ms, %.2fx",
+		flows, len(entries), worstCfg*1e3, fa.MaxEntryDelay()*1e3, worstCfg/fa.MaxEntryDelay())
+	if want := "49410 flows, 342 routes, 69.25 ms vs 28.50 ms, 2.43x"; got != want {
+		t.Errorf("X-3: %s, pinned %s", got, want)
+	}
 }

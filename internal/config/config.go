@@ -32,16 +32,42 @@ type Config struct {
 	// Selector chooses routes in procedures 2 and 3 (default
 	// routing.Heuristic{}).
 	Selector routing.Selector
-	// Granularity is the α resolution of the binary search (default
-	// 0.0025, i.e. ~¼ percentage point).
+	// Granularity is the α resolution of the binary searches (default
+	// defaultGranularity; zero or negative means the default).
 	Granularity float64
 }
+
+// defaultGranularity is ~¼ percentage point of α.
+const defaultGranularity = 0.0025
 
 // New returns a Config with the default selector (the heuristic
 // portfolio, which is never worse than shortest-path routing) and
 // granularity.
 func New(m *delay.Model) *Config {
-	return &Config{model: m, Selector: routing.Portfolio{}, Granularity: 0.0025}
+	return &Config{model: m, Selector: routing.Portfolio{}, Granularity: defaultGranularity}
+}
+
+// bisect halves [lo, hi] until it is no wider than the granularity,
+// probing each midpoint: a safe probe raises lo, an unsafe one lowers
+// hi. safe records the probe and keeps whatever a safe result carries.
+func (c *Config) bisect(lo, hi float64, safe func(float64) (bool, error)) error {
+	gran := c.Granularity
+	if gran <= 0 {
+		gran = defaultGranularity
+	}
+	for hi-lo > gran {
+		mid := (lo + hi) / 2
+		ok, err := safe(mid)
+		if err != nil {
+			return err
+		}
+		if ok {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return nil
 }
 
 // Model returns the underlying delay model.
@@ -108,44 +134,26 @@ func (c *Config) MaxUtilization(class traffic.Class, pairs [][2]int) (*MaxUtilRe
 		return nil, err
 	}
 	res := &MaxUtilResult{Lower: lower, Upper: upper}
-	gran := c.Granularity
-	if gran <= 0 {
-		gran = 0.0025
-	}
-
-	try := func(alpha float64) (bool, *routes.Set, *routing.Report, error) {
+	try := func(alpha float64) (bool, error) {
 		set, rep, err := c.Selector.Select(c.model, routing.Request{
 			Class: class, Alpha: alpha, Pairs: pairs,
 		})
 		if err != nil {
-			return false, nil, nil, err
+			return false, err
 		}
 		res.Probes = append(res.Probes, Probe{Alpha: alpha, Safe: rep.Safe})
-		return rep.Safe, set, rep, nil
+		if rep.Safe {
+			res.Alpha, res.Routes, res.Report = alpha, set, rep
+		}
+		return rep.Safe, nil
 	}
-
 	// The lower bound is safe by Theorem 4; anchor the search there so a
 	// result always exists.
-	lo, hi := lower, upper
-	safe, set, rep, err := try(lo)
-	if err != nil {
+	if _, err := try(lower); err != nil {
 		return nil, err
 	}
-	if safe {
-		res.Alpha, res.Routes, res.Report = lo, set, rep
-	}
-	for hi-lo > gran {
-		mid := (lo + hi) / 2
-		safe, set, rep, err := try(mid)
-		if err != nil {
-			return nil, err
-		}
-		if safe {
-			res.Alpha, res.Routes, res.Report = mid, set, rep
-			lo = mid
-		} else {
-			hi = mid
-		}
+	if err := c.bisect(lower, upper, try); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -237,12 +245,8 @@ func (c *Config) MaxUtilizationScale(specs []ClassSpec) (*MaxScaleResult, error)
 		}
 		total += s.Alpha
 	}
-	gran := c.Granularity
-	if gran <= 0 {
-		gran = 0.0025
-	}
 	out := &MaxScaleResult{}
-	try := func(s float64) (bool, *MultiResult, error) {
+	try := func(s float64) (bool, error) {
 		scaled := make([]ClassSpec, len(specs))
 		copy(scaled, specs)
 		for i := range scaled {
@@ -250,28 +254,20 @@ func (c *Config) MaxUtilizationScale(specs []ClassSpec) (*MaxScaleResult, error)
 		}
 		mr, err := c.SelectMultiClass(scaled)
 		if err != nil {
-			return false, nil, err
+			return false, err
 		}
 		ok := mr.Verify.Safe
 		for _, rep := range mr.Reports {
 			ok = ok && rep.Safe
 		}
 		out.Probes = append(out.Probes, Probe{Alpha: s, Safe: ok})
-		return ok, mr, nil
-	}
-	lo, hi := 0.0, 0.999/total
-	for hi-lo > gran {
-		mid := (lo + hi) / 2
-		ok, mr, err := try(mid)
-		if err != nil {
-			return nil, err
-		}
 		if ok {
-			out.Scale, out.Result = mid, mr
-			lo = mid
-		} else {
-			hi = mid
+			out.Scale, out.Result = s, mr
 		}
+		return ok, nil
+	}
+	if err := c.bisect(0, 0.999/total, try); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -293,26 +289,20 @@ func (c *Config) MaxUtilizationFixedRoutes(class traffic.Class, set *routes.Set)
 	if set == nil || set.Network() != c.model.Network() {
 		return nil, fmt.Errorf("config: route set missing or over a different network")
 	}
-	gran := c.Granularity
-	if gran <= 0 {
-		gran = 0.0025
-	}
 	res := &MaxUtilResult{Lower: 0, Upper: 1}
-	lo, hi := 0.0, 1.0
-	for hi-lo > gran {
-		mid := (lo + hi) / 2
-		v, err := c.model.Verify([]delay.ClassInput{{Class: class, Alpha: mid, Routes: set}})
+	err := c.bisect(0, 1, func(alpha float64) (bool, error) {
+		v, err := c.model.Verify([]delay.ClassInput{{Class: class, Alpha: alpha, Routes: set}})
 		if err != nil {
-			return nil, err
+			return false, err
 		}
-		res.Probes = append(res.Probes, Probe{Alpha: mid, Safe: v.Safe})
+		res.Probes = append(res.Probes, Probe{Alpha: alpha, Safe: v.Safe})
 		if v.Safe {
-			res.Alpha = mid
-			res.Routes = set
-			lo = mid
-		} else {
-			hi = mid
+			res.Alpha, res.Routes = alpha, set
 		}
+		return v.Safe, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -1,7 +1,9 @@
 package config
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"ubac/internal/delay"
@@ -187,8 +189,11 @@ func TestMaxUtilizationScale(t *testing.T) {
 	if total >= 1 {
 		t.Errorf("scaled total %g >= 1", total)
 	}
-	if len(res.Probes) == 0 {
-		t.Error("no probes recorded")
+	// The shared bisection probes the sequence the search's own loop did.
+	want := "1.24875+ 1.873125- 1.5609375+ 1.71703125- 1.6389843750000002+ " +
+		"1.6780078125000002+ 1.6975195312500002+"
+	if got := probeString(res.Probes); got != want {
+		t.Errorf("probes\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -288,5 +293,51 @@ func TestFailoverDisconnecting(t *testing.T) {
 	c := New(delay.NewModel(netL))
 	if _, err := c.Failover(traffic.Voice(), 0.3, nil, 0, 1); err == nil {
 		t.Error("disconnecting failure accepted")
+	}
+}
+
+func probeString(ps []Probe) string {
+	var b strings.Builder
+	for _, p := range ps {
+		verdict := "-"
+		if p.Safe {
+			verdict = "+"
+		}
+		fmt.Fprintf(&b, "%v%s ", p.Alpha, verdict)
+	}
+	return strings.TrimSpace(b.String())
+}
+
+// The three α searches share one bisection; each keeps its own bounds,
+// anchor and probe recording, so each probes exactly the α sequence it
+// probed with its own loop (recorded on MCI with shortest-path routes;
+// TestMaxUtilizationScale pins the scale search).
+func TestSearchProbesPinned(t *testing.T) {
+	c := mciConfig(t)
+	c.Selector = routing.SP{}
+	mu, err := c.MaxUtilization(traffic.Voice(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed, err := c.MaxUtilizationFixedRoutes(traffic.Voice(), mu.Routes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		got  []Probe
+		want string
+	}{
+		{"MaxUtilization", mu.Probes, "0.3+ 0.4546231761310512- 0.37731158806552556- 0.3386557940327628+ " +
+			"0.3579836910491442+ 0.36764763955733487+ 0.37247961381143024+ 0.3748956009384779-"},
+		{"MaxUtilizationFixedRoutes", fixed.Probes, "0.5- 0.25+ 0.375- 0.3125+ 0.34375+ 0.359375+ " +
+			"0.3671875+ 0.37109375+ 0.373046875-"},
+	} {
+		if got := probeString(tc.got); got != tc.want {
+			t.Errorf("%s probes\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+	}
+	if mu.Alpha != 0.37247961381143024 || fixed.Alpha != 0.37109375 {
+		t.Errorf("results %v / %v, want the last safe probe of each", mu.Alpha, fixed.Alpha)
 	}
 }

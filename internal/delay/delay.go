@@ -8,8 +8,10 @@
 // Two interchangeable evaluators are provided and tested against each
 // other: the closed form of Theorem 3 (fast; used inside route-selection
 // loops) and a general numeric busy-period evaluator over piecewise-
-// linear curves (needed for the multi-class case and for heterogeneous
-// capacities).
+// linear curves (needed for the multi-class case). Both take each input
+// link's cap to be the server's own capacity, so a model whose network
+// feeds some server from a faster link is refused by every
+// configuration-time solve.
 package delay
 
 import (
@@ -41,6 +43,8 @@ const (
 // Construct with NewModel; the zero value is not usable.
 type Model struct {
 	net *topology.Network
+	// fasterInput is inputCapacityError's verdict on net, taken once.
+	fasterInput error
 
 	// NMode selects the input-link count model (default UniformN).
 	NMode NMode
@@ -67,12 +71,35 @@ type Model struct {
 // NewModel returns a Model with default solver settings.
 func NewModel(net *topology.Network) *Model {
 	return &Model{
-		net:        net,
-		NMode:      UniformN,
-		Tol:        1e-12,
-		MaxIter:    4000,
-		DivergeCap: 1e4,
+		net:         net,
+		fasterInput: inputCapacityError(net),
+		NMode:       UniformN,
+		Tol:         1e-12,
+		MaxIter:     4000,
+		DivergeCap:  1e4,
 	}
+}
+
+// inputCapacityError names the first link server fed by an input link
+// faster than itself, or returns nil. Theorem 1 caps each input link at
+// its own capacity, and the configuration-time analysis takes that cap
+// to be the server's C (the paper has one C for every link), so a faster
+// input link would let more traffic arrive than the bound admits. The
+// reverse of the server's own link shares its capacity, so it never
+// counts.
+func inputCapacityError(net *topology.Network) error {
+	for s := 0; s < net.NumServers(); s++ {
+		tail, _, c := net.Server(s)
+		for _, u := range net.RouterGraph().Neighbors(tail) {
+			in, _ := net.ServerFor(u, tail)
+			if net.ServerCapacity(in) > c {
+				return fmt.Errorf("delay: link %s (%g b/s) feeds the slower link %s (%g b/s); "+
+					"the configuration-time analysis assumes no input link is faster than the server it feeds",
+					net.ServerName(in), net.ServerCapacity(in), net.ServerName(s), c)
+			}
+		}
+	}
+	return nil
 }
 
 // Network returns the model's network.
@@ -133,7 +160,7 @@ func AggregateCurve(alpha, burst, rho float64, n int, c, y float64) traffic.Curv
 // general busy-period evaluator d = (1/C)·sup_I (G(I) − C·I)
 // (Equation (3) with the worst-case aggregate of Theorems 1–2). The two
 // agree to floating-point accuracy; this form generalizes to multiple
-// classes and heterogeneous capacities.
+// classes.
 func ServerBoundNumeric(alpha, burst, rho float64, n int, c, y float64) (float64, error) {
 	g := AggregateCurve(alpha, burst, rho, n, c, y)
 	backlog, _, ok := g.MaxBacklog(c)
@@ -151,14 +178,19 @@ type ClassInput struct {
 	Routes *routes.Set
 }
 
-func (in ClassInput) validate(net *topology.Network) error {
+// validate checks one class input of a configuration-time solve,
+// refusing every input on a model with a faster input link.
+func (m *Model) validate(in ClassInput) error {
+	if m.fasterInput != nil {
+		return m.fasterInput
+	}
 	if err := in.Class.Validate(); err != nil {
 		return err
 	}
 	if !(in.Alpha > 0 && in.Alpha < 1) {
 		return fmt.Errorf("delay: alpha %g out of (0,1) for class %q", in.Alpha, in.Class.Name)
 	}
-	if in.Routes == nil || in.Routes.Network() != net {
+	if in.Routes == nil || in.Routes.Network() != m.net {
 		return fmt.Errorf("delay: class %q routes missing or over a different network", in.Class.Name)
 	}
 	return nil
@@ -216,7 +248,7 @@ func (m *Model) SolveTwoClassFrom(in ClassInput, d0 []float64) (*Result, error) 
 // in.Routes, so concurrent calls over the same set (with different
 // phantom routes) are safe.
 func (m *Model) SolveTwoClassExtra(in ClassInput, extra *routes.Route, d0 []float64) (*Result, error) {
-	if err := in.validate(m.net); err != nil {
+	if err := m.validate(in); err != nil {
 		return nil, err
 	}
 	nsrv := m.net.NumServers()
@@ -298,7 +330,7 @@ func (m *Model) SolveMultiClass(inputs []ClassInput) ([]*Result, error) {
 	}
 	alphaSum := 0.0
 	for i, in := range inputs {
-		if err := in.validate(m.net); err != nil {
+		if err := m.validate(in); err != nil {
 			return nil, err
 		}
 		if i > 0 && inputs[i-1].Class.Priority >= in.Class.Priority {

@@ -8,19 +8,24 @@ import (
 	"ubac/internal/traffic"
 )
 
-// Flow is one concrete admitted flow for the flow-aware analysis.
-type Flow struct {
+// Entry is Count flows of one leaky bucket on one route. Every flow of
+// an entry has the same aggregate terms and the same upstream jitter at
+// each hop, so the flow-aware analysis is exact over entries: its state
+// and its cost grow with the number of routes, not of flows.
+type Entry struct {
 	Bucket traffic.LeakyBucket
 	Route  routes.Route
+	Count  int
 }
 
 // FlowAwareResult is the outcome of SolveFlowAware.
 type FlowAwareResult struct {
 	// D[k] is the worst-case queueing delay of server k for the given
-	// flow population.
+	// population.
 	D []float64
-	// PerFlow[f] is flow f's end-to-end queueing delay bound.
-	PerFlow []float64
+	// PerEntry[e] is the end-to-end queueing delay bound of every flow
+	// of entry e. Meaningful only if Converged.
+	PerEntry []float64
 	// Converged reports whether the fixed point stabilized.
 	Converged bool
 	// Iterations is the number of outer iterations performed.
@@ -28,154 +33,150 @@ type FlowAwareResult struct {
 }
 
 // MaxServerDelay returns the largest per-server bound.
-func (r *FlowAwareResult) MaxServerDelay() float64 {
+func (r *FlowAwareResult) MaxServerDelay() float64 { return maxOf(r.D) }
+
+// MaxEntryDelay returns the largest end-to-end bound over entries.
+func (r *FlowAwareResult) MaxEntryDelay() float64 { return maxOf(r.PerEntry) }
+
+func maxOf(xs []float64) float64 {
 	worst := 0.0
-	for _, d := range r.D {
-		if d > worst {
-			worst = d
+	for _, x := range xs {
+		if x > worst {
+			worst = x
 		}
 	}
 	return worst
 }
 
-// MaxFlowDelay returns the largest end-to-end bound over flows.
-func (r *FlowAwareResult) MaxFlowDelay() float64 {
-	worst := 0.0
-	for _, d := range r.PerFlow {
-		if d > worst {
-			worst = d
+// inputLink aggregates the entries that enter one server through one
+// input link j: its cap C_j, its burst and rate sums Σ Count·T and
+// Σ Count·ρ, and the jitter term Σ Count·ρ·Y, refolded every iteration.
+type inputLink struct {
+	from   int // the feeding server, or -1 for the host ingress
+	cap    float64
+	burst  float64
+	rate   float64
+	jitter float64
+}
+
+// serverBacklog returns sup_{I≥0} Σ_j min(C_j·I, A_j + B_j·I) − c·I over
+// one server's input links, where A_j is the link's burst plus its
+// jitter term and B_j its rate. The objective is concave and piecewise
+// linear, 0 at I = 0, with its kinks at the links' breakpoints
+// I_j = A_j/(C_j − B_j) and a negative final slope when the server is
+// stable; so its supremum is 0 or its value at one of the I_j. This is
+// the argument traffic.Curve.MaxBacklog makes, without building the
+// summed curve.
+func serverBacklog(links []inputLink, c float64) float64 {
+	best := 0.0
+	for _, bp := range links {
+		at := (bp.burst + bp.jitter) / (bp.cap - bp.rate)
+		v := -c * at
+		for _, l := range links {
+			v += math.Min(l.cap*at, l.burst+l.jitter+l.rate*at)
+		}
+		if v > best {
+			best = v
 		}
 	}
-	return worst
+	return best
 }
 
 // SolveFlowAware computes worst-case per-server delays for an explicit
-// flow population — the run-time, flow-state-dependent analysis
-// (Equation (3) with the true per-link aggregates and per-flow upstream
-// jitter) that the paper's configuration-time bound deliberately
-// replaces. It exists here to quantify the aggregation penalty: how much
-// utilization the flow-state-free bound gives up in exchange for
-// needing no per-flow information in the core.
+// population — the run-time, flow-state-dependent analysis (Equation (3)
+// with the true per-link aggregates and per-route upstream jitter) that
+// the paper's configuration-time bound deliberately replaces. It exists
+// to quantify the aggregation penalty: how much utilization the
+// flow-state-free bound gives up in exchange for needing no per-flow
+// information in the core.
 //
-// Modeling notes. Each flow enters server k either from the previous
-// link server on its route or, at its first hop, through a host ingress
-// link of the source router (each source router contributes one ingress
-// link, capped at the server capacity like any other input). Per input
-// link j of server k, the aggregate arrival is bounded by
+// Modeling notes. An entry enters server k either from the previous
+// link server on its route or, at its first hop, through the host
+// ingress link of its source router. Per input link j of server k, the
+// aggregate arrival is bounded by
 //
-//	A_{k,j}(I) = min( C_j·I, Σ_f (T_f + ρ_f·Y_{f,k}) + (Σ_f ρ_f)·I ),
+//	A_{k,j}(I) = min( C_j·I, Σ_e n_e·(T_e + ρ_e·Y_{e,k}) + (Σ_e n_e·ρ_e)·I ),
 //
-// where Y_{f,k} is flow f's own accumulated upstream delay (a per-flow
-// prefix sum — tighter than the class-wide max the configuration-time
-// analysis must assume). Then d_k = sup_I (Σ_j A_{k,j}(I) − C_k·I)/C_k,
-// iterated to a fixed point from d = 0 (monotone, so divergence means
-// the population is unstable).
-func (m *Model) SolveFlowAware(flows []Flow) (*FlowAwareResult, error) {
-	if len(flows) == 0 {
+// where n_e is entry e's Count, Y_{e,k} is its accumulated upstream
+// delay (a prefix sum along its route — tighter than the class-wide max
+// the configuration-time analysis must assume), and C_j is the capacity
+// of the feeding link server, or C_k for the host ingress. Then
+// d_k = sup_I (Σ_j A_{k,j}(I) − C_k·I)/C_k, iterated to a fixed point
+// from d = 0 (monotone, so divergence means the population is unstable).
+// Each server's input links are kept in first-seen order, so repeated
+// solves of one population are bit-identical.
+func (m *Model) SolveFlowAware(entries []Entry) (*FlowAwareResult, error) {
+	if len(entries) == 0 {
 		return nil, fmt.Errorf("delay: no flows")
 	}
 	nsrv := m.net.NumServers()
-	for i, f := range flows {
-		if err := f.Bucket.Validate(); err != nil {
-			return nil, fmt.Errorf("delay: flow %d: %w", i, err)
+	links := make([][]inputLink, nsrv)
+	var at []int // link index of every (entry, hop), entries' hops in order
+	load := make([]float64, nsrv)
+	for i, e := range entries {
+		if e.Count < 1 {
+			return nil, fmt.Errorf("delay: entry %d: count %d < 1", i, e.Count)
 		}
-		if err := f.Route.Validate(m.net); err != nil {
-			return nil, fmt.Errorf("delay: flow %d: %w", i, err)
+		if err := e.Bucket.Validate(); err != nil {
+			return nil, fmt.Errorf("delay: entry %d: %w", i, err)
+		}
+		if err := e.Route.Validate(m.net); err != nil {
+			return nil, fmt.Errorf("delay: entry %d: %w", i, err)
+		}
+		n := float64(e.Count)
+		for pos, s := range e.Route.Servers {
+			from, c := -1, m.net.ServerCapacity(s)
+			if pos > 0 {
+				from = e.Route.Servers[pos-1]
+				c = m.net.ServerCapacity(from)
+			}
+			j := 0
+			for j < len(links[s]) && links[s][j].from != from {
+				j++
+			}
+			if j == len(links[s]) {
+				links[s] = append(links[s], inputLink{from: from, cap: c})
+			}
+			links[s][j].burst += n * e.Bucket.Burst
+			links[s][j].rate += n * e.Bucket.Rate
+			load[s] += n * e.Bucket.Rate
+			at = append(at, j)
 		}
 	}
 
-	// Per (server, input link) accumulators. Input link keys: previous
-	// server ID for transit, nsrv+sourceRouter for host ingress.
-	type linkAgg struct {
-		sumBurst float64 // Σ T_f (+ ρ_f·Y_f folded in per iteration)
-		sumRate  float64 // Σ ρ_f
-		// flows on this link, as (flow index, position) pairs, to fold
-		// the per-flow jitter term each iteration.
-		members [][2]int
-	}
-	aggs := make([]map[int]*linkAgg, nsrv)
-	for s := range aggs {
-		aggs[s] = make(map[int]*linkAgg)
-	}
-	for fi, f := range flows {
-		for pos, s := range f.Route.Servers {
-			var key int
-			if pos == 0 {
-				key = nsrv + f.Route.Src
-			} else {
-				key = f.Route.Servers[pos-1]
-			}
-			a := aggs[s][key]
-			if a == nil {
-				a = &linkAgg{}
-				aggs[s][key] = a
-			}
-			a.sumBurst += f.Bucket.Burst
-			a.sumRate += f.Bucket.Rate
-			a.members = append(a.members, [2]int{fi, pos})
-		}
-	}
-
-	// Stability precheck: total sustained rate within capacity.
-	for s := 0; s < nsrv; s++ {
-		total := 0.0
-		for _, a := range aggs[s] {
-			total += a.sumRate
-		}
+	// Stability precheck: total sustained rate within capacity. It also
+	// keeps every link's rate below its cap, since a transit link's
+	// entries all cross the feeding server.
+	for s, total := range load {
 		if total >= m.net.ServerCapacity(s) {
 			return nil, fmt.Errorf("delay: server %s overloaded (%.3g of %.3g b/s)",
 				m.net.ServerName(s), total, m.net.ServerCapacity(s))
 		}
 	}
 
-	res := &FlowAwareResult{D: make([]float64, nsrv), PerFlow: make([]float64, len(flows))}
+	res := &FlowAwareResult{D: make([]float64, nsrv), PerEntry: make([]float64, len(entries))}
 	next := make([]float64, nsrv)
-	prefix := make([][]float64, len(flows)) // Y_{f,pos}
-	for fi, f := range flows {
-		prefix[fi] = make([]float64, len(f.Route.Servers))
-	}
-
-	lines := make([]traffic.Line, 0, 16)
 	for iter := 1; iter <= m.MaxIter; iter++ {
 		res.Iterations = iter
-		// Per-flow prefix delays under the current d.
-		for fi, f := range flows {
-			sum := 0.0
-			for pos, s := range f.Route.Servers {
-				prefix[fi][pos] = sum
-				sum += res.D[s]
+		// Fold each entry's jitter under the current d, once per hop.
+		for _, ls := range links {
+			for j := range ls {
+				ls[j].jitter = 0
+			}
+		}
+		k := 0
+		for _, e := range entries {
+			w, y := float64(e.Count)*e.Bucket.Rate, 0.0
+			for _, s := range e.Route.Servers {
+				links[s][at[k]].jitter += w * y
+				y += res.D[s]
+				k++
 			}
 		}
 		worstChange, worstD := 0.0, 0.0
-		for s := 0; s < nsrv; s++ {
-			if len(aggs[s]) == 0 {
-				next[s] = 0
-				continue
-			}
+		for s, ls := range links {
 			c := m.net.ServerCapacity(s)
-			lines = lines[:0]
-			capSlope := 0.0
-			for _, a := range aggs[s] {
-				jitterBurst := a.sumBurst
-				for _, mbr := range a.members {
-					jitterBurst += flows[mbr[0]].Bucket.Rate * prefix[mbr[0]][mbr[1]]
-				}
-				lines = append(lines, traffic.Line{A: jitterBurst, B: a.sumRate})
-				capSlope += c
-			}
-			// Σ_j min(C·I, burst_j + rate_j·I) is concave piecewise
-			// linear; build it as a Sum of two-line curves.
-			curves := make([]traffic.Curve, len(lines))
-			for i, l := range lines {
-				curves[i] = traffic.MustCurve(traffic.Line{A: 0, B: c}, l)
-			}
-			total := traffic.Sum(curves...)
-			backlog, _, ok := total.MaxBacklog(c)
-			if !ok {
-				res.Converged = false
-				return res, nil
-			}
-			next[s] = backlog / c
+			next[s] = serverBacklog(ls, c) / c
 			if ch := math.Abs(next[s] - res.D[s]); ch > worstChange {
 				worstChange = ch
 			}
@@ -185,7 +186,6 @@ func (m *Model) SolveFlowAware(flows []Flow) (*FlowAwareResult, error) {
 		}
 		copy(res.D, next)
 		if worstD > m.DivergeCap {
-			res.Converged = false
 			return res, nil
 		}
 		if worstChange <= m.Tol*math.Max(1, worstD) {
@@ -196,8 +196,8 @@ func (m *Model) SolveFlowAware(flows []Flow) (*FlowAwareResult, error) {
 	if !res.Converged {
 		return res, nil
 	}
-	for fi, f := range flows {
-		res.PerFlow[fi] = f.Route.Delay(res.D) + float64(f.Route.Hops())*m.FixedPerHop
+	for i, e := range entries {
+		res.PerEntry[i] = e.Route.Delay(res.D) + float64(e.Route.Hops())*m.FixedPerHop
 	}
 	return res, nil
 }

@@ -2,6 +2,7 @@ package delay
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"ubac/internal/routes"
@@ -9,7 +10,7 @@ import (
 	"ubac/internal/traffic"
 )
 
-func flowsOnChain(t *testing.T, net *topology.Network, n int) []Flow {
+func chainEntry(t *testing.T, net *topology.Network, n int) []Entry {
 	t.Helper()
 	path := make([]int, net.NumRouters())
 	for i := range path {
@@ -19,11 +20,7 @@ func flowsOnChain(t *testing.T, net *topology.Network, n int) []Flow {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows := make([]Flow, n)
-	for i := range flows {
-		flows[i] = Flow{Bucket: traffic.Voice().Bucket, Route: r}
-	}
-	return flows
+	return []Entry{{Bucket: traffic.Voice().Bucket, Route: r, Count: n}}
 }
 
 func TestSolveFlowAwareValidation(t *testing.T) {
@@ -31,17 +28,21 @@ func TestSolveFlowAwareValidation(t *testing.T) {
 	if _, err := m.SolveFlowAware(nil); err == nil {
 		t.Error("empty population accepted")
 	}
-	bad := flowsOnChain(t, net, 1)
+	bad := chainEntry(t, net, 1)
 	bad[0].Bucket.Rate = 0
 	if _, err := m.SolveFlowAware(bad); err == nil {
 		t.Error("invalid bucket accepted")
+	}
+	for _, n := range []int{0, -3} {
+		if _, err := m.SolveFlowAware(chainEntry(t, net, n)); err == nil {
+			t.Errorf("count %d accepted", n)
+		}
 	}
 	foreign, err := topology.Line(4, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr := flowsOnChain(t, foreign, 1)
-	if _, err := m.SolveFlowAware(fr); err == nil {
+	if _, err := m.SolveFlowAware(chainEntry(t, foreign, 1)); err == nil {
 		t.Error("foreign route accepted")
 	}
 }
@@ -49,7 +50,7 @@ func TestSolveFlowAwareValidation(t *testing.T) {
 func TestSolveFlowAwareOverload(t *testing.T) {
 	m, net := lineModel(t, 3)
 	// 100 Mb/s link, flows of 32 kb/s: > 3125 flows overload it.
-	if _, err := m.SolveFlowAware(flowsOnChain(t, net, 3200)); err == nil {
+	if _, err := m.SolveFlowAware(chainEntry(t, net, 3200)); err == nil {
 		t.Error("overloaded population accepted")
 	}
 }
@@ -58,7 +59,7 @@ func TestSolveFlowAwareSingleFlowZeroQueueing(t *testing.T) {
 	// One flow through one input link per server: the aggregate can never
 	// exceed the service rate, so queueing is zero.
 	m, net := lineModel(t, 4)
-	res, err := m.SolveFlowAware(flowsOnChain(t, net, 1))
+	res, err := m.SolveFlowAware(chainEntry(t, net, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,24 +85,21 @@ func TestSolveFlowAwareHandComputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewModel(net)
-	mk := func(path ...int) Flow {
+	mk := func(path ...int) Entry {
 		r, err := routes.FromRouterPath(net, "v", path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Flow{Bucket: traffic.Voice().Bucket, Route: r}
+		return Entry{Bucket: traffic.Voice().Bucket, Route: r, Count: 1}
 	}
-	fa := mk(0, 1, 2)
-	fb := mk(3, 1, 2)
-	res, err := m.SolveFlowAware([]Flow{fa, fb})
+	res, err := m.SolveFlowAware([]Entry{mk(0, 1, 2), mk(3, 1, 2)})
 	if err != nil || !res.Converged {
 		t.Fatal(err)
 	}
 	// At server 1->2 two single-flow input links collide. Worst backlog:
 	// both bursts arrive at line rate; d = sup_I(2·min(CI, T+ρI) − CI)/C.
-	// Max at the bucket breakpoint τ = T/(C−ρ): d = (T + ρτ − Cτ + ...)
-	// Direct evaluation: at I=τ both terms equal T+ρτ, so backlog =
-	// 2(T+ρτ) − Cτ and d = that / C.
+	// At the bucket breakpoint τ = T/(C−ρ) both terms equal T+ρτ, so
+	// backlog = 2(T+ρτ) − Cτ and d = that / C.
 	T, rho, C := 640.0, 32e3, 100e6
 	tau := T / (C - rho)
 	want := (2*(T+rho*tau) - C*tau) / C
@@ -114,12 +112,32 @@ func TestSolveFlowAwareHandComputed(t *testing.T) {
 	if res.D[s01] != 0 {
 		t.Errorf("upstream server queued: %g", res.D[s01])
 	}
-	// Per-flow bounds: d at the shared hop only.
-	for fi, pf := range res.PerFlow {
-		if math.Abs(pf-want) > 1e-12 {
-			t.Errorf("flow %d bound = %g, want %g", fi, pf, want)
+	// Per-entry bounds: d at the shared hop only.
+	for e, pe := range res.PerEntry {
+		if math.Abs(pe-want) > 1e-12 {
+			t.Errorf("entry %d bound = %g, want %g", e, pe, want)
 		}
 	}
+}
+
+// shortestPathRoutes returns the shortest-path route of every ordered
+// edge pair.
+func shortestPathRoutes(t testing.TB, net *topology.Network) []routes.Route {
+	t.Helper()
+	rg := net.RouterGraph()
+	var out []routes.Route
+	for _, p := range net.Pairs() {
+		path, err := rg.ShortestPath(p[0], p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := routes.FromRouterPath(net, "voice", path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, r)
+	}
+	return out
 }
 
 // The central soundness property: for any population admitted within the
@@ -131,25 +149,15 @@ func TestFlowAwareNeverExceedsConfigurationBound(t *testing.T) {
 	m := NewModel(net)
 	voice := traffic.Voice()
 
-	// Population: one flow per ordered pair over shortest paths — well
-	// within alpha = 342·ρ·L / (C·links)… just pick alpha large enough to
-	// cover the densest server.
-	rg := net.RouterGraph()
-	var flows []Flow
+	// Population: one flow per ordered pair over shortest paths, with
+	// alpha just large enough to cover the densest server.
+	var entries []Entry
 	rs := routes.NewSet(net)
-	for _, p := range net.Pairs() {
-		path, err := rg.ShortestPath(p[0], p[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := routes.FromRouterPath(net, "voice", path)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, r := range shortestPathRoutes(t, net) {
 		if err := rs.Add(r); err != nil {
 			t.Fatal(err)
 		}
-		flows = append(flows, Flow{Bucket: voice.Bucket, Route: r})
+		entries = append(entries, Entry{Bucket: voice.Bucket, Route: r, Count: 1})
 	}
 	// The busiest server carries max CrossCount flows; size alpha to it.
 	maxCross := 0
@@ -163,7 +171,7 @@ func TestFlowAwareNeverExceedsConfigurationBound(t *testing.T) {
 	if err != nil || !cfg.Converged {
 		t.Fatalf("configuration bound: %v", err)
 	}
-	fa, err := m.SolveFlowAware(flows)
+	fa, err := m.SolveFlowAware(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,35 +185,160 @@ func TestFlowAwareNeverExceedsConfigurationBound(t *testing.T) {
 		}
 	}
 	worstCfg, _ := rs.MaxRouteDelay(cfg.D)
-	if fa.MaxFlowDelay() > worstCfg+1e-9 {
-		t.Errorf("flow-aware e2e %g exceeds configuration %g", fa.MaxFlowDelay(), worstCfg)
+	if fa.MaxEntryDelay() > worstCfg+1e-9 {
+		t.Errorf("flow-aware e2e %g exceeds configuration %g", fa.MaxEntryDelay(), worstCfg)
 	}
 	t.Logf("aggregation penalty at this population: config %.3f ms vs flow-aware %.3f ms (%.1fx)",
-		worstCfg*1e3, fa.MaxFlowDelay()*1e3, worstCfg/fa.MaxFlowDelay())
+		worstCfg*1e3, fa.MaxEntryDelay()*1e3, worstCfg/fa.MaxEntryDelay())
+}
+
+// The per-server step evaluates the summed input-link curve at each
+// link's breakpoint; it must equal the traffic.Curve reference (build
+// the sum, then MaxBacklog) on any stable link set, whatever each link's
+// capacity.
+func TestServerBacklogMatchesCurveSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const c = 100e6
+	for trial := 0; trial < 2000; trial++ {
+		links := make([]inputLink, 1+rng.Intn(8))
+		curves := make([]traffic.Curve, len(links))
+		rateLeft := c * 0.98
+		for j := range links {
+			capacity := []float64{c, c / 10, 10 * c, c * (0.05 + 2*rng.Float64())}[rng.Intn(4)]
+			rate := rng.Float64() * math.Min(capacity, rateLeft) * 0.9
+			rateLeft -= rate
+			links[j] = inputLink{cap: capacity, burst: rng.Float64() * 1e6, rate: rate, jitter: rng.Float64() * 1e5}
+			l := links[j]
+			curves[j] = traffic.MustCurve(traffic.Line{B: l.cap}, traffic.Line{A: l.burst + l.jitter, B: l.rate})
+		}
+		want, _, ok := traffic.Sum(curves...).MaxBacklog(c)
+		if !ok {
+			t.Fatalf("trial %d: reference unstable", trial)
+		}
+		got := serverBacklog(links, c) / c
+		if want /= c; math.Abs(got-want) > 1e-12*math.Max(got, want) {
+			t.Fatalf("trial %d: step %.17g, curve reference %.17g (links %+v)", trial, got, want, links)
+		}
+	}
+}
+
+// Solving a population must give the answer of solving its expansion
+// into one entry per flow: same per-server delays and per-flow bounds to
+// rounding, same verdict, same iteration count.
+func TestSolveFlowAwareEntriesEqualExpansion(t *testing.T) {
+	line, _ := topology.Line(6, topology.DefaultCapacity)
+	ring, _ := topology.Ring(8, topology.DefaultCapacity)
+	wax, err := topology.Waxman(14, 0.25, 0.4, topology.DefaultCapacity, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buckets := []traffic.LeakyBucket{traffic.Voice().Bucket, {Burst: 12000, Rate: 256e3}}
+	rng := rand.New(rand.NewSource(11))
+	for _, net := range []*topology.Network{line, ring, topology.MCI(), wax} {
+		m := NewModel(net)
+		all := shortestPathRoutes(t, net)
+		for trial := 0; trial < 5; trial++ {
+			var pop, expanded []Entry
+			for k := 0; k < 10+rng.Intn(30); k++ {
+				e := Entry{Bucket: buckets[rng.Intn(2)], Route: all[rng.Intn(len(all))], Count: 1 + rng.Intn(20)}
+				pop = append(pop, e)
+				for i := 0; i < e.Count; i++ {
+					expanded = append(expanded, Entry{Bucket: e.Bucket, Route: e.Route, Count: 1})
+				}
+			}
+			got, err := m.SolveFlowAware(pop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := m.SolveFlowAware(expanded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Converged != want.Converged || got.Iterations != want.Iterations {
+				t.Fatalf("%s trial %d: converged %v in %d, expansion %v in %d", net.Name(), trial,
+					got.Converged, got.Iterations, want.Converged, want.Iterations)
+			}
+			near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(a, b) }
+			for s := range got.D {
+				if !near(got.D[s], want.D[s]) {
+					t.Errorf("%s trial %d: server %s delay %g, expansion %g", net.Name(), trial,
+						net.ServerName(s), got.D[s], want.D[s])
+				}
+			}
+			f := 0
+			for e, ent := range pop {
+				for i := 0; i < ent.Count; i++ {
+					if !near(got.PerEntry[e], want.PerEntry[f]) {
+						t.Errorf("%s trial %d: entry %d bound %g, its flow %d %g", net.Name(), trial,
+							e, got.PerEntry[e], f, want.PerEntry[f])
+					}
+					f++
+				}
+			}
+		}
+	}
+}
+
+// Repeated solves of one population are bit-identical: each server's
+// input links are summed in one order every time.
+func TestSolveFlowAwareReproducible(t *testing.T) {
+	net := topology.MCI()
+	m := NewModel(net)
+	rng := rand.New(rand.NewSource(1))
+	var pop []Entry
+	for _, r := range shortestPathRoutes(t, net) {
+		pop = append(pop, Entry{Bucket: traffic.Voice().Bucket, Route: r, Count: 1 + rng.Intn(7)})
+	}
+	first, err := m.SolveFlowAware(pop)
+	if err != nil || !first.Converged {
+		t.Fatalf("solve: %v", err)
+	}
+	for run := 0; run < 30; run++ {
+		again, err := m.SolveFlowAware(pop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := range first.D {
+			if math.Float64bits(again.D[s]) != math.Float64bits(first.D[s]) {
+				t.Fatalf("run %d: server %s delay %.17g, first solve %.17g",
+					run, net.ServerName(s), again.D[s], first.D[s])
+			}
+		}
+	}
+}
+
+// The solve's iteration loop allocates nothing: its only allocations are
+// the result and the per-server link slices built before it.
+func TestSolveFlowAwareAllocsIndependentOfIterations(t *testing.T) {
+	net := topology.MCI()
+	var pop []Entry
+	for _, r := range shortestPathRoutes(t, net) {
+		pop = append(pop, Entry{Bucket: traffic.Voice().Bucket, Route: r, Count: 20})
+	}
+	allocs := func(maxIter int) float64 {
+		m := NewModel(net)
+		m.MaxIter = maxIter
+		return testing.AllocsPerRun(5, func() {
+			if _, err := m.SolveFlowAware(pop); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(50); one != many {
+		t.Errorf("allocations grow with iterations: %v at 1, %v at 50", one, many)
+	}
 }
 
 func BenchmarkSolveFlowAwareMCI(b *testing.B) {
 	net := topology.MCI()
 	m := NewModel(net)
-	rg := net.RouterGraph()
-	var flows []Flow
-	for _, p := range net.Pairs() {
-		path, err := rg.ShortestPath(p[0], p[1])
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := routes.FromRouterPath(net, "voice", path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// 20 identical flows per pair.
-		for k := 0; k < 20; k++ {
-			flows = append(flows, Flow{Bucket: traffic.Voice().Bucket, Route: r})
-		}
+	var pop []Entry
+	for _, r := range shortestPathRoutes(b, net) {
+		pop = append(pop, Entry{Bucket: traffic.Voice().Bucket, Route: r, Count: 20})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := m.SolveFlowAware(flows)
+		res, err := m.SolveFlowAware(pop)
 		if err != nil || !res.Converged {
 			b.Fatalf("solve: %v", err)
 		}

@@ -55,7 +55,7 @@ func (sc *SolveScratch) ensure(nsrv int) {
 // convergence bookkeeping analytically reproduces the full sweep
 // exactly, at O(active servers) per iteration.
 func (m *Model) SolveTwoClassScratch(in ClassInput, extra *routes.Route, d0 []float64, sc *SolveScratch) (*Result, error) {
-	if err := in.validate(m.net); err != nil {
+	if err := m.validate(in); err != nil {
 		return nil, err
 	}
 	nsrv := m.net.NumServers()

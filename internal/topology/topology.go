@@ -313,8 +313,8 @@ func (n *Network) Pairs() [][2]int {
 
 // UniformCapacity returns the common server capacity if all link servers
 // share one, or an error otherwise. The paper's analysis assumes a single
-// C; heterogeneous networks must be analyzed with the per-server general
-// evaluator.
+// C; the configuration-time analysis refuses a network where a faster
+// link feeds a slower one (delay.NewModel).
 func (n *Network) UniformCapacity() (float64, error) {
 	if len(n.srvCap) == 0 {
 		return 0, fmt.Errorf("topology: no link servers")
