@@ -24,6 +24,7 @@ package ubac_test
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -254,23 +255,28 @@ func BenchmarkSimValidation(b *testing.B) {
 		observed*1e3, bound*1e3, 100*observed/bound)
 }
 
-// BenchmarkMultiClass regenerates F-F: Theorem 5 multi-class worst-case
-// delays for a voice+video mix.
-func BenchmarkMultiClass(b *testing.B) {
-	net := topology.MCI()
+// multiClassFF is F-F's mix: voice at α 0.15 over 1.5 Mb/s video at
+// α 0.20 (D = 400 ms), every MCI pair.
+func multiClassFF() []config.ClassSpec {
 	video := traffic.Class{
 		Name:     "video",
 		Bucket:   traffic.LeakyBucket{Burst: 15e3, Rate: 1.5e6},
 		Deadline: 0.4,
 		Priority: 1,
 	}
-	cfg := config.New(delay.NewModel(net))
+	return []config.ClassSpec{
+		{Class: traffic.Voice(), Alpha: 0.15},
+		{Class: video, Alpha: 0.20},
+	}
+}
+
+// BenchmarkMultiClass regenerates F-F: Theorem 5 multi-class worst-case
+// delays for a voice+video mix.
+func BenchmarkMultiClass(b *testing.B) {
+	cfg := config.New(delay.NewModel(topology.MCI()))
 	var rows []string
 	for i := 0; i < b.N; i++ {
-		res, err := cfg.SelectMultiClass([]config.ClassSpec{
-			{Class: traffic.Voice(), Alpha: 0.15},
-			{Class: video, Alpha: 0.20},
-		})
+		res, err := cfg.SelectMultiClass(multiClassFF())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -641,4 +647,62 @@ func TestGoldenAggregationPenalty(t *testing.T) {
 	if want := "49410 flows, 342 routes, 69.25 ms vs 28.50 ms, 2.43x"; got != want {
 		t.Errorf("X-3: %s, pinned %s", got, want)
 	}
+}
+
+// TestGoldenMultiClassFF pins F-F, the multi-class result of Theorem 5,
+// to 1e-9 relative: each class's worst end-to-end bound under the joint
+// Equation (24) solve, each class's worst per-server delay alone (its
+// two-class solve) and jointly, and the largest uniform scale of the mix
+// at granularity 0.01. Voice, the higher priority, is unchanged by the
+// video load. The numbers rest on the heuristic's route selection,
+// pinned on amd64 only.
+func TestGoldenMultiClassFF(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("route selection pinned on amd64; FMA fusing may move float ties elsewhere")
+	}
+	if raceEnabled {
+		t.Skip("sequential selections and solves; the race detector would only slow them")
+	}
+	near := func(label string, got, want float64) {
+		t.Helper()
+		if math.Abs(got-want) > 1e-9*math.Abs(want) {
+			t.Errorf("F-F %s = %.17g, pinned %.17g", label, got, want)
+		}
+	}
+	net := topology.MCI()
+	cfg := config.New(delay.NewModel(net))
+	specs := multiClassFF()
+	res, err := cfg.SelectMultiClass(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Verify.Safe {
+		t.Fatal("F-F configuration unsafe")
+	}
+	// Per class: worst e2e bound, worst per-server delay alone and jointly.
+	pinned := [][3]float64{
+		{0.013879507124474584, 0.0038499439914175667, 0.0038499439914175663},
+		{0.043981771855044524, 0.0030020228477222063, 0.013712574653734584},
+	}
+	for i, in := range res.Inputs {
+		worst := 0.0
+		for _, rr := range res.Verify.Routes {
+			if rr.Class == in.Class.Name && rr.Bound > worst {
+				worst = rr.Bound
+			}
+		}
+		alone, err := delay.NewModel(net).SolveTwoClass(in)
+		if err != nil || !alone.Converged {
+			t.Fatalf("%s alone: %v", in.Class.Name, err)
+		}
+		near(in.Class.Name+" worst e2e bound", worst, pinned[i][0])
+		near(in.Class.Name+" per-server alone", alone.MaxServerDelay(), pinned[i][1])
+		near(in.Class.Name+" per-server jointly", res.Verify.Results[i].MaxServerDelay(), pinned[i][2])
+	}
+	cfg.Granularity = 0.01
+	scale, err := cfg.MaxUtilizationScale(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	near("max uniform scale", scale.Scale, 2.0515178571428576)
 }
