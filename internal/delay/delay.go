@@ -5,13 +5,14 @@
 // d = Z(d) (Equation (14)), the multi-class static-priority extension of
 // Theorem 5 / Equation (24), and the verification procedure of Figure 2.
 //
-// Two interchangeable evaluators are provided and tested against each
-// other: the closed form of Theorem 3 (fast; used inside route-selection
-// loops) and a general numeric busy-period evaluator over piecewise-
-// linear curves (needed for the multi-class case). Both take each input
-// link's cap to be the server's own capacity, so a model whose network
-// feeds some server from a faster link is refused by every
-// configuration-time solve.
+// The two-class solve evaluates each server by the closed form of
+// Theorem 3. The multi-class and flow-aware solves share one per-server
+// step, backlog, which evaluates a sum of two-line inputs at its
+// breakpoints without building a curve; ServerBoundNumeric and
+// AggregateCurve are the traffic.Curve references it is tested against.
+// The configuration-time solves take each input link's cap to be the
+// server's own capacity, so a model whose network feeds some server from
+// a faster link is refused by every one of them.
 package delay
 
 import (
@@ -149,18 +150,21 @@ func ServerBound(alpha, burst, rho float64, n int, y float64) float64 {
 //
 //	G(I) = N · min( C·I, n*·(T + ρ·y + ρ·I) ).
 func AggregateCurve(alpha, burst, rho float64, n int, c, y float64) traffic.Curve {
+	p := aggregatePiece(alpha, burst, rho, n, c, y)
+	return traffic.MustCurve(traffic.Line{A: 0, B: p.cap}, traffic.Line{A: p.A, B: p.B})
+}
+
+// aggregatePiece is AggregateCurve as one input of backlog.
+func aggregatePiece(alpha, burst, rho float64, n int, c, y float64) piece {
 	nStar := alpha * c / (rho * float64(n))
-	return traffic.MustCurve(
-		traffic.Line{A: 0, B: float64(n) * c},
-		traffic.Line{A: float64(n) * nStar * (burst + rho*y), B: float64(n) * nStar * rho},
-	)
+	return piece{cap: float64(n) * c, A: float64(n) * nStar * (burst + rho*y), B: float64(n) * nStar * rho}
 }
 
 // ServerBoundNumeric computes the same bound as ServerBound through the
 // general busy-period evaluator d = (1/C)·sup_I (G(I) − C·I)
 // (Equation (3) with the worst-case aggregate of Theorems 1–2). The two
-// agree to floating-point accuracy; this form generalizes to multiple
-// classes.
+// agree to floating-point accuracy. It is the curve-built reference of
+// the solves' per-server step.
 func ServerBoundNumeric(alpha, burst, rho float64, n int, c, y float64) (float64, error) {
 	g := AggregateCurve(alpha, burst, rho, n, c, y)
 	backlog, _, ok := g.MaxBacklog(c)
@@ -168,6 +172,41 @@ func ServerBoundNumeric(alpha, burst, rho float64, n int, c, y float64) (float64
 		return 0, fmt.Errorf("delay: server unstable at alpha=%g", alpha)
 	}
 	return backlog / c, nil
+}
+
+// piece bounds one input of a server by min(a + cap·I, A + B·I): a link
+// of capacity cap carrying traffic of burst A and rate B. Traffic that
+// has already waited δ seconds, G(I + δ), is the piece with a = cap·δ
+// and A + B·δ.
+type piece struct{ a, cap, A, B float64 }
+
+// backlog returns sup_{I>0} Σ_p min(a_p + cap_p·I, A_p + B_p·I) − c·I,
+// the busy-period backlog of Equation (3) over one server's inputs. The
+// objective is concave and piecewise linear, its kinks are where a
+// piece's two lines cross, I_p = (A_p − a_p)/(cap_p − B_p), and its
+// final slope is negative on a stable server (Σ B_p < c). So its
+// supremum is its I→0⁺ limit Σ min(a_p, A_p) or its value at a positive
+// kink: the argument traffic.Curve.MaxBacklog makes, without building
+// the summed curve. It never allocates.
+func backlog(ps []piece, c float64) float64 {
+	best := 0.0
+	for _, p := range ps {
+		best += math.Min(p.a, p.A)
+	}
+	for _, bp := range ps {
+		if bp.A <= bp.a || bp.B >= bp.cap {
+			continue // no kink at a positive I
+		}
+		at := (bp.A - bp.a) / (bp.cap - bp.B)
+		v := -c * at
+		for _, p := range ps {
+			v += math.Min(p.a+p.cap*at, p.A+p.B*at)
+		}
+		if v > best {
+			best = v
+		}
+	}
+	return best
 }
 
 // ClassInput describes one real-time class for the solver: its traffic
@@ -227,90 +266,9 @@ func (r *Result) MaxServerDelay() float64 {
 // closed form inside the Equation (14) fixed-point iteration. The
 // iteration starts from d = 0 and is monotone nondecreasing, so it
 // converges to the least fixed point whenever one exists and is reported
-// diverged otherwise.
+// diverged otherwise. It is SolveTwoClassScratch on a fresh scratch.
 func (m *Model) SolveTwoClass(in ClassInput) (*Result, error) {
-	return m.SolveTwoClassFrom(in, nil)
-}
-
-// SolveTwoClassFrom is SolveTwoClass warm-started from the initial delay
-// vector d0 (nil means all zeros). The iteration is monotone, so any d0
-// below the least fixed point — e.g. the converged solution of a subset
-// of the routes, as maintained by the incremental route-selection loop —
-// yields the same answer in fewer iterations. A d0 above the fixed point
-// is invalid and gives meaningless results.
-func (m *Model) SolveTwoClassFrom(in ClassInput, d0 []float64) (*Result, error) {
-	return m.SolveTwoClassExtra(in, nil, d0)
-}
-
-// SolveTwoClassExtra is SolveTwoClassFrom with one phantom route treated
-// as if it were part of in.Routes — the allocation-free way to evaluate
-// a route candidate without mutating the set. It never modifies
-// in.Routes, so concurrent calls over the same set (with different
-// phantom routes) are safe.
-func (m *Model) SolveTwoClassExtra(in ClassInput, extra *routes.Route, d0 []float64) (*Result, error) {
-	if err := m.validate(in); err != nil {
-		return nil, err
-	}
-	nsrv := m.net.NumServers()
-	if d0 != nil && len(d0) != nsrv {
-		return nil, fmt.Errorf("delay: warm start length %d, want %d", len(d0), nsrv)
-	}
-	gain := make([]float64, nsrv)
-	for s := 0; s < nsrv; s++ {
-		gain[s] = Gain(in.Alpha, in.Class.Bucket.Rate, m.serverN(s))
-	}
-	res := &Result{D: make([]float64, nsrv), Y: make([]float64, nsrv)}
-	if telemetry.Active(m.Sink) {
-		start := time.Now()
-		defer func() {
-			m.Sink.FixedPoint(telemetry.FixedPoint{
-				Class:      in.Class.Name,
-				Iterations: res.Iterations,
-				Converged:  res.Converged,
-				Elapsed:    time.Since(start),
-			})
-		}()
-	}
-	if d0 != nil {
-		copy(res.D, d0)
-	}
-	burst, rho := in.Class.Bucket.Burst, in.Class.Bucket.Rate
-	m.iterate(in, extra, res, gain, burst, rho)
-	return res, nil
-}
-
-// iterate runs the Equation (14) sweep d ← Z(d) until convergence,
-// divergence, or the iteration cap.
-func (m *Model) iterate(in ClassInput, extra *routes.Route, res *Result, gain []float64, burst, rho float64) {
-	nsrv := len(res.D)
-	next := make([]float64, nsrv)
-	var buf []float64
-	for iter := 1; iter <= m.MaxIter; iter++ {
-		res.Iterations = iter
-		in.Routes.ComputeYExtra(res.D, res.Y, extra, &buf)
-		worstChange := 0.0
-		worstD := 0.0
-		for s := 0; s < nsrv; s++ {
-			next[s] = gain[s] * (burst + rho*res.Y[s])
-			if ch := math.Abs(next[s] - res.D[s]); ch > worstChange {
-				worstChange = ch
-			}
-			if next[s] > worstD {
-				worstD = next[s]
-			}
-		}
-		copy(res.D, next)
-		if worstD > m.DivergeCap {
-			res.Converged = false
-			return
-		}
-		if worstChange <= m.Tol*math.Max(1, worstD) {
-			res.Converged = true
-			in.Routes.ComputeYExtra(res.D, res.Y, extra, &buf)
-			return
-		}
-	}
-	res.Converged = false
+	return m.SolveTwoClassScratch(in, nil, nil, new(SolveScratch))
 }
 
 // SolveMultiClass computes per-class delay vectors for one or more
@@ -361,6 +319,7 @@ func (m *Model) SolveMultiClass(inputs []ClassInput) ([]*Result, error) {
 	}
 	next := make([]float64, nsrv)
 	var buf []float64
+	ps := make([]piece, 2*len(inputs)) // the per-server step's pieces
 	for iter := 1; iter <= m.MaxIter; iter++ {
 		worstChange, worstD := 0.0, 0.0
 		for i, in := range inputs {
@@ -368,13 +327,9 @@ func (m *Model) SolveMultiClass(inputs []ClassInput) ([]*Result, error) {
 			res.Iterations = iter
 			in.Routes.ComputeYExtra(res.D, res.Y, nil, &buf)
 			for s := 0; s < nsrv; s++ {
-				d, err := m.serverDelayMultiClass(inputs, results, i, s)
-				if err != nil {
-					// Unstable server: treat as divergence.
-					for _, r := range results {
-						r.Converged = false
-					}
-					return results, nil
+				d, ok := m.serverDelayMultiClass(inputs, results, i, s, ps)
+				if !ok {
+					return results, nil // an unstable or diverging server
 				}
 				next[s] = d
 				if ch := math.Abs(d - res.D[s]); ch > worstChange {
@@ -387,66 +342,57 @@ func (m *Model) SolveMultiClass(inputs []ClassInput) ([]*Result, error) {
 			copy(res.D, next)
 		}
 		if worstD > m.DivergeCap {
-			for _, r := range results {
-				r.Converged = false
-			}
 			return results, nil
 		}
 		if worstChange <= m.Tol*math.Max(1, worstD) {
 			for i, in := range inputs {
 				results[i].Converged = true
-				in.Routes.ComputeY(results[i].D, results[i].Y)
+				in.Routes.ComputeYExtra(results[i].D, results[i].Y, nil, &buf)
 			}
 			return results, nil
 		}
-	}
-	for _, r := range results {
-		r.Converged = false
 	}
 	return results, nil
 }
 
 // serverDelayMultiClass solves the implicit per-server Equation (24) for
 // class index i at server s given the current delay estimates of all
-// classes (through their Y vectors).
-func (m *Model) serverDelayMultiClass(inputs []ClassInput, results []*Result, i, s int) (float64, error) {
+// classes (through their Y vectors). Each class l ≤ i is the piece of its
+// AggregateCurve; a higher class waits behind class i's own delay δ, so
+// it enters shifted by δ. δ is found by monotone iteration. ps holds at
+// least 2(i+1) pieces of scratch. ok is false on an unstable server, a
+// diverging δ, or a δ iteration cut at MaxIter: the joint solve then
+// reports divergence.
+func (m *Model) serverDelayMultiClass(inputs []ClassInput, results []*Result, i, s int, ps []piece) (d float64, ok bool) {
 	c := m.net.ServerCapacity(s)
 	n := m.serverN(s)
-	own := AggregateCurve(inputs[i].Alpha, inputs[i].Class.Bucket.Burst,
-		inputs[i].Class.Bucket.Rate, n, c, results[i].Y[s])
-	if i == 0 {
-		backlog, _, ok := own.MaxBacklog(c)
-		if !ok {
-			return 0, fmt.Errorf("delay: unstable top class at server %d", s)
-		}
-		return backlog / c, nil
+	agg, shifted := ps[:i+1], ps[i+1:2*i+2]
+	rate := 0.0
+	for l := range agg {
+		b := inputs[l].Class.Bucket
+		agg[l] = aggregatePiece(inputs[l].Alpha, b.Burst, b.Rate, n, c, results[l].Y[s])
+		rate += agg[l].B
 	}
-	higher := make([]traffic.Curve, i)
-	for l := 0; l < i; l++ {
-		higher[l] = AggregateCurve(inputs[l].Alpha, inputs[l].Class.Bucket.Burst,
-			inputs[l].Class.Bucket.Rate, n, c, results[l].Y[s])
+	if rate >= c {
+		return 0, false
 	}
-	// Monotone iteration on the implicit delay δ.
+	shifted[i] = agg[i]
 	delta := 0.0
 	for it := 0; it < m.MaxIter; it++ {
-		curves := make([]traffic.Curve, 0, i+1)
-		for _, h := range higher {
-			curves = append(curves, h.Shift(delta))
+		for l, p := range agg[:i] {
+			shifted[l] = piece{a: p.cap * delta, cap: p.cap, A: p.A + p.B*delta, B: p.B}
 		}
-		curves = append(curves, own)
-		total := traffic.Sum(curves...)
-		backlog, _, ok := total.MaxBacklog(c)
-		if !ok {
-			return 0, fmt.Errorf("delay: unstable class %d at server %d", i, s)
+		nd := backlog(shifted, c) / c
+		if i == 0 {
+			return nd, true // nothing above the top class: no δ to find
 		}
-		nd := backlog / c
 		if nd > m.DivergeCap {
-			return 0, fmt.Errorf("delay: diverging class %d at server %d", i, s)
+			return 0, false
 		}
 		if math.Abs(nd-delta) <= m.Tol*math.Max(1, nd) {
-			return nd, nil
+			return nd, true
 		}
 		delta = nd
 	}
-	return 0, fmt.Errorf("delay: inner iteration did not converge at server %d", s)
+	return 0, false
 }

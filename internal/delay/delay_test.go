@@ -482,7 +482,7 @@ func TestMeetsDeadlineTolerance(t *testing.T) {
 func TestSolveTwoClassFromBadWarmStart(t *testing.T) {
 	m, net := lineModel(t, 3)
 	in := chainInput(t, net, 0.3)
-	if _, err := m.SolveTwoClassFrom(in, make([]float64, 1)); err == nil {
+	if _, err := m.SolveTwoClassScratch(in, nil, make([]float64, 1), new(SolveScratch)); err == nil {
 		t.Error("wrong-length warm start accepted")
 	}
 }
@@ -500,7 +500,7 @@ func TestSolveTwoClassFromWarmEqualsCold(t *testing.T) {
 	for i, d := range cold.D {
 		half[i] = d / 2
 	}
-	warm, err := m.SolveTwoClassFrom(in, half)
+	warm, err := m.SolveTwoClassScratch(in, nil, half, new(SolveScratch))
 	if err != nil || !warm.Converged {
 		t.Fatal(err)
 	}

@@ -49,37 +49,14 @@ func maxOf(xs []float64) float64 {
 }
 
 // inputLink aggregates the entries that enter one server through one
-// input link j: its cap C_j, its burst and rate sums Σ Count·T and
-// Σ Count·ρ, and the jitter term Σ Count·ρ·Y, refolded every iteration.
+// input link j: the feeding server, the burst sum Σ Count·T, the jitter
+// term Σ Count·ρ·Y refolded every iteration, and the link's piece of
+// backlog with cap C_j, B = Σ Count·ρ and A = burst + jitter.
 type inputLink struct {
 	from   int // the feeding server, or -1 for the host ingress
-	cap    float64
 	burst  float64
-	rate   float64
 	jitter float64
-}
-
-// serverBacklog returns sup_{I≥0} Σ_j min(C_j·I, A_j + B_j·I) − c·I over
-// one server's input links, where A_j is the link's burst plus its
-// jitter term and B_j its rate. The objective is concave and piecewise
-// linear, 0 at I = 0, with its kinks at the links' breakpoints
-// I_j = A_j/(C_j − B_j) and a negative final slope when the server is
-// stable; so its supremum is 0 or its value at one of the I_j. This is
-// the argument traffic.Curve.MaxBacklog makes, without building the
-// summed curve.
-func serverBacklog(links []inputLink, c float64) float64 {
-	best := 0.0
-	for _, bp := range links {
-		at := (bp.burst + bp.jitter) / (bp.cap - bp.rate)
-		v := -c * at
-		for _, l := range links {
-			v += math.Min(l.cap*at, l.burst+l.jitter+l.rate*at)
-		}
-		if v > best {
-			best = v
-		}
-	}
-	return best
+	piece
 }
 
 // SolveFlowAware computes worst-case per-server delays for an explicit
@@ -101,7 +78,7 @@ func serverBacklog(links []inputLink, c float64) float64 {
 // delay (a prefix sum along its route — tighter than the class-wide max
 // the configuration-time analysis must assume), and C_j is the capacity
 // of the feeding link server, or C_k for the host ingress. Then
-// d_k = sup_I (Σ_j A_{k,j}(I) − C_k·I)/C_k, iterated to a fixed point
+// d_k = backlog(A_{k,·}, C_k)/C_k, iterated to a fixed point
 // from d = 0 (monotone, so divergence means the population is unstable).
 // Each server's input links are kept in first-seen order, so repeated
 // solves of one population are bit-identical.
@@ -135,10 +112,10 @@ func (m *Model) SolveFlowAware(entries []Entry) (*FlowAwareResult, error) {
 				j++
 			}
 			if j == len(links[s]) {
-				links[s] = append(links[s], inputLink{from: from, cap: c})
+				links[s] = append(links[s], inputLink{from: from, piece: piece{cap: c}})
 			}
 			links[s][j].burst += n * e.Bucket.Burst
-			links[s][j].rate += n * e.Bucket.Rate
+			links[s][j].B += n * e.Bucket.Rate
 			load[s] += n * e.Bucket.Rate
 			at = append(at, j)
 		}
@@ -156,6 +133,7 @@ func (m *Model) SolveFlowAware(entries []Entry) (*FlowAwareResult, error) {
 
 	res := &FlowAwareResult{D: make([]float64, nsrv), PerEntry: make([]float64, len(entries))}
 	next := make([]float64, nsrv)
+	var ps []piece
 	for iter := 1; iter <= m.MaxIter; iter++ {
 		res.Iterations = iter
 		// Fold each entry's jitter under the current d, once per hop.
@@ -175,8 +153,13 @@ func (m *Model) SolveFlowAware(entries []Entry) (*FlowAwareResult, error) {
 		}
 		worstChange, worstD := 0.0, 0.0
 		for s, ls := range links {
+			ps = ps[:0]
+			for _, l := range ls {
+				l.A = l.burst + l.jitter
+				ps = append(ps, l.piece)
+			}
 			c := m.net.ServerCapacity(s)
-			next[s] = serverBacklog(ls, c) / c
+			next[s] = backlog(ps, c) / c
 			if ch := math.Abs(next[s] - res.D[s]); ch > worstChange {
 				worstChange = ch
 			}

@@ -195,31 +195,85 @@ func TestFlowAwareNeverExceedsConfigurationBound(t *testing.T) {
 // The per-server step evaluates the summed input-link curve at each
 // link's breakpoint; it must equal the traffic.Curve reference (build
 // the sum, then MaxBacklog) on any stable link set, whatever each link's
-// capacity.
+// capacity, and with links shifted by upstream delay (a > 0), as the
+// multi-class step shifts the higher classes.
 func TestServerBacklogMatchesCurveSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const c = 100e6
+	shifted := 0
 	for trial := 0; trial < 2000; trial++ {
-		links := make([]inputLink, 1+rng.Intn(8))
+		links := make([]piece, 1+rng.Intn(8))
 		curves := make([]traffic.Curve, len(links))
 		rateLeft := c * 0.98
 		for j := range links {
 			capacity := []float64{c, c / 10, 10 * c, c * (0.05 + 2*rng.Float64())}[rng.Intn(4)]
 			rate := rng.Float64() * math.Min(capacity, rateLeft) * 0.9
 			rateLeft -= rate
-			links[j] = inputLink{cap: capacity, burst: rng.Float64() * 1e6, rate: rate, jitter: rng.Float64() * 1e5}
-			l := links[j]
-			curves[j] = traffic.MustCurve(traffic.Line{B: l.cap}, traffic.Line{A: l.burst + l.jitter, B: l.rate})
+			l := piece{cap: capacity, A: rng.Float64()*1e6 + rng.Float64()*1e5, B: rate}
+			if trial%2 == 1 && rng.Intn(2) == 0 {
+				delta := rng.Float64() * 0.05
+				l.a, l.A = l.cap*delta, l.A+l.B*delta
+				shifted++
+			}
+			links[j] = l
+			curves[j] = traffic.MustCurve(traffic.Line{A: l.a, B: l.cap}, traffic.Line{A: l.A, B: l.B})
 		}
 		want, _, ok := traffic.Sum(curves...).MaxBacklog(c)
 		if !ok {
 			t.Fatalf("trial %d: reference unstable", trial)
 		}
-		got := serverBacklog(links, c) / c
+		got := backlog(links, c) / c
 		if want /= c; math.Abs(got-want) > 1e-12*math.Max(got, want) {
 			t.Fatalf("trial %d: step %.17g, curve reference %.17g (links %+v)", trial, got, want, links)
 		}
 	}
+	if shifted == 0 {
+		t.Fatal("no shifted link drawn")
+	}
+}
+
+// FuzzBacklogMatchesCurves checks the per-server step against the
+// traffic.Curve reference on 1+n%4 pieces. Piece k is a link of capacity
+// c, c/10, 10c or 2c (two bits of caps each) carrying burst |a_k| and a
+// share |r_k| of the rate left below c, shifted by δ = |d_k| seconds of
+// upstream delay: min(cap·(I+δ), A + B·(I+δ)). A large δ makes A + B·δ ≤
+// cap·δ, a piece that never kinks.
+func FuzzBacklogMatchesCurves(f *testing.F) {
+	f.Add(uint8(2), uint8(0), 0.0, 0.0, 0.0, 0.0, 640.0, 15e3, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0)
+	f.Add(uint8(3), uint8(0x1b), 0.002, 0.0, 0.5, 0.0, 640.0, 1e6, 640.0, 0.0, 0.3, 0.9, 0.2, 0.0)
+	f.Add(uint8(4), uint8(0xe4), 1e-4, 0.01, 0.0, 3.0, 1e5, 12e3, 1.0, 5e6, 0.1, 0.2, 0.99, 0.5)
+	f.Add(uint8(0), uint8(0), 0.5, 0.0, 0.0, 0.0, 640.0, 0.0, 0.0, 0.0, 0.4, 0.0, 0.0, 0.0) // A ≤ a
+	f.Fuzz(func(t *testing.T, n, caps uint8, d0, d1, d2, d3, a0, a1, a2, a3, r0, r1, r2, r3 float64) {
+		const c = 100e6
+		ds, as, rs := [4]float64{d0, d1, d2, d3}, [4]float64{a0, a1, a2, a3}, [4]float64{r0, r1, r2, r3}
+		for k := range ds {
+			for _, x := range []float64{ds[k], as[k], rs[k]} {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Skip()
+				}
+			}
+		}
+		ps := make([]piece, 1+int(n)%4)
+		curves := make([]traffic.Curve, len(ps))
+		rateLeft := 0.99 * c
+		for k := range ps {
+			capacity := [4]float64{c, c / 10, 10 * c, 2 * c}[(caps>>(2*k))&3]
+			delta := math.Mod(math.Abs(ds[k]), 10)
+			rate := math.Mod(math.Abs(rs[k]), 1) * math.Min(capacity, rateLeft) * 0.99
+			rateLeft -= rate
+			p := piece{cap: capacity, A: math.Mod(math.Abs(as[k]), 1e9), B: rate}
+			p.a, p.A = p.cap*delta, p.A+p.B*delta
+			ps[k] = p
+			curves[k] = traffic.MustCurve(traffic.Line{A: p.a, B: p.cap}, traffic.Line{A: p.A, B: p.B})
+		}
+		want, _, ok := traffic.Sum(curves...).MaxBacklog(c)
+		if !ok {
+			t.Fatalf("reference unstable (pieces %+v)", ps)
+		}
+		if got := backlog(ps, c); math.Abs(got-want) > 1e-12*math.Max(got, want) {
+			t.Fatalf("backlog %.17g, curve reference %.17g (pieces %+v)", got, want, ps)
+		}
+	})
 }
 
 // Solving a population must give the answer of solving its expansion

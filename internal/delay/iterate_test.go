@@ -86,7 +86,7 @@ func TestDivergenceParity(t *testing.T) {
 			in := ClassInput{Class: voice, Alpha: alpha, Routes: set}
 			m := NewModel(net)
 			m.DivergeCap = dcap
-			ref, err := m.SolveTwoClass(in)
+			ref, err := fullSweep(m, in, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

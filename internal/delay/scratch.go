@@ -45,15 +45,26 @@ func (sc *SolveScratch) ensure(nsrv int) {
 	}
 }
 
-// SolveTwoClassScratch is SolveTwoClassExtra with caller-provided
-// scratch: bit-identical results (same D, Y, Converged, Iterations for
-// the same inputs), no per-call allocations once the scratch is warm.
-// The sweep is restricted to the servers actually crossed by
-// in.Routes or extra: every other server's update is the constant
-// gain·T from the first sweep on (its Y_k is 0 in every iteration), so
-// folding those servers' first-sweep change and constant delay into the
-// convergence bookkeeping analytically reproduces the full sweep
-// exactly, at O(active servers) per iteration.
+// SolveTwoClassScratch is the two-class solve of SolveTwoClass on
+// caller-provided scratch, with no per-call allocations once the scratch
+// is warm, and with two options:
+//
+//   - extra is one phantom route treated as if it were part of
+//     in.Routes: the way to evaluate a route candidate without mutating
+//     the set. in.Routes is never modified, so concurrent calls over the
+//     same set (each with its own scratch) are safe.
+//   - d0 warm-starts the iteration (nil means all zeros). The iteration
+//     is monotone, so any d0 below the least fixed point, such as the
+//     converged solution of a subset of the routes, yields the same
+//     answer in fewer iterations. A d0 above the fixed point is invalid
+//     and gives meaningless results.
+//
+// The sweep is restricted to the servers actually crossed by in.Routes
+// or extra: every other server's update is the constant gain·T from the
+// first sweep on (its Y_k is 0 in every iteration), so folding those
+// servers' first-sweep change and constant delay into the convergence
+// bookkeeping analytically reproduces the full sweep exactly, at
+// O(active servers) per iteration.
 func (m *Model) SolveTwoClassScratch(in ClassInput, extra *routes.Route, d0 []float64, sc *SolveScratch) (*Result, error) {
 	if err := m.validate(in); err != nil {
 		return nil, err
@@ -100,7 +111,7 @@ func (m *Model) SolveTwoClassScratch(in ClassInput, extra *routes.Route, d0 []fl
 
 // iterateActive runs the Equation (14) sweep d ← Z(d) restricted to the
 // active servers (those crossed by the route set or the phantom route),
-// reproducing iterate bit for bit:
+// reproducing the full sweep over every server bit for bit:
 //
 //   - an inactive server has Y_k = 0 in every sweep, so its update is
 //     the constant c_s = gain_s·T; its delta is |c_s − d0_s| in sweep 1

@@ -1,6 +1,7 @@
 package delay
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -28,8 +29,53 @@ func scratchEqual(t *testing.T, label string, got, want *Result) {
 	}
 }
 
+// fullSweep is the reference two-class driver: the Equation (14) sweep
+// d ← Z(d) over every server, on fresh vectors, until convergence,
+// divergence or the iteration cap. SolveTwoClassScratch must reproduce
+// it bit for bit.
+func fullSweep(m *Model, in ClassInput, extra *routes.Route, d0 []float64) (*Result, error) {
+	if err := m.validate(in); err != nil {
+		return nil, err
+	}
+	nsrv := m.net.NumServers()
+	if d0 != nil && len(d0) != nsrv {
+		return nil, fmt.Errorf("delay: warm start length %d, want %d", len(d0), nsrv)
+	}
+	burst, rho := in.Class.Bucket.Burst, in.Class.Bucket.Rate
+	res := &Result{D: make([]float64, nsrv), Y: make([]float64, nsrv)}
+	if d0 != nil {
+		copy(res.D, d0)
+	}
+	next := make([]float64, nsrv)
+	var buf []float64
+	for iter := 1; iter <= m.MaxIter; iter++ {
+		res.Iterations = iter
+		in.Routes.ComputeYExtra(res.D, res.Y, extra, &buf)
+		worstChange, worstD := 0.0, 0.0
+		for s := 0; s < nsrv; s++ {
+			next[s] = Gain(in.Alpha, rho, m.serverN(s)) * (burst + rho*res.Y[s])
+			if ch := math.Abs(next[s] - res.D[s]); ch > worstChange {
+				worstChange = ch
+			}
+			if next[s] > worstD {
+				worstD = next[s]
+			}
+		}
+		copy(res.D, next)
+		if worstD > m.DivergeCap {
+			return res, nil
+		}
+		if worstChange <= m.Tol*math.Max(1, worstD) {
+			res.Converged = true
+			in.Routes.ComputeYExtra(res.D, res.Y, extra, &buf)
+			return res, nil
+		}
+	}
+	return res, nil
+}
+
 // The scratch solver (cached gains, reused buffers, active-domain sweep)
-// must be bit-identical to SolveTwoClassExtra across topologies, route
+// must be bit-identical to the full sweep across topologies, route
 // sets, warm starts, phantom routes, and alphas spanning convergence,
 // slow convergence, and divergence — including its iteration counts, so
 // even the trajectory matches, not just the fixed point.
@@ -84,7 +130,7 @@ func TestSolveScratchMatchesExtra(t *testing.T) {
 				{"warm", nil, warm},
 				{"warm+extra", phantom, warm},
 			} {
-				want, err := m.SolveTwoClassExtra(in, tc.extra, tc.d0)
+				want, err := fullSweep(m, in, tc.extra, tc.d0)
 				if err != nil {
 					t.Fatal(err)
 				}
