@@ -133,7 +133,7 @@ func (m *Model) SolveFlowAware(entries []Entry) (*FlowAwareResult, error) {
 
 	res := &FlowAwareResult{D: make([]float64, nsrv), PerEntry: make([]float64, len(entries))}
 	next := make([]float64, nsrv)
-	var ps []piece
+	ps := make([]piece, 0, m.net.MaxDegree()+1) // a server's input links and host ingress
 	for iter := 1; iter <= m.MaxIter; iter++ {
 		res.Iterations = iter
 		// Fold each entry's jitter under the current d, once per hop.
