@@ -33,7 +33,6 @@ import (
 	"ubac/internal/config"
 	"ubac/internal/delay"
 	"ubac/internal/routing"
-	"ubac/internal/signaling"
 	"ubac/internal/sim"
 	"ubac/internal/telemetry"
 	"ubac/internal/topology"
@@ -369,34 +368,6 @@ func BenchmarkAdmissionParallel(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAdmissionDistributed regenerates F-G's distributed variant:
-// the same utilization test performed through hop-by-hop signaling
-// between per-router agent goroutines (internal/signaling), exposing the
-// coordination cost relative to the centralized ledger above.
-func BenchmarkAdmissionDistributed(b *testing.B) {
-	net := topology.MCI()
-	m := delay.NewModel(net)
-	set, rep, err := (routing.Heuristic{}).Select(m, routing.Request{Class: traffic.Voice(), Alpha: 0.40})
-	if err != nil || !rep.Safe {
-		b.Fatalf("select: %v", err)
-	}
-	n, err := signaling.Start(net, []signaling.ClassConfig{
-		{Class: traffic.Voice(), Alpha: 0.40, Routes: set},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer n.Stop()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if id, err := n.Establish("voice", i%19, (i+7)%19); err == nil {
-			if err := n.Terminate(id); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 }
 
 // BenchmarkDelayClosedFormVsNumeric is the DESIGN.md §4 ablation: the

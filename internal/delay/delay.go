@@ -355,14 +355,18 @@ func (m *Model) SolveMultiClass(inputs []ClassInput) ([]*Result, error) {
 	return results, nil
 }
 
+// deltaMaxIter caps serverDelayMultiClass's δ iteration, so that
+// Model.MaxIter bounds only the joint iteration.
+const deltaMaxIter = 4000
+
 // serverDelayMultiClass solves the implicit per-server Equation (24) for
 // class index i at server s given the current delay estimates of all
 // classes (through their Y vectors). Each class l ≤ i is the piece of its
 // AggregateCurve; a higher class waits behind class i's own delay δ, so
 // it enters shifted by δ. δ is found by monotone iteration. ps holds at
 // least 2(i+1) pieces of scratch. ok is false on an unstable server, a
-// diverging δ, or a δ iteration cut at MaxIter: the joint solve then
-// reports divergence.
+// diverging δ, or a δ iteration cut at deltaMaxIter: the joint solve
+// then reports divergence.
 func (m *Model) serverDelayMultiClass(inputs []ClassInput, results []*Result, i, s int, ps []piece) (d float64, ok bool) {
 	c := m.net.ServerCapacity(s)
 	n := m.serverN(s)
@@ -378,7 +382,7 @@ func (m *Model) serverDelayMultiClass(inputs []ClassInput, results []*Result, i,
 	}
 	shifted[i] = agg[i]
 	delta := 0.0
-	for it := 0; it < m.MaxIter; it++ {
+	for it := 0; it < deltaMaxIter; it++ {
 		for l, p := range agg[:i] {
 			shifted[l] = piece{a: p.cap * delta, cap: p.cap, A: p.A + p.B*delta, B: p.B}
 		}

@@ -13,6 +13,9 @@ import (
 
 const eps = 1e-9
 
+// DeltaMaxIter gives the external tests' reference step the δ cap.
+const DeltaMaxIter = deltaMaxIter
+
 func approx(a, b float64) bool {
 	return math.Abs(a-b) <= eps*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }

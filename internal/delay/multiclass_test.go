@@ -64,7 +64,7 @@ func curveStep(m *delay.Model, inputs []delay.ClassInput, results []*delay.Resul
 	shifted := make([]traffic.Curve, i+1)
 	shifted[i] = curves[i]
 	delta := 0.0
-	for it := 0; it < m.MaxIter; it++ {
+	for it := 0; it < delay.DeltaMaxIter; it++ {
 		for l := 0; l < i; l++ {
 			shifted[l] = curves[l].Shift(delta)
 		}
@@ -238,11 +238,13 @@ func TestMultiClassMatchesCurveStep(t *testing.T) {
 
 // The multi-class step allocates nothing per iteration: a solve cut at
 // MaxIter 2 (or later) allocates exactly what the converged solve does.
+// The cut bounds the joint iteration only, so a cut solve runs exactly
+// MaxIter joint iterations.
 func TestSolveMultiClassAllocsIndependentOfIterations(t *testing.T) {
 	m, inputs := multiClassFF(t)
+	var res []*delay.Result
 	allocs := func(maxIter int) (float64, int) {
 		m.MaxIter = maxIter
-		var res []*delay.Result
 		n := testing.AllocsPerRun(3, func() {
 			var err error
 			if res, err = m.SolveMultiClass(inputs); err != nil {
@@ -256,6 +258,11 @@ func TestSolveMultiClassAllocsIndependentOfIterations(t *testing.T) {
 		n, iters := allocs(cut)
 		if iters >= fullIters {
 			t.Fatalf("MaxIter %d: %d iterations, the converged solve only %d", cut, iters, fullIters)
+		}
+		for i, r := range res {
+			if r.Iterations != cut {
+				t.Fatalf("MaxIter %d: class %d stopped after %d joint iterations", cut, i, r.Iterations)
+			}
 		}
 		if n != full {
 			t.Fatalf("allocations depend on iterations: %v at MaxIter %d (%d iterations), %v converged (%d)",

@@ -2,8 +2,8 @@
 // system: a dependency-free metrics registry (atomic counters, gauges,
 // and fixed-bucket lock-free histograms), a bounded lock-free ring
 // buffer of structured admission decision events, and a Sink interface
-// that the admission controller, the delay solver, the signaling plane,
-// and the simulator all emit into.
+// that the admission controller, the delay solver and the simulator all
+// emit into.
 //
 // The paper's pitch is that run-time admission is O(path length) with no
 // per-flow state in the core; this package exists to make that property
@@ -91,7 +91,7 @@ func (v Verdict) Reason() string {
 }
 
 // Decision is one run-time admission control decision (admit, reject,
-// or teardown), emitted by admission.Controller and signaling.Network.
+// or teardown), emitted by admission.Controller.
 type Decision struct {
 	// FlowID is the admitted (or torn down) flow's ID; 0 on rejection.
 	FlowID uint64
