@@ -13,9 +13,11 @@
 //
 // Ablations (design choices called out in DESIGN.md §4):
 //
-//	BenchmarkDelayClosedFormVsNumeric   Theorem 3 closed form vs busy-period evaluator
 //	BenchmarkHeuristicKnobs             lookahead vs cheap scoring, K, cycle heuristic
 //	BenchmarkDelayModelN                uniform-N (paper) vs per-server fan-in
+//
+// The closed-form ablation, BenchmarkDelayClosedFormVsNumeric, times
+// unexported code and lives in internal/delay.
 //
 // Run everything with:
 //
@@ -365,23 +367,6 @@ func BenchmarkAdmissionParallel(b *testing.B) {
 				if err := ctrl.Teardown(id); err != nil {
 					b.Fatal(err)
 				}
-			}
-		}
-	})
-}
-
-// BenchmarkDelayClosedFormVsNumeric is the DESIGN.md §4 ablation: the
-// Theorem 3 closed form against the general busy-period evaluator.
-func BenchmarkDelayClosedFormVsNumeric(b *testing.B) {
-	b.Run("closed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			delay.ServerBound(0.45, 640, 32e3, 6, 0.02)
-		}
-	})
-	b.Run("numeric", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := delay.ServerBoundNumeric(0.45, 640, 32e3, 6, 100e6, 0.02); err != nil {
-				b.Fatal(err)
 			}
 		}
 	})

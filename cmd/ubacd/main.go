@@ -149,6 +149,9 @@ func main() {
 			*clusterSpec = file.Cluster
 		}
 	}
+	if err := config.CheckLimits(*events, shutdownGrace.Seconds()); err != nil {
+		log.Fatalf("ubacd: %v", err)
+	}
 	if policyCfg == nil {
 		pc, err := config.ParsePolicySpec(*policySpec)
 		if err != nil {

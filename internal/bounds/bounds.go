@@ -109,38 +109,3 @@ func Bounds(p Params) (lower, upper float64, err error) {
 	}
 	return lower, upper, nil
 }
-
-// MinDeadlineForAlpha inverts the lower bound: the smallest end-to-end
-// deadline D for which the given α is still below the topology-
-// independent safe level. It returns an error when α is out of range or
-// unreachable for any deadline (α ≥ N/(N−1+1/(L−1)·...) asymptote).
-func MinDeadlineForAlpha(alpha float64, n, l int, burst, rate float64) (float64, error) {
-	if !(alpha > 0 && alpha < 1) {
-		return 0, fmt.Errorf("bounds: alpha %g out of (0,1)", alpha)
-	}
-	if n < 2 || l < 1 || burst < 0 || rate <= 0 {
-		return 0, fmt.Errorf("bounds: invalid parameters")
-	}
-	// α = Nβ/(N−1+β) ⇒ β = α(N−1)/(N−α); then β = Dρ/(LT+(L−1)Dρ)
-	// ⇒ D = β·L·T / (ρ(1 − β(L−1))).
-	beta := alpha * (float64(n) - 1) / (float64(n) - alpha)
-	den := 1 - beta*float64(l-1)
-	if den <= 0 {
-		return 0, fmt.Errorf("bounds: alpha %g unreachable at L=%d for any deadline", alpha, l)
-	}
-	return beta * float64(l) * burst / (rate * den), nil
-}
-
-// MaxDiameterForAlpha returns the largest diameter L (≥1) at which the
-// lower bound still admits the given α, or 0 when even L = 1 cannot.
-func MaxDiameterForAlpha(alpha float64, n int, burst, rate, deadline float64) int {
-	for l := 1; ; l++ {
-		lb, err := Lower(Params{N: n, L: l, Burst: burst, Rate: rate, Deadline: deadline})
-		if err != nil || lb < alpha {
-			return l - 1
-		}
-		if l > 1<<20 {
-			return l // unbounded in practice
-		}
-	}
-}

@@ -158,55 +158,6 @@ func TestLowerBoundSingleHop(t *testing.T) {
 	}
 }
 
-func TestMinDeadlineForAlphaRoundTrip(t *testing.T) {
-	p := paperParams()
-	lb, err := Lower(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := MinDeadlineForAlpha(lb, p.N, p.L, p.Burst, p.Rate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-p.Deadline) > 1e-9 {
-		t.Errorf("round trip deadline = %g, want %g", d, p.Deadline)
-	}
-}
-
-func TestMinDeadlineForAlphaErrors(t *testing.T) {
-	if _, err := MinDeadlineForAlpha(0, 6, 4, 640, 32e3); err == nil {
-		t.Error("alpha=0 accepted")
-	}
-	if _, err := MinDeadlineForAlpha(1, 6, 4, 640, 32e3); err == nil {
-		t.Error("alpha=1 accepted")
-	}
-	if _, err := MinDeadlineForAlpha(0.5, 1, 4, 640, 32e3); err == nil {
-		t.Error("N=1 accepted")
-	}
-	// β(L−1) ≥ 1 makes the deadline unreachable: large alpha, long L.
-	if _, err := MinDeadlineForAlpha(0.9, 6, 10, 640, 32e3); err == nil {
-		t.Error("unreachable alpha accepted")
-	}
-}
-
-func TestMaxDiameterForAlpha(t *testing.T) {
-	p := paperParams()
-	lb, err := Lower(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At the L=4 lower bound, diameter 4 must be admissible but not 5.
-	got := MaxDiameterForAlpha(lb-1e-9, p.N, p.Burst, p.Rate, p.Deadline)
-	if got != 4 {
-		t.Errorf("max diameter = %d, want 4", got)
-	}
-	// At L=1 the voice scenario's lower bound clamps to 1, so even a
-	// near-1 alpha is admissible at a single hop — but no further.
-	if got := MaxDiameterForAlpha(0.99, p.N, p.Burst, p.Rate, p.Deadline); got != 1 {
-		t.Errorf("near-1 alpha max diameter = %d, want 1", got)
-	}
-}
-
 func BenchmarkBounds(b *testing.B) {
 	p := paperParams()
 	for i := 0; i < b.N; i++ {

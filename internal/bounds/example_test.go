@@ -21,14 +21,3 @@ func ExampleBounds() {
 	fmt.Printf("alpha in [%.2f, %.2f]\n", lower, upper)
 	// Output: alpha in [0.30, 0.61]
 }
-
-func ExampleMinDeadlineForAlpha() {
-	// How tight a deadline can a 25% assignment tolerate on MCI-class
-	// topologies?
-	d, err := bounds.MinDeadlineForAlpha(0.25, 6, 4, 640, 32e3)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("%.1f ms\n", d*1e3)
-	// Output: 50.0 ms
-}

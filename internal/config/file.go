@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"time"
+
+	"ubac/internal/telemetry"
 )
 
 // File is the daemon's deployable configuration: everything ubacd needs
@@ -93,11 +97,11 @@ func ParseFile(data []byte) (*File, error) {
 	if f.Events == 0 {
 		f.Events = DefaultEvents
 	}
-	if f.ShutdownGraceSeconds < 0 || f.ShutdownGraceSeconds != f.ShutdownGraceSeconds {
-		return nil, fmt.Errorf("config: invalid shutdown_grace_seconds %g", f.ShutdownGraceSeconds)
-	}
 	if f.ShutdownGraceSeconds == 0 {
 		f.ShutdownGraceSeconds = DefaultShutdownGraceSeconds
+	}
+	if err := CheckLimits(f.Events, f.ShutdownGraceSeconds); err != nil {
+		return nil, err
 	}
 	switch f.Fsync {
 	case "", "sync", "async", "off":
@@ -127,6 +131,24 @@ func ParseFile(data []byte) (*File, error) {
 		}
 	}
 	return &f, nil
+}
+
+// maxGraceSeconds is the longest drain deadline a time.Duration holds.
+const maxGraceSeconds = float64(math.MaxInt64 / int64(time.Second))
+
+// CheckLimits refuses an audit-ring capacity outside [1,
+// telemetry.MaxRingEvents] and a shutdown grace that is negative, NaN or
+// longer than a time.Duration holds. ParseFile applies it to the events
+// and shutdown_grace_seconds keys, and ubacd to its -events and
+// -shutdown-grace flags.
+func CheckLimits(events int, graceSeconds float64) error {
+	if events < 1 || events > telemetry.MaxRingEvents {
+		return fmt.Errorf("config: events capacity %d outside [1, %d]", events, telemetry.MaxRingEvents)
+	}
+	if !(graceSeconds >= 0 && graceSeconds <= maxGraceSeconds) {
+		return fmt.Errorf("config: shutdown_grace_seconds %g outside [0, %.0f]", graceSeconds, maxGraceSeconds)
+	}
+	return nil
 }
 
 // LoadFile reads and parses a daemon configuration file.

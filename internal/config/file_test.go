@@ -56,6 +56,8 @@ func TestParseFileRejections(t *testing.T) {
 		{"solver workers removed", `{"topology":"mci","alphas":{"voice":0.4},"solver_workers":4}`, `unknown field "solver_workers"`},
 		{"route workers removed", `{"topology":"mci","alphas":{"voice":0.4},"route_workers":4}`, `unknown field "route_workers"`},
 		{"negative grace", `{"topology":"mci","alphas":{"voice":0.4},"shutdown_grace_seconds":-1}`, "shutdown_grace_seconds"},
+		{"events above the cap", `{"topology":"mci","alphas":{"voice":0.4},"events":1048577}`, "events capacity 1048577"},
+		{"grace overflows a duration", `{"topology":"mci","alphas":{"voice":0.4},"shutdown_grace_seconds":1e300}`, "shutdown_grace_seconds"},
 	}
 	for _, tc := range cases {
 		if _, err := ParseFile([]byte(tc.doc)); err == nil {

@@ -1,18 +1,17 @@
 // Package delay implements the paper's configuration-time delay analysis
 // (Section 5.1): the per-server worst-case queueing delay bound of
-// Theorem 3, the worst-case aggregate arrival curves behind it
-// (Theorems 1 and 2), the fixed-point computation of the delay vector
-// d = Z(d) (Equation (14)), the multi-class static-priority extension of
+// Theorem 3, the worst-case aggregate input behind it (Theorems 1 and
+// 2), the fixed-point computation of the delay vector d = Z(d)
+// (Equation (14)), the multi-class static-priority extension of
 // Theorem 5 / Equation (24), and the verification procedure of Figure 2.
 //
 // The two-class solve evaluates each server by the closed form of
 // Theorem 3. The multi-class and flow-aware solves share one per-server
-// step, backlog, which evaluates a sum of two-line inputs at its
-// breakpoints without building a curve; ServerBoundNumeric and
-// AggregateCurve are the traffic.Curve references it is tested against.
-// The configuration-time solves take each input link's cap to be the
-// server's own capacity, so a model whose network feeds some server from
-// a faster link is refused by every one of them.
+// step, backlog, which evaluates Equation (3) over a sum of Theorem 1's
+// two-line inputs at their breakpoints. The configuration-time solves
+// take each input link's cap to be the server's own capacity, so a model
+// whose network feeds some server from a faster link is refused by every
+// one of them.
 package delay
 
 import (
@@ -142,36 +141,17 @@ func ServerBound(alpha, burst, rho float64, n int, y float64) float64 {
 	return Gain(alpha, rho, n) * (burst + rho*y)
 }
 
-// AggregateCurve returns the worst-case aggregate arrival curve of one
-// class at one server (Theorems 1–2): the admission-controlled population
-// α·C/ρ of flows is spread evenly over the N input links
-// (n* = αC/(ρN) flows per link), each link is capped at its capacity C,
-// and every flow is jittered by up to y seconds of upstream delay:
+// aggregatePiece returns the worst-case aggregate input of one class at
+// one server (Theorems 1–2) as one piece of backlog: the
+// admission-controlled population α·C/ρ of flows is spread evenly over
+// the N input links (n* = αC/(ρN) flows per link), each link is capped
+// at its capacity C, and every flow is jittered by up to y seconds of
+// upstream delay:
 //
 //	G(I) = N · min( C·I, n*·(T + ρ·y + ρ·I) ).
-func AggregateCurve(alpha, burst, rho float64, n int, c, y float64) traffic.Curve {
-	p := aggregatePiece(alpha, burst, rho, n, c, y)
-	return traffic.MustCurve(traffic.Line{A: 0, B: p.cap}, traffic.Line{A: p.A, B: p.B})
-}
-
-// aggregatePiece is AggregateCurve as one input of backlog.
 func aggregatePiece(alpha, burst, rho float64, n int, c, y float64) piece {
 	nStar := alpha * c / (rho * float64(n))
 	return piece{cap: float64(n) * c, A: float64(n) * nStar * (burst + rho*y), B: float64(n) * nStar * rho}
-}
-
-// ServerBoundNumeric computes the same bound as ServerBound through the
-// general busy-period evaluator d = (1/C)·sup_I (G(I) − C·I)
-// (Equation (3) with the worst-case aggregate of Theorems 1–2). The two
-// agree to floating-point accuracy. It is the curve-built reference of
-// the solves' per-server step.
-func ServerBoundNumeric(alpha, burst, rho float64, n int, c, y float64) (float64, error) {
-	g := AggregateCurve(alpha, burst, rho, n, c, y)
-	backlog, _, ok := g.MaxBacklog(c)
-	if !ok {
-		return 0, fmt.Errorf("delay: server unstable at alpha=%g", alpha)
-	}
-	return backlog / c, nil
 }
 
 // piece bounds one input of a server by min(a + cap·I, A + B·I): a link
@@ -186,8 +166,7 @@ type piece struct{ a, cap, A, B float64 }
 // piece's two lines cross, I_p = (A_p − a_p)/(cap_p − B_p), and its
 // final slope is negative on a stable server (Σ B_p < c). So its
 // supremum is its I→0⁺ limit Σ min(a_p, A_p) or its value at a positive
-// kink: the argument traffic.Curve.MaxBacklog makes, without building
-// the summed curve. It never allocates.
+// kink. It never allocates.
 func backlog(ps []piece, c float64) float64 {
 	best := 0.0
 	for _, p := range ps {
@@ -278,7 +257,7 @@ func (m *Model) SolveTwoClass(in ClassInput) (*Result, error) {
 //	                            + G_{i,k}(I) − C·I ),
 //
 // where G_{l,k} is the worst-case aggregate of class l at server k
-// (AggregateCurve with that class's upstream jitter Y_{l,k}). Inputs must
+// (aggregatePiece with that class's upstream jitter Y_{l,k}). Inputs must
 // be ordered by priority, highest first; each class carries its own route
 // set. The returned slice is parallel to the inputs. Converged is false
 // on any result if the joint iteration fails to stabilize.
@@ -361,8 +340,8 @@ const deltaMaxIter = 4000
 
 // serverDelayMultiClass solves the implicit per-server Equation (24) for
 // class index i at server s given the current delay estimates of all
-// classes (through their Y vectors). Each class l ≤ i is the piece of its
-// AggregateCurve; a higher class waits behind class i's own delay δ, so
+// classes (through their Y vectors). Each class l ≤ i is its
+// aggregatePiece; a higher class waits behind class i's own delay δ, so
 // it enters shifted by δ. δ is found by monotone iteration. ps holds at
 // least 2(i+1) pieces of scratch. ok is false on an unstable server, a
 // diverging δ, or a δ iteration cut at deltaMaxIter: the joint solve

@@ -193,8 +193,8 @@ func TestFlowAwareNeverExceedsConfigurationBound(t *testing.T) {
 }
 
 // The per-server step evaluates the summed input-link curve at each
-// link's breakpoint; it must equal the traffic.Curve reference (build
-// the sum, then MaxBacklog) on any stable link set, whatever each link's
+// link's breakpoint; it must equal the exhaustive oracle (every pairwise
+// line crossing) on any stable link set, whatever each link's
 // capacity, and with links shifted by upstream delay (a > 0), as the
 // multi-class step shifts the higher classes.
 func TestServerBacklogMatchesCurveSum(t *testing.T) {
@@ -203,7 +203,6 @@ func TestServerBacklogMatchesCurveSum(t *testing.T) {
 	shifted := 0
 	for trial := 0; trial < 2000; trial++ {
 		links := make([]piece, 1+rng.Intn(8))
-		curves := make([]traffic.Curve, len(links))
 		rateLeft := c * 0.98
 		for j := range links {
 			capacity := []float64{c, c / 10, 10 * c, c * (0.05 + 2*rng.Float64())}[rng.Intn(4)]
@@ -216,15 +215,14 @@ func TestServerBacklogMatchesCurveSum(t *testing.T) {
 				shifted++
 			}
 			links[j] = l
-			curves[j] = traffic.MustCurve(traffic.Line{A: l.a, B: l.cap}, traffic.Line{A: l.A, B: l.B})
 		}
-		want, _, ok := traffic.Sum(curves...).MaxBacklog(c)
+		want, ok := bruteBacklog(links, c)
 		if !ok {
-			t.Fatalf("trial %d: reference unstable", trial)
+			t.Fatalf("trial %d: oracle reports an unstable server", trial)
 		}
 		got := backlog(links, c) / c
 		if want /= c; math.Abs(got-want) > 1e-12*math.Max(got, want) {
-			t.Fatalf("trial %d: step %.17g, curve reference %.17g (links %+v)", trial, got, want, links)
+			t.Fatalf("trial %d: step %.17g, oracle %.17g (links %+v)", trial, got, want, links)
 		}
 	}
 	if shifted == 0 {
@@ -233,7 +231,7 @@ func TestServerBacklogMatchesCurveSum(t *testing.T) {
 }
 
 // FuzzBacklogMatchesCurves checks the per-server step against the
-// traffic.Curve reference on 1+n%4 pieces. Piece k is a link of capacity
+// exhaustive oracle on 1+n%4 pieces. Piece k is a link of capacity
 // c, c/10, 10c or 2c (two bits of caps each) carrying burst |a_k| and a
 // share |r_k| of the rate left below c, shifted by δ = |d_k| seconds of
 // upstream delay: min(cap·(I+δ), A + B·(I+δ)). A large δ makes A + B·δ ≤
@@ -254,7 +252,6 @@ func FuzzBacklogMatchesCurves(f *testing.F) {
 			}
 		}
 		ps := make([]piece, 1+int(n)%4)
-		curves := make([]traffic.Curve, len(ps))
 		rateLeft := 0.99 * c
 		for k := range ps {
 			capacity := [4]float64{c, c / 10, 10 * c, 2 * c}[(caps>>(2*k))&3]
@@ -264,14 +261,13 @@ func FuzzBacklogMatchesCurves(f *testing.F) {
 			p := piece{cap: capacity, A: math.Mod(math.Abs(as[k]), 1e9), B: rate}
 			p.a, p.A = p.cap*delta, p.A+p.B*delta
 			ps[k] = p
-			curves[k] = traffic.MustCurve(traffic.Line{A: p.a, B: p.cap}, traffic.Line{A: p.A, B: p.B})
 		}
-		want, _, ok := traffic.Sum(curves...).MaxBacklog(c)
+		want, ok := bruteBacklog(ps, c)
 		if !ok {
-			t.Fatalf("reference unstable (pieces %+v)", ps)
+			t.Fatalf("oracle reports an unstable server (pieces %+v)", ps)
 		}
 		if got := backlog(ps, c); math.Abs(got-want) > 1e-12*math.Max(got, want) {
-			t.Fatalf("backlog %.17g, curve reference %.17g (pieces %+v)", got, want, ps)
+			t.Fatalf("backlog %.17g, oracle %.17g (pieces %+v)", got, want, ps)
 		}
 	})
 }

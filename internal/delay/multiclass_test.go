@@ -8,6 +8,7 @@ import (
 
 	"ubac/internal/config"
 	"ubac/internal/delay"
+	"ubac/internal/graph"
 	"ubac/internal/routes"
 	"ubac/internal/topology"
 	"ubac/internal/traffic"
@@ -45,30 +46,30 @@ func curveServerN(m *delay.Model, s int) int {
 	return max(n, 2)
 }
 
-// curveStep is the per-server Equation (24) step built from traffic
-// curves: every higher class's AggregateCurve shifted by δ, summed with
-// class i's own, then MaxBacklog, iterated on δ. ok is false where the
-// step fails (unstable, diverging or not converging).
+// curveStep is the per-server Equation (24) step built from the oracle:
+// every higher class's aggregate piece shifted by δ, beside class i's
+// own, summed by BruteBacklog, iterated on δ. ok is false where the step
+// fails (unstable, diverging or not converging).
 func curveStep(m *delay.Model, inputs []delay.ClassInput, results []*delay.Result, i, s int) (d float64, ok bool) {
 	c := m.Network().ServerCapacity(s)
 	n := curveServerN(m, s)
-	curves := make([]traffic.Curve, i+1)
-	for l := range curves {
+	pieces := make([]delay.Piece, i+1)
+	for l := range pieces {
 		b := inputs[l].Class.Bucket
-		curves[l] = delay.AggregateCurve(inputs[l].Alpha, b.Burst, b.Rate, n, c, results[l].Y[s])
+		pieces[l] = delay.AggregatePiece(inputs[l].Alpha, b.Burst, b.Rate, n, c, results[l].Y[s])
 	}
 	if i == 0 {
-		backlog, _, ok := curves[0].MaxBacklog(c)
+		backlog, ok := delay.BruteBacklog(pieces, c)
 		return backlog / c, ok
 	}
-	shifted := make([]traffic.Curve, i+1)
-	shifted[i] = curves[i]
+	shifted := make([]delay.Piece, i+1)
+	shifted[i] = pieces[i]
 	delta := 0.0
 	for it := 0; it < delay.DeltaMaxIter; it++ {
 		for l := 0; l < i; l++ {
-			shifted[l] = curves[l].Shift(delta)
+			shifted[l] = pieces[l].Shift(delta)
 		}
-		backlog, _, ok := traffic.Sum(shifted...).MaxBacklog(c)
+		backlog, ok := delay.BruteBacklog(shifted, c)
 		nd := backlog / c
 		if !ok || nd > m.DivergeCap {
 			return 0, false
@@ -82,7 +83,7 @@ func curveStep(m *delay.Model, inputs []delay.ClassInput, results []*delay.Resul
 }
 
 // solveMultiClassCurves is SolveMultiClass's joint iteration over
-// curveStep: the reference the curve-free step is checked against.
+// curveStep: the reference the kernel's step is checked against.
 func solveMultiClassCurves(m *delay.Model, inputs []delay.ClassInput) []*delay.Result {
 	nsrv := m.Network().NumServers()
 	results := make([]*delay.Result, len(inputs))
@@ -121,8 +122,8 @@ func solveMultiClassCurves(m *delay.Model, inputs []delay.ClassInput) []*delay.R
 	return results
 }
 
-// matchCurves solves inputs with SolveMultiClass and with the curve
-// reference and asserts the same verdict, the same iteration count, and
+// matchCurves solves inputs with SolveMultiClass and with the oracle's
+// step and asserts the same verdict, the same iteration count, and
 // per-server delays within 1e-12 relative. It returns the largest
 // relative difference.
 func matchCurves(t *testing.T, label string, m *delay.Model, inputs []delay.ClassInput) (converged bool, worst float64) {
@@ -135,7 +136,7 @@ func matchCurves(t *testing.T, label string, m *delay.Model, inputs []delay.Clas
 	for i := range inputs {
 		g, w := got[i], want[i]
 		if g.Converged != w.Converged || g.Iterations != w.Iterations {
-			t.Fatalf("%s class %d: converged=%v after %d, curve reference converged=%v after %d",
+			t.Fatalf("%s class %d: converged=%v after %d, oracle step converged=%v after %d",
 				label, i, g.Converged, g.Iterations, w.Converged, w.Iterations)
 		}
 		if !w.Converged {
@@ -144,7 +145,7 @@ func matchCurves(t *testing.T, label string, m *delay.Model, inputs []delay.Clas
 		for s := range w.D {
 			diff := math.Abs(g.D[s]-w.D[s]) / math.Max(w.D[s], math.SmallestNonzeroFloat64)
 			if diff > 1e-12 {
-				t.Fatalf("%s class %d server %d: D %.17g, curve reference %.17g", label, i, s, g.D[s], w.D[s])
+				t.Fatalf("%s class %d server %d: D %.17g, oracle step %.17g", label, i, s, g.D[s], w.D[s])
 			}
 			worst = math.Max(worst, diff)
 		}
@@ -181,7 +182,7 @@ func randomClassInputs(t *testing.T, net *topology.Network, rng *rand.Rand) []de
 			if rng.Intn(4) != 0 {
 				continue
 			}
-			paths, err := rg.KShortestPaths(p[0], p[1], 3)
+			paths, err := graph.NewKSPSolver(rg).Paths(p[0], p[1], 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +199,7 @@ func randomClassInputs(t *testing.T, net *topology.Network, rng *rand.Rand) []de
 	return inputs
 }
 
-// The curve-free multi-class step must reproduce the curve-built one: on
+// The multi-class step must reproduce the one built on the oracle: on
 // F-F and on random 2–3-class mixes over several topologies, the same
 // verdicts and iteration counts, and per-server delays within 1e-12
 // relative.
@@ -218,7 +219,7 @@ func TestMultiClassMatchesCurveStep(t *testing.T) {
 		}
 		for trial := 0; trial < 10; trial++ {
 			m := delay.NewModel(net)
-			// The curve reference is slow near the stability edge.
+			// The oracle's step is slow near the stability edge.
 			m.MaxIter, m.DivergeCap = 40, 1
 			if trial%2 == 1 {
 				m.NMode = delay.PerServerFanIn

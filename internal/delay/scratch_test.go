@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ubac/internal/graph"
 	"ubac/internal/routes"
 	"ubac/internal/topology"
 	"ubac/internal/traffic"
@@ -162,7 +163,7 @@ func TestScratchMatchesAddRemove(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			paths, err := rg.KShortestPaths(src, dst, 3)
+			paths, err := graph.NewKSPSolver(rg).Paths(src, dst, 3)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,7 +11,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Graph is a directed graph over dense integer vertices.
@@ -128,17 +127,6 @@ func (g *Graph) InDegree(v int) int {
 		}
 	}
 	return n
-}
-
-// InDegrees returns the in-degree of every vertex in one pass.
-func (g *Graph) InDegrees() []int {
-	deg := make([]int, len(g.adj))
-	for u := range g.adj {
-		for _, w := range g.adj[u] {
-			deg[w]++
-		}
-	}
-	return deg
 }
 
 // Clone returns a deep copy of the graph.
@@ -356,36 +344,6 @@ func (g *Graph) HasCycleWithArcs(extra [][2]int) bool {
 		}
 	}
 	return false
-}
-
-// TopoSort returns a topological ordering of the vertices, or an error if
-// the graph has a cycle.
-func (g *Graph) TopoSort() ([]int, error) {
-	indeg := g.InDegrees()
-	// Min-ID-first queue keeps the ordering deterministic.
-	var ready []int
-	for v, d := range indeg {
-		if d == 0 {
-			ready = append(ready, v)
-		}
-	}
-	order := make([]int, 0, len(g.adj))
-	for len(ready) > 0 {
-		sort.Ints(ready)
-		u := ready[0]
-		ready = ready[1:]
-		order = append(order, u)
-		for _, v := range g.adj[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				ready = append(ready, v)
-			}
-		}
-	}
-	if len(order) != len(g.adj) {
-		return nil, errors.New("graph: cycle detected, no topological order")
-	}
-	return order, nil
 }
 
 // MaxOutDegree returns the largest out-degree in the graph (0 if empty).

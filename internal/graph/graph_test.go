@@ -77,13 +77,6 @@ func TestHasEdgeAndDegrees(t *testing.T) {
 	if d := g.InDegree(1); d != 2 {
 		t.Errorf("InDegree(1) = %d, want 2", d)
 	}
-	degs := g.InDegrees()
-	want := []int{0, 2, 1, 0}
-	for i, w := range want {
-		if degs[i] != w {
-			t.Errorf("InDegrees[%d] = %d, want %d", i, degs[i], w)
-		}
-	}
 	if g.MaxOutDegree() != 2 {
 		t.Errorf("MaxOutDegree = %d, want 2", g.MaxOutDegree())
 	}
@@ -220,38 +213,6 @@ func TestHasCycleEmpty(t *testing.T) {
 	}
 }
 
-func TestTopoSort(t *testing.T) {
-	g := New(5)
-	mustEdge(t, g, 3, 1)
-	mustEdge(t, g, 1, 0)
-	mustEdge(t, g, 2, 0)
-	mustEdge(t, g, 4, 2)
-	order, err := g.TopoSort()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := make(map[int]int)
-	for i, v := range order {
-		pos[v] = i
-	}
-	for u := 0; u < g.Order(); u++ {
-		for _, v := range g.Neighbors(u) {
-			if pos[u] >= pos[v] {
-				t.Errorf("topo order violates arc %d->%d: %v", u, v, order)
-			}
-		}
-	}
-}
-
-func TestTopoSortCycle(t *testing.T) {
-	g := New(2)
-	mustEdge(t, g, 0, 1)
-	mustEdge(t, g, 1, 0)
-	if _, err := g.TopoSort(); err == nil {
-		t.Error("expected cycle error")
-	}
-}
-
 func TestKShortestPathsBasic(t *testing.T) {
 	// Diamond: 0->1->3, 0->2->3, plus long route 0->4->5->3.
 	g := New(6)
@@ -262,7 +223,7 @@ func TestKShortestPathsBasic(t *testing.T) {
 	mustEdge(t, g, 0, 4)
 	mustEdge(t, g, 4, 5)
 	mustEdge(t, g, 5, 3)
-	paths, err := g.KShortestPaths(0, 3, 10)
+	paths, err := NewKSPSolver(g).Paths(0, 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +241,7 @@ func TestKShortestPathsBasic(t *testing.T) {
 
 func TestKShortestPathsKZero(t *testing.T) {
 	g := lineGraph(t, 3)
-	paths, err := g.KShortestPaths(0, 2, 0)
+	paths, err := NewKSPSolver(g).Paths(0, 2, 0)
 	if err != nil || paths != nil {
 		t.Errorf("k=0: got %v, %v", paths, err)
 	}
@@ -288,7 +249,7 @@ func TestKShortestPathsKZero(t *testing.T) {
 
 func TestKShortestPathsNoPath(t *testing.T) {
 	g := New(2)
-	if _, err := g.KShortestPaths(0, 1, 3); err != ErrNoPath {
+	if _, err := NewKSPSolver(g).Paths(0, 1, 3); err != ErrNoPath {
 		t.Errorf("err = %v, want ErrNoPath", err)
 	}
 }
@@ -304,7 +265,7 @@ func TestKShortestPathsSimple(t *testing.T) {
 			}
 		}
 	}
-	paths, err := g.KShortestPaths(0, n-1, 20)
+	paths, err := NewKSPSolver(g).Paths(0, n-1, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +322,7 @@ func randomConnectedGraph(rng *rand.Rand, n int) *Graph {
 	return g
 }
 
-// Property: the first path returned by KShortestPaths always has the BFS
+// Property: the first path KSPSolver.Paths returns always has the BFS
 // shortest-path length, and every path is at least that long.
 func TestKShortestFirstIsShortestProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -376,7 +337,7 @@ func TestKShortestFirstIsShortestProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		paths, err := g.KShortestPaths(src, dst, 5)
+		paths, err := NewKSPSolver(g).Paths(src, dst, 5)
 		if err != nil || len(paths) == 0 {
 			return false
 		}
@@ -436,7 +397,7 @@ func BenchmarkKShortestPaths(b *testing.B) {
 	g := randomConnectedGraph(rng, 60)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.KShortestPaths(0, 59, 8); err != nil {
+		if _, err := NewKSPSolver(g).Paths(0, 59, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -453,10 +414,11 @@ func TestShortestPathWeightedMatchesBFSUnderUnitWeights(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dij, cost, err := g.ShortestPathWeighted(src, dst, unitWeight)
+		paths, err := NewWeightedKSPSolver(g).Paths(src, dst, 1, unitWeight)
 		if err != nil {
 			t.Fatal(err)
 		}
+		dij, cost := paths[0], pathCost(paths[0], unitWeight)
 		if len(dij) != len(bfs) {
 			t.Fatalf("%d->%d: dijkstra %d hops vs bfs %d", src, dst, len(dij)-1, len(bfs)-1)
 		}
@@ -478,10 +440,11 @@ func TestShortestPathWeightedAvoidsHeavyArcs(t *testing.T) {
 		}
 		return 1
 	}
-	p, cost, err := g.ShortestPathWeighted(0, 2, w)
+	paths, err := NewWeightedKSPSolver(g).Paths(0, 2, 1, w)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p, cost := paths[0], pathCost(paths[0], w)
 	if !equalPath(p, []int{0, 1, 2}) || cost != 2 {
 		t.Errorf("path %v cost %g, want detour at cost 2", p, cost)
 	}
@@ -489,28 +452,28 @@ func TestShortestPathWeightedAvoidsHeavyArcs(t *testing.T) {
 
 func TestShortestPathWeightedErrors(t *testing.T) {
 	g := New(2)
-	if _, _, err := g.ShortestPathWeighted(0, 1, unitWeight); err != ErrNoPath {
+	s := NewWeightedKSPSolver(g)
+	if _, err := s.Paths(0, 1, 1, unitWeight); err != ErrNoPath {
 		t.Errorf("err = %v", err)
 	}
-	if _, _, err := g.ShortestPathWeighted(0, 9, unitWeight); err == nil {
+	if _, err := s.Paths(0, 9, 1, unitWeight); err == nil {
 		t.Error("bad vertex accepted")
 	}
 	// Self path.
-	g2 := lineGraph(t, 2)
-	p, cost, err := g2.ShortestPathWeighted(1, 1, unitWeight)
-	if err != nil || len(p) != 1 || cost != 0 {
-		t.Errorf("self path: %v %g %v", p, cost, err)
+	paths, err := NewWeightedKSPSolver(lineGraph(t, 2)).Paths(1, 1, 1, unitWeight)
+	if err != nil || len(paths) != 1 || len(paths[0]) != 1 || pathCost(paths[0], unitWeight) != 0 {
+		t.Errorf("self path: %v %v", paths, err)
 	}
 }
 
 func TestKShortestWeightedMatchesUnweightedUnderUnitWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomConnectedGraph(rng, 12)
-	pu, err := g.KShortestPaths(0, 11, 5)
+	pu, err := NewKSPSolver(g).Paths(0, 11, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pw, err := g.KShortestPathsWeighted(0, 11, 5, unitWeight)
+	pw, err := NewWeightedKSPSolver(g).Paths(0, 11, 5, unitWeight)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +485,7 @@ func TestKShortestWeightedMatchesUnweightedUnderUnitWeights(t *testing.T) {
 			t.Errorf("path %d lengths differ: %v vs %v", i, pu[i], pw[i])
 		}
 	}
-	if paths, err := g.KShortestPathsWeighted(0, 11, 0, unitWeight); err != nil || paths != nil {
+	if paths, err := NewWeightedKSPSolver(g).Paths(0, 11, 0, unitWeight); err != nil || paths != nil {
 		t.Error("k=0 wrong")
 	}
 }
@@ -549,7 +512,7 @@ func TestKShortestWeightedOrderedByCost(t *testing.T) {
 			w(u, v)
 		}
 	}
-	paths, err := g.KShortestPathsWeighted(0, 13, 6, w)
+	paths, err := NewWeightedKSPSolver(g).Paths(0, 13, 6, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -231,14 +231,6 @@ func (s *KSPSolver) bfs(src, dst, spur int) bool {
 	return found
 }
 
-// KShortestPaths returns up to k loop-free minimum-hop paths from src to
-// dst, shortest first (see KSPSolver.Paths). Callers issuing many queries
-// over the same graph should hold a KSPSolver instead to reuse its
-// scratch buffers.
-func (g *Graph) KShortestPaths(src, dst, k int) ([][]int, error) {
-	return NewKSPSolver(g).Paths(src, dst, k)
-}
-
 func equalPrefix(p, prefix []int) bool {
 	if len(p) < len(prefix) {
 		return false

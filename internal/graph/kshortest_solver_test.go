@@ -28,7 +28,7 @@ func randomConnected(n, extra int, seed int64) *Graph {
 	return g
 }
 
-// A reused solver must return exactly what a fresh one-shot query does:
+// A reused solver must return exactly what a fresh solver does:
 // any stale blocking or BFS state left between calls would change the
 // path set. Exercised across random graphs, pairs, and k values.
 func TestKSPSolverReuseMatchesOneShot(t *testing.T) {
@@ -40,7 +40,7 @@ func TestKSPSolverReuseMatchesOneShot(t *testing.T) {
 			src, dst := rng.Intn(g.Order()), rng.Intn(g.Order())
 			k := 1 + rng.Intn(6)
 			got, gotErr := s.Paths(src, dst, k)
-			want, wantErr := g.KShortestPaths(src, dst, k)
+			want, wantErr := NewKSPSolver(g).Paths(src, dst, k)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("seed=%d %d->%d k=%d: err %v vs %v", seed, src, dst, k, gotErr, wantErr)
 			}
@@ -57,7 +57,7 @@ func TestKSPSolverReuseMatchesOneShot(t *testing.T) {
 }
 
 // The whole point of the solver struct: repeated queries must allocate
-// strictly less than fresh one-shot calls (which rebuild the scratch
+// strictly less than queries on fresh solvers (which rebuild the scratch
 // every time). The returned paths still allocate — only the scratch is
 // amortized — so the assertion is relative, not zero.
 func TestKSPSolverAllocs(t *testing.T) {
@@ -72,7 +72,7 @@ func TestKSPSolverAllocs(t *testing.T) {
 		}
 	})
 	fresh := testing.AllocsPerRun(50, func() {
-		if _, err := g.KShortestPaths(0, g.Order()-1, 6); err != nil {
+		if _, err := NewKSPSolver(g).Paths(0, g.Order()-1, 6); err != nil {
 			t.Fatal(err)
 		}
 	})

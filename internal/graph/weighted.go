@@ -9,25 +9,6 @@ import (
 // called for arcs present in the graph.
 type WeightFunc func(u, v int) float64
 
-// ShortestPathWeighted returns a minimum-cost path from src to dst under
-// the weight function (Dijkstra), with deterministic tie-breaking by the
-// vertex sequence. Costs must be nonnegative.
-func (g *Graph) ShortestPathWeighted(src, dst int, w WeightFunc) ([]int, float64, error) {
-	paths, err := NewWeightedKSPSolver(g).Paths(src, dst, 1, w)
-	if err != nil {
-		return nil, 0, err
-	}
-	return paths[0], pathCost(paths[0], w), nil
-}
-
-// KShortestPathsWeighted is Yen's algorithm under a weight function: up
-// to k loop-free minimum-cost paths, cheapest first, deterministic (see
-// WeightedKSPSolver.Paths). Callers issuing many queries over the same
-// graph should hold a WeightedKSPSolver to reuse its scratch.
-func (g *Graph) KShortestPathsWeighted(src, dst, k int, w WeightFunc) ([][]int, error) {
-	return NewWeightedKSPSolver(g).Paths(src, dst, k, w)
-}
-
 // pathCost sums the arc costs along path, left to right.
 func pathCost(path []int, w WeightFunc) float64 {
 	c := 0.0

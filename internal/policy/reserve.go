@@ -57,6 +57,3 @@ func (p *ReserveHeadroom) Needs() Needs { return NeedFill }
 
 // Name implements Policy.
 func (p *ReserveHeadroom) Name() string { return "reserve_headroom" }
-
-// Reserve returns the configured held-back fraction.
-func (p *ReserveHeadroom) Reserve() float64 { return p.reserve }

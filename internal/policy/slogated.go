@@ -1,9 +1,6 @@
 package policy
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Tier is an SLO class. Critical traffic is never shed by the gate;
 // standard and sheddable traffic are refused once the cluster load
@@ -144,15 +141,4 @@ func (g *SLOGated) Name() string { return "slo_gated" }
 // thresholds.
 func (g *SLOGated) Thresholds() (standardMax, sheddableMax float64) {
 	return g.stdMax, g.shedMax
-}
-
-// TierNames returns the configured name → tier assignments sorted by
-// name, for config echo and logs.
-func (g *SLOGated) TierNames() []string {
-	out := make([]string, 0, len(g.tiers))
-	for name, t := range g.tiers {
-		out = append(out, name+"="+t.String())
-	}
-	sort.Strings(out)
-	return out
 }

@@ -66,7 +66,7 @@ func TestDependencyGraphIncrementalMatchesRebuild(t *testing.T) {
 		if src == dst {
 			continue
 		}
-		paths, err := rg.KShortestPaths(src, dst, 3)
+		paths, err := graph.NewKSPSolver(rg).Paths(src, dst, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

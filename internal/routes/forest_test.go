@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ubac/internal/graph"
 	"ubac/internal/topology"
 )
 
@@ -97,7 +98,7 @@ func TestForestMatchesPerRouteAccumulation(t *testing.T) {
 					if src == dst {
 						continue
 					}
-					paths, err := rg.KShortestPaths(src, dst, 4)
+					paths, err := graph.NewKSPSolver(rg).Paths(src, dst, 4)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -232,17 +232,6 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// UsedServers returns the servers crossed by at least one route.
-func (s *Set) UsedServers() []int {
-	var used []int
-	for srv, occ := range s.users {
-		if len(occ) > 0 {
-			used = append(used, srv)
-		}
-	}
-	return used
-}
-
 // CrossCount returns how many routes traverse server srv.
 func (s *Set) CrossCount(srv int) int { return len(s.users[srv]) }
 
@@ -330,18 +319,6 @@ func (s *Set) MaxRouteDelay(d []float64) (float64, int) {
 	return worst, worstIdx
 }
 
-// MaxRouteDelayExtra is MaxRouteDelay over the set plus one phantom
-// route (index len(Set) if the phantom is the worst). extra may be nil.
-func (s *Set) MaxRouteDelayExtra(d []float64, extra *Route) (float64, int) {
-	worst, worstIdx := s.MaxRouteDelay(d)
-	if extra != nil {
-		if v := extra.Delay(d); v > worst || worstIdx == -1 {
-			worst, worstIdx = v, len(s.routes)
-		}
-	}
-	return worst, worstIdx
-}
-
 // MinSlackExtra returns the minimum deadline slack over the set plus an
 // optional phantom route, charging perHop seconds of constant delay per
 // hop on top of the queueing bounds d:
@@ -407,14 +384,6 @@ func (s *Set) DependencyGraph() *graph.Graph {
 
 // HasCycle reports whether the route union contains dependency feedback.
 func (s *Set) HasCycle() bool { return s.DependencyGraph().HasCycle() }
-
-// WouldCycle reports whether adding the candidate route would make the
-// dependency graph cyclic, without mutating the set. When testing many
-// candidates against the same set, build the graph once with
-// DependencyGraph and use WouldCycleOn instead.
-func (s *Set) WouldCycle(candidate Route) bool {
-	return WouldCycleOn(s.DependencyGraph(), candidate)
-}
 
 // WouldCycleOn reports whether adding the candidate's arcs to a prebuilt
 // dependency graph (from DependencyGraph of the same set) closes a

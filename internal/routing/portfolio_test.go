@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"ubac/internal/routes"
 	"ubac/internal/topology"
 )
 
@@ -102,51 +101,5 @@ func TestPortfolioValidation(t *testing.T) {
 	m := model(t, net)
 	if _, _, err := (Portfolio{}).Select(m, voiceReq(0)); err == nil {
 		t.Error("bad alpha accepted")
-	}
-}
-
-func TestAnalyzeMetrics(t *testing.T) {
-	net := topology.MCI()
-	m := model(t, net)
-	spSet, _, err := SP{}.Select(m, voiceReq(0.3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spM, err := Analyze(net, spSet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spM.Routes != 342 || spM.TotalHops == 0 {
-		t.Fatalf("sp metrics: %+v", spM)
-	}
-	// SP routes have stretch exactly 1.
-	if spM.Stretch != 1 {
-		t.Errorf("sp stretch = %g, want 1", spM.Stretch)
-	}
-	hSet, rep, err := (Heuristic{}).Select(m, voiceReq(0.45))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Safe {
-		t.Skip("0.45 infeasible")
-	}
-	hM, err := Analyze(net, hSet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The heuristic trades stretch >= 1 for feasibility at higher alpha.
-	if hM.Stretch < 1 {
-		t.Errorf("heuristic stretch = %g < 1", hM.Stretch)
-	}
-	if hM.MaxServerLoad <= 0 || hM.DependencyArcs <= 0 {
-		t.Errorf("heuristic metrics empty: %+v", hM)
-	}
-	// Errors.
-	if _, err := Analyze(net, nil); err == nil {
-		t.Error("nil set accepted")
-	}
-	empty, err := Analyze(net, routes.NewSet(net))
-	if err != nil || empty.Routes != 0 {
-		t.Errorf("empty set: %+v %v", empty, err)
 	}
 }

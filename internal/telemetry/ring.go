@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"math/bits"
 	"sync/atomic"
 )
@@ -119,9 +120,17 @@ type Ring struct {
 	readers atomic.Int32
 }
 
+// MaxRingEvents caps a ring's capacity: 1<<20 events is about 84 MB of
+// 80-byte records.
+const MaxRingEvents = 1 << 20
+
 // NewRing returns a ring holding at least capacity events (rounded up
-// to a power of two, minimum 2).
+// to a power of two, minimum 2). It panics on a capacity outside
+// [1, MaxRingEvents].
 func NewRing(capacity int) *Ring {
+	if capacity < 1 || capacity > MaxRingEvents {
+		panic(fmt.Sprintf("telemetry: ring capacity %d outside [1, %d]", capacity, MaxRingEvents))
+	}
 	n := uint64(2)
 	for n < uint64(capacity) {
 		n <<= 1

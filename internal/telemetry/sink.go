@@ -290,23 +290,6 @@ func (s *RegistrySink) addClass(class string, admits, rejects uint64) {
 	}
 }
 
-// ClassAdmits returns the cumulative admit count for class (0 if the
-// class has never been admitted) — a test and summary hook.
-func (s *RegistrySink) ClassAdmits(class string) uint64 {
-	if c := (*s.classAdmit.Load())[class]; c != nil {
-		return c.Value()
-	}
-	return 0
-}
-
-// ClassRejects returns the cumulative reject count for class.
-func (s *RegistrySink) ClassRejects(class string) uint64 {
-	if c := (*s.classRej.Load())[class]; c != nil {
-		return c.Value()
-	}
-	return 0
-}
-
 // WALAppend satisfies the wal package's Observer interface (records
 // staged for durability).
 func (s *RegistrySink) WALAppend(records, bytes int) {

@@ -218,6 +218,31 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
+// NewRing refuses a capacity outside [1, MaxRingEvents] at once: its
+// power-of-two rounding never ends on -1, and 1<<62+1 overflows the
+// chunk-slot count to 0. Each call runs in a goroutine, so a hang fails
+// the test after 1 s instead of stalling it.
+func TestNewRingRefusesOutOfRangeCapacity(t *testing.T) {
+	for _, capacity := range []int{-1, 0, MaxRingEvents + 1, 1<<62 + 1} {
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			NewRing(capacity)
+		}()
+		select {
+		case r := <-done:
+			if r == nil {
+				t.Errorf("NewRing(%d) did not panic", capacity)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("NewRing(%d) still running after 1 s", capacity)
+		}
+	}
+	if got := NewRing(MaxRingEvents).Cap(); got != MaxRingEvents {
+		t.Errorf("NewRing(MaxRingEvents).Cap() = %d", got)
+	}
+}
+
 func TestRingPartialFill(t *testing.T) {
 	r := NewRing(1024)
 	r.add(record{Class: "voice"})

@@ -1,3 +1,6 @@
+// Package traffic implements the paper's traffic model (Section 3): the
+// DiffServ classes and the leaky-bucket envelope that polices each flow.
+// Amounts are in bits, rates in bits/second and times in seconds.
 package traffic
 
 import (

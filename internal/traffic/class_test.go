@@ -24,51 +24,6 @@ func TestLeakyBucketValidate(t *testing.T) {
 	}
 }
 
-func TestLeakyBucketCurve(t *testing.T) {
-	lb := LeakyBucket{Burst: 640, Rate: 32e3}
-	c := lb.Curve(100e6)
-	// Long interval: burst + rate·I dominates.
-	if got, want := c.Eval(1.0), 640.0+32e3; !approx(got, want) {
-		t.Errorf("H(1) = %g, want %g", got, want)
-	}
-	// Very short interval: link-capacity line dominates.
-	if got, want := c.Eval(1e-9), 100e6*1e-9; !approx(got, want) {
-		t.Errorf("H(1ns) = %g, want %g", got, want)
-	}
-}
-
-func TestLeakyBucketCurveDegenerate(t *testing.T) {
-	lb := LeakyBucket{Burst: 100, Rate: 1e6}
-	c := lb.Curve(1e5) // access link slower than token rate
-	if got := c.Eval(1); !approx(got, 1e5) {
-		t.Errorf("degenerate H(1) = %g, want 1e5", got)
-	}
-}
-
-func TestJitteredCurve(t *testing.T) {
-	lb := LeakyBucket{Burst: 640, Rate: 32e3}
-	y := 50e-3
-	c := lb.JitteredCurve(100e6, y)
-	// Flat region: T + ρY + ρI.
-	want := 640 + 32e3*y + 32e3*1.0
-	if got := c.Eval(1.0); !approx(got, want) {
-		t.Errorf("H_k(1) = %g, want %g", got, want)
-	}
-	// y = 0 must equal the plain source curve.
-	if got := lb.JitteredCurve(100e6, 0).Eval(0.3); !approx(got, lb.Curve(100e6).Eval(0.3)) {
-		t.Error("JitteredCurve(0) differs from Curve")
-	}
-}
-
-func TestJitteredCurveNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	LeakyBucket{Burst: 1, Rate: 1}.JitteredCurve(10, -0.1)
-}
-
 func TestConform(t *testing.T) {
 	lb := LeakyBucket{Burst: 1000, Rate: 100}
 	// Start full, send the whole burst.
@@ -82,7 +37,7 @@ func TestConform(t *testing.T) {
 	}
 	// After 1 s, 100 tokens refilled.
 	tok, ok = lb.Conform(0, 1, 100)
-	if !ok || !approx(tok, 0) {
+	if !ok || math.Abs(tok) > 1e-9 {
 		t.Errorf("refill: tokens=%g ok=%v", tok, ok)
 	}
 	// Refill saturates at the burst size.

@@ -5,59 +5,6 @@ import (
 	"testing"
 )
 
-// FuzzCurveEnvelope feeds arbitrary line parameters into NewCurve and
-// cross-checks the canonical envelope against a brute-force minimum at
-// many sample points, plus the concavity/monotonicity invariants.
-func FuzzCurveEnvelope(f *testing.F) {
-	f.Add(0.0, 100.0, 5.0, 2.0, 50.0, 10.0)
-	f.Add(0.0, 1e8, 640.0, 32e3, 640.0, 32e3)
-	f.Add(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-	f.Fuzz(func(t *testing.T, a1, b1, a2, b2, a3, b3 float64) {
-		lines := []Line{{a1, b1}, {a2, b2}, {a3, b3}}
-		for _, l := range lines {
-			if l.A < 0 || l.B < 0 || math.IsNaN(l.A) || math.IsNaN(l.B) ||
-				math.IsInf(l.A, 0) || math.IsInf(l.B, 0) || l.A > 1e12 || l.B > 1e12 {
-				t.Skip()
-			}
-		}
-		c, err := NewCurve(lines...)
-		if err != nil {
-			t.Fatalf("valid lines rejected: %v", err)
-		}
-		prev := 0.0
-		for i := 1; i <= 64; i++ {
-			x := float64(i) * 0.125
-			want := math.Inf(1)
-			for _, l := range lines {
-				if v := l.Eval(x); v < want {
-					want = v
-				}
-			}
-			got := c.Eval(x)
-			if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
-				t.Fatalf("Eval(%g) = %g, brute force %g (lines %v)", x, got, want, lines)
-			}
-			if got < prev-1e-9*math.Max(1, prev) {
-				t.Fatalf("curve decreasing at %g: %g < %g", x, got, prev)
-			}
-			prev = got
-		}
-		// MaxBacklog never below a grid scan.
-		rate := c.SustainedRate()*1.25 + 1
-		best, _, ok := c.MaxBacklog(rate)
-		if !ok {
-			t.Fatalf("stable curve reported unstable")
-		}
-		for i := 1; i <= 64; i++ {
-			x := float64(i) * 0.125
-			if v := c.Eval(x) - rate*x; v > best+1e-6*math.Max(1, best) {
-				t.Fatalf("MaxBacklog %g misses grid value %g at %g", best, v, x)
-			}
-		}
-	})
-}
-
 // FuzzLeakyBucketConform checks the token bucket never goes negative and
 // never exceeds the burst.
 func FuzzLeakyBucketConform(f *testing.F) {

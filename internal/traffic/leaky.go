@@ -26,30 +26,6 @@ func (lb LeakyBucket) Validate() error {
 	return nil
 }
 
-// Curve returns the source constraint function H(I) = min(C·I, T + ρ·I)
-// for a source attached through a link of capacity c bits/second
-// (Equation (30) of the paper).
-func (lb LeakyBucket) Curve(c float64) Curve {
-	if c <= lb.Rate {
-		// Degenerate: the access link itself polices to C·I.
-		return MustCurve(Line{A: 0, B: c})
-	}
-	return MustCurve(Line{A: 0, B: c}, Line{A: lb.Burst, B: lb.Rate})
-}
-
-// JitteredCurve returns H_k(I) = min(C·I, T + ρ·Y + ρ·I), the constraint
-// function of the flow after experiencing up to y seconds of upstream
-// queueing delay (Theorem 1, Equation (5)).
-func (lb LeakyBucket) JitteredCurve(c, y float64) Curve {
-	if y < 0 {
-		panic("traffic: negative upstream delay")
-	}
-	if c <= lb.Rate {
-		return MustCurve(Line{A: 0, B: c})
-	}
-	return MustCurve(Line{A: 0, B: c}, Line{A: lb.Burst + lb.Rate*y, B: lb.Rate})
-}
-
 // Conform reports whether transmitting amount bits over an interval of
 // length dt seconds keeps the source within its envelope when the bucket
 // currently holds tokens token bits (capacity Burst, refill Rate).

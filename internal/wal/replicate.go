@@ -27,20 +27,12 @@ func (l *Log) TailPos() (seg uint64, off int64) {
 	return l.segIdx, l.segOff
 }
 
-// FirstSegment returns the oldest segment index on disk at Open time.
-// A full-history log (no snapshot truncation) starts at 0.
-func (l *Log) FirstSegment() uint64 {
-	l.ioMu.Lock()
-	defer l.ioMu.Unlock()
-	return l.firstSeg
-}
-
 // ReadSegmentAt reads durable bytes of segment seg starting at off into
 // buf. It returns the bytes read and whether the segment is finished —
 // eos means the reader should advance to segment seg+1 at offset 0.
 // Reading at the durable tail of the current segment returns (0, false,
 // nil): there is simply nothing new yet. Offsets beyond a segment's end
-// or segments outside [FirstSegment, current] are ErrOutOfRange.
+// or segments outside [oldest on disk at Open, current] are ErrOutOfRange.
 func (l *Log) ReadSegmentAt(seg uint64, off int64, buf []byte) (n int, eos bool, err error) {
 	if off < 0 {
 		return 0, false, fmt.Errorf("wal: negative segment offset %d", off)

@@ -73,55 +73,6 @@ func (c MMPPConfig) IDC() float64 {
 	return 1 + 2*p1*(1-p1)*d*d/(c.MeanRate()*(q1+q0))
 }
 
-// MMPPGenerator produces a bursty MMPP/on-off call process over a pair
-// set, mirroring Generator for the Poisson case. Construct with
-// NewMMPPGenerator.
-type MMPPGenerator struct {
-	rng *rand.Rand
-	// Config is the modulating process.
-	Config MMPPConfig
-	// MeanHolding is the mean call duration 1/μ in seconds.
-	MeanHolding float64
-	// Pairs is the set of (src, dst) pairs calls are drawn from,
-	// uniformly.
-	Pairs [][2]int
-}
-
-// NewMMPPGenerator validates the parameters and seeds the process.
-func NewMMPPGenerator(cfg MMPPConfig, meanHolding float64, pairs [][2]int, seed int64) (*MMPPGenerator, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if meanHolding <= 0 || math.IsNaN(meanHolding) || math.IsInf(meanHolding, 0) {
-		return nil, fmt.Errorf("workload: invalid mean holding %g", meanHolding)
-	}
-	if err := validatePairs(pairs); err != nil {
-		return nil, err
-	}
-	return &MMPPGenerator{
-		rng:         rand.New(rand.NewSource(seed)),
-		Config:      cfg,
-		MeanHolding: meanHolding,
-		Pairs:       append([][2]int(nil), pairs...),
-	}, nil
-}
-
-// OfferedLoad returns the long-run offered load in Erlangs (λ̄/μ).
-func (g *MMPPGenerator) OfferedLoad() float64 { return g.Config.MeanRate() * g.MeanHolding }
-
-// Generate produces all calls arriving in [0, horizon), sorted by
-// arrival time: the MMPPSource stream on the generator's rng,
-// collected. The modulating chain starts in its stationary
-// distribution so the window is statistically homogeneous. A horizon
-// that is not positive and finite yields no calls.
-func (g *MMPPGenerator) Generate(horizon float64) []Call {
-	src, err := NewMMPPSource(g.Config, g.MeanHolding, g.Pairs, horizon, g.rng)
-	if err != nil {
-		return nil
-	}
-	return Collect(src)
-}
-
 // InterarrivalCV returns the empirical coefficient of variation
 // (stddev/mean) of the interarrival times of a sorted call sequence.
 // Poisson traffic measures ≈ 1; bursty traffic exceeds it.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -31,13 +32,14 @@ func TestMMPPConfigValidate(t *testing.T) {
 	if err := burstyCfg().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewMMPPGenerator(burstyCfg(), 0, burstPairs, 1); err == nil {
+	rng := rand.New(rand.NewSource(1))
+	if _, err := NewMMPPSource(burstyCfg(), 0, burstPairs, 1, rng); err == nil {
 		t.Error("zero holding validated")
 	}
-	if _, err := NewMMPPGenerator(burstyCfg(), 1, nil, 1); err == nil {
+	if _, err := NewMMPPSource(burstyCfg(), 1, nil, 1, rng); err == nil {
 		t.Error("empty pairs validated")
 	}
-	if _, err := NewMMPPGenerator(burstyCfg(), 1, [][2]int{{3, 3}}, 1); err == nil {
+	if _, err := NewMMPPSource(burstyCfg(), 1, [][2]int{{3, 3}}, 1, rng); err == nil {
 		t.Error("self pair validated")
 	}
 }
@@ -66,11 +68,11 @@ func TestMMPPAnalytics(t *testing.T) {
 // matches the analytic one.
 func TestMMPPBurstiness(t *testing.T) {
 	const horizon = 2000.0
-	g, err := NewMMPPGenerator(burstyCfg(), 0.1, burstPairs, 42)
+	src, err := NewMMPPSource(burstyCfg(), 0.1, burstPairs, horizon, rand.New(rand.NewSource(42)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := g.Generate(horizon)
+	calls := Collect(src)
 	// Count variance is IDC·λ̄·T ≈ 129·20000, so the realized rate has
 	// σ ≈ 0.8 calls/s; allow ~3σ around the analytic mean of 10.
 	rate := float64(len(calls)) / horizon
@@ -99,11 +101,11 @@ func TestMMPPBurstiness(t *testing.T) {
 // seeds diverge.
 func TestMMPPDeterminism(t *testing.T) {
 	gen := func(seed int64) []Call {
-		g, err := NewMMPPGenerator(burstyCfg(), 0.1, burstPairs, seed)
+		src, err := NewMMPPSource(burstyCfg(), 0.1, burstPairs, 100, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return g.Generate(100)
+		return Collect(src)
 	}
 	a, b := gen(7), gen(7)
 	if len(a) != len(b) {

@@ -93,8 +93,8 @@ func (s *PoissonSource) Next() (Call, bool) {
 	}, true
 }
 
-// MMPPSource streams the two-state MMPP/on-off call process of
-// MMPPGenerator. Construct with NewMMPPSource.
+// MMPPSource streams the two-state MMPP/on-off call process that an
+// MMPPConfig describes. Construct with NewMMPPSource.
 type MMPPSource struct {
 	rng         *rand.Rand
 	cfg         MMPPConfig

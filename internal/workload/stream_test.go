@@ -54,15 +54,15 @@ func TestPoissonSourceMatchesGenerator(t *testing.T) {
 	}
 }
 
-// Same property for the MMPP source.
+// Same property for the MMPP source, whose batch form is Collect.
 func TestMMPPSourceMatchesGenerator(t *testing.T) {
 	cfg := MMPPConfig{HighRate: 40, LowRate: 2, MeanHigh: 1.5, MeanLow: 4}
 	const seed, horizon = 13, 120.0
-	g, err := NewMMPPGenerator(cfg, 2, streamPairs, seed)
+	batch, err := NewMMPPSource(cfg, 2, streamPairs, horizon, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := g.Generate(horizon)
+	want := Collect(batch)
 	s, err := NewMMPPSource(cfg, 2, streamPairs, horizon, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
@@ -132,14 +132,11 @@ func TestSourceValidation(t *testing.T) {
 	}
 }
 
-// A horizon that is not positive and finite yields no calls from
-// either generator: a draw loop run against NaN or +Inf never ends.
+// A horizon that is not positive and finite yields no calls from the
+// Poisson generator and is refused by the MMPP source: a draw loop run
+// against NaN or +Inf never ends.
 func TestGenerateRefusesBadHorizon(t *testing.T) {
 	g, err := NewGenerator(12, 0.5, streamPairs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMMPPGenerator(MMPPConfig{HighRate: 40, LowRate: 2, MeanHigh: 1.5, MeanLow: 4}, 2, streamPairs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +144,9 @@ func TestGenerateRefusesBadHorizon(t *testing.T) {
 		if calls := g.Generate(h); len(calls) != 0 {
 			t.Errorf("Poisson Generate(%g): %d calls, want none", h, len(calls))
 		}
-		if calls := m.Generate(h); len(calls) != 0 {
-			t.Errorf("MMPP Generate(%g): %d calls, want none", h, len(calls))
+		cfg := MMPPConfig{HighRate: 40, LowRate: 2, MeanHigh: 1.5, MeanLow: 4}
+		if _, err := NewMMPPSource(cfg, 2, streamPairs, h, rand.New(rand.NewSource(1))); err == nil {
+			t.Errorf("MMPP source accepted horizon %g", h)
 		}
 	}
 }
