@@ -149,7 +149,7 @@ func main() {
 			*clusterSpec = file.Cluster
 		}
 	}
-	if err := config.CheckLimits(*events, shutdownGrace.Seconds()); err != nil {
+	if err := checkFlagLimits(*events, *shutdownGrace); err != nil {
 		log.Fatalf("ubacd: %v", err)
 	}
 	if policyCfg == nil {
@@ -391,4 +391,19 @@ func main() {
 			}
 		}
 	}
+}
+
+// checkFlagLimits refuses an -events capacity outside [1,
+// telemetry.MaxRingEvents] and a negative -shutdown-grace, naming the
+// flag and the value as given. A configuration file's values were
+// checked under its key names when it was parsed, and a duration flag
+// cannot exceed what a time.Duration holds.
+func checkFlagLimits(events int, grace time.Duration) error {
+	if events < 1 || events > telemetry.MaxRingEvents {
+		return fmt.Errorf("-events %d outside [1, %d]", events, telemetry.MaxRingEvents)
+	}
+	if grace < 0 {
+		return fmt.Errorf("-shutdown-grace %s is negative", grace)
+	}
+	return nil
 }

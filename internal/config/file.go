@@ -100,7 +100,7 @@ func ParseFile(data []byte) (*File, error) {
 	if f.ShutdownGraceSeconds == 0 {
 		f.ShutdownGraceSeconds = DefaultShutdownGraceSeconds
 	}
-	if err := CheckLimits(f.Events, f.ShutdownGraceSeconds); err != nil {
+	if err := checkLimits(f.Events, f.ShutdownGraceSeconds); err != nil {
 		return nil, err
 	}
 	switch f.Fsync {
@@ -136,12 +136,11 @@ func ParseFile(data []byte) (*File, error) {
 // maxGraceSeconds is the longest drain deadline a time.Duration holds.
 const maxGraceSeconds = float64(math.MaxInt64 / int64(time.Second))
 
-// CheckLimits refuses an audit-ring capacity outside [1,
+// checkLimits refuses an audit-ring capacity outside [1,
 // telemetry.MaxRingEvents] and a shutdown grace that is negative, NaN or
-// longer than a time.Duration holds. ParseFile applies it to the events
-// and shutdown_grace_seconds keys, and ubacd to its -events and
-// -shutdown-grace flags.
-func CheckLimits(events int, graceSeconds float64) error {
+// longer than a time.Duration holds, naming the events and
+// shutdown_grace_seconds keys.
+func checkLimits(events int, graceSeconds float64) error {
 	if events < 1 || events > telemetry.MaxRingEvents {
 		return fmt.Errorf("config: events capacity %d outside [1, %d]", events, telemetry.MaxRingEvents)
 	}

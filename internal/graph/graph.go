@@ -1,6 +1,6 @@
 // Package graph provides the directed-graph machinery underlying the
 // network model: shortest paths, k-shortest simple paths, all-pairs
-// distances, diameter, cycle detection, and topological ordering.
+// distances and diameter.
 //
 // Vertices are dense integer IDs in [0, Order()). The graph is a simple
 // adjacency-list digraph; an undirected network is represented by a pair
@@ -262,88 +262,6 @@ func (g *Graph) Diameter() (int, bool) {
 func (g *Graph) IsConnected() bool {
 	_, ok := g.Diameter()
 	return ok
-}
-
-// HasCycle reports whether the digraph contains a directed cycle.
-func (g *Graph) HasCycle() bool {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]int8, len(g.adj))
-	var visit func(u int) bool
-	visit = func(u int) bool {
-		color[u] = gray
-		for _, v := range g.adj[u] {
-			switch color[v] {
-			case gray:
-				return true
-			case white:
-				if visit(v) {
-					return true
-				}
-			}
-		}
-		color[u] = black
-		return false
-	}
-	for u := range g.adj {
-		if color[u] == white && visit(u) {
-			return true
-		}
-	}
-	return false
-}
-
-// HasCycleWithArcs reports whether the digraph would contain a directed
-// cycle after adding the given arcs, without modifying the graph — the
-// clone-free way to test a batch of tentative arcs (e.g. a candidate
-// route's consecutive-server arcs) against a prebuilt dependency graph.
-// Arc endpoints must be valid vertices; duplicates of existing arcs are
-// harmless, and a self-loop arc always closes a cycle.
-func (g *Graph) HasCycleWithArcs(extra [][2]int) bool {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]int8, len(g.adj))
-	var visit func(u int) bool
-	visit = func(u int) bool {
-		color[u] = gray
-		for _, v := range g.adj[u] {
-			switch color[v] {
-			case gray:
-				return true
-			case white:
-				if visit(v) {
-					return true
-				}
-			}
-		}
-		for _, e := range extra {
-			if e[0] != u {
-				continue
-			}
-			switch color[e[1]] {
-			case gray:
-				return true
-			case white:
-				if visit(e[1]) {
-					return true
-				}
-			}
-		}
-		color[u] = black
-		return false
-	}
-	for u := range g.adj {
-		if color[u] == white && visit(u) {
-			return true
-		}
-	}
-	return false
 }
 
 // MaxOutDegree returns the largest out-degree in the graph (0 if empty).

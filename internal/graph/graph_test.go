@@ -192,27 +192,6 @@ func TestDiameterDisconnected(t *testing.T) {
 	}
 }
 
-func TestHasCycle(t *testing.T) {
-	dag := New(4)
-	mustEdge(t, dag, 0, 1)
-	mustEdge(t, dag, 1, 2)
-	mustEdge(t, dag, 0, 2)
-	mustEdge(t, dag, 2, 3)
-	if dag.HasCycle() {
-		t.Error("DAG reported cyclic")
-	}
-	mustEdge(t, dag, 3, 0)
-	if !dag.HasCycle() {
-		t.Error("cycle not detected")
-	}
-}
-
-func TestHasCycleEmpty(t *testing.T) {
-	if New(0).HasCycle() || New(5).HasCycle() {
-		t.Error("edgeless graph reported cyclic")
-	}
-}
-
 func TestKShortestPathsBasic(t *testing.T) {
 	// Diamond: 0->1->3, 0->2->3, plus long route 0->4->5->3.
 	g := New(6)

@@ -1,5 +1,10 @@
 package graph
 
+import (
+	"math"
+	"slices"
+)
+
 // KSPSolver computes k-shortest simple paths over one graph repeatedly,
 // reusing its BFS and Yen scratch across calls so that steady-state
 // queries only allocate the returned paths. The route-selection engine
@@ -22,18 +27,24 @@ type yen struct {
 	// the current spur vertex (every blocked arc leaves the spur, so one
 	// bool per target suffices).
 	blockedNode []bool
+	rootNodes   []int // the vertices blockedNode marks
 	blockedNext []bool
 	btargets    []int      // targets set in blockedNext, for O(set) reset
 	parent      []int      // the last spur search's tree, parent[src] = src
 	buf         []int      // the candidate being assembled
 	cands       []costPath // candidates not yet taken
+	costs       []float64  // limit's scratch
+	devs        []int      // devs[j] is the deviation index of the j-th path taken
 	free        [][]int    // buffers of candidates a previous call left behind
 }
 
-// costPath is a Yen candidate with its cost, computed once.
+// costPath is a Yen candidate with its cost, computed once, and its
+// deviation index: the spur index at which it left the path it was
+// spurred from.
 type costPath struct {
 	path []int
 	cost float64
+	dev  int
 }
 
 // cheaper is the candidate order: cost, then the vertex sequence. Yen's
@@ -44,7 +55,7 @@ func (a costPath) cheaper(b costPath) bool {
 	if a.cost != b.cost {
 		return a.cost < b.cost
 	}
-	return lessPath(a.path, b.path)
+	return slices.Compare(a.path, b.path) < 0
 }
 
 func (y *yen) resize(n int) {
@@ -56,34 +67,51 @@ func (y *yen) resize(n int) {
 }
 
 // paths runs Yen's algorithm for up to k paths from src to dst, cheapest
-// by cost first. search(src, dst, spur) must find a path avoiding the
-// blocked vertices and — when spur >= 0 — the blocked arcs out of spur,
-// leave it in y.parent and report whether it found one. It returns nil
-// when there is no first path.
-func (y *yen) paths(src, dst, k int, search func(src, dst, spur int) bool, cost func(path []int) float64) [][]int {
-	if !search(src, dst, -1) {
+// by cost first. search(src, dst, spur, root, limit) must find a path
+// avoiding the blocked vertices and — when spur >= 0 — the blocked arcs
+// out of spur, leave it in y.parent and report whether it found one; it
+// may report none rather than a path whose cost after root exceeds
+// limit. cost(start, path) is start plus path's arc costs, added left to
+// right. It returns nil when there is no first path.
+//
+// Two rules skip work whose candidate could never be taken, so every
+// pick is Yen's own. Spurs start at the previous path's deviation index
+// (Lawler's rule): a spur below it repeats, with the same root and the
+// same blocked arcs, a search an earlier path already made, so its
+// candidate is already taken or pending. And once r = k−len(paths)
+// pending candidates are cheaper than a path, it is never taken, since
+// each of the r picks left takes one of them; limit carries the r-th
+// cheapest cost up by a relative 1e-9, more than the rounding by which a
+// path's left-to-right cost can differ from root plus spur distance.
+func (y *yen) paths(src, dst, k int, search func(src, dst, spur int, root, limit float64) bool, cost func(start float64, path []int) float64) [][]int {
+	if !search(src, dst, -1, 0, math.Inf(1)) {
 		return nil
 	}
 	y.buf = y.spurPath(y.buf[:0], src, dst)
 	paths := make([][]int, 1, min(k, 8)) // route selection asks for 8
 	paths[0] = y.take(y.buf)
+	devs := append(y.devs[:0], 0)
 	cands := y.cands[:0]
 	for len(paths) < k {
 		prev := paths[len(paths)-1]
-		// For each spur node in the previous path, search for a deviation.
-		for i := 0; i < len(prev)-1; i++ {
+		limit := y.limit(cands, k-len(paths))
+		// For each spur node in the previous path from where it left its
+		// parent on, search for a deviation. root is the cost of rootPath.
+		d := devs[len(devs)-1]
+		for i, root := d, cost(0, prev[:d+1]); i < len(prev)-1; i, root = i+1, cost(root, prev[i:i+2]) {
 			rootPath := prev[:i+1]
 			y.block(paths, rootPath)
-			found := search(prev[i], dst, prev[i])
+			found := search(prev[i], dst, prev[i], root, limit)
 			y.unblock(rootPath)
 			if !found {
 				continue
 			}
 			y.buf = y.spurPath(append(y.buf[:0], rootPath[:i]...), prev[i], dst)
-			if containsPath(paths, y.buf) || containsCand(cands, y.buf) {
+			if slices.ContainsFunc(paths, y.isBuf) || slices.ContainsFunc(cands, func(c costPath) bool { return y.isBuf(c.path) }) {
 				continue
 			}
-			cands = append(cands, costPath{path: y.take(y.buf), cost: cost(y.buf)})
+			cands = append(cands, costPath{path: y.take(y.buf), cost: cost(root, y.buf[i:]), dev: i})
+			limit = y.limit(cands, k-len(paths))
 		}
 		if len(cands) == 0 {
 			break
@@ -95,6 +123,7 @@ func (y *yen) paths(src, dst, k int, search func(src, dst, spur int) bool, cost 
 			}
 		}
 		paths = append(paths, cands[best].path)
+		devs = append(devs, cands[best].dev)
 		last := len(cands) - 1
 		cands[best] = cands[last]
 		cands = cands[:last]
@@ -104,7 +133,23 @@ func (y *yen) paths(src, dst, k int, search func(src, dst, spur int) bool, cost 
 		cands[i] = costPath{}
 	}
 	y.cands = cands[:0]
+	y.devs = devs
 	return paths
+}
+
+// limit is the bound paths passes its searches: the r-th cheapest
+// pending cost raised by a relative 1e-9, or +Inf with fewer than r.
+func (y *yen) limit(cands []costPath, r int) float64 {
+	if len(cands) < r {
+		return math.Inf(1)
+	}
+	costs := y.costs[:0]
+	for _, c := range cands {
+		costs = append(costs, c.cost)
+	}
+	slices.Sort(costs)
+	y.costs = costs
+	return costs[r-1] * (1 + 1e-9)
 }
 
 // block sets up the spur search at rootPath's last vertex: the next hop
@@ -113,7 +158,7 @@ func (y *yen) paths(src, dst, k int, search func(src, dst, spur int) bool, cost 
 func (y *yen) block(paths [][]int, rootPath []int) {
 	i := len(rootPath) - 1
 	for _, p := range paths {
-		if len(p) > i+1 && equalPrefix(p, rootPath) && !y.blockedNext[p[i+1]] {
+		if len(p) > i+1 && slices.Equal(p[:i+1], rootPath) && !y.blockedNext[p[i+1]] {
 			y.blockedNext[p[i+1]] = true
 			y.btargets = append(y.btargets, p[i+1])
 		}
@@ -121,6 +166,7 @@ func (y *yen) block(paths [][]int, rootPath []int) {
 	for _, v := range rootPath[:i] {
 		y.blockedNode[v] = true
 	}
+	y.rootNodes = rootPath[:i]
 }
 
 // unblock undoes block(…, rootPath).
@@ -132,6 +178,7 @@ func (y *yen) unblock(rootPath []int) {
 	for _, v := range rootPath[:len(rootPath)-1] {
 		y.blockedNode[v] = false
 	}
+	y.rootNodes = nil
 }
 
 // spurPath appends the src→dst path of the last search to buf.
@@ -149,6 +196,9 @@ func (y *yen) spurPath(buf []int, src, dst int) []int {
 	return buf
 }
 
+// isBuf reports whether p is the candidate being assembled.
+func (y *yen) isBuf(p []int) bool { return slices.Equal(p, y.buf) }
+
 // take copies p into a recycled candidate buffer, or a new one.
 func (y *yen) take(p []int) []int {
 	if n := len(y.free); n > 0 {
@@ -157,15 +207,6 @@ func (y *yen) take(p []int) []int {
 		return append(b[:0], p...)
 	}
 	return append([]int(nil), p...)
-}
-
-func containsCand(cands []costPath, p []int) bool {
-	for i := range cands {
-		if equalPath(cands[i].path, p) {
-			return true
-		}
-	}
-	return false
 }
 
 // NewKSPSolver returns a solver over g. The graph may keep growing; the
@@ -195,11 +236,11 @@ func (s *KSPSolver) Paths(src, dst, k int) ([][]int, error) {
 	return paths, nil
 }
 
-func hops(path []int) float64 { return float64(len(path)) }
+func hops(start float64, path []int) float64 { return start + float64(len(path)-1) }
 
 // bfs is KSPSolver's spur search: a minimum-hop path, first-discovered
-// parent wins.
-func (s *KSPSolver) bfs(src, dst, spur int) bool {
+// parent wins. It searches to the end, whatever the limit.
+func (s *KSPSolver) bfs(src, dst, spur int, _, _ float64) bool {
 	if s.blockedNode[src] || s.blockedNode[dst] {
 		return false
 	}
@@ -229,46 +270,4 @@ func (s *KSPSolver) bfs(src, dst, spur int) bool {
 	}
 	s.queue = queue[:0]
 	return found
-}
-
-func equalPrefix(p, prefix []int) bool {
-	if len(p) < len(prefix) {
-		return false
-	}
-	for i, v := range prefix {
-		if p[i] != v {
-			return false
-		}
-	}
-	return true
-}
-
-func containsPath(set [][]int, p []int) bool {
-	for _, q := range set {
-		if equalPath(q, p) {
-			return true
-		}
-	}
-	return false
-}
-
-func equalPath(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func lessPath(a, b []int) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

@@ -9,17 +9,8 @@ import (
 // called for arcs present in the graph.
 type WeightFunc func(u, v int) float64
 
-// pathCost sums the arc costs along path, left to right.
-func pathCost(path []int, w WeightFunc) float64 {
-	c := 0.0
-	for i := 0; i+1 < len(path); i++ {
-		c += w(path[i], path[i+1])
-	}
-	return c
-}
-
 // WeightedKSPSolver is KSPSolver under arc weights: Yen's algorithm with
-// Dijkstra spur searches whose distance, done and heap scratch, blocking
+// Dijkstra spur searches whose distance and queue scratch, blocking
 // state and candidate buffers are reused across calls, so a steady-state
 // query allocates only the paths it returns. The delay-weighted route
 // selector keeps one per selection.
@@ -29,10 +20,13 @@ func pathCost(path []int, w WeightFunc) float64 {
 // and may be retained by the caller.
 type WeightedKSPSolver struct {
 	g *Graph
+	// w[off[u]+j] is the weight of the arc from u to g.adj[u][j], read
+	// once per Paths call.
+	w   []float64
+	off []int
 	// Dijkstra scratch.
-	dist []float64
-	done []bool
-	heap distHeap
+	dist  []float64
+	queue []queued
 	yen
 }
 
@@ -43,7 +37,8 @@ func NewWeightedKSPSolver(g *Graph) *WeightedKSPSolver { return &WeightedKSPSolv
 // Paths returns up to k loop-free minimum-cost paths from src to dst
 // under w, cheapest first, ties broken lexicographically by the vertex
 // sequence. It returns fewer than k paths when the graph does not
-// contain that many simple paths. Costs must be nonnegative.
+// contain that many simple paths. w is called once per arc; a negative
+// weight panics.
 func (s *WeightedKSPSolver) Paths(src, dst, k int, w WeightFunc) ([][]int, error) {
 	if k <= 0 {
 		return nil, nil
@@ -58,23 +53,51 @@ func (s *WeightedKSPSolver) Paths(src, dst, k int, w WeightFunc) ([][]int, error
 	s.resize(n)
 	if len(s.dist) != n {
 		s.dist = make([]float64, n)
-		s.done = make([]bool, n)
 	}
-	search := func(src, dst, spur int) bool { return s.dijkstra(src, dst, spur, w) }
-	cost := func(path []int) float64 { return pathCost(path, w) }
-	paths := s.paths(src, dst, k, search, cost)
+	s.w, s.off = s.w[:0], s.off[:0]
+	for u, vs := range s.g.adj {
+		s.off = append(s.off, len(s.w))
+		for _, v := range vs {
+			c := w(u, v)
+			if c < 0 {
+				panic(fmt.Sprintf("graph: negative weight on arc %d->%d", u, v))
+			}
+			s.w = append(s.w, c)
+		}
+	}
+	s.off = append(s.off, len(s.w))
+	paths := s.paths(src, dst, k, s.dijkstra, s.cost)
 	if paths == nil {
 		return nil, ErrNoPath
 	}
 	return paths, nil
 }
 
+// cost adds the arc weights along path to start, left to right.
+func (s *WeightedKSPSolver) cost(start float64, path []int) float64 {
+	c := start
+	for i := 0; i+1 < len(path); i++ {
+		u := path[i]
+		for j, v := range s.g.adj[u] {
+			if v == path[i+1] {
+				c += s.w[s.off[u]+j]
+				break
+			}
+		}
+	}
+	return c
+}
+
 // dijkstra is WeightedKSPSolver's spur search: Dijkstra from src until
 // dst is settled, skipping blocked vertices and — when spur >= 0 — the
-// blocked arcs out of spur. Equal distances pop in push order: the heap
-// orders by (dist, seq) and seq is unique, so the pop sequence is fixed
-// by the pushes alone.
-func (s *WeightedKSPSolver) dijkstra(src, dst, spur int, w WeightFunc) bool {
+// blocked arcs out of spur, and giving up when root plus the distance
+// popped exceeds limit. The queue is a sorted array: the few entries a
+// small graph's search holds make an insertion cheaper than a heap's
+// sift, and ties pop in push order without a sequence number. A
+// vertex's pushes carry falling distances, so its first pop is its last
+// push; a settled vertex is never pushed again, since no later
+// relaxation improves on it.
+func (s *WeightedKSPSolver) dijkstra(src, dst, spur int, root, limit float64) bool {
 	if s.blockedNode[src] || s.blockedNode[dst] {
 		return false
 	}
@@ -82,96 +105,54 @@ func (s *WeightedKSPSolver) dijkstra(src, dst, spur int, w WeightFunc) bool {
 		s.parent[src] = src
 		return true
 	}
-	dist, parent, done := s.dist, s.parent, s.done
+	// A blocked vertex starts at -Inf, which no relaxation improves on.
+	// parent needs no reset: the search sets it on every vertex of the
+	// path it finds.
+	dist, parent := s.dist, s.parent
 	for i := range dist {
 		dist[i] = math.Inf(1)
-		parent[i] = -1
-		done[i] = false
+	}
+	for _, v := range s.rootNodes {
+		dist[v] = math.Inf(-1)
 	}
 	dist[src] = 0
 	parent[src] = src
-	var seq uint64
-	q := append(s.heap[:0], distItem{v: src})
+	// q[head:] is the queue, ascending by distance, ties in push order.
+	q, head := append(s.queue[:0], queued{v: src}), 0
 	reached := false
-	for len(q) > 0 {
-		it := q.pop()
-		if done[it.v] {
+	for head < len(q) {
+		it := q[head]
+		head++
+		u := it.v
+		if dist[u] != it.dist { // an older push of a vertex since improved
 			continue
 		}
-		done[it.v] = true
-		if reached = it.v == dst; reached {
+		if root+it.dist > limit {
 			break
 		}
-		for _, u := range s.g.adj[it.v] {
-			if done[u] || s.blockedNode[u] || (it.v == spur && s.blockedNext[u]) {
-				continue
-			}
-			cost := w(it.v, u)
-			if cost < 0 {
-				panic(fmt.Sprintf("graph: negative weight on arc %d->%d", it.v, u))
-			}
-			if nd := dist[it.v] + cost; nd < dist[u] {
-				dist[u] = nd
-				parent[u] = it.v
-				seq++
-				q.push(distItem{v: u, dist: nd, seq: seq})
+		if reached = u == dst; reached {
+			break
+		}
+		w := s.w[s.off[u]:s.off[u+1]]
+		for j, v := range s.g.adj[u] {
+			if nd := it.dist + w[j]; nd < dist[v] && !(u == spur && s.blockedNext[v]) {
+				dist[v] = nd
+				parent[v] = u
+				q = append(q, queued{})
+				i := len(q) - 1
+				for ; i > head && q[i-1].dist > nd; i-- {
+					q[i] = q[i-1]
+				}
+				q[i] = queued{dist: nd, v: v}
 			}
 		}
 	}
-	s.heap = q[:0]
+	s.queue = q[:0]
 	return reached
 }
 
-// distItem is a Dijkstra queue entry; seq is its push order.
-type distItem struct {
+// queued is a Dijkstra queue entry.
+type queued struct {
 	dist float64
-	seq  uint64
 	v    int
-}
-
-func (a distItem) less(b distItem) bool {
-	if a.dist != b.dist {
-		return a.dist < b.dist
-	}
-	return a.seq < b.seq
-}
-
-// distHeap is a binary min-heap of distItems.
-type distHeap []distItem
-
-func (h *distHeap) push(it distItem) {
-	q := append(*h, it)
-	for i := len(q) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !q[i].less(q[p]) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
-	}
-	*h = q
-}
-
-func (h *distHeap) pop() distItem {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q = q[:n]
-	for i := 0; ; {
-		m := 2*i + 1
-		if m >= n {
-			break
-		}
-		if r := m + 1; r < n && q[r].less(q[m]) {
-			m = r
-		}
-		if !q[m].less(q[i]) {
-			break
-		}
-		q[i], q[m] = q[m], q[i]
-		i = m
-	}
-	*h = q
-	return top
 }

@@ -69,6 +69,15 @@ func oracleKShortestPathsWeighted(g *Graph, src, dst, k int, w WeightFunc) ([][]
 	return paths, nil
 }
 
+// pathCost sums the arc costs along path, left to right.
+func pathCost(path []int, w WeightFunc) float64 {
+	c := 0.0
+	for i := 0; i+1 < len(path); i++ {
+		c += w(path[i], path[i+1])
+	}
+	return c
+}
+
 type oracleItem struct {
 	v    int
 	dist float64
@@ -254,8 +263,10 @@ func TestWeightedKSPSolverAllocs(t *testing.T) {
 
 // Graph shape, arc weights, the pair and k all come from the fuzz input.
 // Weights are quantized so ties and zeros are frequent. The solver must
-// equal the oracle; independently, every path must be a simple walk over
-// existing arcs from src to dst, and costs must not decrease.
+// equal the oracle, and the hop-count solver, whose Yen loop is the same
+// code, must equal it under unit weights; independently, every path must
+// be a simple walk over existing arcs from src to dst, and costs must not
+// decrease.
 func FuzzKShortestPathsWeighted(f *testing.F) {
 	f.Add([]byte{6, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 0, 5, 1, 4, 0, 3}, uint8(0), uint8(5), uint8(8))
 	f.Add([]byte{4, 0, 1, 0, 2, 1, 3, 2, 3, 0, 3, 0, 0, 0, 0}, uint8(0), uint8(3), uint8(4))
@@ -303,6 +314,9 @@ func FuzzKShortestPathsWeighted(f *testing.F) {
 			got, gotErr := solver.Paths(s, d, kk, weight)
 			samePaths(t, "", got, gotErr, want, wantErr)
 		}
+		wantHops, wantHopsErr := oracleKShortestPathsWeighted(g, s, d, kk, unitWeight)
+		gotHops, gotHopsErr := NewKSPSolver(g).Paths(s, d, kk)
+		samePaths(t, "hop-count", gotHops, gotHopsErr, wantHops, wantHopsErr)
 		prev := 0.0
 		for i, p := range want {
 			if p[0] != s || p[len(p)-1] != d {

@@ -38,8 +38,130 @@ func sameDigraph(t *testing.T, got, want *graph.Graph) {
 			}
 		}
 	}
-	if got.HasCycle() != want.HasCycle() {
-		t.Fatalf("HasCycle: %v, want %v", got.HasCycle(), want.HasCycle())
+}
+
+// oracleHasCycle is the whole-graph depth-first search the set's
+// reach-only check replaced: it reports whether g plus the extra arcs
+// has a directed cycle, starting a search at every vertex. Duplicates
+// of existing arcs are harmless, and a self-loop arc is a cycle.
+func oracleHasCycle(g *graph.Graph, extra [][2]int) bool {
+	color := make([]int8, g.Order()) // 0 unvisited, 1 on the path, 2 done
+	var visit func(u int) bool
+	step := func(v int) bool { return color[v] == 1 || color[v] == 0 && visit(v) }
+	visit = func(u int) bool {
+		color[u] = 1
+		for _, v := range g.Neighbors(u) {
+			if step(v) {
+				return true
+			}
+		}
+		for _, e := range extra {
+			if e[0] == u && step(e[1]) {
+				return true
+			}
+		}
+		color[u] = 2
+		return false
+	}
+	for u := range color {
+		if color[u] == 0 && visit(u) {
+			return true
+		}
+	}
+	return false
+}
+
+// arcsOf lists the arcs joining consecutive servers.
+func arcsOf(servers []int) [][2]int {
+	var arcs [][2]int
+	for i := 0; i+1 < len(servers); i++ {
+		arcs = append(arcs, [2]int{servers[i], servers[i+1]})
+	}
+	return arcs
+}
+
+// The oracle itself on known graphs, with and without overlaid arcs,
+// and against adding the arcs to a copy.
+func TestCycleOracle(t *testing.T) {
+	if oracleHasCycle(graph.New(0), nil) || oracleHasCycle(graph.New(5), nil) {
+		t.Error("edgeless graph reported cyclic")
+	}
+	dag := graph.New(4)
+	for _, a := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}} {
+		if err := dag.AddEdge(a[0], a[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if oracleHasCycle(dag, nil) {
+		t.Error("DAG reported cyclic")
+	}
+	if !oracleHasCycle(dag, [][2]int{{3, 0}}) {
+		t.Error("cycle not detected")
+	}
+	g := graph.New(4)
+	for _, a := range [][2]int{{0, 1}, {1, 2}} {
+		if err := g.AddEdge(a[0], a[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, tc := range []struct {
+		extra [][2]int
+		want  bool
+	}{
+		{nil, false},
+		{[][2]int{{2, 3}}, false},
+		{[][2]int{{2, 0}}, true},          // closes 0->1->2->0
+		{[][2]int{{0, 1}}, false},         // duplicate of an existing arc
+		{[][2]int{{3, 3}}, true},          // self-loop
+		{[][2]int{{2, 3}, {3, 0}}, true},  // cycle through two extras
+		{[][2]int{{3, 0}, {1, 3}}, true},  // extras out of DFS order still found
+		{[][2]int{{2, 3}, {3, 1}}, true},  // closes at 1
+		{[][2]int{{3, 2}, {0, 3}}, false}, // converging arcs, no cycle
+		{[][2]int{{2, 3}, {2, 3}}, false}, // duplicate extras
+	} {
+		if got := oracleHasCycle(g, tc.extra); got != tc.want {
+			t.Fatalf("case %d extra=%v: got %v, want %v", i, tc.extra, got, tc.want)
+		}
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 8 + rng.Intn(6)
+		g := graph.New(n)
+		for e := 0; e < n; e++ {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v && !g.HasEdge(u, v) {
+				if err := g.AddEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for trial := 0; trial < 40; trial++ {
+			var extra [][2]int
+			clone := g.Clone()
+			for a := rng.Intn(4); a >= 0; a-- {
+				if u, v := rng.Intn(n), rng.Intn(n); u != v {
+					extra = append(extra, [2]int{u, v})
+					if !clone.HasEdge(u, v) {
+						if err := clone.AddEdge(u, v); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			if got, want := oracleHasCycle(g, extra), oracleHasCycle(clone, nil); got != want {
+				t.Fatalf("seed=%d extra=%v: overlaid %v, added %v", seed, extra, got, want)
+			}
+		}
+	}
+}
+
+// sameDep checks the set's cached graph and its acyclicity against a
+// rebuild and the whole-graph search.
+func sameDep(t *testing.T, s *Set) {
+	t.Helper()
+	want := rebuildDep(s)
+	sameDigraph(t, s.DependencyGraph(), want)
+	if got, want := s.HasCycle(), oracleHasCycle(want, nil); got != want {
+		t.Fatalf("HasCycle = %v, oracle %v", got, want)
 	}
 }
 
@@ -80,17 +202,17 @@ func TestDependencyGraphIncrementalMatchesRebuild(t *testing.T) {
 		if err := s.Add(r); err != nil {
 			t.Fatal(err)
 		}
-		sameDigraph(t, s.DependencyGraph(), rebuildDep(s))
+		sameDep(t, s)
 		// Occasionally pop one or two routes to exercise removal.
 		for n := rng.Intn(3); n > 0 && s.Len() > 0; n-- {
 			s.RemoveLast()
-			sameDigraph(t, s.DependencyGraph(), rebuildDep(s))
+			sameDep(t, s)
 		}
 		_ = step
 	}
 	for s.Len() > 0 {
 		s.RemoveLast()
-		sameDigraph(t, s.DependencyGraph(), rebuildDep(s))
+		sameDep(t, s)
 	}
 	if s.DependencyGraph().Size() != 0 {
 		t.Fatal("arcs left after removing every route")
@@ -130,7 +252,7 @@ func TestDependencyGraphLazyAndClone(t *testing.T) {
 	sameDigraph(t, s.DependencyGraph(), rebuildDep(s))
 }
 
-// WouldCycleOn over the cached graph must agree with a mutate-and-check
+// WouldCycle over the cached graph must agree with a mutate-and-check
 // oracle for both cyclic and acyclic candidates.
 func TestWouldCycleOnCachedGraph(t *testing.T) {
 	net, err := topology.Ring(4, 100e6)
@@ -148,18 +270,114 @@ func TestWouldCycleOnCachedGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dep := s.DependencyGraph()
-	around, err := FromRouterPath(net, "v", []int{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cand := range []Route{around} {
+	s.DependencyGraph()
+	// ...which 1->2->3 keeps and 3->0->1 closes.
+	for _, p := range [][]int{{1, 2, 3}, {3, 0, 1}} {
+		cand, err := FromRouterPath(net, "v", p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		tmp := s.Clone()
 		if err := tmp.Add(cand); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := WouldCycleOn(dep, cand), tmp.HasCycle(); got != want {
-			t.Fatalf("WouldCycleOn(%v) = %v, oracle %v", cand.Servers, got, want)
+		if got, want := s.WouldCycle(cand), tmp.HasCycle(); got != want {
+			t.Fatalf("WouldCycle(%v) = %v, oracle %v", cand.Servers, got, want)
+		}
+		if s.HasCycle() {
+			t.Fatal("WouldCycle mutated the set")
+		}
+	}
+}
+
+// randomRoute walks up to hops distinct routers from a random start
+// and returns the route over them, or false if the walk got stuck at
+// its first router.
+func randomRoute(net *topology.Network, rng *rand.Rand, hops int) (Route, bool) {
+	rg := net.RouterGraph()
+	path := []int{rng.Intn(net.NumRouters())}
+	on := map[int]bool{path[0]: true}
+	for len(path) <= hops {
+		var next []int
+		for _, v := range rg.Neighbors(path[len(path)-1]) {
+			if !on[v] {
+				next = append(next, v)
+			}
+		}
+		if len(next) == 0 {
+			break
+		}
+		v := next[rng.Intn(len(next))]
+		path = append(path, v)
+		on[v] = true
+	}
+	if len(path) < 2 {
+		return Route{}, false
+	}
+	r, err := FromRouterPath(net, "v", path)
+	return r, err == nil
+}
+
+// The reach-only check and the acyclicity the set carries across Add
+// and RemoveLast must equal the whole-graph search: on random route
+// sets that stay acyclic (routes are added only when they close no
+// cycle, as route selection prefers) and ones that do not, under
+// backtracking's Add/RemoveLast sequences, for route candidates of 1 to
+// 6 servers and for arbitrary server sequences, repeats included.
+func TestWouldCycleMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		net := topology.MCI()
+		if seed%2 == 0 {
+			var err error
+			if net, err = topology.Grid(4, 4, 100e6); err != nil {
+				t.Fatal(err)
+			}
+		}
+		keepAcyclic := seed%3 != 0
+		s := NewSet(net)
+		if seed%4 == 0 {
+			// Routes added before the first query are replayed when the
+			// graph is built.
+			for s.Len() < 10 {
+				if r, ok := randomRoute(net, rng, 1+rng.Intn(6)); ok {
+					if err := s.Add(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		for step := 0; step < 120; step++ {
+			if s.Len() > 0 && rng.Intn(4) == 0 {
+				s.RemoveLast()
+				sameDep(t, s)
+				continue
+			}
+			dep := rebuildDep(s)
+			for trial := 0; trial < 4; trial++ {
+				var cand Route
+				if rng.Intn(4) == 0 {
+					cand.Servers = make([]int, 1+rng.Intn(6))
+					for i := range cand.Servers {
+						cand.Servers[i] = rng.Intn(net.NumServers())
+					}
+				} else if r, ok := randomRoute(net, rng, 1+rng.Intn(6)); ok {
+					cand = r
+				} else {
+					continue
+				}
+				if got, want := s.WouldCycle(cand), oracleHasCycle(dep, arcsOf(cand.Servers)); got != want {
+					t.Fatalf("seed %d step %d: WouldCycle(%v) = %v, oracle %v", seed, step, cand.Servers, got, want)
+				}
+			}
+			r, ok := randomRoute(net, rng, 1+rng.Intn(6))
+			if !ok || keepAcyclic && oracleHasCycle(dep, arcsOf(r.Servers)) {
+				continue
+			}
+			if err := s.Add(r); err != nil {
+				t.Fatal(err)
+			}
+			sameDep(t, s)
 		}
 	}
 }

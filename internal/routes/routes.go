@@ -9,6 +9,7 @@ package routes
 
 import (
 	"fmt"
+	"slices"
 
 	"ubac/internal/graph"
 	"ubac/internal/topology"
@@ -34,15 +35,13 @@ func (r Route) Validate(net *topology.Network) error {
 	if r.Src == r.Dst {
 		return fmt.Errorf("routes: route from router %d to itself", r.Src)
 	}
-	seen := make(map[int]bool, len(r.Servers))
 	for i, s := range r.Servers {
 		if s < 0 || s >= net.NumServers() {
 			return fmt.Errorf("routes: server %d out of range", s)
 		}
-		if seen[s] {
+		if slices.Contains(r.Servers[:i], s) {
 			return fmt.Errorf("routes: server %d repeated", s)
 		}
-		seen[s] = true
 		tail, head, _ := net.Server(s)
 		if i == 0 && tail != r.Src {
 			return fmt.Errorf("routes: path starts at router %d, want %d", tail, r.Src)
@@ -96,8 +95,16 @@ type Set struct {
 	// by DependencyGraph and maintained incrementally by Add/RemoveLast
 	// through depCount, the multiplicity of each consecutive-server arc
 	// across all routes (an arc leaves dep when its count drops to 0).
+	// cyclic[i] reports whether the first i+1 routes' dependency graph
+	// has a cycle; it is kept alongside dep.
 	dep      *graph.Graph
 	depCount map[[2]int]int
+	cyclic   []bool
+	// closesCycle's scratch: the candidate's arcs by tail (-1 for
+	// none), the search colours and the servers it coloured.
+	next  []int
+	color []int8
+	seen  []int
 }
 
 // NewSet returns an empty route set over the network.
@@ -189,8 +196,10 @@ func (s *Set) RemoveLast() {
 }
 
 // depAdd bumps the arc counts of r's consecutive-server arcs, adding
-// newly seen arcs to the cached dependency graph.
+// newly seen arcs to the cached dependency graph, and records whether
+// the graph has a cycle with them.
 func (s *Set) depAdd(r Route) {
+	s.cyclic = append(s.cyclic, s.WouldCycle(r))
 	for i := 0; i+1 < len(r.Servers); i++ {
 		a := [2]int{r.Servers[i], r.Servers[i+1]}
 		if s.depCount[a] == 0 {
@@ -204,6 +213,7 @@ func (s *Set) depAdd(r Route) {
 
 // depRemove undoes depAdd, dropping arcs whose count reaches zero.
 func (s *Set) depRemove(r Route) {
+	s.cyclic = s.cyclic[:len(s.cyclic)-1]
 	for i := 0; i+1 < len(r.Servers); i++ {
 		a := [2]int{r.Servers[i], r.Servers[i+1]}
 		s.depCount[a]--
@@ -325,23 +335,20 @@ func (s *Set) MaxRouteDelay(d []float64) (float64, int) {
 //
 //	slack_i = deadline − (Delay_i(d) + Hops_i·perHop).
 //
-// The returned index identifies the binding route (len(Set) for the
-// phantom, -1 for an empty set, whose slack is +deadline by convention).
-func (s *Set) MinSlackExtra(d []float64, deadline, perHop float64, extra *Route) (float64, int) {
-	min, minIdx := deadline, -1
+// An empty set's slack is +deadline by convention.
+func (s *Set) MinSlackExtra(d []float64, deadline, perHop float64, extra *Route) float64 {
+	low, first := deadline, true
 	for i := range s.routes {
-		sl := s.routes[i].Slack(d, deadline, perHop)
-		if sl < min || minIdx == -1 {
-			min, minIdx = sl, i
+		if sl := s.routes[i].Slack(d, deadline, perHop); sl < low || first {
+			low, first = sl, false
 		}
 	}
 	if extra != nil {
-		sl := extra.Slack(d, deadline, perHop)
-		if sl < min || minIdx == -1 {
-			min, minIdx = sl, len(s.routes)
+		if sl := extra.Slack(d, deadline, perHop); sl < low || first {
+			low = sl
 		}
 	}
-	return min, minIdx
+	return low
 }
 
 // Delay returns the end-to-end delay bound of the route: the sum of the
@@ -383,22 +390,65 @@ func (s *Set) DependencyGraph() *graph.Graph {
 }
 
 // HasCycle reports whether the route union contains dependency feedback.
-func (s *Set) HasCycle() bool { return s.DependencyGraph().HasCycle() }
+func (s *Set) HasCycle() bool {
+	s.DependencyGraph()
+	return len(s.cyclic) > 0 && s.cyclic[len(s.cyclic)-1]
+}
 
-// WouldCycleOn reports whether adding the candidate's arcs to a prebuilt
-// dependency graph (from DependencyGraph of the same set) closes a
-// cycle. dep is not modified — the candidate's arcs are overlaid
-// virtually, so testing many candidates against one set needs no
-// cloning.
-func WouldCycleOn(dep *graph.Graph, candidate Route) bool {
-	if len(candidate.Servers) < 2 {
-		return dep.HasCycle()
+// WouldCycle reports whether the dependency graph would have a cycle
+// with the candidate added. The routes are not modified, but like
+// DependencyGraph it writes the set's caches, so it must not run
+// concurrently with other calls on the set.
+func (s *Set) WouldCycle(candidate Route) bool {
+	return s.HasCycle() || s.closesCycle(candidate.Servers)
+}
+
+// closesCycle reports whether the acyclic dependency graph plus the arcs
+// joining consecutive servers has a cycle. Such a cycle runs through a
+// new arc, and the new arcs reach every one of their tails from
+// servers[0], so a depth-first search from servers[0] finds it.
+func (s *Set) closesCycle(servers []int) bool {
+	if len(servers) < 2 {
+		return false
 	}
-	arcs := make([][2]int, 0, len(candidate.Servers)-1)
-	for i := 0; i+1 < len(candidate.Servers); i++ {
-		arcs = append(arcs, [2]int{candidate.Servers[i], candidate.Servers[i+1]})
+	if n := s.net.NumServers(); len(s.next) != n {
+		s.next = make([]int, n)
+		for i := range s.next {
+			s.next[i] = -1
+		}
+		s.color = make([]int8, n)
 	}
-	return dep.HasCycleWithArcs(arcs)
+	found := false
+	for i, srv := range servers[:len(servers)-1] {
+		found = found || s.next[srv] >= 0 // a repeated server closes a walk
+		s.next[srv] = servers[i+1]
+	}
+	found = found || s.cycleFrom(servers[0])
+	for _, srv := range servers {
+		s.next[srv] = -1
+	}
+	for _, srv := range s.seen {
+		s.color[srv] = 0
+	}
+	s.seen = s.seen[:0]
+	return found
+}
+
+// cycleFrom is closesCycle's search: colour 1 marks the servers on the
+// current path, 2 those fully explored.
+func (s *Set) cycleFrom(u int) bool {
+	s.color[u] = 1
+	s.seen = append(s.seen, u)
+	for _, v := range s.dep.Neighbors(u) {
+		if s.color[v] == 1 || s.color[v] == 0 && s.cycleFrom(v) {
+			return true
+		}
+	}
+	if v := s.next[u]; v >= 0 && (s.color[v] == 1 || s.color[v] == 0 && s.cycleFrom(v)) {
+		return true
+	}
+	s.color[u] = 2
+	return false
 }
 
 // FromRouterPath builds a Route for the given class from a router-level

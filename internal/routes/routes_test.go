@@ -185,11 +185,11 @@ func TestDependencyCycle(t *testing.T) {
 	// 3->0->1 adds the arc (3->0)->(0->1), completing the directed ring
 	// over servers 0->1, 1->2, 2->3, 3->0.
 	closing := mustRoute(t, net, "v", 3, 0, 1)
-	if !WouldCycleOn(s.DependencyGraph(), closing) {
-		t.Error("WouldCycleOn missed feedback")
+	if !s.WouldCycle(closing) {
+		t.Error("WouldCycle missed feedback")
 	}
 	if s.HasCycle() {
-		t.Error("WouldCycleOn mutated the set")
+		t.Error("WouldCycle mutated the set")
 	}
 	if err := s.Add(closing); err != nil {
 		t.Fatal(err)
@@ -381,14 +381,14 @@ func TestPhantomEvaluationEquivalenceProperty(t *testing.T) {
 		}
 		yPhantom := make([]float64, net.NumServers())
 		s.ComputeYExtra(d, yPhantom, &cand, nil)
-		slackPhantom, _ := s.MinSlackExtra(d, 0.1, 1e-3, &cand)
+		slackPhantom := s.MinSlackExtra(d, 0.1, 1e-3, &cand)
 
 		if err := s.Add(cand); err != nil {
 			return false
 		}
 		yReal := make([]float64, net.NumServers())
 		s.ComputeY(d, yReal)
-		slackReal, _ := s.MinSlackExtra(d, 0.1, 1e-3, nil)
+		slackReal := s.MinSlackExtra(d, 0.1, 1e-3, nil)
 		for k := range yReal {
 			if yPhantom[k] != yReal[k] {
 				return false

@@ -125,7 +125,7 @@ func (h Backtracking) Select(m *delay.Model, req Request) (*routes.Set, *Report,
 			rep.FailedPair = &failed
 			rep.Safe = false
 			rep.PairsRouted = set.Len()
-			slack, _ := set.MinSlackExtra(base, req.Class.Deadline, m.FixedPerHop, nil)
+			slack := set.MinSlackExtra(base, req.Class.Deadline, m.FixedPerHop, nil)
 			rep.WorstDelay = req.Class.Deadline - slack
 			rep.Backtracks = backtracks
 			emitSelect(m, emit, start, rep)
@@ -141,7 +141,7 @@ func (h Backtracking) Select(m *delay.Model, req Request) (*routes.Set, *Report,
 	for r := 0; r < set.Len(); r++ {
 		rep.TotalHops += set.Route(r).Hops()
 	}
-	slack, _ := set.MinSlackExtra(base, req.Class.Deadline, m.FixedPerHop, nil)
+	slack := set.MinSlackExtra(base, req.Class.Deadline, m.FixedPerHop, nil)
 	rep.WorstDelay = req.Class.Deadline - slack
 	rep.Safe = delay.MeetsDeadline(rep.WorstDelay, req.Class.Deadline)
 	rep.Backtracks = backtracks

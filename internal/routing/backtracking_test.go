@@ -102,7 +102,7 @@ func TestBacktrackingRepairsCheapFailure(t *testing.T) {
 	}
 	got, want := solve(set), solve(rebuilt)
 	deadline := traffic.Voice().Deadline
-	if slack, _ := set.MinSlackExtra(got.D, deadline, m.FixedPerHop, nil); math.Float64bits(deadline-slack) != math.Float64bits(bt.WorstDelay) {
+	if slack := set.MinSlackExtra(got.D, deadline, m.FixedPerHop, nil); math.Float64bits(deadline-slack) != math.Float64bits(bt.WorstDelay) {
 		t.Fatalf("WorstDelay %.17g, fresh solve %.17g", bt.WorstDelay, deadline-slack)
 	}
 	if got.Iterations != want.Iterations {

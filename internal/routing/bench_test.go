@@ -44,6 +44,7 @@ func benchSelect(b *testing.B, sel Selector, alpha float64, pairs int) {
 	m := delay.NewModel(net)
 	req := Request{Class: traffic.Voice(), Alpha: alpha, Pairs: benchGridPairs(net, pairs)}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := sel.Select(m, req); err != nil {
 			b.Fatal(err)
@@ -75,6 +76,7 @@ func benchSelectMCI(b *testing.B, sel Selector) {
 	m := delay.NewModel(topology.MCI())
 	req := Request{Class: traffic.Voice(), Alpha: 0.40}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, rep, err := sel.Select(m, req); err != nil || !rep.Safe {
 			b.Fatalf("rep=%+v err=%v", rep, err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"ubac/internal/delay"
@@ -103,7 +102,6 @@ type evalRun struct {
 	eng      *Engine
 	m        *delay.Model
 	net      *topology.Network
-	rg       *graph.Graph
 	class    traffic.Class
 	alpha    float64
 	deadline float64
@@ -112,6 +110,7 @@ type evalRun struct {
 	wksp     *graph.WeightedKSPSolver
 	scratch  *delay.SolveScratch
 	base     []float64 // warm-start delay vector for this batch
+	setSlack float64   // the set's minimum slack under base
 
 	cands        []candidate
 	scratchCands []candidate
@@ -126,7 +125,6 @@ func newEvalRun(eng *Engine, m *delay.Model, req Request, set *routes.Set, base 
 		eng:      eng,
 		m:        m,
 		net:      net,
-		rg:       net.RouterGraph(),
 		class:    req.Class,
 		alpha:    req.Alpha,
 		deadline: req.Class.Deadline,
@@ -135,6 +133,7 @@ func newEvalRun(eng *Engine, m *delay.Model, req Request, set *routes.Set, base 
 		wksp:     graph.NewWeightedKSPSolver(net.RouterGraph()),
 		scratch:  &delay.SolveScratch{},
 		base:     base,
+		setSlack: set.MinSlackExtra(base, req.Class.Deadline, m.FixedPerHop, nil),
 	}
 }
 
@@ -167,11 +166,12 @@ func (r *evalRun) buildCandidates(p [2]int, k, slack int, delayWeighted, checkCy
 			return pairErr(p, err)
 		}
 		// Guarantee the hop-shortest path is among the candidates.
-		sp, err := r.rg.ShortestPath(p[0], p[1])
+		first, err := r.ksp.Paths(p[0], p[1], 1)
 		if err != nil {
 			return pairErr(p, err)
 		}
-		if !pathIn(paths, sp) {
+		sp := first[0]
+		if !slices.ContainsFunc(paths, func(q []int) bool { return slices.Equal(q, sp) }) {
 			paths = append(paths, sp)
 		}
 		spLen := len(sp) - 1
@@ -194,28 +194,24 @@ func (r *evalRun) buildCandidates(p [2]int, k, slack int, delayWeighted, checkCy
 			r.scratchCands = append(r.scratchCands, candidate{route: rt})
 		}
 	}
-	var dep *graph.Graph
-	if checkCycles {
-		dep = r.set.DependencyGraph()
-	}
 	for i := range r.scratchCands {
 		c := &r.scratchCands[i]
 		c.score = c.route.Delay(r.base)
-		if dep != nil {
-			c.cyclic = routes.WouldCycleOn(dep, c.route)
-		}
+		c.cyclic = checkCycles && r.set.WouldCycle(c.route)
 	}
-	cands := r.scratchCands
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].cyclic != cands[b].cyclic {
-			return !cands[a].cyclic
+	slices.SortStableFunc(r.scratchCands, func(a, b candidate) int {
+		if a.cyclic != b.cyclic {
+			if a.cyclic {
+				return 1
+			}
+			return -1
 		}
-		if cands[a].score != cands[b].score {
-			return cands[a].score < cands[b].score
+		if c := cmp.Compare(a.score, b.score); c != 0 {
+			return c
 		}
-		return cands[a].route.Hops() < cands[b].route.Hops()
+		return cmp.Compare(a.route.Hops(), b.route.Hops())
 	})
-	r.cands = cands
+	r.cands = r.scratchCands
 	return nil
 }
 
@@ -229,15 +225,15 @@ func (r *evalRun) evalCandidate(ci int) (d []float64, slack float64, ok bool, er
 	if err != nil || !res.Converged {
 		return nil, 0, false, err
 	}
-	slack, _ = r.set.MinSlackExtra(res.D, r.deadline, r.m.FixedPerHop, &r.cands[ci].route)
+	slack = r.set.MinSlackExtra(res.D, r.deadline, r.m.FixedPerHop, &r.cands[ci].route)
 	return res.D, slack, delay.MeetsDeadline(r.deadline-slack, r.deadline), nil
 }
 
 // pick returns the feasible candidate with the largest key, ties to the
-// lowest index, or -1 if none is feasible, and leaves the winner's
-// converged vector in r.best. The key is the candidate's solved slack
-// when bySlack is set and 0 otherwise; bound(ci) must be at least the
-// key.
+// lowest index, or -1 if none is feasible, with its key, and leaves the
+// winner's converged vector in r.best. The key is the candidate's solved
+// slack when bySlack is set and 0 otherwise; bound(ci) must be at least
+// the key.
 //
 // It solves candidates one at a time in descending bound order, ties by
 // index, and stops at the first whose bound cannot beat the best key
@@ -245,7 +241,7 @@ func (r *evalRun) evalCandidate(ci int) (d []float64, slack float64, ok bool, er
 // candidate's bound is better, so none of them is solved. With a
 // constant bound and key the visit is a first-accept scan in index
 // order.
-func (r *evalRun) pick(bound func(ci int) float64, bySlack bool) (int, error) {
+func (r *evalRun) pick(bound func(ci int) float64, bySlack bool) (int, float64, error) {
 	n := len(r.cands)
 	r.order = r.order[:0]
 	r.bounds = r.bounds[:0]
@@ -264,7 +260,7 @@ func (r *evalRun) pick(bound func(ci int) float64, bySlack bool) (int, error) {
 		}
 		d, slack, ok, err := r.evalCandidate(ci)
 		if err != nil {
-			return -1, err
+			return -1, 0, err
 		}
 		key := 0.0
 		if bySlack {
@@ -275,25 +271,31 @@ func (r *evalRun) pick(bound func(ci int) float64, bySlack bool) (int, error) {
 			r.best = append(r.best[:0], d...)
 		}
 	}
-	return best, nil
+	return best, bestKey, nil
 }
 
 // pickLookahead returns the feasible candidate whose phantom solve
 // leaves the largest minimum slack. A candidate's bound is the smaller
 // of the set's and its own slack under base: the phantom solve only
-// raises delays from base (DESIGN.md §9), so no slack grows in it.
+// raises delays from base (DESIGN.md §9), so no slack grows in it. The
+// caller accepts the winner and adopts its vector as base, so the
+// winner's slack becomes the set's: the same minimum over the same
+// routes under the same vector.
 func (r *evalRun) pickLookahead() (int, error) {
 	perHop := r.m.FixedPerHop
-	setSlack, _ := r.set.MinSlackExtra(r.base, r.deadline, perHop, nil)
-	return r.pick(func(ci int) float64 {
-		return min(setSlack, r.cands[ci].route.Slack(r.base, r.deadline, perHop))
+	idx, slack, err := r.pick(func(ci int) float64 {
+		return min(r.setSlack, r.cands[ci].route.Slack(r.base, r.deadline, perHop))
 	}, true)
+	if idx >= 0 {
+		r.setSlack = slack
+	}
+	return idx, err
 }
 
 // pickFirst returns the first feasible candidate in index order (-1 if
 // none) and the number of candidates it tried: idx+1, or every one.
 func (r *evalRun) pickFirst() (idx, tried int, err error) {
-	if idx, err = r.pick(func(int) float64 { return 0 }, false); idx < 0 {
+	if idx, _, err = r.pick(func(int) float64 { return 0 }, false); idx < 0 {
 		return idx, len(r.cands), err
 	}
 	return idx, idx + 1, nil

@@ -114,8 +114,12 @@ func orderPairs(rg *graph.Graph, pairs [][2]int, keepOrder bool) [][2]int {
 		return ordered
 	}
 	dist := make([]int, len(ordered))
+	var from []int // hop distances from the last pair's source
 	for i, p := range ordered {
-		dist[i] = rg.Distance(p[0], p[1])
+		if i == 0 || p[0] != ordered[i-1][0] {
+			from = rg.Distances(p[0])
+		}
+		dist[i] = from[p[1]]
 	}
 	idx := make([]int, len(ordered))
 	for i := range idx {
@@ -200,7 +204,7 @@ func (SP) Select(m *delay.Model, req Request) (*routes.Set, *Report, error) {
 		return nil, nil, err
 	}
 	if res.Converged {
-		slack, _ := set.MinSlackExtra(res.D, req.Class.Deadline, m.FixedPerHop, nil)
+		slack := set.MinSlackExtra(res.D, req.Class.Deadline, m.FixedPerHop, nil)
 		rep.WorstDelay = req.Class.Deadline - slack
 		rep.Safe = delay.MeetsDeadline(rep.WorstDelay, req.Class.Deadline)
 	}
@@ -315,7 +319,7 @@ func (h Heuristic) Select(m *delay.Model, req Request) (*routes.Set, *Report, er
 			failed := p
 			rep.FailedPair = &failed
 			rep.Safe = false
-			slack, _ := set.MinSlackExtra(base, req.Class.Deadline, m.FixedPerHop, nil)
+			slack := set.MinSlackExtra(base, req.Class.Deadline, m.FixedPerHop, nil)
 			rep.WorstDelay = req.Class.Deadline - slack
 			emitSelect(m, emit, start, rep)
 			return set, rep, nil
@@ -327,29 +331,9 @@ func (h Heuristic) Select(m *delay.Model, req Request) (*routes.Set, *Report, er
 		rep.PairsRouted++
 		rep.TotalHops += run.cands[idx].route.Hops()
 	}
-	slack, _ := set.MinSlackExtra(base, req.Class.Deadline, m.FixedPerHop, nil)
+	slack := set.MinSlackExtra(base, req.Class.Deadline, m.FixedPerHop, nil)
 	rep.WorstDelay = req.Class.Deadline - slack
 	rep.Safe = delay.MeetsDeadline(rep.WorstDelay, req.Class.Deadline)
 	emitSelect(m, emit, start, rep)
 	return set, rep, nil
-}
-
-// pathIn reports whether path is already present in paths.
-func pathIn(paths [][]int, path []int) bool {
-	for _, p := range paths {
-		if len(p) != len(path) {
-			continue
-		}
-		same := true
-		for i := range p {
-			if p[i] != path[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return true
-		}
-	}
-	return false
 }
