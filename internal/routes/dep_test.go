@@ -43,7 +43,9 @@ func sameDigraph(t *testing.T, got, want *graph.Graph) {
 // oracleHasCycle is the whole-graph depth-first search the set's
 // reach-only check replaced: it reports whether g plus the extra arcs
 // has a directed cycle, starting a search at every vertex. Duplicates
-// of existing arcs are harmless, and a self-loop arc is a cycle.
+// of existing arcs are harmless, and a self-loop arc is a cycle. It is
+// a copy of the graph package's test oracle, which graph/cycle_test.go
+// checks on known graphs and against adding the arcs to a copy.
 func oracleHasCycle(g *graph.Graph, extra [][2]int) bool {
 	color := make([]int8, g.Order()) // 0 unvisited, 1 on the path, 2 done
 	var visit func(u int) bool
@@ -78,80 +80,6 @@ func arcsOf(servers []int) [][2]int {
 		arcs = append(arcs, [2]int{servers[i], servers[i+1]})
 	}
 	return arcs
-}
-
-// The oracle itself on known graphs, with and without overlaid arcs,
-// and against adding the arcs to a copy.
-func TestCycleOracle(t *testing.T) {
-	if oracleHasCycle(graph.New(0), nil) || oracleHasCycle(graph.New(5), nil) {
-		t.Error("edgeless graph reported cyclic")
-	}
-	dag := graph.New(4)
-	for _, a := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}} {
-		if err := dag.AddEdge(a[0], a[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if oracleHasCycle(dag, nil) {
-		t.Error("DAG reported cyclic")
-	}
-	if !oracleHasCycle(dag, [][2]int{{3, 0}}) {
-		t.Error("cycle not detected")
-	}
-	g := graph.New(4)
-	for _, a := range [][2]int{{0, 1}, {1, 2}} {
-		if err := g.AddEdge(a[0], a[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, tc := range []struct {
-		extra [][2]int
-		want  bool
-	}{
-		{nil, false},
-		{[][2]int{{2, 3}}, false},
-		{[][2]int{{2, 0}}, true},          // closes 0->1->2->0
-		{[][2]int{{0, 1}}, false},         // duplicate of an existing arc
-		{[][2]int{{3, 3}}, true},          // self-loop
-		{[][2]int{{2, 3}, {3, 0}}, true},  // cycle through two extras
-		{[][2]int{{3, 0}, {1, 3}}, true},  // extras out of DFS order still found
-		{[][2]int{{2, 3}, {3, 1}}, true},  // closes at 1
-		{[][2]int{{3, 2}, {0, 3}}, false}, // converging arcs, no cycle
-		{[][2]int{{2, 3}, {2, 3}}, false}, // duplicate extras
-	} {
-		if got := oracleHasCycle(g, tc.extra); got != tc.want {
-			t.Fatalf("case %d extra=%v: got %v, want %v", i, tc.extra, got, tc.want)
-		}
-	}
-	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 8 + rng.Intn(6)
-		g := graph.New(n)
-		for e := 0; e < n; e++ {
-			if u, v := rng.Intn(n), rng.Intn(n); u != v && !g.HasEdge(u, v) {
-				if err := g.AddEdge(u, v); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		for trial := 0; trial < 40; trial++ {
-			var extra [][2]int
-			clone := g.Clone()
-			for a := rng.Intn(4); a >= 0; a-- {
-				if u, v := rng.Intn(n), rng.Intn(n); u != v {
-					extra = append(extra, [2]int{u, v})
-					if !clone.HasEdge(u, v) {
-						if err := clone.AddEdge(u, v); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-			}
-			if got, want := oracleHasCycle(g, extra), oracleHasCycle(clone, nil); got != want {
-				t.Fatalf("seed=%d extra=%v: overlaid %v, added %v", seed, extra, got, want)
-			}
-		}
-	}
 }
 
 // sameDep checks the set's cached graph and its acyclicity against a
