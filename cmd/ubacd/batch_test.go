@@ -6,11 +6,12 @@ import (
 	"strings"
 	"testing"
 
+	"ubac/internal/daemon"
 	"ubac/internal/wire"
 )
 
 func TestBatchAdmitTeardownLifecycle(t *testing.T) {
-	ts, _ := testDaemon(t)
+	ts := testDaemon(t)
 	resp, body := post(t, ts, "/v1/flows:batch", batchRequest{
 		Admit: []flowRequest{
 			{Class: "voice", Src: "Seattle", Dst: "Princeton"},
@@ -80,7 +81,7 @@ func TestBatchAdmitTeardownLifecycle(t *testing.T) {
 // down via the singleton DELETE (and vice versa): flow IDs are one
 // namespace regardless of which endpoint issued them.
 func TestBatchSingletonInterop(t *testing.T) {
-	ts, _ := testDaemon(t)
+	ts := testDaemon(t)
 	_, body := post(t, ts, "/v1/flows:batch", batchRequest{
 		Admit: []flowRequest{{Class: "voice", Src: "Seattle", Dst: "Princeton"}},
 	})
@@ -105,33 +106,34 @@ func TestBatchSingletonInterop(t *testing.T) {
 // out a field or an element value. Nothing the first request carried
 // may fill those gaps.
 func TestBatchCodecReuseForgetsLastRequest(t *testing.T) {
-	bc := &batchCodec{}
+	bc := new(daemon.BatchCodec)
+	req := bc.Request()
 	full := `{"admit":[{"class":"voice","tenant":"t","src":"Seattle","dst":"Princeton"},{"class":"voice","src":"Princeton","dst":"Seattle"}],"teardown":[7,8]}`
 	for _, body := range []string{
 		`{"admit":[{"class":"voice","src":"Seattle"}]}`,
 		`{"admit":[{"class":"voice","src":"a","dst":"b"},{"src":"b","dst":"a"}]}`,
 		`{"admit":[{"class":"voice","src":"a","dst":"b"},{}]}`,
 	} {
-		if err := bc.decode(strings.NewReader(full)); err != nil {
+		if err := bc.Decode(strings.NewReader(full)); err != nil {
 			t.Fatal(err)
 		}
-		if err := bc.decode(strings.NewReader(body)); err == nil {
-			t.Errorf("%s: accepted after a full request: %+v", body, bc.req)
+		if err := bc.Decode(strings.NewReader(body)); err == nil {
+			t.Errorf("%s: accepted after a full request: %+v", body, req)
 		}
 	}
-	if err := bc.decode(strings.NewReader(full)); err != nil {
+	if err := bc.Decode(strings.NewReader(full)); err != nil {
 		t.Fatal(err)
 	}
-	if err := bc.decode(strings.NewReader(`{"admit":[{"class":"voice","src":"a","dst":"b"}],"teardown":[null]}`)); err != nil {
+	if err := bc.Decode(strings.NewReader(`{"admit":[{"class":"voice","src":"a","dst":"b"}],"teardown":[null]}`)); err != nil {
 		t.Fatal(err)
 	}
-	if bc.req.Admit[0].Tenant != "" || bc.req.Teardown[0] != 0 {
-		t.Errorf("previous request leaked into %+v", bc.req)
+	if req.Admit[0].Tenant != "" || req.Teardown[0] != 0 {
+		t.Errorf("previous request leaked into %+v", req)
 	}
 }
 
 func TestBatchRejections(t *testing.T) {
-	ts, _ := testDaemon(t)
+	ts := testDaemon(t)
 	cases := []struct {
 		name string
 		body string

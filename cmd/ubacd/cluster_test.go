@@ -4,42 +4,29 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"ubac/internal/admission"
 	"ubac/internal/cluster"
-	"ubac/internal/policy"
+	"ubac/internal/daemon"
 )
 
-// clusterMember wires the HTTP server over a one-member cluster the way
-// main.go does under -cluster — the node installs its edge lease plane
-// in the controller both transports serve — with pol as the policy
-// (nil for none). A one-member cluster elects itself on its first
-// round, since its cold start has no other member to wait for.
-func clusterMember(t *testing.T, self uint32, pol policy.Policy) *httptest.Server {
+// oneMember boots a one-member cluster through testDaemon, on the
+// -cluster, -wire and -data-dir settings ubacd requires of a member —
+// the node installs its edge lease plane in the controller both
+// transports serve — and waits for it to elect itself, which it does on
+// its first round since its cold start has no other member to wait for.
+func oneMember(t *testing.T, self uint32, changes ...func(*daemon.Config)) *testServer {
 	t.Helper()
-	net, ctrl, reg, ring, _ := testDeployment(t)
-	ctrl.SetPolicy(pol)
-	node, err := cluster.NewNode(cluster.NodeOptions{
-		Config: cluster.Config{
-			NodeID:  self,
-			Members: []cluster.Member{{ID: self, Addr: "127.0.0.1:1"}},
-		},
-		Controller: ctrl,
-		DataDir:    t.TempDir(),
-		Logf:       t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	node.Start()
-	t.Cleanup(node.Stop)
-	ts := httptest.NewServer(newServer(net, ctrl, reg, ring).routes())
-	t.Cleanup(ts.Close)
-	for deadline := time.Now().Add(5 * time.Second); node.Role() != cluster.RoleAuthority; {
+	dir := t.TempDir()
+	ts := testDaemon(t, append(changes, func(c *daemon.Config) {
+		c.Cluster = fmt.Sprintf("id=%d,members=%d@127.0.0.1:1", self, self)
+		c.WireListen = "127.0.0.1:0"
+		c.DataDir = dir
+	})...)
+	for deadline := time.Now().Add(5 * time.Second); ts.Node().Role() != cluster.RoleAuthority; {
 		if time.Now().After(deadline) {
 			t.Fatal("a one-member cluster did not elect itself")
 		}
@@ -49,7 +36,7 @@ func clusterMember(t *testing.T, self uint32, pol policy.Policy) *httptest.Serve
 }
 
 // events returns the member's audit trail, newest first.
-func events(t *testing.T, ts *httptest.Server) []map[string]any {
+func events(t *testing.T, ts *testServer) []map[string]any {
 	t.Helper()
 	_, body := get(t, ts, "/v1/events?limit=16")
 	var out []map[string]any
@@ -66,7 +53,7 @@ func events(t *testing.T, ts *httptest.Server) []map[string]any {
 // and in ubac_admit_total, as on a single node.
 func TestHTTPAdmitsOnClusterMember(t *testing.T) {
 	const self = 3
-	ts := clusterMember(t, self, nil)
+	ts := oneMember(t, self)
 
 	active := func() float64 {
 		t.Helper()
@@ -126,15 +113,7 @@ func TestHTTPAdmitsOnClusterMember(t *testing.T) {
 // admitted flow under the member's node bits.
 func TestPolicyOverHTTPOnClusterMember(t *testing.T) {
 	const self = 5
-	tb, err := policy.NewTokenBucket(
-		policy.BucketConfig{Rate: 1, Burst: 1000},
-		map[string]policy.BucketConfig{"tenant-a": {Rate: 1e-9, Burst: 1}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb.Clock = func() int64 { return 1 } // frozen clock: no refill ever
-	ts := clusterMember(t, self, tb)
+	ts := oneMember(t, self, tenantBucket)
 
 	flow := flowRequest{Class: "voice", Tenant: "tenant-a", Src: "Seattle", Dst: "Princeton"}
 	resp, body := post(t, ts, "/v1/flows", flow)

@@ -21,7 +21,8 @@ var update = flag.Bool("update", false, "rewrite testdata golden files")
 // singly and as a run. The ring's storage may change; what it serves
 // may not.
 func TestEventsGolden(t *testing.T) {
-	ts, _, sink := testDaemonFull(t)
+	ts := testDaemon(t)
+	sink := ts.Sink()
 	when := time.Unix(1_700_000_000, 123_456_789)
 	d := func(v telemetry.Verdict, id uint64, class, tenant string, src, dst, bottleneck int) telemetry.Decision {
 		return telemetry.Decision{FlowID: id, Class: class, Tenant: tenant, Src: src, Dst: dst,

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ubac/internal/daemon"
 	"ubac/internal/wire"
 )
 
@@ -14,9 +15,10 @@ import (
 // /v1/flows:batch body decoder through the same 64 KiB cap the
 // handler applies: it must never panic, anything it accepts is
 // non-empty with every admit entry fully populated and at most
-// wire.MaxFrameOps operations, and the pooled codec must decode a known
-// body identically right after — stale slices from the fuzzed request
-// must not leak through the sync.Pool reuse path.
+// wire.MaxFrameOps operations, and the codec, reused across inputs as
+// the handlers' pool reuses it, must decode a known body identically
+// right after — stale slices from the fuzzed request must not leak
+// into the next one.
 func FuzzDecodeBatchRequest(f *testing.F) {
 	f.Add(`{"admit":[{"class":"voice","src":"Seattle","dst":"Chicago"}],"teardown":[7]}`)
 	f.Add(`{"admit":[{"class":"voice","src":"a","dst":"b"},{"class":"voice","src":"b","dst":"a"}]}`)
@@ -30,37 +32,37 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 	f.Add(`null`)
 	f.Add(`42`)
 	f.Add(`not json`)
+	bc := new(daemon.BatchCodec)
+	req := bc.Request()
 	f.Fuzz(func(t *testing.T, body string) {
-		bc := batchCodecPool.Get().(*batchCodec)
-		defer batchCodecPool.Put(bc)
-		err := bc.decode(http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(body)), maxFlowBody))
+		err := bc.Decode(http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(body)), maxFlowBody))
 		if err == nil {
 			if len(body) > maxFlowBody {
 				t.Fatalf("accepted %d-byte body past the %d-byte cap", len(body), maxFlowBody)
 			}
-			n := len(bc.req.Admit) + len(bc.req.Teardown)
+			n := len(req.Admit) + len(req.Teardown)
 			if n == 0 {
 				t.Fatal("accepted an empty batch")
 			}
 			if n > wire.MaxFrameOps {
 				t.Fatalf("accepted %d operations, cap is %d", n, wire.MaxFrameOps)
 			}
-			for i, a := range bc.req.Admit {
+			for i, a := range req.Admit {
 				if a.Class == "" || a.Src == "" || a.Dst == "" {
 					t.Fatalf("accepted admit[%d] with empty field: %+v", i, a)
 				}
 			}
 		}
-		// Pool-reuse integrity: the same codec must now decode a known
+		// Reuse integrity: the same codec must now decode a known
 		// request to exactly its contents, whatever the fuzzed body did.
 		const good = `{"admit":[{"class":"voice","src":"A","dst":"B"}],"teardown":[7]}`
-		if err := bc.decode(strings.NewReader(good)); err != nil {
+		if err := bc.Decode(strings.NewReader(good)); err != nil {
 			t.Fatalf("known-good body rejected after fuzzed decode: %v", err)
 		}
-		if len(bc.req.Admit) != 1 || len(bc.req.Teardown) != 1 ||
-			bc.req.Admit[0] != (flowRequest{Class: "voice", Src: "A", Dst: "B"}) ||
-			bc.req.Teardown[0] != 7 {
-			t.Fatalf("stale state leaked through codec reuse: %+v", bc.req)
+		if len(req.Admit) != 1 || len(req.Teardown) != 1 ||
+			req.Admit[0] != (flowRequest{Class: "voice", Src: "A", Dst: "B"}) ||
+			req.Teardown[0] != 7 {
+			t.Fatalf("stale state leaked through codec reuse: %+v", req)
 		}
 	})
 }
@@ -92,7 +94,7 @@ func FuzzDecodeFlowRequest(f *testing.F) {
 	f.Add(`{"class":"üñïçödé","src":"a","dst":"b"}`)
 	f.Add("{\"class\":\"\xff\",\"src\":\"a\",\"dst\":\"b\"}")
 	f.Fuzz(func(t *testing.T, body string) {
-		req, err := decodeFlowRequest(strings.NewReader(body))
+		req, err := daemon.DecodeFlowRequest(strings.NewReader(body))
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
@@ -103,7 +105,7 @@ func FuzzDecodeFlowRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted request failed to marshal: %v", err)
 		}
-		back, err := decodeFlowRequest(strings.NewReader(string(out)))
+		back, err := daemon.DecodeFlowRequest(strings.NewReader(string(out)))
 		if err != nil {
 			t.Fatalf("round trip rejected: %v", err)
 		}

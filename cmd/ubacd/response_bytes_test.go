@@ -3,11 +3,10 @@ package main
 import (
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"ubac/internal/policy"
+	"ubac/internal/topology"
 )
 
 // flowCase is one request against the singleton flow endpoints and the
@@ -22,7 +21,7 @@ type flowCase struct {
 
 // do sends fc to ts and checks the status, the content type and every
 // byte of the body.
-func (fc flowCase) do(t *testing.T, ts *httptest.Server) {
+func (fc flowCase) do(t *testing.T, ts *testServer) {
 	t.Helper()
 	req, err := http.NewRequest(fc.method, ts.URL+fc.path, strings.NewReader(fc.body))
 	if err != nil {
@@ -51,7 +50,8 @@ func (fc flowCase) do(t *testing.T, ts *httptest.Server) {
 // or write responses cannot move a byte on the wire unnoticed. Flow IDs
 // are deterministic on a fresh controller driven from one goroutine.
 func TestFlowsResponseBytes(t *testing.T) {
-	ts, net, ctrl, _ := testDaemonOn(t, "")
+	ts := testDaemon(t)
+	net, ctrl := topology.NSFNet(topology.DefaultCapacity), ts.Controller()
 	const voice = `{"class":"voice","src":"Seattle","dst":"Princeton"}`
 	padded := voice + strings.Repeat(" ", maxFlowBody)
 	huge := `{"class":"` + strings.Repeat("x", maxFlowBody+1) + `"}`
@@ -96,13 +96,7 @@ func TestFlowsResponseBytes(t *testing.T) {
 	flowCase{"capacity", "POST", "/v1/flows", voice,
 		http.StatusServiceUnavailable, "{\"error\":\"admission: insufficient capacity along route\",\"reason\":\"capacity\"}\n"}.do(t, ts)
 
-	tb, err := policy.NewTokenBucket(policy.BucketConfig{Rate: 1, Burst: 1000},
-		map[string]policy.BucketConfig{"tenant-a": {Rate: 1e-9, Burst: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb.Clock = func() int64 { return 1 }
-	pts, _ := testDaemonPolicy(t, tb)
+	pts := testDaemon(t, tenantBucket)
 	const tenant = `{"class":"voice","tenant":"tenant-a","src":"Seattle","dst":"Princeton"}`
 	flowCase{"policy admit", "POST", "/v1/flows", tenant,
 		http.StatusCreated, "{\"id\":4294967335}\n"}.do(t, pts)

@@ -2,99 +2,90 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"math"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"ubac/internal/admission"
-	"ubac/internal/core"
-	"ubac/internal/policy"
-	"ubac/internal/telemetry"
+	"ubac/internal/config"
+	"ubac/internal/daemon"
 	"ubac/internal/topology"
-	"ubac/internal/traffic"
-	"ubac/internal/wal"
 	"ubac/internal/wire"
 )
 
-func testDaemon(t *testing.T) (*httptest.Server, *topology.Network) {
-	ts, net, _ := testDaemonFull(t)
-	return ts, net
+// testServer is a daemon booted through daemon.Start, the way ubacd
+// boots, with its HTTP side on a loopback listener at URL.
+type testServer struct {
+	*daemon.Daemon
+	URL string
 }
 
-// testDaemonFull mirrors main.go's wiring: registry + audit ring +
-// sink attached to both the delay model (configuration step) and the
-// run-time controller.
-func testDaemonFull(t *testing.T) (*httptest.Server, *topology.Network, *telemetry.RegistrySink) {
-	t.Helper()
-	ts, net, _, sink := testDaemonOn(t, "")
-	return ts, net, sink
-}
+// Test shorthands for the daemon's HTTP request bodies.
+type (
+	flowRequest  = daemon.FlowRequest
+	batchRequest = daemon.BatchRequest
+)
 
-// testDaemonOn is testDaemonFull with the controller handed back and,
-// when dataDir is set, main.go's durability wiring: recover the
-// directory, then journal to it in sync mode. The log stays open until
-// the test ends: a daemon booted on the directory before that finds it
-// as a killed one leaves it.
-func testDaemonOn(t *testing.T, dataDir string) (*httptest.Server, *topology.Network, *admission.Controller, *telemetry.RegistrySink) {
+const maxFlowBody = daemon.MaxFlowBody
+
+// testDaemon boots NSFNet at voice α 0.30 with a 256-event audit ring,
+// HTTP only, after applying each change to the configuration; the
+// configuration passes Check first, as ubacd's does. The daemon is
+// stopped, as a signal stops ubacd, when the test ends.
+func testDaemon(t *testing.T, changes ...func(*daemon.Config)) *testServer {
 	t.Helper()
-	net, ctrl, reg, ring, sink := testDeployment(t)
-	if dataDir != "" {
-		rec, err := recoverState(ctrl, sink, dataDir)
-		if err != nil {
-			t.Fatal(err)
+	cfg := daemon.Config{
+		Topology: "nsfnet",
+		Alphas:   map[string]float64{"voice": 0.30},
+		Events:   256,
+		Fsync:    daemon.DefaultFsync,
+	}
+	for _, change := range changes {
+		change(&cfg)
+	}
+	if err := cfg.Check(nil); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Listen = ln.Addr().String()
+	d, err := daemon.Start(context.Background(), cfg, daemon.Deps{HTTP: ln, Log: log.New(io.Discard, "", 0)})
+	if err != nil {
+		ln.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := d.Stop(ctx); err != nil {
+			t.Error(err)
 		}
-		log, err := wal.Open(wal.Options{Dir: dataDir, Mode: wal.ModeSync,
-			Fingerprint: ctrl.Fingerprint(), Epoch: rec.Epoch + 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctrl.SetJournal(log)
-		t.Cleanup(func() { log.Close() })
-	}
-	ts := httptest.NewServer(newServer(net, ctrl, reg, ring).routes())
-	t.Cleanup(ts.Close)
-	return ts, net, ctrl, sink
+	})
+	return &testServer{Daemon: d, URL: "http://" + cfg.Listen}
 }
 
-// testDeployment configures NSFNet at voice α 0.30 with main.go's
-// telemetry wiring: one registry, audit ring and sink for both the
-// delay model (the configuration step) and the run-time controller.
-func testDeployment(t *testing.T) (*topology.Network, *admission.Controller, *telemetry.Registry, *telemetry.Ring, *telemetry.RegistrySink) {
-	t.Helper()
-	net := topology.NSFNet(topology.DefaultCapacity)
-	classes, err := traffic.NewClassSet(traffic.Voice(), traffic.BestEffort(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := core.NewSystem(net, classes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry()
-	ring := telemetry.NewRing(256)
-	sink := telemetry.NewRegistrySink(reg, ring)
-	sys.Model().Sink = sink
-	dep, err := sys.Configure(map[string]float64{"voice": 0.30})
-	if err != nil || !dep.Safe() {
-		t.Fatalf("configure: %v", err)
-	}
-	ctrl, err := dep.Controller(admission.AtomicLedger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink.SetClasses(ctrl.Classes())
-	ctrl.SetSink(sink)
-	return net, ctrl, reg, ring, sink
+// tenantBucket installs a token-bucket policy under which tenant-a
+// admits one flow and then nothing for the rest of the test (its bucket
+// refills one flow in about 30 years), while untenanted traffic shares
+// a 1000-flow burst.
+func tenantBucket(c *daemon.Config) {
+	c.Policy = &config.PolicyConfig{Kind: "token_bucket", Rate: 1, Burst: 1000,
+		Tenants: map[string]config.BucketConfig{"tenant-a": {Rate: 1e-9, Burst: 1}}}
 }
 
-func post(t *testing.T, ts *httptest.Server, path string, body any) (*http.Response, map[string]any) {
+func post(t *testing.T, ts *testServer, path string, body any) (*http.Response, map[string]any) {
 	t.Helper()
 	b, err := json.Marshal(body)
 	if err != nil {
@@ -110,7 +101,7 @@ func post(t *testing.T, ts *httptest.Server, path string, body any) (*http.Respo
 	return resp, out
 }
 
-func get(t *testing.T, ts *httptest.Server, path string) (*http.Response, map[string]any) {
+func get(t *testing.T, ts *testServer, path string) (*http.Response, map[string]any) {
 	t.Helper()
 	resp, err := http.Get(ts.URL + path)
 	if err != nil {
@@ -122,7 +113,7 @@ func get(t *testing.T, ts *httptest.Server, path string) (*http.Response, map[st
 	return resp, out
 }
 
-func del(t *testing.T, ts *httptest.Server, path string) *http.Response {
+func del(t *testing.T, ts *testServer, path string) *http.Response {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodDelete, ts.URL+path, nil)
 	if err != nil {
@@ -137,7 +128,7 @@ func del(t *testing.T, ts *httptest.Server, path string) *http.Response {
 }
 
 func TestHealthz(t *testing.T) {
-	ts, _ := testDaemon(t)
+	ts := testDaemon(t)
 	resp, body := get(t, ts, "/healthz")
 	if resp.StatusCode != http.StatusOK || body["status"] != "ok" {
 		t.Errorf("healthz: %d %v", resp.StatusCode, body)
@@ -146,7 +137,7 @@ func TestHealthz(t *testing.T) {
 
 // TestPprofServed: the runtime's profiles are on the daemon's own mux.
 func TestPprofServed(t *testing.T) {
-	ts, _ := testDaemon(t)
+	ts := testDaemon(t)
 	resp, err := http.Get(ts.URL + "/debug/pprof/cmdline")
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +149,7 @@ func TestPprofServed(t *testing.T) {
 }
 
 func TestAdmitTeardownLifecycle(t *testing.T) {
-	ts, _ := testDaemon(t)
+	ts := testDaemon(t)
 	resp, body := post(t, ts, "/v1/flows", flowRequest{Class: "voice", Src: "Seattle", Dst: "Princeton"})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("admit: %d %v", resp.StatusCode, body)
@@ -190,7 +181,7 @@ func TestAdmitTeardownLifecycle(t *testing.T) {
 }
 
 func TestAdmitErrorsOverHTTP(t *testing.T) {
-	ts, _ := testDaemon(t)
+	ts := testDaemon(t)
 	cases := []struct {
 		req  flowRequest
 		want int
@@ -221,7 +212,7 @@ func TestAdmitErrorsOverHTTP(t *testing.T) {
 }
 
 func TestCapacityConflictOverHTTP(t *testing.T) {
-	ts, _ := testDaemon(t)
+	ts := testDaemon(t)
 	// Numeric router IDs are accepted too.
 	req := flowRequest{Class: "voice", Src: "0", Dst: "13"}
 	admitted := 0
@@ -250,7 +241,7 @@ func TestCapacityConflictOverHTTP(t *testing.T) {
 }
 
 func TestMethodGuards(t *testing.T) {
-	ts, _ := testDaemon(t)
+	ts := testDaemon(t)
 	if resp, _ := get(t, ts, "/v1/flows"); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/flows: %d", resp.StatusCode)
 	}
@@ -271,7 +262,7 @@ func TestMethodGuards(t *testing.T) {
 // TestRejectReasonFields checks the machine-readable reason in error
 // bodies, matching the event schema.
 func TestRejectReasonFields(t *testing.T) {
-	ts, _ := testDaemon(t)
+	ts := testDaemon(t)
 	cases := []struct {
 		req    flowRequest
 		reason string
@@ -303,7 +294,7 @@ func TestRejectReasonFields(t *testing.T) {
 // TestMetricsEndToEnd drives an admit → reject → teardown cycle and
 // asserts /metrics reflects it in Prometheus text format.
 func TestMetricsEndToEnd(t *testing.T) {
-	ts, _ := testDaemon(t)
+	ts := testDaemon(t)
 	// One admit.
 	resp, body := post(t, ts, "/v1/flows", flowRequest{Class: "voice", Src: "Seattle", Dst: "Princeton"})
 	if resp.StatusCode != http.StatusCreated {
@@ -368,7 +359,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 // TestEventsEndpoint checks the audit trail: the decisions of an
 // admit → reject → teardown cycle, newest first, with resolved names.
 func TestEventsEndpoint(t *testing.T) {
-	ts, _ := testDaemon(t)
+	ts := testDaemon(t)
 	resp, body := post(t, ts, "/v1/flows", flowRequest{Class: "voice", Src: "Seattle", Dst: "Princeton"})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("admit: %d", resp.StatusCode)
@@ -416,7 +407,8 @@ func TestEventsEndpoint(t *testing.T) {
 // TestCapacityRejectEventHasBottleneck fills a pair to capacity and
 // checks the resulting event pinpoints the failing server.
 func TestCapacityRejectEventHasBottleneck(t *testing.T) {
-	ts, net, sink := testDaemonFull(t)
+	ts := testDaemon(t)
+	net, sink := topology.NSFNet(topology.DefaultCapacity), ts.Sink()
 	req := flowRequest{Class: "voice", Src: "0", Dst: "13"}
 	for i := 0; i < 20000; i++ {
 		resp, _ := post(t, ts, "/v1/flows", req)
@@ -469,8 +461,8 @@ func TestStatusForReason(t *testing.T) {
 		{"", http.StatusInternalServerError},
 	}
 	for _, tc := range cases {
-		if got := statusForReason(tc.reason); got != tc.want {
-			t.Errorf("statusForReason(%q) = %d, want %d", tc.reason, got, tc.want)
+		if got := daemon.StatusForReason(tc.reason); got != tc.want {
+			t.Errorf("StatusForReason(%q) = %d, want %d", tc.reason, got, tc.want)
 		}
 	}
 	// Every admission sentinel maps through wire.Reason to a reason the
@@ -486,21 +478,10 @@ func TestStatusForReason(t *testing.T) {
 		if reason == "internal" {
 			t.Errorf("sentinel %v maps to the internal fallback", err)
 		}
-		if statusForReason(reason) == http.StatusInternalServerError {
+		if daemon.StatusForReason(reason) == http.StatusInternalServerError {
 			t.Errorf("sentinel %v (reason %q) falls to the 500 default", err, reason)
 		}
 	}
-}
-
-// testDaemonPolicy wires a daemon like testDaemonFull but with an
-// admission policy installed on the controller before serving.
-func testDaemonPolicy(t *testing.T, pol policy.Policy) (*httptest.Server, *telemetry.RegistrySink) {
-	t.Helper()
-	net, ctrl, reg, ring, sink := testDeployment(t)
-	ctrl.SetPolicy(pol)
-	ts := httptest.NewServer(newServer(net, ctrl, reg, ring).routes())
-	t.Cleanup(ts.Close)
-	return ts, sink
 }
 
 // TestPolicyOverHTTP walks a token-bucket policy through the wire
@@ -510,15 +491,8 @@ func testDaemonPolicy(t *testing.T, pol policy.Policy) (*httptest.Server, *telem
 // event carries the class and tenant, and the per-class counters show
 // up on /metrics.
 func TestPolicyOverHTTP(t *testing.T) {
-	tb, err := policy.NewTokenBucket(
-		policy.BucketConfig{Rate: 1, Burst: 1000},
-		map[string]policy.BucketConfig{"tenant-a": {Rate: 1e-9, Burst: 1}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb.Clock = func() int64 { return 1 } // frozen clock: no refill ever
-	ts, sink := testDaemonPolicy(t, tb)
+	ts := testDaemon(t, tenantBucket)
+	sink := ts.Sink()
 
 	// First tenant-a flow spends the whole burst.
 	resp, body := post(t, ts, "/v1/flows", flowRequest{Class: "voice", Tenant: "tenant-a", Src: "Seattle", Dst: "Princeton"})
@@ -589,7 +563,7 @@ func TestPolicyOverHTTP(t *testing.T) {
 
 // TestFlowBodyLimit checks MaxBytesReader on POST /v1/flows.
 func TestFlowBodyLimit(t *testing.T) {
-	ts, _ := testDaemon(t)
+	ts := testDaemon(t)
 	// Valid JSON shape so the decoder keeps reading until the byte limit
 	// trips (raw garbage would fail as a syntax error first).
 	huge := append([]byte(`{"class":"`), bytes.Repeat([]byte("x"), maxFlowBody+1)...)
@@ -608,7 +582,7 @@ func TestFlowBodyLimit(t *testing.T) {
 // route with its verified bound, that ?class= filters to one class, and
 // that an unknown class is a 404.
 func TestRoutesEndpoint(t *testing.T) {
-	ts, _ := testDaemon(t)
+	ts := testDaemon(t)
 
 	resp, body := get(t, ts, "/v1/routes")
 	if resp.StatusCode != http.StatusOK {
@@ -638,7 +612,7 @@ func TestRoutesEndpoint(t *testing.T) {
 }
 
 // scrape fetches /metrics.
-func scrape(t *testing.T, ts *httptest.Server) string {
+func scrape(t *testing.T, ts *testServer) string {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -667,7 +641,7 @@ func seriesCount(metrics string) int {
 // bodies, so names the deployment does not configure must not each
 // mint a series — they share class="unknown".
 func TestUnknownClassFloodIsOneSeries(t *testing.T) {
-	ts, _ := testDaemon(t)
+	ts := testDaemon(t)
 	if resp, body := post(t, ts, "/v1/flows", flowRequest{Class: "voice", Src: "Seattle", Dst: "Seattle"}); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("no-route reject: %d %v", resp.StatusCode, body)
 	}
@@ -703,7 +677,7 @@ func TestUnknownClassFloodIsOneSeries(t *testing.T) {
 // and /v1/stats, and churn does not move it — a thousand admits through
 // a handful of live flows leave it where the first few put it.
 func TestRegistrySlotsExported(t *testing.T) {
-	ts, _ := testDaemon(t)
+	ts := testDaemon(t)
 	slots := func() float64 {
 		_, st := get(t, ts, "/v1/stats")
 		n, ok := st["registry_slots"].(float64)
@@ -746,7 +720,8 @@ func TestRegistrySlotsExported(t *testing.T) {
 // at 0 and end at minus the count).
 func TestActiveFlowsGaugeSurvivesRecovery(t *testing.T) {
 	dir := t.TempDir()
-	ts, _, _, _ := testDaemonOn(t, dir)
+	durable := func(c *daemon.Config) { c.DataDir, c.Fsync = dir, "sync" }
+	ts := testDaemon(t, durable)
 	var ids []uint64
 	for i := 0; i < 25; i++ {
 		resp, body := post(t, ts, "/v1/flows", flowRequest{Class: "voice", Src: "Seattle", Dst: "Princeton"})
@@ -762,8 +737,8 @@ func TestActiveFlowsGaugeSurvivesRecovery(t *testing.T) {
 	// The first daemon is now abandoned mid-flight: sync mode has every
 	// record on disk, nothing is closed or snapshotted.
 
-	ts2, _, ctrl2, _ := testDaemonOn(t, dir)
-	if st := ctrl2.Stats(); st.Active != int64(len(ids)) {
+	ts2 := testDaemon(t, durable)
+	if st := ts2.Controller().Stats(); st.Active != int64(len(ids)) {
 		t.Fatalf("recovered %d active flows, want %d", st.Active, len(ids))
 	}
 	if want := fmt.Sprintf("ubac_active_flows %d\n", len(ids)); !strings.Contains(scrape(t, ts2), want) {
@@ -786,7 +761,7 @@ func TestActiveFlowsGaugeSurvivesRecovery(t *testing.T) {
 // are on /metrics, read at scrape — a forced collection moves the one
 // and the other is the heap the daemon keeps.
 func TestGoRuntimeSeriesExported(t *testing.T) {
-	ts, _ := testDaemon(t)
+	ts := testDaemon(t)
 	value := func(out, series string) uint64 {
 		t.Helper()
 		for _, line := range strings.Split(out, "\n") {

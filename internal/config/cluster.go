@@ -13,7 +13,7 @@ type ClusterMember struct {
 }
 
 // ClusterConfig is the parsed -cluster specification. It is
-// transport-agnostic on purpose: cmd/ubacd maps it onto the cluster
+// transport-agnostic on purpose: internal/daemon maps it onto the cluster
 // package's Config so this package stays dependency-free.
 type ClusterConfig struct {
 	// NodeID is this node's member ID.

@@ -59,19 +59,3 @@ func TestParseClusterSpecErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestFileClusterValidation(t *testing.T) {
-	base := `{"topology":"mci","alphas":{"voice":0.3},`
-	if _, err := ParseFile([]byte(base + `"cluster":"id=0,members=0@h:9444","wire_listen":":9444","data_dir":"/tmp/x"}`)); err != nil {
-		t.Errorf("valid cluster file rejected: %v", err)
-	}
-	if _, err := ParseFile([]byte(base + `"cluster":"id=0,members=0@h:9444","data_dir":"/tmp/x"}`)); err == nil || !strings.Contains(err.Error(), "wire_listen") {
-		t.Errorf("missing wire_listen: %v", err)
-	}
-	if _, err := ParseFile([]byte(base + `"cluster":"id=0,members=0@h:9444","wire_listen":":9444"}`)); err == nil || !strings.Contains(err.Error(), "data_dir") {
-		t.Errorf("missing data_dir: %v", err)
-	}
-	if _, err := ParseFile([]byte(base + `"cluster":"id=0","wire_listen":":9444","data_dir":"/tmp/x"}`)); err == nil || !strings.Contains(err.Error(), "missing members") {
-		t.Errorf("bad spec: %v", err)
-	}
-}

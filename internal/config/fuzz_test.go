@@ -6,38 +6,6 @@ import (
 	"testing"
 )
 
-// FuzzParseFile throws arbitrary bytes at the daemon configuration
-// parser: it must never panic, and any document it accepts must survive
-// a marshal → parse round trip unchanged (defaults are applied exactly
-// once — re-parsing the marshaled form is a fixed point).
-func FuzzParseFile(f *testing.F) {
-	f.Add(`{"topology":"mci","alphas":{"voice":0.4}}`)
-	f.Add(`{"topology":"ring:8","alphas":{"voice":0.3,"video":0.2},"listen":":9090","events":128,"shutdown_grace_seconds":2.5}`)
-	f.Add(`{"topology":"","alphas":{"voice":0.4}}`)
-	f.Add(`{"topology":"mci","alphas":{"voice":1e309}}`)
-	f.Add(`{"topology":"mci","alphas":{"voice":0.4}}{}`)
-	f.Add(`{"topology":"mci","alphas":{"voice":0.4},"unknown":true}`)
-	f.Add(`[]`)
-	f.Add(`not json`)
-	f.Fuzz(func(t *testing.T, doc string) {
-		parsed, err := ParseFile([]byte(doc))
-		if err != nil {
-			return // rejection is fine; panics are not
-		}
-		out, err := json.Marshal(parsed)
-		if err != nil {
-			t.Fatalf("accepted config failed to marshal: %v", err)
-		}
-		back, err := ParseFile(out)
-		if err != nil {
-			t.Fatalf("round trip rejected: %v", err)
-		}
-		if !reflect.DeepEqual(parsed, back) {
-			t.Fatalf("round trip changed the config: %+v vs %+v", parsed, back)
-		}
-	})
-}
-
 // FuzzDecodePolicyConfig throws arbitrary bytes at the policy
 // decoder: it must never panic, and any document it accepts must
 // survive a marshal → decode round trip unchanged (defaults are a

@@ -74,9 +74,9 @@ var policyKinds = map[string]bool{
 }
 
 // DecodePolicyConfig decodes and validates one policy document. Like
-// ParseFile it is strict and total: any byte slice either yields a
-// valid PolicyConfig with defaults applied or an error, never a panic
-// (fuzz-tested by FuzzDecodePolicyConfig).
+// daemon.ParseFile it is strict and total: any byte slice either
+// yields a valid PolicyConfig with defaults applied or an error, never
+// a panic (fuzz-tested by FuzzDecodePolicyConfig).
 func DecodePolicyConfig(data []byte) (*PolicyConfig, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()

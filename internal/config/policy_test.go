@@ -1,7 +1,6 @@
 package config
 
 import (
-	"strings"
 	"testing"
 
 	"ubac/internal/policy"
@@ -133,25 +132,5 @@ func TestPolicyBuild(t *testing.T) {
 	}
 	if p.Needs()&policy.NeedFill == 0 {
 		t.Fatal("reserve_headroom lost NeedFill through config")
-	}
-}
-
-func TestParseFileWithPolicy(t *testing.T) {
-	f, err := ParseFile([]byte(`{
-		"topology": "mci", "alphas": {"voice": 0.4},
-		"policy": {"kind": "token_bucket", "rate": 100, "burst": 500}
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Policy == nil || f.Policy.Kind != "token_bucket" {
-		t.Fatalf("policy not parsed: %+v", f.Policy)
-	}
-	_, err = ParseFile([]byte(`{
-		"topology": "mci", "alphas": {"voice": 0.4},
-		"policy": {"kind": "token_bucket"}
-	}`))
-	if err == nil || !strings.Contains(err.Error(), "rate") {
-		t.Fatalf("invalid embedded policy accepted: %v", err)
 	}
 }

@@ -1,4 +1,4 @@
-package main
+package daemon
 
 import (
 	"bytes"
@@ -20,7 +20,8 @@ import (
 // a run of one, a :batch request one run of each kind, and every
 // verdict is the controller's.
 
-type flowRequest struct {
+// FlowRequest is the POST /v1/flows body and one :batch admission.
+type FlowRequest struct {
 	Class string `json:"class"`
 	// Tenant is optional: it feeds the installed admission policy
 	// (token buckets key on it; SLO tiers may map it) and labels the
@@ -30,31 +31,31 @@ type flowRequest struct {
 	Dst    string `json:"dst"`
 }
 
-// decodeFlowRequest parses a POST /v1/flows body. It is total over
+// DecodeFlowRequest parses a POST /v1/flows body. It is total over
 // arbitrary input (fuzz-tested): any reader either yields a request
 // with all three fields present or an error, never a panic. Unknown
 // fields and trailing data are rejected so malformed clients fail
 // loudly instead of silently admitting the wrong flow.
-func decodeFlowRequest(r io.Reader) (flowRequest, error) {
+func DecodeFlowRequest(r io.Reader) (FlowRequest, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	var req flowRequest
+	var req FlowRequest
 	if err := dec.Decode(&req); err != nil {
-		return flowRequest{}, err
+		return FlowRequest{}, err
 	}
 	if dec.More() {
-		return flowRequest{}, errors.New("trailing data after request object")
+		return FlowRequest{}, errors.New("trailing data after request object")
 	}
 	if req.Class == "" || req.Src == "" || req.Dst == "" {
-		return flowRequest{}, errors.New(`"class", "src" and "dst" are all required`)
+		return FlowRequest{}, errors.New(`"class", "src" and "dst" are all required`)
 	}
 	return req, nil
 }
 
-// batchRequest is the POST /v1/flows:batch body: any mix of
+// BatchRequest is the POST /v1/flows:batch body: any mix of
 // admissions and teardowns, executed admissions-first.
-type batchRequest struct {
-	Admit    []flowRequest      `json:"admit"`
+type BatchRequest struct {
+	Admit    []FlowRequest      `json:"admit"`
 	Teardown []admission.FlowID `json:"teardown"`
 }
 
@@ -78,15 +79,15 @@ type batchResponse struct {
 	Teardown []batchTeardownResult `json:"teardown"`
 }
 
-// batchCodec carries one request's runs through body → controller →
+// BatchCodec carries one request's runs through body → controller →
 // response with every slice reused across requests via batchCodecPool.
 // The :batch decoder uses json.Unmarshal over the pooled buffer, so
 // unknown fields are ignored rather than rejected (the singleton's
-// decodeFlowRequest refuses them); required fields are still
+// DecodeFlowRequest refuses them); required fields are still
 // validated.
-type batchCodec struct {
+type BatchCodec struct {
 	body  bytes.Buffer
-	req   batchRequest
+	req   BatchRequest
 	resp  batchResponse
 	items []admission.BatchItem
 	pos   []int32 // result index of each controller item
@@ -94,7 +95,10 @@ type batchCodec struct {
 	errs  []error
 }
 
-var batchCodecPool = sync.Pool{New: func() any { return new(batchCodec) }}
+var batchCodecPool = sync.Pool{New: func() any { return new(BatchCodec) }}
+
+// Request is the body the last Decode read.
+func (bc *BatchCodec) Request() *BatchRequest { return &bc.req }
 
 // errBatchEmpty / errBatchTooLarge are decode-level rejections,
 // distinct from per-operation failures. A request is capped at the
@@ -105,19 +109,19 @@ var (
 )
 
 // read fills bc.body with the whole of r.
-func (bc *batchCodec) read(r io.Reader) error {
+func (bc *BatchCodec) read(r io.Reader) error {
 	bc.body.Reset()
 	_, err := bc.body.ReadFrom(r)
 	return err
 }
 
-// decode reads and validates one :batch body into the codec. It is
+// Decode reads and validates one :batch body into the codec. It is
 // total over arbitrary input (fuzz-tested): any reader either yields a
 // request whose admit entries all have class/src/dst present, or an
 // error — never a panic. Slices left over from the codec's previous
 // request are reset before unmarshaling so absent fields cannot leak
 // stale operations.
-func (bc *batchCodec) decode(r io.Reader) error {
+func (bc *BatchCodec) Decode(r io.Reader) error {
 	if err := bc.read(r); err != nil {
 		return err
 	}
@@ -151,7 +155,7 @@ func (bc *batchCodec) decode(r io.Reader) error {
 // resolvable request to the controller in one AdmitBatch;
 // bc.resp.Admit[i] is request i's outcome. A router the topology does
 // not know is "unknown_router", the one reason the controller never gives.
-func (s *server) admitRun(bc *batchCodec) {
+func (s *server) admitRun(bc *BatchCodec) {
 	bc.resp.Admit = bc.resp.Admit[:0]
 	bc.items = bc.items[:0]
 	bc.pos = bc.pos[:0]
@@ -182,7 +186,7 @@ func (s *server) admitRun(bc *batchCodec) {
 
 // teardownRun hands bc.req.Teardown to the controller in one
 // TeardownBatch; bc.resp.Teardown[i] is ID i's outcome.
-func (s *server) teardownRun(bc *batchCodec) {
+func (s *server) teardownRun(bc *BatchCodec) {
 	bc.errs = s.ctrl.TeardownBatch(bc.req.Teardown, bc.errs)
 	bc.resp.Teardown = bc.resp.Teardown[:0]
 	for _, err := range bc.errs {
@@ -207,24 +211,20 @@ func writeBodyErr(w http.ResponseWriter, err error) {
 }
 
 // writeRefused writes a singleton's refusal: the message, the reason
-// and the status statusForReason gives it.
+// and the status StatusForReason gives it.
 func writeRefused(w http.ResponseWriter, msg, reason string) {
-	writeJSON(w, statusForReason(reason), map[string]string{"error": msg, "reason": reason})
+	writeJSON(w, StatusForReason(reason), map[string]string{"error": msg, "reason": reason})
 }
 
 func (s *server) handleFlows(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	bc := batchCodecPool.Get().(*batchCodec)
+	bc := batchCodecPool.Get().(*BatchCodec)
 	defer batchCodecPool.Put(bc)
 	// The whole body is read before it is parsed, so one past the cap is
 	// refused even when a complete request sits in its first 64 KiB.
-	err := bc.read(http.MaxBytesReader(w, r.Body, maxFlowBody))
-	var req flowRequest
+	err := bc.read(http.MaxBytesReader(w, r.Body, MaxFlowBody))
+	var req FlowRequest
 	if err == nil {
-		req, err = decodeFlowRequest(&bc.body)
+		req, err = DecodeFlowRequest(&bc.body)
 	}
 	if err != nil {
 		writeBodyErr(w, err)
@@ -241,16 +241,12 @@ func (s *server) handleFlows(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleFlowByID(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodDelete {
-		writeErr(w, http.StatusMethodNotAllowed, "DELETE only")
-		return
-	}
 	id, err := strconv.ParseUint(strings.TrimPrefix(r.URL.Path, "/v1/flows/"), 10, 64)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "invalid flow id")
 		return
 	}
-	bc := batchCodecPool.Get().(*batchCodec)
+	bc := batchCodecPool.Get().(*BatchCodec)
 	defer batchCodecPool.Put(bc)
 	bc.req.Teardown = append(bc.req.Teardown[:0], admission.FlowID(id))
 	s.teardownRun(bc)
@@ -267,13 +263,9 @@ func (s *server) handleFlowByID(w http.ResponseWriter, r *http.Request) {
 // singleton endpoints; the HTTP status is 200 whenever the batch itself
 // was well-formed.
 func (s *server) handleFlowsBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	bc := batchCodecPool.Get().(*batchCodec)
+	bc := batchCodecPool.Get().(*BatchCodec)
 	defer batchCodecPool.Put(bc)
-	if err := bc.decode(http.MaxBytesReader(w, r.Body, maxFlowBody)); err != nil {
+	if err := bc.Decode(http.MaxBytesReader(w, r.Body, MaxFlowBody)); err != nil {
 		writeBodyErr(w, err)
 		return
 	}

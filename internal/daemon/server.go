@@ -1,4 +1,4 @@
-package main
+package daemon
 
 import (
 	"encoding/json"
@@ -15,9 +15,9 @@ import (
 	"ubac/internal/topology"
 )
 
-// maxFlowBody bounds POST /v1/flows request bodies; an admission request
+// MaxFlowBody bounds POST /v1/flows request bodies; an admission request
 // is three short strings, so 64 KiB is already generous.
-const maxFlowBody = 64 << 10
+const MaxFlowBody = 64 << 10
 
 // server exposes a deployed admission controller over HTTP. Routes:
 //
@@ -38,7 +38,7 @@ const maxFlowBody = 64 << 10
 // Rejection bodies carry a machine-readable "reason" field: the
 // event-schema name wire.Reason gives the controller's error, or
 // "unknown_router" for a name the topology does not know.
-// statusForReason maps a reason to its HTTP status (429 for rate/shed
+// StatusForReason maps a reason to its HTTP status (429 for rate/shed
 // conditions, 503 for capacity conditions, 404 for unknown names, 500
 // for "internal").
 type server struct {
@@ -110,16 +110,17 @@ func (s *server) syncFastPath() {
 
 func (s *server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
+	get, post := http.MethodGet, http.MethodPost
 	mux.HandleFunc("/healthz", s.handleHealth)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/v1/flows", s.handleFlows)
-	mux.HandleFunc("/v1/flows:batch", s.handleFlowsBatch)
-	mux.HandleFunc("/v1/flows/", s.handleFlowByID)
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/events", s.handleEvents)
-	mux.HandleFunc("/v1/headroom", s.handleHeadroom)
-	mux.HandleFunc("/v1/utilization", s.handleUtilization)
-	mux.HandleFunc("/v1/routes", s.handleRoutes)
+	mux.HandleFunc("/metrics", only(get, s.handleMetrics))
+	mux.HandleFunc("/v1/flows", only(post, s.handleFlows))
+	mux.HandleFunc("/v1/flows:batch", only(post, s.handleFlowsBatch))
+	mux.HandleFunc("/v1/flows/", only(http.MethodDelete, s.handleFlowByID))
+	mux.HandleFunc("/v1/stats", only(get, s.handleStats))
+	mux.HandleFunc("/v1/events", only(get, s.handleEvents))
+	mux.HandleFunc("/v1/headroom", only(get, s.handleHeadroom))
+	mux.HandleFunc("/v1/utilization", only(get, s.handleUtilization))
+	mux.HandleFunc("/v1/routes", only(get, s.handleRoutes))
 	// The runtime's profiles, on this mux rather than the default one the
 	// pprof package registers itself on. A CPU profile must fit inside
 	// the HTTP server's WriteTimeout (?seconds=9 or less).
@@ -129,6 +130,17 @@ func (s *server) routes() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// only answers a request whose method is not m with 405 and "M only".
+func only(m string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != m {
+			writeErr(w, http.StatusMethodNotAllowed, m+" only")
+			return
+		}
+		h(w, r)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -141,11 +153,11 @@ func writeErr(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
-// statusForReason is the reason → HTTP status mapping for every
+// StatusForReason is the reason → HTTP status mapping for every
 // admission and teardown outcome. Client rate conditions (the caller
 // can back off and retry) are 429; server capacity conditions are 503;
 // names the configuration doesn't know are 404.
-func statusForReason(reason string) int {
+func StatusForReason(reason string) int {
 	switch reason {
 	case "policy_token_bucket", "policy_shed":
 		return http.StatusTooManyRequests
@@ -163,10 +175,6 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	s.syncFastPath()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WritePrometheus(w)
@@ -181,10 +189,6 @@ type eventOut struct {
 }
 
 func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	limit := 100
 	if raw := r.URL.Query().Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
@@ -240,10 +244,6 @@ type routeOut struct {
 // when the class's delay vector was installed. ?class= filters to one
 // class.
 func (s *server) handleRoutes(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	names := s.ctrl.Classes()
 	if want := r.URL.Query().Get("class"); want != "" {
 		names = []string{want}
@@ -275,18 +275,10 @@ func (s *server) handleRoutes(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	writeJSON(w, http.StatusOK, s.ctrl.Stats())
 }
 
 func (s *server) handleHeadroom(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	q := r.URL.Query()
 	src, err := s.resolveRouter(q.Get("src"))
 	if err != nil {
@@ -307,23 +299,18 @@ func (s *server) handleHeadroom(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleUtilization(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	q := r.URL.Query()
-	link := q.Get("link")
-	parts := strings.SplitN(link, "-", 2)
-	if len(parts) != 2 {
+	from, to, ok := strings.Cut(q.Get("link"), "-")
+	if !ok {
 		writeErr(w, http.StatusBadRequest, "link must be SrcRouter-DstRouter")
 		return
 	}
-	a, err := s.resolveRouter(parts[0])
+	a, err := s.resolveRouter(from)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err.Error())
 		return
 	}
-	bb, err := s.resolveRouter(parts[1])
+	bb, err := s.resolveRouter(to)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err.Error())
 		return
